@@ -5,11 +5,13 @@ Verbs: `run` (full control synthesis with artifacts), `verify`
 range, one isolated subdirectory per value).
 
 Exit codes: 0 success/converged, 2 invalid config, 3 non-converged run
-(diverged or max-iterations), 4 hypothesis violated (verify).
+(diverged, max-iterations or a numerical failure), 4 hypothesis violated
+(verify).
 """
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,15 +24,21 @@ import numpy as np
 
 from . import __version__
 from .config import OUTPUT_ROOT_ENV, ConfigError, load_config
-from .control import algorithm1, linear_control, picard_sequence
+from .control import GramConditionError, algorithm1, picard_sequence
 from .diagnostics import hypothesis_report
 from .domain import restrict, trace
-from .solver import SemilinearDivergenceError, solve_semilinear
+from .mittag import MLEvaluationError
+from .solver import SemilinearDivergenceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_HYPOTHESIS = 4
+
+# failures of the numerics themselves: reported as a non-converged run
+NUMERICAL_ERRORS = (
+    MLEvaluationError, GramConditionError, SemilinearDivergenceError,
+)
 
 
 def _out_root(args):
@@ -72,39 +80,17 @@ def _iteration_lines(report):
     return lines
 
 
-def _execute(cfg):
-    """Run the configured synthesis method.
+def _execute(cfg, problem):
+    """Run the configured synthesis method; returns (u, traj, report).
 
-    Returns (u, traj, report, status).  The linear method performs a
-    single pseudo-inverse solve plus one confirming simulation.
+    The linear method is one residual-update iteration: a single
+    pseudo-inverse solve plus one confirming simulation.
     """
-    problem = cfg.problem()
-    if cfg.method == "algorithm1":
-        u, traj, report = algorithm1(problem)
-        return u, traj, report, report.status
     if cfg.method == "picard":
-        u, traj, report = picard_sequence(problem)
-        return u, traj, report, report.status
-    # linear: one-shot control against d_s, simulated with the full F
-    from .control import IterationReport, boundary_error
-
-    H = problem.operator()
-    u = linear_control(H, problem.d_s)
-    traj = solve_semilinear(
-        problem.y0, u.values, problem.F, problem.act, problem.basis,
-        problem.grid, problem.alpha,
-    )
-    reached = restrict(traj.final_field(), problem.omega_c).values.ravel()
-    report = IterationReport()
-    report.residuals.append(
-        H.target_norm(problem.d_s.values.ravel() - reached)
-    )
-    report.boundary_errors.append(
-        boundary_error(traj, problem.zd, problem.gamma)
-    )
-    report.costs.append(u.cost())
-    report.status = "converged"
-    return u, traj, report, "converged"
+        return picard_sequence(problem)
+    if cfg.method == "linear":
+        problem = dataclasses.replace(problem, n_max=1)
+    return algorithm1(problem)
 
 
 def _run_one(cfg, outdir, seed):
@@ -112,18 +98,21 @@ def _run_one(cfg, outdir, seed):
     outdir.mkdir(parents=True, exist_ok=True)
     t_start = time.time()
     problem = cfg.problem()
-    hyp = hypothesis_report(problem, n_samples=100, seed=seed)
-
+    hyp = None
     try:
-        u, traj, report, status = _execute(cfg)
-    except SemilinearDivergenceError as exc:
-        status = "diverged"
+        hyp = hypothesis_report(problem, n_samples=100, seed=seed)
+        u, traj, report = _execute(cfg, problem)
+    except NUMERICAL_ERRORS as exc:
+        status = ("diverged" if isinstance(exc, SemilinearDivergenceError)
+                  else "failed")
+        print(f"{status}: {exc}", file=sys.stderr)
         summary = {"status": status, "error": str(exc)}
         (outdir / "summary.txt").write_text(
-            f"status: diverged\nreason: {exc}\n"
+            f"status: {status}\nreason: {exc}\n"
         )
         _write_manifest(cfg, outdir, hyp, summary, t_start, seed)
         return EXIT_DIVERGED, summary
+    status = report.status
 
     grid = cfg.grid
     t_left = np.arange(grid.K) * grid.dt
@@ -182,7 +171,7 @@ def _write_manifest(cfg, outdir, hyp, summary, t_start, seed):
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime(t_start)
         ),
         "ended_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "hypothesis_report": {
+        "hypothesis_report": None if hyp is None else {
             "a1": hyp.a1, "mu": hyp.mu, "g_norm": hyp.g_norm,
             "kappa": hyp.kappa, "m_kappa": hyp.m_kappa,
             "rho_kappa": hyp.rho_kappa, "a_s": hyp.a_s,
@@ -199,13 +188,11 @@ def _write_manifest(cfg, outdir, hyp, summary, t_start, seed):
         fh.write("\n")
 
 
-def _load(args):
-    cfg = load_config(args.config)
+def _load(args, path=None):
+    """Load a config (args.config unless path is given) and apply the
+    --method/--seed overrides to it and to its resolved manifest view."""
+    cfg = load_config(path or args.config)
     if args.method:
-        if args.method not in ("algorithm1", "picard", "linear"):
-            raise ConfigError(
-                args.config, "loop", "method", f"bad --method {args.method}"
-            )
         cfg.method = args.method
         cfg.resolved["loop.method"] = args.method
     if args.seed is not None:
@@ -234,7 +221,11 @@ def cmd_verify(args):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    report = hypothesis_report(cfg.problem(), seed=cfg.seed)
+    try:
+        report = hypothesis_report(cfg.problem(), seed=cfg.seed)
+    except NUMERICAL_ERRORS as exc:
+        print(f"failed: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     print(report.to_text())
     return EXIT_HYPOTHESIS if report.violated else EXIT_OK
 
@@ -252,11 +243,7 @@ def _sweep_row(args, param, value, outroot):
     rowcfg_path = rowdir / "config.cfg"
     with open(rowcfg_path, "w") as fh:
         cp.write(fh)
-    cfg = load_config(str(rowcfg_path))
-    if args.method:
-        cfg.method = args.method
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _load(args, str(rowcfg_path))
     code, summary = _run_one(cfg, rowdir, cfg.seed)
     return value, code, summary
 

@@ -272,19 +272,18 @@ def load_config(path):
     except ValueError as exc:
         raise ConfigError(path, "problem", "F", str(exc)) from exc
 
+    def on_gamma(terms):
+        """A polynomial's samples at the grid nodes of Gamma."""
+        poly = Field(domain, eval_poly(terms, domain.x, domain.y))
+        return trace(poly, gamma).values
+
     # boundary target: full 2-D polynomial evaluated on the segment nodes
     try:
         zd_terms = parse_poly(get("target", "z_d"))
     except ValueError as exc:
         raise ConfigError(path, "target", "z_d", str(exc)) from exc
     record("target", "z_d", zd_terms)
-    prof = trace(Field.zero(domain), gamma)
-    if gamma.side in ("left", "right"):
-        bx = np.array([0.0 if gamma.side == "left" else lx])
-        zd = eval_poly(zd_terms, bx, prof.s)[0]
-    else:
-        by = np.array([0.0 if gamma.side == "bottom" else ly])
-        zd = eval_poly(zd_terms, prof.s, by)[:, 0]
+    zd = on_gamma(zd_terms)
 
     # target extension into omega_c: explicit polynomial, a polynomial
     # decay profile in the inward coordinate, or the default smooth decay
@@ -301,20 +300,7 @@ def load_config(path):
             x=probe.x, y=probe.y,
             values=eval_poly(ds_terms, probe.x, probe.y),
         )
-        tr = d_s.values[0, :] if gamma.side == "left" else None
-        if gamma.side == "right":
-            tr = d_s.values[-1, :]
-        elif gamma.side == "bottom":
-            tr = d_s.values[:, 0]
-        elif gamma.side == "top":
-            tr = d_s.values[:, -1]
-        tang = probe.y if gamma.side in ("left", "right") else probe.x
-        gsel = (tang >= gamma.bounds[0] - 1e-12) & (
-            tang <= gamma.bounds[1] + 1e-12
-        )
-        if gsel.sum() != zd.size or not np.allclose(
-            tr[gsel], zd, atol=1e-9
-        ):
+        if not np.allclose(on_gamma(ds_terms), zd, atol=1e-9):
             raise ConfigError(
                 path, "target", "d_s",
                 "trace on the boundary segment does not match z_d",

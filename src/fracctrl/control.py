@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .domain import Field, _cos_rows, actuator_coefficients, restrict, trace
+from .domain import (
+    Field,
+    _cos_rows,
+    _trapezoid_weights,
+    actuator_coefficients,
+    restrict,
+    trace,
+)
 from .mittag import check_order
 from .solver import _kernel_tables, solve_linear, solve_semilinear
 
@@ -84,7 +91,9 @@ def _target_dofs(basis, target):
         E = np.einsum("ip,jq->pqij", ex, ey).reshape(
             patch.x.size * patch.y.size, basis.mx * basis.my
         )
-        w = np.outer(_quad_weights(patch.x), _quad_weights(patch.y)).ravel()
+        w = np.outer(
+            _trapezoid_weights(patch.x), _trapezoid_weights(patch.y)
+        ).ravel()
         return E, w
     prof = trace(probe, target)
     s = prof.s
@@ -99,17 +108,7 @@ def _target_dofs(basis, target):
     E = np.einsum("ip,jq->pqij", ex, ey).reshape(
         s.size, basis.mx * basis.my
     )
-    return E, _quad_weights(s)
-
-
-def _quad_weights(coords):
-    coords = np.asarray(coords)
-    if coords.size == 1:
-        return np.ones(1)
-    h = coords[1] - coords[0]
-    w = np.full(coords.size, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
+    return E, _trapezoid_weights(s)
 
 
 @dataclass
@@ -164,10 +163,8 @@ def assemble_H(basis, act, grid, target, alpha, lambda_reg=-1.0):
     """
     alpha = check_order(alpha)
     b = actuator_coefficients(act, basis)
-    lam = basis.eigenvalues
-    _, W = _kernel_tables(lam, grid, alpha)
+    _, Wd = _kernel_tables(basis, grid, alpha)
     # response of mode m at time T to a unit control on step k
-    Wd = np.diff(W, axis=0)  # Wd[j] = W[j+1] - W[j]
     C = (b[None, :] * Wd[::-1]).T  # (modes, K); column k uses Wd[K-1-k]
     E, w = _target_dofs(basis, target)
     if E.shape[0] == 0:
@@ -204,7 +201,7 @@ def boundary_error(traj, zd, gamma):
     prof = trace(traj.final_field(), gamma)
     zd = np.asarray(zd, dtype=float)
     diff = prof.values - zd
-    w = _quad_weights(prof.s)
+    w = _trapezoid_weights(prof.s)
     return math.sqrt(float(np.sum(w * diff**2)))
 
 
@@ -280,14 +277,10 @@ class ControlProblem:
         return self.d_s.values.ravel()
 
     def operator(self):
-        H = assemble_H(
+        return assemble_H(
             self.basis, self.act, self.grid, self.target_region(),
-            self.alpha,
+            self.alpha, self.lambda_reg,
         )
-        if self.lambda_reg >= 0.0:
-            H.lambda_reg = self.lambda_reg
-            H._chol = None
-        return H
 
 
 def _reached_values(problem, u):
@@ -403,8 +396,9 @@ def picard_sequence(problem):
         nonlinear = reached - H.apply(u.values)
         u_next = pinv_apply(H, ds_vec - nonlinear)
         if u_next.norm() > CONTROL_NORM_BOUND:
+            # return the control that produced traj, not the runaway one
             report.status = "diverged"
-            return u_next, traj, report
+            return u, traj, report
 
         diff = math.sqrt(
             float(np.sum((u_next.values - u.values) ** 2)) * problem.grid.dt

@@ -7,7 +7,8 @@ rectangle, and actuator spatial profiles.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,11 +64,18 @@ class RectDomain:
 
     def quad_weights(self):
         """Trapezoid weights (wx, wy) for the discrete L2 inner product."""
-        wx = np.full(self.nx, self.dx)
-        wx[0] = wx[-1] = 0.5 * self.dx
-        wy = np.full(self.ny, self.dy)
-        wy[0] = wy[-1] = 0.5 * self.dy
-        return wx, wy
+        return _trapezoid_weights(self.x), _trapezoid_weights(self.y)
+
+
+def _trapezoid_weights(coords):
+    """Trapezoid weights of a uniform node row (a single node weighs 1)."""
+    coords = np.asarray(coords)
+    if coords.size == 1:
+        return np.ones(1)
+    h = coords[1] - coords[0]
+    w = np.full(coords.size, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
 
 
 def _cos_rows(m, length, coords):
@@ -103,11 +111,25 @@ class SpectralBasis:
         ) ** 2
         return lam.ravel()
 
+    @cached_property
     def _factors(self):
+        """Read-only cosine rows (ex, ey) at the grid nodes."""
         d = self.domain
         ex = _cos_rows(self.mx, d.lx, d.x)
         ey = _cos_rows(self.my, d.ly, d.y)
+        ex.flags.writeable = False
+        ey.flags.writeable = False
         return ex, ey
+
+    @cached_property
+    def _analysis(self):
+        """Trapezoid-weighted analysis pair (ex * wx, (ey * wy).T)."""
+        wx, wy = self.domain.quad_weights()
+        ex, ey = self._factors
+        ax, ay = ex * wx, ey * wy
+        ax.flags.writeable = False
+        ay.flags.writeable = False
+        return ax, ay.T
 
     def to_spectral(self, values):
         """Coefficients c_ij = <f, e_ij> by trapezoid quadrature (exact for
@@ -119,9 +141,8 @@ class SpectralBasis:
                 f"expected nodal array of shape {(d.nx, d.ny)}, "
                 f"got {values.shape}"
             )
-        wx, wy = d.quad_weights()
-        ex, ey = self._factors()
-        return (ex * wx) @ values @ (ey * wy).T
+        ax, ay_t = self._analysis
+        return ax @ values @ ay_t
 
     def from_spectral(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -130,7 +151,7 @@ class SpectralBasis:
                 f"expected coefficient array of shape {(self.mx, self.my)}, "
                 f"got {coeffs.shape}"
             )
-        ex, ey = self._factors()
+        ex, ey = self._factors
         return ex.T @ coeffs @ ey
 
     def evaluate_mode(self, i, j, x, y):
@@ -164,7 +185,6 @@ class Field:
 
     domain: RectDomain
     values: np.ndarray
-    _coeff_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -184,10 +204,7 @@ class Field:
         return cls(domain, np.zeros((domain.nx, domain.ny)))
 
     def coefficients(self, basis):
-        key = (id(basis), basis.mx, basis.my)
-        if key not in self._coeff_cache:
-            self._coeff_cache[key] = basis.to_spectral(self.values)
-        return self._coeff_cache[key]
+        return basis.to_spectral(self.values)
 
     def norm_l2(self):
         wx, wy = self.domain.quad_weights()
@@ -203,8 +220,8 @@ class GridPatch:
     values: np.ndarray
 
     def norm_l2(self):
-        wx = _patch_weights(self.x)
-        wy = _patch_weights(self.y)
+        wx = _trapezoid_weights(self.x)
+        wy = _trapezoid_weights(self.y)
         return math.sqrt(float(wx @ self.values**2 @ wy))
 
 
@@ -217,18 +234,8 @@ class BoundaryProfile:
     values: np.ndarray
 
     def norm_l2(self):
-        w = _patch_weights(self.s)
+        w = _trapezoid_weights(self.s)
         return math.sqrt(float(w @ self.values**2))
-
-
-def _patch_weights(coords):
-    coords = np.asarray(coords)
-    if coords.size == 1:
-        return np.ones(1)
-    h = coords[1] - coords[0]
-    w = np.full(coords.size, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
 
 
 @dataclass(frozen=True)

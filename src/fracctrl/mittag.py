@@ -1,9 +1,9 @@
 """Scalar fractional-calculus primitives.
 
-Two-parameter Mittag-Leffler evaluation on the real axis, the mode-wise
-kernel symbols of the sub-diffusion propagators, exact step weights for the
-weakly singular convolution kernel, and an L1 finite-difference Caputo
-derivative used as an independent cross-check.
+Two-parameter Mittag-Leffler evaluation on the real axis (series,
+asymptotic, spectral-integral and Talbot branches) and the mode-wise
+symbol of the initial-data propagator.  The solver builds its kernel
+tables from these.
 """
 
 import cmath
@@ -13,17 +13,13 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import gamma, gammaln, hyp1f1, rgamma
+from scipy.special import gammaln, hyp1f1, rgamma
 
 __all__ = [
     "MLEvaluationError",
     "check_order",
     "ml",
     "h_symbol",
-    "k_symbol",
-    "e_kernel_step_weight",
-    "l1_caputo_apply",
-    "rl_integral_apply",
 ]
 
 # Taylor series is accurate and cheap up to here; beyond it cancellation
@@ -264,84 +260,3 @@ def h_symbol(lam, t, alpha):
     if t == 0.0:
         return 1.0
     return ml(alpha, 1.0, -lam * t**alpha)
-
-
-def k_symbol(lam, t, alpha):
-    """Eigen-symbol of the forcing propagator: E_(a,a)(-lam * t^a)."""
-    alpha = check_order(alpha)
-    if lam < 0.0 or t <= 0.0:
-        raise ValueError("k_symbol requires lam >= 0 and t > 0")
-    return ml(alpha, alpha, -lam * t**alpha)
-
-
-def _e_primitive(lam, t, alpha):
-    # int_0^t s^(a-1) E_(a,a)(-lam s^a) ds = t^a E_(a,a+1)(-lam t^a)
-    if t == 0.0:
-        return 0.0
-    return t**alpha * ml(alpha, alpha + 1.0, -lam * t**alpha)
-
-
-def e_kernel_step_weight(lam, a, b, alpha):
-    """Exact integral of s^(alpha-1) E_(alpha,alpha)(-lam s^alpha) over [a, b].
-
-    Makes the weakly singular convolution against piecewise-constant
-    integrands exact per eigenmode.
-    """
-    alpha = check_order(alpha)
-    if lam < 0.0:
-        raise ValueError("e_kernel_step_weight requires lam >= 0")
-    if not 0.0 <= a < b:
-        raise ValueError("e_kernel_step_weight requires 0 <= a < b")
-    return _e_primitive(lam, b, alpha) - _e_primitive(lam, a, alpha)
-
-
-def l1_caputo_apply(samples, dt, alpha):
-    """L1 finite-difference Caputo derivative on a uniform grid.
-
-    Returns an array of the same length as ``samples``; the value at the
-    initial node, where the derivative is not defined by the scheme, is 0.
-    """
-    alpha = check_order(alpha)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    g = np.asarray(samples, dtype=float)
-    if g.ndim != 1 or g.size < 2:
-        raise ValueError("need at least two samples on a 1-D grid")
-    n = g.size - 1
-    k = np.arange(n, dtype=float)
-    b = (k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha)
-    b[0] = 1.0  # numpy's 0**0 == 1 would zero this entry at alpha == 1
-    diffs = np.diff(g)
-    out = np.zeros_like(g)
-    c0 = dt ** (-alpha) / gamma(2.0 - alpha)
-    # out[m] = c0 * sum_k b[k] * diffs[m-1-k]
-    out[1:] = c0 * np.convolve(diffs, b)[:n]
-    return out
-
-
-def rl_integral_apply(samples, dt, alpha):
-    """Riemann-Liouville integral of order alpha, piecewise-linear quadrature.
-
-    Product integration with the integrand interpolated linearly between
-    grid nodes; companion inverse to :func:`l1_caputo_apply`.
-    """
-    alpha = check_order(alpha)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    g = np.asarray(samples, dtype=float)
-    n = g.size - 1
-    out = np.zeros_like(g)
-    inv_gamma = rgamma(alpha)
-    for m in range(1, n + 1):
-        tm = m * dt
-        acc = 0.0
-        for k in range(m):
-            tau0 = tm - k * dt
-            tau1 = tm - (k + 1) * dt
-            p0 = (tau0**alpha - tau1**alpha) / alpha
-            p1 = (tau0 * (tau0**alpha - tau1**alpha) / alpha
-                  - (tau0 ** (alpha + 1) - tau1 ** (alpha + 1)) / (alpha + 1))
-            slope = (g[k + 1] - g[k]) / dt
-            acc += g[k] * p0 + slope * p1
-        out[m] = inv_gamma * acc
-    return out

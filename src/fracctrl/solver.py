@@ -2,19 +2,22 @@
 
 The linear part propagates each eigenmode exactly through Mittag-Leffler
 symbols, so piecewise-constant controls incur no time-stepping error.  The
-semilinear term is handled by product integration with inner Picard sweeps
-per step.  An independent finite-difference L1 solver is provided for
-cross-validation.
+per-mode kernel tables depend only on (basis, grid, alpha) and are built
+once per problem.  The semilinear term is handled by product integration
+with inner Picard sweeps per step; a step whose sweeps do not settle keeps
+the explicit step with the nonlinearity frozen at the step start.  An
+independent finite-difference L1 solver is provided for cross-validation.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import eye as sparse_eye
 from scipy.sparse import identity, kron
 from scipy.sparse import diags
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import splu
 
 from .domain import Field, actuator_coefficients
 from .mittag import check_order, h_symbol, ml
@@ -94,13 +97,6 @@ class NonlinearTerm:
         with np.errstate(over="ignore", invalid="ignore"):
             return self.coeff * y**self.power
 
-    def derivative(self, y):
-        """Pointwise derivative F'(y), used by the Newton fallback."""
-        if self.is_zero:
-            return np.zeros_like(y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.coeff * self.power * y ** (self.power - 1)
-
 
 def _control_values(u, steps):
     """Per-step control values from None, an array, or a ControlSignal."""
@@ -132,14 +128,17 @@ class Trajectory:
         return self.snapshot(self.grid.K)
 
 
-def _kernel_tables(lam, grid, alpha):
-    """Mode/time tables of the propagator symbols.
+@lru_cache(maxsize=8)
+def _kernel_tables(basis, grid, alpha):
+    """Read-only mode/time tables (E1, Wd) of the propagator symbols.
 
-    E1[n, m] = E_(a,1)(-lam_m t_n^a) and W[n, m] = t_n^a E_(a,a+1)(-lam_m
-    t_n^a), the primitive of the weakly singular kernel, so the exact
-    weight of step [t_(n-k-1), t_(n-k)] at observation time t_n is
-    W[k+1] - W[k].
+    E1[n, m] = E_(a,1)(-lam_m t_n^a).  With W[n, m] = t_n^a E_(a,a+1)(-lam_m
+    t_n^a), the primitive of the weakly singular kernel, Wd[k] = W[k+1] -
+    W[k] is the exact weight of step [t_(n-k-1), t_(n-k)] at observation
+    time t_n.  The tables depend only on the frozen (basis, grid, alpha),
+    so every simulation and operator of one problem shares one build.
     """
+    lam = basis.eigenvalues
     nodes = grid.nodes
     E1 = np.empty((grid.K + 1, lam.size))
     W = np.empty((grid.K + 1, lam.size))
@@ -148,7 +147,10 @@ def _kernel_tables(lam, grid, alpha):
         for m, lm in enumerate(lam):
             E1[n, m] = h_symbol(lm, t, alpha)
             W[n, m] = ta * ml(alpha, alpha + 1.0, -lm * ta) if t > 0 else 0.0
-    return E1, W
+    Wd = np.diff(W, axis=0)
+    E1.flags.writeable = False
+    Wd.flags.writeable = False
+    return E1, Wd
 
 
 def solve_linear(y0, u, act, basis, grid, alpha):
@@ -156,70 +158,16 @@ def solve_linear(y0, u, act, basis, grid, alpha):
     alpha = check_order(alpha)
     b = actuator_coefficients(act, basis)
     c0 = y0.coefficients(basis).ravel()
-    lam = basis.eigenvalues
-    E1, W = _kernel_tables(lam, grid, alpha)
-    Wd = np.diff(W, axis=0)  # Wd[k] = W[k+1] - W[k]
+    E1, Wd = _kernel_tables(basis, grid, alpha)
     uvals = _control_values(u, grid.K)
 
-    coeffs = np.empty((grid.K + 1, lam.size))
+    coeffs = np.empty((grid.K + 1, c0.size))
     coeffs[0] = c0
     for n in range(1, grid.K + 1):
         # step k of the control sees kernel weight Wd[n-1-k]
         drive = np.sum(uvals[:n, None] * Wd[n - 1 :: -1], axis=0)
         coeffs[n] = E1[n] * c0 + b * drive
     return Trajectory(basis=basis, grid=grid, coeffs=coeffs, control=uvals)
-
-
-def _newton_step(base, drive, f_prev, Wd0, project, nodal, F, x0,
-                 tol, max_newton=30):
-    """Solve the implicit step equation when plain sweeps stop contracting.
-
-    Finds x with x = base + Wd0*(drive + 0.5*(f_prev + P F(x))) by Newton
-    iteration; the Jacobian is applied matrix-free through grid/spectral
-    transforms and inverted with GMRES.  Returns None when the step
-    equation has no reachable solution (genuine divergence).
-    """
-    m = base.size
-
-    def residual(x):
-        fx = project(F(nodal(x)))
-        return x - base - Wd0 * (drive + 0.5 * (f_prev + fx))
-
-    x = x0.copy()
-    res = residual(x)
-    rnorm = np.linalg.norm(res)
-    for _ in range(max_newton):
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > 1e8:
-            return None
-        if rnorm <= tol * max(1.0, np.linalg.norm(x)):
-            return x
-        slope = F.derivative(nodal(x))
-
-        def matvec(d):
-            return d - 0.5 * Wd0 * project(slope * nodal(d))
-
-        op = LinearOperator((m, m), matvec=matvec)
-        # full (unrestarted) Krylov space: the Jacobian is indefinite near
-        # the contraction boundary and restarted GMRES stalls on it
-        delta, info = gmres(
-            op, res, rtol=1e-10, atol=0.0, restart=m, maxiter=1
-        )
-        if info != 0 or not np.all(np.isfinite(delta)):
-            return None
-        # backtracking line search keeps the iteration on the branch
-        # connected to the predictor
-        step = 1.0
-        for _ in range(30):
-            x_new = x - step * delta
-            res_new = residual(x_new)
-            rnorm_new = np.linalg.norm(res_new)
-            if np.isfinite(rnorm_new) and rnorm_new < rnorm:
-                break
-            step *= 0.5
-        else:
-            return None
-        x, res, rnorm = x_new, res_new, rnorm_new
-    return None
 
 
 def solve_semilinear(y0, u, F, act, basis, grid, alpha,
@@ -235,9 +183,7 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha,
         return solve_linear(y0, u, act, basis, grid, alpha)
     b = actuator_coefficients(act, basis)
     c0 = y0.coefficients(basis).ravel()
-    lam = basis.eigenvalues
-    E1, W = _kernel_tables(lam, grid, alpha)
-    Wd = np.diff(W, axis=0)
+    E1, Wd = _kernel_tables(basis, grid, alpha)
     uvals = _control_values(u, grid.K)
 
     def project(nodal):
@@ -246,9 +192,9 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha,
     def nodal(cvec):
         return basis.from_spectral(cvec.reshape(basis.mx, basis.my))
 
-    coeffs = np.empty((grid.K + 1, lam.size))
+    coeffs = np.empty((grid.K + 1, c0.size))
     coeffs[0] = c0
-    g = np.empty((grid.K, lam.size))  # per-step source: u_k b + f_k
+    g = np.empty((grid.K, c0.size))  # per-step source: u_k b + f_k
     f_prev = project(F(nodal(c0)))
     for n in range(1, grid.K + 1):
         k = n - 1
@@ -281,36 +227,24 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha,
                 settled = True
                 break
             # two consecutive growing updates: the sweep map is expanding
-            # at this amplitude, hand over to Newton without burning the
-            # remaining sweep budget
+            # at this amplitude; stop without burning the sweep budget
             growth = growth + 1 if delta > prev_delta else 0
             if growth >= 2:
                 break
             prev_delta = delta
         if not settled:
-            # sweeps expand beyond the contraction regime; the implicit
-            # step equation may still have a solution — Newton decides
-            x0 = base + (uvals[k] * b + f_prev) * Wd[0]
-            x0_norm = np.linalg.norm(x0)
-            if not np.isfinite(x0_norm) or x0_norm > 1e8:
+            # the averaged step equation has no reachable fixed point at
+            # this amplitude; keep the explicit product-integration step
+            # (nonlinearity frozen at the step start), guarding against
+            # runaway growth
+            state = base + (uvals[k] * b + f_prev) * Wd[0]
+            norm = np.linalg.norm(state)
+            if not np.isfinite(norm) or norm > 1e8:
                 raise SemilinearDivergenceError(
                     f"state blew up at step {n} "
                     "(left the contraction regime)"
                 )
-            sol = _newton_step(
-                base, uvals[k] * b, f_prev, Wd[0], project, nodal, F,
-                x0, tol_picard,
-            )
-            if sol is not None:
-                state = sol
-                fk = 0.5 * (f_prev + project(F(nodal(state))))
-            else:
-                # the averaged step equation has no solution at this
-                # amplitude; keep the explicit product-integration step
-                # (nonlinearity frozen at the step start) — runaway
-                # growth is still caught by the norm guard above
-                state = x0
-                fk = f_prev
+            fk = f_prev
             g[k] = uvals[k] * b + fk
         coeffs[n] = state
         f_prev = project(F(nodal(state)))

@@ -8,10 +8,12 @@ import pytest
 
 from fracctrl.cli import (
     EXIT_CONFIG,
+    EXIT_DIVERGED,
     EXIT_HYPOTHESIS,
     EXIT_OK,
     main,
 )
+from fracctrl.mittag import MLEvaluationError
 
 TINY = """
 [problem]
@@ -152,6 +154,78 @@ class TestRun:
             ).read_bytes(), name
 
 
+class TestLinearMethod:
+    """--method linear is one residual-update iteration of algorithm1."""
+
+    def _run(self, tmp_path, name, text):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--out", str(out),
+                     "--method", "linear"])
+        return code, out / name
+
+    def test_gamma_target_mode(self, tmp_path):
+        code, rundir = self._run(
+            tmp_path, "gamma",
+            TINY.replace("eps = 1e-2", "eps = 1e-2\ntarget_mode = gamma"),
+        )
+        assert code == EXIT_OK
+        _, zd, reached = np.loadtxt(
+            rundir / "gamma_profile.dat", unpack=True
+        )
+        assert np.max(np.abs(reached - zd)) < 1e-4
+
+    def test_residual_above_eps_exits_3(self, tmp_path):
+        code, rundir = self._run(
+            tmp_path, "strict", TINY.replace("eps = 1e-2", "eps = 1e-12")
+        )
+        assert code == EXIT_DIVERGED
+        summary = (rundir / "summary.txt").read_text()
+        assert "status: max-iterations" in summary
+
+    def test_initial_state_is_used(self, tmp_path):
+        # y0 already equals the constant boundary target and Neumann
+        # diffusion keeps it there, so the control has nothing left to do
+        text = TINY.replace("eps = 1e-2", "eps = 1e-2\ntarget_mode = gamma")
+        code0, dir0 = self._run(tmp_path, "zero", text)
+        code1, dir1 = self._run(
+            tmp_path, "held", text + "\n[initial]\ny0 = (0, 0, 1e-3)\n"
+        )
+        assert code0 == code1 == EXIT_OK
+        u0 = np.loadtxt(dir0 / "control.dat")[:, 1]
+        u1 = np.loadtxt(dir1 / "control.dat")[:, 1]
+        assert np.max(np.abs(u1)) < 1e-3 * np.max(np.abs(u0))
+
+
+class TestNumericalFailure:
+    def test_singular_gram_exits_3(self, tmp_path, capsys):
+        # a dead actuator with the trace-scaled default regularization
+        # leaves the Gram matrix identically zero
+        path = tmp_path / "dead.cfg"
+        path.write_text(
+            TINY.replace("gain = 1.0", "gain = 0.0")
+            .replace("lambda_reg = 1e-8\n", "")
+        )
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "Gram" in err[0]
+        assert "status: failed" in (out / "dead" / "summary.txt").read_text()
+        manifest = json.loads((out / "dead" / "manifest.json").read_text())
+        assert manifest["summary"]["status"] == "failed"
+
+    def test_verify_ml_failure_exits_3(self, tiny_cfg, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise MLEvaluationError(0.5, 1.0, -1.0, "no convergent branch")
+
+        monkeypatch.setattr("fracctrl.cli.hypothesis_report", fail)
+        assert main(["verify", "--config", tiny_cfg]) == EXIT_DIVERGED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "did not converge" in err[0]
+
+
 class TestVerify:
     def test_verify_ok(self, tiny_cfg, capsys):
         code = main(["verify", "--config", tiny_cfg])
@@ -180,6 +254,19 @@ class TestSweep:
         for v in ("8", "10"):
             assert (out / "tiny-sweep" / f"domain.K={v}"
                     / "summary.txt").is_file()
+
+    def test_overrides_reach_manifest(self, tiny_cfg, tmp_path):
+        out = tmp_path / "out"
+        main(["sweep", "--config", tiny_cfg, "--out", str(out),
+              "--param", "domain.K", "--values", "8",
+              "--method", "picard", "--seed", "7"])
+        manifest = json.loads(
+            (out / "tiny-sweep" / "domain.K=8" / "manifest.json").read_text()
+        )
+        assert manifest["method"] == "picard"
+        assert manifest["seed"] == 7
+        assert manifest["resolved_config"]["loop.method"] == "picard"
+        assert manifest["resolved_config"]["run.seed"] == 7
 
     def test_sweep_requires_param(self, tiny_cfg, tmp_path):
         code = main(["sweep", "--config", tiny_cfg,

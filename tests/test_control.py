@@ -22,7 +22,12 @@ from fracctrl.domain import (
     build_basis,
     extend_target,
 )
-from fracctrl.solver import NonlinearTerm, TimeGrid, solve_linear
+from fracctrl.solver import (
+    NonlinearTerm,
+    TimeGrid,
+    _kernel_tables,
+    solve_linear,
+)
 
 
 @pytest.fixture(scope="module")
@@ -352,6 +357,41 @@ class TestPicardSequence:
         ratios = report.contraction_ratios()
         assert len(ratios) >= 1
         assert all(r < 1.0 for r in ratios[1:])
+
+
+    def test_norm_bound_divergence_returns_simulated_control(
+            self, setup, monkeypatch):
+        # the returned control is the one that produced the trajectory,
+        # not the rejected oversized update
+        monkeypatch.setattr("fracctrl.control.CONTROL_NORM_BOUND", 1e-6)
+        problem = _example_problem(setup, NonlinearTerm.square())
+        u, traj, report = picard_sequence(problem)
+        assert report.status == "diverged"
+        assert np.array_equal(u.values, traj.control)
+
+
+class TestKernelTables:
+    def test_built_once_per_run(self, setup):
+        problem = _example_problem(
+            setup, NonlinearTerm.square(), eps=1e-14, lambda_reg=1e-8,
+            n_max=3,
+        )
+        problem.d_s = GridPatch(
+            x=problem.d_s.x, y=problem.d_s.y,
+            values=problem.d_s.values * 1e-2,
+        )
+        _kernel_tables.cache_clear()
+        u, traj, report = algorithm1(problem)
+        info = _kernel_tables.cache_info()
+        assert report.iterations == 3
+        assert info.misses == 1
+        assert info.hits >= report.iterations
+
+    def test_tables_are_read_only(self, setup):
+        _, basis, grid, _, _, _ = setup
+        E1, Wd = _kernel_tables(basis, grid, 0.3)
+        assert not E1.flags.writeable
+        assert not Wd.flags.writeable
 
 
 class TestControlSignal:

@@ -61,7 +61,7 @@ class TestBasis:
         assert np.all(np.diff(lam, axis=1) > 0)
 
     def test_discrete_orthonormality(self, unit, basis):
-        ex, ey = basis._factors()
+        ex, ey = basis._factors
         wx, wy = unit.quad_weights()
         gx = (ex * wx) @ ex.T
         gy = (ey * wy) @ ey.T

@@ -6,16 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma
 
-from fracctrl.mittag import (
-    MLEvaluationError,
-    check_order,
-    e_kernel_step_weight,
-    h_symbol,
-    k_symbol,
-    l1_caputo_apply,
-    ml,
-    rl_integral_apply,
-)
+from fracctrl.domain import RectDomain, build_basis
+from fracctrl.mittag import MLEvaluationError, check_order, h_symbol, ml
+from fracctrl.solver import TimeGrid, _kernel_tables
 
 # High-precision reference values, frozen from a 40+ digit pre-build run
 # (direct extended-precision series, cross-checked against Talbot inversion
@@ -87,15 +80,20 @@ class TestSymbols:
             H_2PI2_T3_A03, rel=1e-10
         )
 
+    @staticmethod
+    def k_symbol(lam, t, alpha):
+        # forcing-propagator symbol, evaluated as estimate_A1 does
+        return ml(alpha, alpha, -lam * t**alpha)
+
     def test_k_classical_limit(self):
-        assert k_symbol(0.0, 0.8, 1.0) == pytest.approx(1.0, abs=1e-13)
+        assert self.k_symbol(0.0, 0.8, 1.0) == pytest.approx(1.0, abs=1e-13)
         lam, t = 2.5, 0.7
-        assert k_symbol(lam, t, 1.0) == pytest.approx(
+        assert self.k_symbol(lam, t, 1.0) == pytest.approx(
             math.exp(-lam * t), rel=1e-12
         )
 
     def test_k_frozen_oracle(self):
-        assert k_symbol(5 * math.pi**2, 1.5, 0.6) == pytest.approx(
+        assert self.k_symbol(5 * math.pi**2, 1.5, 0.6) == pytest.approx(
             K_5PI2_T15_A06, rel=1e-10
         )
 
@@ -113,77 +111,34 @@ class TestSymbols:
         assert h_symbol(lam, t * 1.5 + 0.01, alpha) <= v + 1e-9
 
 
+def _unit_basis():
+    return build_basis(RectDomain(1.0, 1.0, 9, 9), 3, 3)
+
+
 class TestStepWeight:
+    """Step weights Wd[k] = W[k+1] - W[k] of the solver's kernel tables:
+    the integral of s^(a-1) E_(a,a)(-lam s^a) over [t_k, t_(k+1)]."""
+
     def test_lambda_zero(self):
-        alpha, t = 0.45, 2.0
-        assert e_kernel_step_weight(0.0, 0.0, t, alpha) == pytest.approx(
-            t**alpha / gamma(alpha + 1.0), rel=1e-12
-        )
+        alpha, grid = 0.45, TimeGrid(2.0, 4)
+        _, Wd = _kernel_tables(_unit_basis(), grid, alpha)
+        t = grid.nodes
+        expect = (t[1:] ** alpha - t[:-1] ** alpha) / gamma(alpha + 1.0)
+        assert Wd[:, 0] == pytest.approx(expect, rel=1e-12)
 
     def test_classical_case(self):
-        lam, t = 4.0, 1.3
-        assert e_kernel_step_weight(lam, 0.0, t, 1.0) == pytest.approx(
-            (1.0 - math.exp(-lam * t)) / lam, rel=1e-12
-        )
+        basis, grid = _unit_basis(), TimeGrid(1.3, 2)
+        _, Wd = _kernel_tables(basis, grid, 1.0)
+        lam = basis.eigenvalues[1:]
+        t = grid.nodes
+        expect = (np.exp(-lam * t[0]) - np.exp(-lam * t[1])) / lam
+        assert Wd[0, 1:] == pytest.approx(expect, rel=1e-12)
+        expect = (np.exp(-lam * t[1]) - np.exp(-lam * t[2])) / lam
+        assert Wd[1, 1:] == pytest.approx(expect, rel=1e-12)
 
     def test_frozen_quadrature_oracle(self):
-        assert e_kernel_step_weight(
-            math.pi**2, 0.5, 1.0, 0.3
-        ) == pytest.approx(EW_PI2_05_10_A03, rel=1e-10)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        lam=st.floats(0.0, 200.0),
-        a=st.floats(0.0, 2.0),
-        gap1=st.floats(0.01, 1.5),
-        gap2=st.floats(0.01, 1.5),
-        alpha=st.floats(0.2, 1.0),
-    )
-    def test_additivity(self, lam, a, gap1, gap2, alpha):
-        b = a + gap1
-        c = b + gap2
-        lhs = e_kernel_step_weight(lam, a, b, alpha) + e_kernel_step_weight(
-            lam, b, c, alpha
-        )
-        rhs = e_kernel_step_weight(lam, a, c, alpha)
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-13)
-
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            e_kernel_step_weight(1.0, 1.0, 0.5, 0.5)
-
-
-class TestL1Caputo:
-    def test_constant_is_zero(self):
-        out = l1_caputo_apply(np.full(12, 3.7), 0.1, 0.6)
-        assert np.allclose(out, 0.0, atol=1e-12)
-
-    def test_classical_derivative(self):
-        t = np.linspace(0.0, 1.0, 21)
-        out = l1_caputo_apply(t, t[1] - t[0], 1.0)
-        assert np.allclose(out[1:], 1.0, atol=1e-10)
-
-    def test_linear_function_half_order(self):
-        # closed form: D^alpha t = t^(1-alpha) / Gamma(2-alpha)
-        alpha = 0.5
-        t = np.linspace(0.0, 1.0, 201)
-        dt = t[1] - t[0]
-        out = l1_caputo_apply(t, dt, alpha)
-        expect = t ** (1 - alpha) / gamma(2 - alpha)
-        err = np.max(np.abs(out[1:] - expect[1:]))
-        assert err < 5.0 * dt ** (2 - alpha)
-
-    def test_bad_dt(self):
-        with pytest.raises(ValueError):
-            l1_caputo_apply([0.0, 1.0], -0.1, 0.5)
-
-    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
-    def test_rl_integral_inverts_caputo(self, alpha):
-        # I^alpha (D^alpha g) = g - g(0) with O(dt^(2-alpha)) error
-        t = np.linspace(0.0, 1.0, 161)
-        dt = t[1] - t[0]
-        g = np.cos(2 * t) + t**2
-        deriv = l1_caputo_apply(g, dt, alpha)
-        back = rl_integral_apply(deriv, dt, alpha)
-        err = np.max(np.abs(back - (g - g[0])))
-        assert err < 10.0 * dt ** (2 - alpha)
+        basis = _unit_basis()
+        col = basis.modes.index((1, 0))
+        assert basis.eigenvalues[col] == pytest.approx(math.pi**2)
+        _, Wd = _kernel_tables(basis, TimeGrid(1.0, 2), 0.3)
+        assert Wd[1, col] == pytest.approx(EW_PI2_05_10_A03, rel=1e-10)
