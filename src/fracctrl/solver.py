@@ -139,14 +139,14 @@ def _kernel_tables(basis, grid, alpha):
     so every simulation and operator of one problem shares one build.
     """
     lam = basis.eigenvalues
-    nodes = grid.nodes
     E1 = np.empty((grid.K + 1, lam.size))
-    W = np.empty((grid.K + 1, lam.size))
-    for n, t in enumerate(nodes):
-        ta = t**alpha
-        for m, lm in enumerate(lam):
-            E1[n, m] = h_symbol(lm, t, alpha)
-            W[n, m] = ta * ml(alpha, alpha + 1.0, -lm * ta) if t > 0 else 0.0
+    W = np.zeros((grid.K + 1, lam.size))
+    # one array evaluation per time row keeps the work at O(modes)
+    for n, t in enumerate(grid.nodes):
+        E1[n] = h_symbol(lam, t, alpha)
+        if t > 0:
+            ta = t**alpha
+            W[n] = ta * ml(alpha, alpha + 1.0, -lam * ta)
     Wd = np.diff(W, axis=0)
     E1.flags.writeable = False
     Wd.flags.writeable = False

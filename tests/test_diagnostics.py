@@ -99,7 +99,53 @@ class TestGAlphaNorm:
         assert b > a
 
 
+def _reference_fn(F, radii, basis, n_samples, seed):
+    """estimate_FN's table and constants, one sample pair at a time."""
+    wx, wy = basis.domain.quad_weights()
+    w = np.outer(wx, wy)
+    damp = (1.0 + basis.eigenvalues).reshape(basis.mx, basis.my) ** -1.0
+    rng = np.random.default_rng(seed)
+
+    def sample_unit():
+        v = basis.from_spectral(
+            rng.standard_normal((basis.mx, basis.my)) * damp
+        )
+        return v / math.sqrt(float(np.sum(w * v**2)))
+
+    pairs = [
+        (sample_unit(), sample_unit(), rng.uniform(), rng.uniform())
+        for _ in range(n_samples)
+    ]
+    c_emb = max(float(np.sum(w * v**4)) ** 0.25 for v, *_ in pairs)
+    c_diff = 0.0
+    values = np.zeros((radii.size, radii.size))
+    for i, r1 in enumerate(radii):
+        for j, r2 in enumerate(radii):
+            for v1, v2, s1, s2 in pairs:
+                z, y = r1 * s1 * v1, r2 * s2 * v2
+                dnorm = math.sqrt(float(np.sum(w * (z - y) ** 2)))
+                if dnorm == 0.0:
+                    continue
+                c_diff = max(
+                    c_diff, float(np.sum(w * (z - y) ** 4)) ** 0.25 / dnorm
+                )
+                ratio = math.sqrt(float(np.sum(w * (F(z) - F(y)) ** 2)))
+                values[i, j] = max(values[i, j], ratio / dnorm)
+    return values, c_emb, c_diff
+
+
 class TestEstimateFN:
+    @pytest.mark.parametrize("power", [2, 3])
+    def test_matches_reference_loop(self, power):
+        basis = build_basis(RectDomain(1.0, 1.0, 13, 11), 5, 4)
+        F = NonlinearTerm.scaled_power(1.5, power)
+        radii = np.array([0.0, 0.1, 0.5, 2.0])
+        table = estimate_FN(F, radii, basis, n_samples=30, seed=7)
+        values, c_emb, c_diff = _reference_fn(F, radii, basis, 30, 7)
+        np.testing.assert_allclose(table.values, values, rtol=1e-12)
+        assert table.c_emb == pytest.approx(c_emb, rel=1e-12)
+        assert table.c_diff == pytest.approx(c_diff, rel=1e-12)
+
     def test_none_is_zero(self, setup):
         _, basis, _ = setup
         table = estimate_FN(

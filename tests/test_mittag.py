@@ -1,13 +1,22 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gamma
+from scipy.special import gamma, rgamma
 
+from fracctrl import mittag
 from fracctrl.domain import RectDomain, build_basis
-from fracctrl.mittag import MLEvaluationError, check_order, h_symbol, ml
+from fracctrl.mittag import (
+    MLEvaluationError,
+    _ml_scalar,
+    check_order,
+    h_symbol,
+    ml,
+)
 from fracctrl.solver import TimeGrid, _kernel_tables
 
 # High-precision reference values, frozen from a 40+ digit pre-build run
@@ -142,3 +151,166 @@ class TestStepWeight:
         assert basis.eigenvalues[col] == pytest.approx(math.pi**2)
         _, Wd = _kernel_tables(basis, TimeGrid(1.0, 2), 0.3)
         assert Wd[1, col] == pytest.approx(EW_PI2_05_10_A03, rel=1e-10)
+
+
+def _mp_ml(a, b, x):
+    """E_(a,b)(x) in multiprecision for mpf arguments with x <= 0.
+
+    alpha = 1 uses the closed form 1F1(1; b; x) / Gamma(b).  Otherwise
+    |x| <= 5 sums the Taylor series with enough digits to absorb its
+    cancellation, and |x| > 5 integrates the spectral-function
+    representation (valid for b < 1 + a; larger b is first reduced with
+    E_(a,b)(x) = (E_(a,b-a)(x) - 1/Gamma(b-a)) / x).
+    """
+    if x == 0:
+        return mpmath.rgamma(b)
+    if a == 1:
+        return mpmath.hyp1f1(1, b, x) * mpmath.rgamma(b)
+    if abs(x) <= 5:
+        with mpmath.workdps(130):
+            total, k = mpmath.mpf(0), 0
+            # past k with a k + b > |x|^(1/a) the terms decrease
+            turn = abs(x) ** (1 / a) + 2
+            while True:
+                term = x**k * mpmath.rgamma(a * k + b)
+                total += term
+                k += 1
+                if a * k + b > turn and abs(term) < mpmath.mpf(10) ** -40:
+                    return total
+    if b >= 1 + a - mpmath.mpf(10) ** -12:
+        return (_mp_ml(a, b - a, x) - mpmath.rgamma(b - a)) / x
+    s1 = mpmath.sinpi(1 - b)
+    s2 = mpmath.sinpi(1 - b + a)
+    c = mpmath.cospi(a)
+
+    def integrand(u):
+        ua = u**a
+        return (u ** (a - b) * mpmath.exp(-u) * (ua * s1 - x * s2)
+                / (mpmath.pi * (ua * ua - 2 * ua * x * c + x * x)))
+
+    peak = abs(x) ** (1 / a)
+    cuts = sorted({mpmath.mpf(0), mpmath.mpf(1), peak / 2, peak, 2 * peak})
+    return mpmath.quad(integrand, cuts + [mpmath.inf])
+
+
+# 0, [-1, 0), (-5, -1] and [-1e4, -5]
+Z_GRID = np.array([
+    0.0, -1e-3, -0.3, -0.9,
+    -1.0, -2.0, -3.5, -4.9,
+    -5.0, -8.0, -15.0, -40.0, -100.0, -1e3, -1e4,
+])
+ORDERS = [(a, b) for a in (0.3, 0.6, 0.9, 1.0) for b in (a, 1.0, a + 1.0)]
+
+
+@pytest.fixture
+def branch_log(monkeypatch):
+    """Record, per branch, the arguments whose value it supplied."""
+    log = {"series": [], "asymptotic": [], "contour": [], "alpha=1": []}
+
+    def accepted_by(name, fn):
+        def wrapper(alpha, beta, z, *args, **kwargs):
+            value, err = fn(alpha, beta, z, *args, **kwargs)
+            log[name].extend(z[mittag._accepted(value, err)])
+            return value, err
+        return wrapper
+
+    def all_of(name, fn):
+        def wrapper(*args, **kwargs):
+            log[name].extend(args[-1])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mittag, "_series_vec",
+                        accepted_by("series", mittag._series_vec))
+    monkeypatch.setattr(mittag, "_asymptotic_vec",
+                        accepted_by("asymptotic", mittag._asymptotic_vec))
+    monkeypatch.setattr(mittag, "_talbot_vec",
+                        all_of("contour", mittag._talbot_vec))
+    monkeypatch.setattr(mittag, "_alpha_one_vec",
+                        all_of("alpha=1", mittag._alpha_one_vec))
+    return log
+
+
+class TestArrayEvaluator:
+    @pytest.mark.parametrize("alpha,beta", ORDERS)
+    def test_against_mpmath(self, alpha, beta):
+        values = ml(alpha, beta, Z_GRID)
+        with mpmath.workdps(30):
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+            ref = np.array([float(_mp_ml(a, b, mpmath.mpf(z)))
+                            for z in Z_GRID])
+        tol = np.where(np.abs(ref) < 1e-3, 1e-13, 1e-10 * np.abs(ref))
+        assert np.all(np.abs(values - ref) <= tol), (values - ref) / ref
+        assert values[0] == rgamma(beta)
+
+    @pytest.mark.parametrize("alpha,beta", ORDERS)
+    def test_against_scalar_oracle(self, alpha, beta):
+        # the oracle takes the middle range through the spectral integral;
+        # the contour's own double-precision floor is 1e-13 absolute
+        values = ml(alpha, beta, Z_GRID)
+        ref = np.array([_ml_scalar(alpha, beta, z) for z in Z_GRID])
+        tol = np.maximum(1e-11 * np.abs(ref), 1e-13)
+        assert np.all(np.abs(values - ref) <= tol), (values - ref) / ref
+
+    def test_every_branch_is_reached(self, branch_log):
+        reached = {}
+        for alpha, beta in ORDERS:
+            ml(alpha, beta, Z_GRID)
+            for name, zs in branch_log.items():
+                if zs:
+                    reached.setdefault(name, set()).add(alpha)
+                zs.clear()
+        for name in ("series", "asymptotic", "contour"):
+            assert reached.get(name, set()) >= {0.3, 0.6, 0.9}, name
+        assert reached["alpha=1"] == {1.0}
+
+    def test_float_and_zero_d_return_float(self):
+        for z in (-2.0, np.float64(-2.0), np.array(-2.0), -2):
+            value = ml(0.6, 1.0, z)
+            assert type(value) is float
+            assert value == _ml_scalar(0.6, 1.0, -2.0)
+        assert type(h_symbol(3.0, 0.5, 0.6)) is float
+
+    def test_shape_is_kept(self):
+        assert ml(0.6, 1.0, np.array([])).shape == (0,)
+        z = -np.linspace(0.0, 60.0, 12).reshape(3, 4)
+        values = ml(0.6, 1.0, z)
+        assert values.shape == (3, 4)
+        expect = [_ml_scalar(0.6, 1.0, v) for v in z.ravel()]
+        np.testing.assert_allclose(values.ravel(), expect, rtol=1e-11,
+                                   atol=1e-13)
+
+    def test_longer_than_one_chunk(self):
+        z = -np.geomspace(1e-3, 1e4, 2 * mittag._CHUNK + 7)
+        values = ml(0.3, 1.0, z)
+        picks = [0, mittag._CHUNK - 1, mittag._CHUNK, z.size - 1]
+        for i in picks:
+            assert values[i] == ml(0.3, 1.0, z[i])
+
+    def test_unaccepted_element_raises_with_its_z(self):
+        with pytest.raises(MLEvaluationError) as err:
+            ml(0.5, 1.0, np.array([-1.0, 80.0, -2.0]))
+        assert err.value.z == 80.0
+
+    def test_unstable_contour_raises(self, monkeypatch):
+        # a contour too coarse for its 8-node-poorer twin must raise, not
+        # hand back its value
+        coarse = functools.partial(mittag._talbot_vec, nodes=12)
+        monkeypatch.setattr(mittag, "_talbot_vec", coarse)
+        with pytest.raises(MLEvaluationError) as err:
+            ml(0.6, 1.0, np.array([-0.5, -5.0, -1e3]))
+        assert err.value.z == -5.0
+
+    def test_h_symbol_array_matches_scalar(self):
+        lam = _unit_basis().eigenvalues
+        assert lam[0] == 0.0
+        for t in (0.0, 0.7, 3.0):
+            expect = [h_symbol(lm, t, 0.4) for lm in lam]
+            np.testing.assert_array_equal(h_symbol(lam, t, 0.4), expect)
+        assert np.all(h_symbol(lam, 0.0, 0.4) == 1.0)
+
+    def test_h_symbol_rejects_negative_entries(self):
+        with pytest.raises(ValueError):
+            h_symbol(np.array([1.0, -1.0]), 0.5, 0.4)
+        with pytest.raises(ValueError):
+            h_symbol(1.0, np.array([0.5, -0.1]), 0.4)

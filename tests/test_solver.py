@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from fracctrl.config import bundled_config_path, load_config
 from fracctrl.domain import Actuator, Field, RectDomain, build_basis
-from fracctrl.mittag import h_symbol
+from fracctrl.mittag import _ml_scalar, h_symbol
 from fracctrl.solver import (
     GridTrajectory,
     NonlinearTerm,
     SemilinearDivergenceError,
     TimeGrid,
+    _kernel_tables,
     l1_oracle_solve,
     solve_linear,
     solve_semilinear,
@@ -225,3 +227,43 @@ class TestL1Oracle:
             dom, grid, 0.6,
         )
         assert traj.final_field().norm_l2() > 0.0
+
+
+def _scalar_kernel_tables(basis, grid, alpha):
+    """(E1, Wd, W) built one scalar oracle evaluation at a time."""
+    lam = basis.eigenvalues
+    E1 = np.empty((grid.K + 1, lam.size))
+    W = np.empty((grid.K + 1, lam.size))
+    for n, t in enumerate(grid.nodes):
+        ta = t**alpha
+        for m, lm in enumerate(lam):
+            E1[n, m] = _ml_scalar(alpha, 1.0, -lm * t**alpha) if t > 0 else 1.0
+            W[n, m] = (ta * _ml_scalar(alpha, alpha + 1.0, -lm * ta)
+                       if t > 0 else 0.0)
+    return E1, np.diff(W, axis=0), W
+
+
+class TestKernelTableStability:
+    """The array-built tables against the scalar build.  Example 1 never
+    reaches the middle range, so it must match bit for bit; example 2
+    takes a few modes through the contour instead of the spectral
+    integral.  Wd = W[k+1] - W[k] cancels where a step adds little, so
+    its deviation is bounded relative to the W entries it comes from."""
+
+    @staticmethod
+    def _tables(name):
+        problem = load_config(bundled_config_path(f"{name}.cfg")).problem()
+        args = (problem.basis, problem.grid, problem.alpha)
+        return _kernel_tables(*args), _scalar_kernel_tables(*args)
+
+    def test_example1_bit_identical(self):
+        (E1, Wd), (E1s, Wds, _) = self._tables("example1")
+        assert np.array_equal(E1, E1s)
+        assert np.array_equal(Wd, Wds)
+
+    def test_example2_within_rel_1e12(self):
+        (E1, Wd), (E1s, Wds, W) = self._tables("example2")
+        assert not np.array_equal(E1, E1s)
+        np.testing.assert_allclose(E1, E1s, rtol=1e-12, atol=0.0)
+        scale = np.maximum(np.abs(W[:-1]), np.abs(W[1:]))
+        assert np.all(np.abs(Wd - Wds) <= 1e-12 * scale)
