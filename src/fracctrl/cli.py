@@ -171,15 +171,9 @@ def _write_manifest(cfg, outdir, hyp, summary, t_start, seed):
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime(t_start)
         ),
         "ended_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "hypothesis_report": None if hyp is None else {
-            "a1": hyp.a1, "mu": hyp.mu, "g_norm": hyp.g_norm,
-            "kappa": hyp.kappa, "m_kappa": hyp.m_kappa,
-            "rho_kappa": hyp.rho_kappa, "a_s": hyp.a_s,
-            "gram_sigma_min": hyp.gram_sigma_min,
-            "gram_sigma_max": hyp.gram_sigma_max,
-            "effective_rank": hyp.effective_rank,
-            "verdicts": hyp.verdicts,
-        },
+        "hypothesis_report": (
+            None if hyp is None else dataclasses.asdict(hyp)
+        ),
         "summary": summary,
         "artifacts": {name: _sha256(outdir / name) for name in artifacts},
     }

@@ -9,12 +9,12 @@ both bundled examples are expressed exactly without an expression parser.
 import ast
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
 
-from .control import ControlProblem
+from .control import STOP_METRICS, TARGET_MODES, ControlProblem
 from .domain import (
     Actuator,
     Field,
@@ -23,8 +23,7 @@ from .domain import (
     Region,
     build_basis,
     extend_target,
-    restrict,
-    trace,
+    region_nodes,
 )
 from .solver import NonlinearTerm, TimeGrid
 
@@ -45,12 +44,11 @@ _DEFAULTS = {
     ("domain", "ly"): "1.0",
     ("actuator", "gain"): "1.0",
     ("loop", "method"): "algorithm1",
-    ("loop", "eps"): "1e-3",
-    ("loop", "lambda_reg"): "-1.0",
-    ("loop", "n_max"): "50",
-    ("loop", "stop_metric"): "l2",
-    ("loop", "target_mode"): "omega",
     ("run", "seed"): "0",
+    # the outer loop's settings default to ControlProblem's own values
+    **{("loop", f.name): f.default for f in fields(ControlProblem)
+       if f.name in ("eps", "lambda_reg", "n_max", "stop_metric",
+                     "target_mode")},
 }
 
 _METHODS = ("algorithm1", "picard", "linear")
@@ -248,8 +246,8 @@ def load_config(path):
         ob = _parse_floats(get("regions", "omega_c"), 4, "omega_c")
         record("regions", "omega_c", ob)
         omega_c = Region.interior(*ob)
-        gamma._check_inside(domain)
-        omega_c._check_inside(domain)
+        gx, gy = region_nodes(domain, gamma)
+        ix, iy = region_nodes(domain, omega_c)
     except ValueError as exc:
         raise ConfigError(path, "regions", "-", str(exc)) from exc
 
@@ -274,8 +272,7 @@ def load_config(path):
 
     def on_gamma(terms):
         """A polynomial's samples at the grid nodes of Gamma."""
-        poly = Field(domain, eval_poly(terms, domain.x, domain.y))
-        return trace(poly, gamma).values
+        return eval_poly(terms, domain.x[gx], domain.y[gy]).ravel()
 
     # boundary target: full 2-D polynomial evaluated on the segment nodes
     try:
@@ -285,21 +282,26 @@ def load_config(path):
     record("target", "z_d", zd_terms)
     zd = on_gamma(zd_terms)
 
+    def extend(profile=None):
+        """The extension of z_d into omega_c; it needs Gamma on the edge
+        of omega_c that touches the domain boundary."""
+        try:
+            return extend_target(zd, omega_c, gamma, domain, profile=profile)
+        except ValueError as exc:
+            raise ConfigError(path, "regions", "-", str(exc)) from exc
+
     # target extension into omega_c: explicit polynomial, a polynomial
     # decay profile in the inward coordinate, or the default smooth decay
     ds_raw = get("target", "d_s", required=False)
     prof_raw = get("target", "extension_profile", required=False)
-    probe = restrict(Field.zero(domain), omega_c)
     if ds_raw is not None:
         try:
             ds_terms = parse_poly(ds_raw)
         except ValueError as exc:
             raise ConfigError(path, "target", "d_s", str(exc)) from exc
         record("target", "d_s", ds_terms)
-        d_s = GridPatch(
-            x=probe.x, y=probe.y,
-            values=eval_poly(ds_terms, probe.x, probe.y),
-        )
+        xs, ys = domain.x[ix], domain.y[iy]
+        d_s = GridPatch(x=xs, y=ys, values=eval_poly(ds_terms, xs, ys))
         if not np.allclose(on_gamma(ds_terms), zd, atol=1e-9):
             raise ConfigError(
                 path, "target", "d_s",
@@ -324,10 +326,10 @@ def load_config(path):
         def decay(depth, _c=np.asarray(coefs), _w=width):
             return np.polynomial.polynomial.polyval(depth * _w, _c)
 
-        d_s = extend_target(zd, omega_c, gamma, domain, profile=decay)
+        d_s = extend(decay)
     else:
         record("target", "extension_profile", "smoothstep")
-        d_s = extend_target(zd, omega_c, gamma, domain)
+        d_s = extend()
 
     y0_raw = get("initial", "y0", required=False) if cp.has_section(
         "initial") else None
@@ -350,16 +352,16 @@ def load_config(path):
     stop_metric = record(
         "loop", "stop_metric", get("loop", "stop_metric")
     ).strip()
-    if stop_metric not in ("l2", "im"):
+    if stop_metric not in STOP_METRICS:
         raise ConfigError(
-            path, "loop", "stop_metric", "must be 'l2' or 'im'"
+            path, "loop", "stop_metric", f"must be one of {STOP_METRICS}"
         )
     target_mode = record(
         "loop", "target_mode", get("loop", "target_mode")
     ).strip()
-    if target_mode not in ("omega", "gamma"):
+    if target_mode not in TARGET_MODES:
         raise ConfigError(
-            path, "loop", "target_mode", "must be 'omega' or 'gamma'"
+            path, "loop", "target_mode", f"must be one of {TARGET_MODES}"
         )
     method = record("loop", "method", get("loop", "method")).strip()
     if method not in _METHODS:

@@ -15,10 +15,9 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .domain import (
     Field,
-    _cos_rows,
     _trapezoid_weights,
     actuator_coefficients,
-    restrict,
+    region_nodes,
     trace,
 )
 from .mittag import check_order
@@ -39,6 +38,8 @@ __all__ = [
 ]
 
 N_MAX = 50
+STOP_METRICS = ("l2", "im")
+TARGET_MODES = ("omega", "gamma")
 DIVERGENCE_STREAK = 5
 CONTROL_NORM_BOUND = 1e8
 
@@ -80,35 +81,17 @@ class ControlSignal:
 
 
 def _target_dofs(basis, target):
-    """Evaluation matrix of all modes at the target's grid nodes, the
-    nodes' quadrature weights, and the node coordinate arrays."""
+    """Evaluation matrix of all modes at the target's grid nodes and the
+    nodes' quadrature weights (a one-node axis weighs 1, so a boundary
+    segment gets its tangential trapezoid weights)."""
     d = basis.domain
-    probe = Field(d, np.zeros((d.nx, d.ny)))
-    if target.kind == "interior":
-        patch = restrict(probe, target)
-        ex = _cos_rows(basis.mx, d.lx, patch.x)
-        ey = _cos_rows(basis.my, d.ly, patch.y)
-        E = np.einsum("ip,jq->pqij", ex, ey).reshape(
-            patch.x.size * patch.y.size, basis.mx * basis.my
-        )
-        w = np.outer(
-            _trapezoid_weights(patch.x), _trapezoid_weights(patch.y)
-        ).ravel()
-        return E, w
-    prof = trace(probe, target)
-    s = prof.s
-    if target.side in ("left", "right"):
-        xv = 0.0 if target.side == "left" else d.lx
-        ex = _cos_rows(basis.mx, d.lx, np.array([xv]))
-        ey = _cos_rows(basis.my, d.ly, s)
-    else:
-        yv = 0.0 if target.side == "bottom" else d.ly
-        ex = _cos_rows(basis.mx, d.lx, s)
-        ey = _cos_rows(basis.my, d.ly, np.array([yv]))
-    E = np.einsum("ip,jq->pqij", ex, ey).reshape(
-        s.size, basis.mx * basis.my
+    ix, iy = region_nodes(d, target)
+    ex, ey = basis._factors
+    E = np.einsum("ip,jq->pqij", ex[:, ix], ey[:, iy]).reshape(
+        ix.size * iy.size, basis.mx * basis.my
     )
-    return E, _trapezoid_weights(s)
+    w = np.outer(_trapezoid_weights(d.x[ix]), _trapezoid_weights(d.y[iy]))
+    return E, w.ravel()
 
 
 @dataclass
@@ -167,8 +150,6 @@ def assemble_H(basis, act, grid, target, alpha, lambda_reg=-1.0):
     # response of mode m at time T to a unit control on step k
     C = (b[None, :] * Wd[::-1]).T  # (modes, K); column k uses Wd[K-1-k]
     E, w = _target_dofs(basis, target)
-    if E.shape[0] == 0:
-        raise ValueError("target region holds no grid nodes")
     return ControllabilityOperator(
         M=E @ C, weights=w, grid=grid, target=target, lambda_reg=lambda_reg
     )
@@ -253,13 +234,14 @@ class ControlProblem:
     # operator directly at the boundary trace target zd
 
     def _check_metric(self):
-        if self.stop_metric not in ("l2", "im"):
+        if self.stop_metric not in STOP_METRICS:
             raise ValueError(
-                f"stop_metric must be 'l2' or 'im', got {self.stop_metric!r}"
+                f"stop_metric must be one of {STOP_METRICS}, "
+                f"got {self.stop_metric!r}"
             )
-        if self.target_mode not in ("omega", "gamma"):
+        if self.target_mode not in TARGET_MODES:
             raise ValueError(
-                f"target_mode must be 'omega' or 'gamma', "
+                f"target_mode must be one of {TARGET_MODES}, "
                 f"got {self.target_mode!r}"
             )
 
@@ -283,6 +265,13 @@ class ControlProblem:
         )
 
 
+def _on_target(problem, traj):
+    """Final state of a trajectory at the target region's nodes, flattened
+    in the order H's rows use."""
+    ix, iy = region_nodes(problem.basis.domain, problem.target_region())
+    return traj.final_field().values[np.ix_(ix, iy)].ravel()
+
+
 def _reached_values(problem, u):
     """Simulate the semilinear system and evaluate the final state on the
     target region; returns (flattened target values, trajectory)."""
@@ -290,10 +279,7 @@ def _reached_values(problem, u):
         problem.y0, u.values, problem.F, problem.act, problem.basis,
         problem.grid, problem.alpha,
     )
-    final = traj.final_field()
-    if problem.target_mode == "gamma":
-        return trace(final, problem.gamma).values.ravel(), traj
-    return restrict(final, problem.omega_c).values.ravel(), traj
+    return _on_target(problem, traj), traj
 
 
 def algorithm1(problem):
@@ -313,11 +299,7 @@ def algorithm1(problem):
             problem.y0, None, problem.act, problem.basis, problem.grid,
             problem.alpha,
         )
-        final = free.final_field()
-        if problem.target_mode == "gamma":
-            r = r - trace(final, problem.gamma).values.ravel()
-        else:
-            r = r - restrict(final, problem.omega_c).values.ravel()
+        r = r - _on_target(problem, free)
 
     report = IterationReport()
     u_prev = None
@@ -387,7 +369,6 @@ def picard_sequence(problem):
 
     report = IterationReport()
     u = ControlSignal(np.zeros(problem.grid.K), problem.grid)
-    traj = None
     for _ in range(problem.n_max):
         reached, traj = _reached_values(problem, u)
         if not np.all(np.isfinite(reached)):
@@ -412,13 +393,15 @@ def picard_sequence(problem):
         report.control_diffs.append(diff)
         u = u_next
         if diff <= problem.eps:
-            # one confirming simulation with the accepted control
-            reached, traj = _reached_values(problem, u)
-            report.residuals[-1] = H.target_norm(ds_vec - reached)
-            report.boundary_errors[-1] = boundary_error(
-                traj, problem.zd, problem.gamma
-            )
             report.status = "converged"
-            return u, traj, report
-    report.status = "max-iterations"
+            break
+    else:
+        report.status = "max-iterations"
+    # one confirming simulation with the accepted control, so the returned
+    # control, trajectory and last report row all describe the same run
+    reached, traj = _reached_values(problem, u)
+    report.residuals[-1] = H.target_norm(ds_vec - reached)
+    report.boundary_errors[-1] = boundary_error(
+        traj, problem.zd, problem.gamma
+    )
     return u, traj, report

@@ -1,9 +1,10 @@
 """Geometry and function-space layer.
 
 Rectangle domain with a uniform node grid, the Neumann Laplacian cosine
-eigenbasis, grid/spectral transforms, interior restriction, boundary trace,
-target extension from a boundary segment into an adjacent interior
-rectangle, and actuator spatial profiles.
+eigenbasis, grid/spectral transforms, the grid nodes a region covers (and
+on them interior restriction and boundary trace), target extension from a
+boundary segment into an adjacent interior rectangle, and actuator spatial
+profiles.
 """
 
 import math
@@ -21,6 +22,7 @@ __all__ = [
     "Region",
     "Actuator",
     "build_basis",
+    "region_nodes",
     "restrict",
     "trace",
     "extend_target",
@@ -219,11 +221,6 @@ class GridPatch:
     y: np.ndarray
     values: np.ndarray
 
-    def norm_l2(self):
-        wx = _trapezoid_weights(self.x)
-        wy = _trapezoid_weights(self.y)
-        return math.sqrt(float(wx @ self.values**2 @ wy))
-
 
 @dataclass(frozen=True)
 class BoundaryProfile:
@@ -232,10 +229,6 @@ class BoundaryProfile:
 
     s: np.ndarray
     values: np.ndarray
-
-    def norm_l2(self):
-        w = _trapezoid_weights(self.s)
-        return math.sqrt(float(w @ self.values**2))
 
 
 @dataclass(frozen=True)
@@ -286,19 +279,33 @@ def _index_range(coords, lo, hi):
     return idx
 
 
+def region_nodes(domain, region):
+    """Grid index arrays (ix, iy) of the nodes a region covers.
+
+    An interior rectangle covers the nodes inside its bounds; a boundary
+    segment is the one-node-wide strip on its edge (ix = [0] or [nx-1] on
+    the left/right sides, iy = [0] or [ny-1] on the bottom/top).  Raises
+    ValueError when the region leaves the domain or holds no node.
+    """
+    region._check_inside(domain)
+    if region.kind == "interior":
+        x0, x1, y0, y1 = region.bounds
+        return _index_range(domain.x, x0, x1), _index_range(domain.y, y0, y1)
+    s0, s1 = region.bounds
+    if region.side in ("left", "right"):
+        col = 0 if region.side == "left" else domain.nx - 1
+        return np.array([col]), _index_range(domain.y, s0, s1)
+    row = 0 if region.side == "bottom" else domain.ny - 1
+    return _index_range(domain.x, s0, s1), np.array([row])
+
+
 def restrict(fld, region):
     """Nodal restriction of a field to an interior rectangle (chi_omega)."""
     if region.kind != "interior":
         raise ValueError("restrict expects an interior region")
-    region._check_inside(fld.domain)
-    x0, x1, y0, y1 = region.bounds
-    ix = _index_range(fld.domain.x, x0, x1)
-    iy = _index_range(fld.domain.y, y0, y1)
-    return GridPatch(
-        x=fld.domain.x[ix],
-        y=fld.domain.y[iy],
-        values=fld.values[np.ix_(ix, iy)],
-    )
+    d = fld.domain
+    ix, iy = region_nodes(d, region)
+    return GridPatch(x=d.x[ix], y=d.y[iy], values=fld.values[np.ix_(ix, iy)])
 
 
 def trace(fld, gamma):
@@ -306,16 +313,10 @@ def trace(fld, gamma):
     (chi_Gamma composed with the boundary trace)."""
     if gamma.kind != "boundary":
         raise ValueError("trace expects a boundary region")
-    gamma._check_inside(fld.domain)
-    s0, s1 = gamma.bounds
     d = fld.domain
-    if gamma.side in ("left", "right"):
-        idx = _index_range(d.y, s0, s1)
-        col = 0 if gamma.side == "left" else d.nx - 1
-        return BoundaryProfile(s=d.y[idx], values=fld.values[col, idx])
-    idx = _index_range(d.x, s0, s1)
-    row = 0 if gamma.side == "bottom" else d.ny - 1
-    return BoundaryProfile(s=d.x[idx], values=fld.values[idx, row])
+    ix, iy = region_nodes(d, gamma)
+    s = d.y[iy] if gamma.side in ("left", "right") else d.x[ix]
+    return BoundaryProfile(s=s, values=fld.values[np.ix_(ix, iy)].ravel())
 
 
 def _validate_adjacency(domain, gamma, omega_c):
@@ -358,15 +359,14 @@ def extend_target(zd, omega_c, gamma, domain, profile=None):
     if omega_c.kind != "interior" or gamma.kind != "boundary":
         raise ValueError("extend_target needs an interior region and a "
                          "boundary segment")
-    omega_c._check_inside(domain)
+    ix, iy = region_nodes(domain, omega_c)
     gamma._check_inside(domain)
     _validate_adjacency(domain, gamma, omega_c)
     if profile is None:
         profile = _smooth_decay
 
     x0, x1, y0, y1 = omega_c.bounds
-    xs = domain.x[_index_range(domain.x, x0, x1)]
-    ys = domain.y[_index_range(domain.y, y0, y1)]
+    xs, ys = domain.x[ix], domain.y[iy]
     zd = np.asarray(zd, dtype=float)
 
     if gamma.side in ("left", "right"):

@@ -170,13 +170,12 @@ def solve_linear(y0, u, act, basis, grid, alpha):
     return Trajectory(basis=basis, grid=grid, coeffs=coeffs, control=uvals)
 
 
-def solve_semilinear(y0, u, F, act, basis, grid, alpha,
-                     tol_picard=TOL_PICARD, max_sweeps=MAX_SWEEPS):
+def solve_semilinear(y0, u, F, act, basis, grid, alpha):
     """Mild solution with a pointwise nonlinearity by product integration.
 
     F(y) is treated as constant on each step: the predictor uses the value
     at the step start, then inner Picard sweeps replace it with the average
-    of the step endpoints until the state update stalls below tol_picard.
+    of the step endpoints until the state update stalls below TOL_PICARD.
     """
     alpha = check_order(alpha)
     if F.is_zero:
@@ -207,7 +206,7 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha,
         prev_delta = np.inf
         settled = False
         growth = 0
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             if not np.all(np.isfinite(state)):
                 break
             fk = 0.5 * (f_prev + project(F(nodal(state))))
@@ -218,10 +217,10 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha,
             if not np.isfinite(delta):
                 break
             scale = max(1.0, np.linalg.norm(state))
-            if delta <= tol_picard * scale:
+            if delta <= TOL_PICARD * scale:
                 settled = True
                 break
-            if delta >= 0.5 * prev_delta and delta <= 1e4 * tol_picard * scale:
+            if delta >= 0.5 * prev_delta and delta <= 1e4 * TOL_PICARD * scale:
                 # contraction has hit the rounding floor of the
                 # nodal/spectral round trip; further sweeps cannot improve
                 settled = True

@@ -109,6 +109,28 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @staticmethod
+    def _config_error(tmp_path, capsys, verb, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        code = main([verb, "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith("config error:")
+
+    @pytest.mark.parametrize("verb", ["run", "verify"])
+    def test_segment_without_nodes_exits_2(self, tmp_path, capsys, verb):
+        self._config_error(tmp_path, capsys, verb, TINY.replace(
+            "gamma = left 0.0 0.1", "gamma = left 0.013 0.017"))
+
+    @pytest.mark.parametrize("verb", ["run", "verify"])
+    def test_extension_off_the_edge_exits_2(self, tmp_path, capsys, verb):
+        # omega_c does not touch Gamma's edge, so the default smoothstep
+        # extension cannot start from Gamma
+        self._config_error(tmp_path, capsys, verb, TINY.replace(
+            "omega_c = 0.0 0.3 0.0 0.1", "omega_c = 0.3 0.6 0.0 0.1"))
+
     def test_missing_config_exits_2(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")])

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import fracctrl.control as control
 from fracctrl.control import (
     ControlProblem,
     ControlSignal,
+    _target_dofs,
     algorithm1,
     assemble_H,
     boundary_error,
@@ -19,14 +21,18 @@ from fracctrl.domain import (
     GridPatch,
     RectDomain,
     Region,
+    _cos_rows,
+    _trapezoid_weights,
     build_basis,
     extend_target,
+    restrict,
 )
 from fracctrl.solver import (
     NonlinearTerm,
     TimeGrid,
     _kernel_tables,
     solve_linear,
+    solve_semilinear,
 )
 
 
@@ -159,6 +165,48 @@ class TestAssembleH:
         expect = np.repeat(ex.T @ C, ny, axis=0)
         assert np.allclose(H.M, expect, rtol=1e-10)
 
+    @pytest.mark.parametrize("target", [
+        Region.interior(0.2, 0.5, 0.6, 0.8),
+        Region.boundary("left", 0.0, 0.1),
+        Region.boundary("right", 0.2, 0.5),
+        Region.boundary("bottom", 0.3, 0.6),
+        Region.boundary("top", 0.1, 0.4),
+    ])
+    def test_target_dofs_match_per_side_construction(self, setup, target):
+        # reference: the target rows built from the node coordinates, with
+        # each boundary side placed on its edge by hand
+        dom, basis, _, _, _, _ = setup
+
+        def nodes(coords, lo, hi):
+            return coords[(coords >= lo - 1e-9) & (coords <= hi + 1e-9)]
+
+        if target.kind == "interior":
+            x0, x1, y0, y1 = target.bounds
+            xs, ys = nodes(dom.x, x0, x1), nodes(dom.y, y0, y1)
+            ex = _cos_rows(basis.mx, dom.lx, xs)
+            ey = _cos_rows(basis.my, dom.ly, ys)
+            n = xs.size * ys.size
+            w = np.outer(_trapezoid_weights(xs), _trapezoid_weights(ys))
+        else:
+            if target.side in ("left", "right"):
+                s = nodes(dom.y, *target.bounds)
+                xv = 0.0 if target.side == "left" else dom.lx
+                ex = _cos_rows(basis.mx, dom.lx, np.array([xv]))
+                ey = _cos_rows(basis.my, dom.ly, s)
+            else:
+                s = nodes(dom.x, *target.bounds)
+                yv = 0.0 if target.side == "bottom" else dom.ly
+                ex = _cos_rows(basis.mx, dom.lx, s)
+                ey = _cos_rows(basis.my, dom.ly, np.array([yv]))
+            n = s.size
+            w = _trapezoid_weights(s)
+        E_ref = np.einsum("ip,jq->pqij", ex, ey).reshape(
+            n, basis.mx * basis.my
+        )
+        E, w_new = _target_dofs(basis, target)
+        assert np.array_equal(E, E_ref)
+        assert np.array_equal(w_new, w.ravel())
+
     def test_rejects_empty_target(self, setup):
         dom, basis, grid, act, _, _ = setup
         bad = Region.interior(0.013, 0.017, 0.013, 0.017)  # between nodes
@@ -286,6 +334,38 @@ class TestAlgorithm1:
         with pytest.raises(ValueError):
             algorithm1(problem)
 
+    def test_image_metric_stops_on_pinv_of_residual(self, setup, monkeypatch):
+        # linear problem with a reachable target: the "im" metric stops
+        # once |pinv(d_s - reached)|_U <= eps, later than "l2" would
+        problem = _example_problem(
+            setup, NonlinearTerm.none(), eps=1e-2, lambda_reg=1e-8,
+            n_max=10, stop_metric="im",
+        )
+        H = problem.operator()
+        manufactured = H.apply(np.cos(np.linspace(0.0, 1.0, H.M.shape[1])))
+        problem.d_s = GridPatch(
+            x=problem.d_s.x, y=problem.d_s.y,
+            values=manufactured.reshape(problem.d_s.values.shape),
+        )
+        norms = []
+
+        def spy(H, r):
+            out = pinv_apply(H, r)
+            norms.append(out.norm())
+            return out
+
+        monkeypatch.setattr(control, "pinv_apply", spy)
+        u, traj, report = algorithm1(problem)
+        assert report.converged
+        assert report.iterations > 1
+        assert report.residuals[0] <= problem.eps  # "l2" would stop here
+        # each iteration calls pinv for the control, then for the stop value
+        assert len(norms) == 2 * report.iterations
+        reached = restrict(traj.final_field(), problem.omega_c).values
+        resid = problem.d_s.values.ravel() - reached.ravel()
+        assert norms[-1] == pinv_apply(H, resid).norm()
+        assert norms[-1] <= problem.eps < norms[-3]
+
     def test_y0_offset_linear(self, setup):
         # with y0 nonzero and F = none the loop still reaches the target:
         # the residual is initialized net of the free evolution
@@ -299,8 +379,6 @@ class TestAlgorithm1:
         H = problem.operator()
         manufactured = H.apply(np.sin(np.linspace(0.0, 2.0, H.M.shape[1])))
         free = solve_linear(problem.y0, None, act, basis, grid, 0.3)
-        from fracctrl.domain import restrict
-
         offset = restrict(free.final_field(), omega).values
         problem.d_s = GridPatch(
             x=problem.d_s.x, y=problem.d_s.y,
@@ -368,6 +446,36 @@ class TestPicardSequence:
         u, traj, report = picard_sequence(problem)
         assert report.status == "diverged"
         assert np.array_equal(u.values, traj.control)
+
+
+    def test_max_iterations_returns_simulated_control(self, setup):
+        # the loop runs out with an accepted update: it is simulated before
+        # returning, and the last report row describes it
+        problem = _example_problem(
+            setup, NonlinearTerm.square(), eps=1e-12, lambda_reg=1e-8,
+            n_max=2,
+        )
+        problem.d_s = GridPatch(
+            x=problem.d_s.x, y=problem.d_s.y,
+            values=problem.d_s.values * 1e-2,
+        )
+        problem.zd = problem.zd * 1e-2
+        u, traj, report = picard_sequence(problem)
+        assert report.status == "max-iterations"
+        assert np.array_equal(u.values, traj.control)
+        again = solve_semilinear(
+            problem.y0, u, problem.F, problem.act, problem.basis,
+            problem.grid, problem.alpha,
+        )
+        assert np.array_equal(again.coeffs, traj.coeffs)
+        assert report.costs[-1] == u.cost()
+        assert report.boundary_errors[-1] == boundary_error(
+            traj, problem.zd, problem.gamma
+        )
+        reached = restrict(traj.final_field(), problem.omega_c).values
+        assert report.residuals[-1] == problem.operator().target_norm(
+            problem.d_s.values.ravel() - reached.ravel()
+        )
 
 
 class TestKernelTables:

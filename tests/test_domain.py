@@ -13,6 +13,7 @@ from fracctrl.domain import (
     actuator_coefficients,
     build_basis,
     extend_target,
+    region_nodes,
     restrict,
     trace,
 )
@@ -154,6 +155,42 @@ class TestRestrictTrace:
         lhs_t = trace(combo, gam).values
         rhs_t = a * trace(f, gam).values + b * trace(g, gam).values
         assert np.allclose(lhs_t, rhs_t, atol=1e-12)
+
+
+class TestRegionNodes:
+    def test_interior(self, unit):
+        ix, iy = region_nodes(unit, Region.interior(0.1, 0.3, 0.0, 0.1))
+        assert np.array_equal(ix, np.arange(5, 16))
+        assert np.array_equal(iy, np.arange(0, 6))
+
+    @pytest.mark.parametrize("side,ix,iy", [
+        ("left", [0], range(10, 16)), ("right", [50], range(10, 16)),
+        ("bottom", range(10, 16), [0]), ("top", range(10, 16), [50]),
+    ])
+    def test_boundary_is_one_node_strip_on_its_edge(self, unit, side, ix, iy):
+        got = region_nodes(unit, Region.boundary(side, 0.2, 0.3))
+        assert np.array_equal(got[0], list(ix))
+        assert np.array_equal(got[1], list(iy))
+
+    def test_one_node_bottom_segment(self, unit):
+        seg = Region.boundary("bottom", 0.49, 0.51)
+        ix, iy = region_nodes(unit, seg)
+        assert np.array_equal(ix, [25]) and np.array_equal(iy, [0])
+        # the profile is parametrized by x along the bottom edge, even
+        # though both index arrays hold a single node
+        prof = trace(Field.from_function(unit, lambda x, y: x + 10 * y), seg)
+        assert np.array_equal(prof.s, [0.5])
+        assert np.array_equal(prof.values, [0.5])
+
+    @pytest.mark.parametrize("region", [
+        Region.interior(0.013, 0.017, 0.0, 0.1),  # between grid lines
+        Region.boundary("left", 0.013, 0.017),
+        Region.interior(0.0, 1.5, 0.0, 0.1),  # leaves the domain
+        Region.boundary("top", 0.5, 1.2),
+    ])
+    def test_rejects_empty_or_outside(self, unit, region):
+        with pytest.raises(ValueError):
+            region_nodes(unit, region)
 
 
 class TestExtendTarget:
