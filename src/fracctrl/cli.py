@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .config import OUTPUT_ROOT_ENV, ConfigError, load_config
 from .control import GramConditionError, algorithm1, picard_sequence
-from .diagnostics import hypothesis_report
+from .diagnostics import EnvelopeError, hypothesis_report
 from .domain import restrict, trace
 from .mittag import MLEvaluationError
 from .solver import SemilinearDivergenceError
@@ -38,6 +38,7 @@ EXIT_HYPOTHESIS = 4
 # failures of the numerics themselves: reported as a non-converged run
 NUMERICAL_ERRORS = (
     MLEvaluationError, GramConditionError, SemilinearDivergenceError,
+    EnvelopeError,
 )
 
 

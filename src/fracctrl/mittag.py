@@ -19,7 +19,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammaln, hyp1f1, rgamma
 
 __all__ = [
@@ -192,6 +191,10 @@ def _ml_integral(alpha, beta, z):
     requires beta < 1 + alpha; larger beta is reduced first through
     E_(a,b)(z) = (E_(a,b-a)(z) - 1/Gamma(b-a)) / z.
     """
+    # imported here: only this oracle needs scipy.integrate, which would
+    # otherwise add to every import of the package
+    from scipy.integrate import IntegrationWarning, quad
+
     if beta >= 1.0 + alpha - 1e-12:
         return (_ml_scalar(alpha, beta - alpha, z) - rgamma(beta - alpha)) / z
 

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracctrl
 from fracctrl.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -246,6 +251,35 @@ class TestNumericalFailure:
         assert main(["verify", "--config", tiny_cfg]) == EXIT_DIVERGED
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "did not converge" in err[0]
+
+
+    @pytest.mark.parametrize("verb", ["run", "verify"])
+    def test_unsettled_a1_envelope_exits_3(self, tmp_path, monkeypatch,
+                                           capsys, verb):
+        # with 8x8 modes at alpha = 0.3 the A1 envelope needs two rounds
+        path = tmp_path / "wide.cfg"
+        path.write_text(
+            TINY.replace("alpha = 0.5", "alpha = 0.3")
+            .replace("mx = 6", "mx = 8").replace("my = 6", "my = 8")
+        )
+        monkeypatch.setattr("fracctrl.diagnostics._ENVELOPE_ROUNDS", 1)
+        code = main([verb, "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "envelope" in err[0]
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # only the Mittag-Leffler test oracle uses scipy.integrate; importing
+    # it with the package would add to every start-up
+    src = str(Path(fracctrl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, fracctrl.cli; "
+             "sys.exit('scipy.integrate' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", probe],
+                          env=env).returncode == 0
 
 
 class TestVerify:

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from fracctrl import diagnostics
+from fracctrl.config import bundled_config_path, load_config
 from fracctrl.control import ControlProblem, assemble_H
 from fracctrl.diagnostics import (
+    EnvelopeError,
     FNTable,
     compute_constants,
     estimate_A1,
@@ -22,6 +25,7 @@ from fracctrl.domain import (
     build_basis,
     extend_target,
 )
+from fracctrl.mittag import ml
 from fracctrl.solver import NonlinearTerm, TimeGrid
 
 
@@ -76,6 +80,61 @@ class TestEstimateA1:
         a = estimate_A1(basis, grid, 0.3, q=0.5, rtol=1e-6)
         b = estimate_A1(basis, grid, 0.3, q=0.5, rtol=1e-10)
         assert a == pytest.approx(b, rel=1e-5)
+
+
+def _brute_force_a1(basis, T, alpha, q, panels):
+    """A1 by two-point Gauss-Legendre panels graded geometrically in
+    u = t^alpha, taking the supremum over all modes at every node."""
+    lam = np.unique(basis.eigenvalues)
+    shift = (lam + 1.0) ** q
+    edges = np.concatenate(
+        [[0.0], np.geomspace(1e-4 / (lam.max() + 1.0), T**alpha, panels)]
+    )
+    x, w = np.polynomial.legendre.leggauss(2)
+    a, b = edges[:-1, None], edges[1:, None]
+    u = (0.5 * (b - a) * x + 0.5 * (a + b)).ravel()
+    weights = (0.5 * (b - a) * w).ravel()
+    sup = np.max(shift * ml(alpha, alpha, -np.outer(u, lam)), axis=1)
+    return float(weights @ sup) / alpha
+
+
+@pytest.fixture(scope="module")
+def basis8():
+    return build_basis(RectDomain(1.0, 1.0, 21, 21), 8, 8)
+
+
+class TestA1Envelope:
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_matches_brute_force(self, basis8, alpha, q):
+        # The check's kinks (one per mode switch) limit it to O(h^2):
+        # doubling its 12800 panels moves it by at most 3.6e-9 relative
+        # over these six cases, so 1e-8 covers its own error.  The
+        # adaptive quad that computed A1 before missed the check by
+        # 1.2e-7 at (alpha, q) = (0.3, 1), 6.1e-8 at (0.6, 1), 5.2e-8 at
+        # (1, 0.5), 1.9e-8 at (1, 1) and 1.2e-8 at (0.3, 0.5).
+        ref = _brute_force_a1(basis8, 1.0, alpha, q, 12800)
+        val = estimate_A1(basis8, TimeGrid(1.0, 8), alpha, q)
+        assert val == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+    def test_envelope_complete(self, monkeypatch):
+        # a denser start grid would expose a mode the envelope missed, a
+        # tighter rtol a crossing it placed loosely
+        cfg = load_config(bundled_config_path("example1.cfg"))
+        a = estimate_A1(cfg.basis, cfg.grid, cfg.alpha, q=0.5)
+        monkeypatch.setattr(diagnostics, "_ENVELOPE_PER_DECADE",
+                            2 * diagnostics._ENVELOPE_PER_DECADE)
+        b = estimate_A1(cfg.basis, cfg.grid, cfg.alpha, q=0.5, rtol=1e-10)
+        assert b == pytest.approx(a, rel=1e-12, abs=0.0)
+
+    def test_unsettled_envelope_raises(self, basis8, monkeypatch):
+        # at alpha = 0.3 a crossing on the 8x8 basis splits once, so one
+        # round leaves it unresolved
+        monkeypatch.setattr(diagnostics, "_ENVELOPE_ROUNDS", 1)
+        with pytest.raises(EnvelopeError, match="not resolved"):
+            estimate_A1(basis8, TimeGrid(1.0, 8), 0.3, q=0.5)
+        monkeypatch.setattr(diagnostics, "_ENVELOPE_ROUNDS", 2)
+        assert estimate_A1(basis8, TimeGrid(1.0, 8), 0.3, q=0.5) > 0.0
 
 
 class TestGAlphaNorm:
