@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .domain import (
     Field,
@@ -109,6 +108,7 @@ class ControllabilityOperator:
     target: object
     lambda_reg: float = -1.0  # negative: use the trace-scaled default
     _chol: object = field(default=None, repr=False)
+    _sigma: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.M)):
@@ -120,14 +120,21 @@ class ControllabilityOperator:
             self.lambda_reg = 1e-8 * np.trace(self.G) / self.G.shape[0]
 
     def _factorization(self):
+        """Lower Cholesky factor of G + lambda_reg I, computed once."""
         if self._chol is None:
             A = self.G + self.lambda_reg * np.eye(self.G.shape[0])
             try:
-                self._chol = cho_factor(A, lower=True)
+                self._chol = np.linalg.cholesky(A)
             except np.linalg.LinAlgError as exc:
                 sigma = float(np.linalg.eigvalsh(A)[0])
                 raise GramConditionError(sigma) from exc
         return self._chol
+
+    def _singular_values(self):
+        """Singular values of Mw (descending), computed once."""
+        if self._sigma is None:
+            self._sigma = np.linalg.svd(self.Mw, compute_uv=False)
+        return self._sigma
 
     def apply(self, u_values):
         """Forward map: target node values reached from the control."""
@@ -167,7 +174,10 @@ def pinv_apply(H, r):
             f"residual has {r.size} values, target holds {H.M.shape[0]}"
         )
     rw = np.sqrt(H.weights) * r
-    dual = cho_solve(H._factorization(), rw)
+    L = H._factorization()
+    # numpy has no triangular solver; the Gram matrix has at most a few
+    # hundred rows, so two general solves cost little
+    dual = np.linalg.solve(L.T, np.linalg.solve(L, rw))
     return ControlSignal(values=H.Mw.T @ dual, grid=H.grid)
 
 

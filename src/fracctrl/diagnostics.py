@@ -153,7 +153,7 @@ def estimate_A1(basis, grid, alpha, q, rtol=1e-8):
 def pinv_gain(H):
     """Operator norm of the regularized pseudo-inverse (the constant mu):
     max over singular values sigma of sigma / (sigma^2 + lambda_reg)."""
-    sig = np.linalg.svd(H.Mw, compute_uv=False)
+    sig = H._singular_values()
     lam = H.lambda_reg
     if lam <= 0.0:
         smallest = sig[sig > 0.0]
@@ -343,7 +343,7 @@ class GramSpectrum:
 def gram_spectrum(H, tol=1e-8):
     """Singular-value summary of the weighted reachability matrix: the
     discrete proxy for approximate controllability of the linear system."""
-    sig = np.linalg.svd(H.Mw, compute_uv=False)
+    sig = H._singular_values()
     smax = float(sig[0]) if sig.size else 0.0
     smin = float(sig[-1]) if sig.size else 0.0
     rank = int(np.count_nonzero(sig > tol * smax)) if smax > 0.0 else 0

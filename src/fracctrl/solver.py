@@ -6,7 +6,9 @@ per-mode kernel tables depend only on (basis, grid, alpha) and are built
 once per problem.  The semilinear term is handled by product integration
 with inner Picard sweeps per step; a step whose sweeps do not settle keeps
 the explicit step with the nonlinearity frozen at the step start.  An
-independent finite-difference L1 solver is provided for cross-validation.
+independent finite-difference L1 solver is provided for cross-validation;
+it is the one part of the package that needs scipy (sparse LU), which it
+imports when called.
 """
 
 import math
@@ -14,10 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import eye as sparse_eye
-from scipy.sparse import identity, kron
-from scipy.sparse import diags
-from scipy.sparse.linalg import splu
 
 from .domain import Field, actuator_coefficients
 from .mittag import check_order, h_symbol, ml
@@ -267,6 +265,8 @@ class GridTrajectory:
 
 def _neumann_laplacian_1d(n, h):
     """Second-difference matrix with mirror-ghost Neumann closure."""
+    from scipy.sparse import diags
+
     main = np.full(n, -2.0)
     off = np.ones(n - 1)
     mat = diags([off, main, off], [-1, 0, 1], format="lil")
@@ -308,7 +308,14 @@ def _actuator_grid_shape(act, domain):
 
 def l1_oracle_solve(y0, u, F, act, domain, grid, alpha):
     """Independent cross-check solver: implicit L1 Caputo stepping with a
-    5-point Neumann Laplacian; the nonlinearity is lagged one step."""
+    5-point Neumann Laplacian; the nonlinearity is lagged one step.
+
+    Needs scipy (sparse LU), which the rest of the package does not.
+    """
+    from scipy.sparse import eye as sparse_eye
+    from scipy.sparse import identity, kron
+    from scipy.sparse.linalg import splu
+
     alpha = check_order(alpha)
     nx, ny = domain.nx, domain.ny
     lap = kron(

@@ -18,6 +18,7 @@ from fracctrl.cli import (
     EXIT_OK,
     main,
 )
+from fracctrl.config import bundled_config_path
 from fracctrl.mittag import MLEvaluationError
 
 TINY = """
@@ -270,16 +271,48 @@ class TestNumericalFailure:
         assert len(err) == 1 and "envelope" in err[0]
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    # only the Mittag-Leffler test oracle uses scipy.integrate; importing
-    # it with the package would add to every start-up
+def _package_env():
+    """Environment for a child interpreter that imports this fracctrl."""
     src = str(Path(fracctrl.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = ("import sys, fracctrl.cli; "
-             "sys.exit('scipy.integrate' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", probe],
-                          env=env).returncode == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency: scipy serves the tests and the
+    # L1 cross-check solver, and would add to every start-up
+    probe = ("import sys, fracctrl.cli, fracctrl.config; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=_package_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_run_without_scipy(tmp_path):
+    # an installation without scipy still runs a bundled example, to the
+    # same result
+    cfg = bundled_config_path("example2.cfg")
+    assert main(["run", "--config", cfg, "--out",
+                 str(tmp_path / "in")]) == EXIT_OK
+    probe = ("import sys; sys.modules['scipy'] = None; "
+             "from fracctrl.cli import main; sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, "run", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        env=_package_env(), capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+
+    def status_and_iterations(root):
+        lines = (root / "example2" / "summary.txt").read_text().splitlines()
+        return [ln for ln in lines if ln.split(":")[0] in
+                ("status", "iterations")]
+
+    expect = status_and_iterations(tmp_path / "in")
+    assert len(expect) == 2
+    assert status_and_iterations(tmp_path / "out") == expect
 
 
 class TestVerify:

@@ -395,3 +395,26 @@ class TestPinvGain:
         sig = np.linalg.svd(H.Mw, compute_uv=False)
         expect = np.max(sig / (sig**2 + 1e-6))
         assert pinv_gain(H) == pytest.approx(expect, rel=1e-12)
+
+    def test_one_svd_per_operator(self, setup, monkeypatch):
+        # gram_spectrum and pinv_gain share the operator's singular values
+        _, basis, grid = setup
+        act = Actuator.zonal(0.0, 0.2, 0.2, 0.4)
+        H = assemble_H(
+            basis, act, grid, Region.interior(0.0, 0.3, 0.0, 0.1), 0.3,
+            lambda_reg=1e-6,
+        )
+        sig = np.linalg.svd(H.Mw, compute_uv=False)
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        spec = gram_spectrum(H)
+        gain = pinv_gain(H)
+        assert gram_spectrum(H) == spec
+        assert len(calls) == 1
+        assert (spec.sigma_max, spec.sigma_min) == (sig[0], sig[-1])
+        assert gain == np.max(sig / (sig**2 + 1e-6))

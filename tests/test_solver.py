@@ -5,7 +5,7 @@ import pytest
 
 from fracctrl.config import bundled_config_path, load_config
 from fracctrl.domain import Actuator, Field, RectDomain, build_basis
-from fracctrl.mittag import _ml_scalar, h_symbol
+from fracctrl.mittag import h_symbol
 from fracctrl.solver import (
     GridTrajectory,
     NonlinearTerm,
@@ -16,6 +16,7 @@ from fracctrl.solver import (
     solve_linear,
     solve_semilinear,
 )
+from ml_oracle import _ml_scalar
 
 
 @pytest.fixture(scope="module")
