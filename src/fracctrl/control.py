@@ -242,6 +242,8 @@ class ControlProblem:
     target_mode: str = "omega"  # "omega": steer the extension d_s on
     # omega_c (the default workflow); "gamma": aim the reachability
     # operator directly at the boundary trace target zd
+    _operator: object = field(default=None, init=False, repr=False,
+                              compare=False)  # see operator()
 
     def _check_metric(self):
         if self.stop_metric not in STOP_METRICS:
@@ -269,10 +271,17 @@ class ControlProblem:
         return self.d_s.values.ravel()
 
     def operator(self):
-        return assemble_H(
-            self.basis, self.act, self.grid, self.target_region(),
-            self.alpha, self.lambda_reg,
-        )
+        """The reachability operator, assembled on the first call and
+        shared by every later one, so the diagnostics and the outer loop
+        also share its cached SVD and Cholesky factor.  The field holding
+        it is not an init argument, so a problem made by
+        `dataclasses.replace` assembles its own."""
+        if self._operator is None:
+            self._operator = assemble_H(
+                self.basis, self.act, self.grid, self.target_region(),
+                self.alpha, self.lambda_reg,
+            )
+        return self._operator
 
 
 def _on_target(problem, traj):

@@ -22,6 +22,12 @@ u, each switch is bisected to the crossing of its two modes, and a
 crossing at which a third mode is higher splits into two switches for the
 next round.  An envelope that has not settled after `_ENVELOPE_ROUNDS`
 rounds raises `EnvelopeError` rather than returning a partial sum.
+
+The Lipschitz table F_N of F = c y^p is sampled on seed-fixed pairs
+z = a v1, y = b v2 of unit fields v1, v2 and scalars a, b.  Every norm
+it needs is a polynomial in (a, b) whose coefficients are per-sample
+moments of the two fields, computed once, so each radius pair costs a
+few operations on vectors of length n_samples.
 """
 
 import math
@@ -235,36 +241,73 @@ def estimate_FN(F, radii, basis, n_samples=200, seed=0):
         nrm = math.sqrt(float(np.sum(w * v**2)))
         return v / nrm
 
-    pairs = [
-        (sample_unit(), sample_unit(), rng.uniform(), rng.uniform())
-        for _ in range(n_samples)
-    ]
-    # stacked along a leading sample axis; the L2/L4 norms below reduce
-    # over the two field axes, one radius pair at a time
-    v1, v2, s1, s2 = (np.array(col) for col in zip(*pairs))
-    fields = (1, 2)
+    # sample pair s is z = a v1[s], y = b v2[s] with the scalars a = r1
+    # s1[s], b = r2 s2[s] of a radius pair (r1, r2)
+    v1 = np.empty((n_samples, domain.nx, domain.ny))
+    v2 = np.empty_like(v1)
+    s1, s2 = np.empty(n_samples), np.empty(n_samples)
+    for s in range(n_samples):
+        v1[s], v2[s] = sample_unit(), sample_unit()
+        s1[s], s2[s] = rng.uniform(), rng.uniform()
+    # The damping leaves the constant mode dominant, so v2 is often
+    # close to +-v1 and z - y, F(z) - F(y) are small differences of large
+    # fields.  Each norm is therefore written in v1 and the difference
+    # field e = v2 - sig v1, sig = sign(v1 . v2), where that cancellation
+    # is gone: z - y = (a - sig b) v1 - b e, and F(z) - F(y) is a form of
+    # degree p in (v1, e).  The squared L2 norm of a form
+    # sum_k c_k v1^(d-k) e^k is sum_(k,l) c_k c_l M(2d-k-l, k+l), with the
+    # per-sample moments M(k, l) = sum w v1^k e^l.  Every moment needed
+    # has k + l even, so it is one einsum over products of the three
+    # buffers v1^2, e^2 and v1 e; no stack of powers is held.
+    sig = np.where(np.einsum("ij,sij,sij->s", w, v1, v2) < 0.0, -1.0, 1.0)
+    e = v2  # overwritten in place: v2 is not needed again
+    e -= sig[:, None, None] * v1
+    sq1, sqe, cross = v1 * v1, e * e, v1 * e
+    p = F.power
+    moments = {}
+    for q in {2, 4, 2 * p}:
+        for k in range(q + 1):
+            j = min(k, q - k)
+            ops = ([cross] * j + [sq1] * ((k - j) // 2)
+                   + [sqe] * ((q - k - j) // 2))
+            spec = ",".join(["ij"] + ["sij"] * len(ops)) + "->s"
+            moments[k, q - k] = np.einsum(spec, w, *ops)
+
+    def sqnorm(c):
+        """Per-sample sum of w (sum_k c[k] v1^(d-k) e^k)^2, d = len(c)-1."""
+        d = len(c) - 1
+        return sum(
+            c[k] * c[l] * moments[2 * d - k - l, k + l]
+            for k in range(d + 1) for l in range(d + 1)
+        )
+
     # discrete L2 -> L4 embedding constant
-    c_emb = float(np.max(np.sum(w * v1**4, axis=fields) ** 0.25))
+    c_emb = float(np.max(moments[4, 0] ** 0.25))
     values = np.zeros((n, n))
     c_diff = 0.0
     for i, r1 in enumerate(radii):
-        z = (r1 * s1)[:, None, None] * v1
         for j, r2 in enumerate(radii):
-            y = (r2 * s2)[:, None, None] * v2
-            dz2 = (z - y) ** 2
-            dnorm = np.sqrt(np.sum(w * dz2, axis=fields))
+            a, b = r1 * s1, r2 * s2
+            lin = a - sig * b  # z - y = lin v1 - b e
+            dnorm = np.sqrt(sqnorm([lin, -b]))
             keep = dnorm != 0.0
             if not keep.any():
                 continue
-            dz2, dnorm = dz2[keep], dnorm[keep]
-            # (dz^2)^2 rather than dz^4: numpy's power of a negative base
-            # is the slow scalar path, and this ratio feeds only `bound`
+            a, b, sg, lin, dnorm = (
+                x[keep] for x in (a, b, sig, lin, dnorm)
+            )
+            # |z - y|_4^2 is the L2 norm of (lin v1 - b e)^2
             c_diff = max(c_diff, float(np.max(
-                np.sum(w * dz2**2, axis=fields) ** 0.25 / dnorm
+                sqnorm([lin**2, -2.0 * lin * b, b**2]) ** 0.25 / dnorm
             )))
-            df = F(z[keep]) - F(y[keep])
-            ratio = np.sqrt(np.sum(w * df**2, axis=fields)) / dnorm
-            values[i, j] = float(ratio.max())
+            # F(z) - F(y) = c (a^p v1^p - b^p (sg v1 + e)^p); the v1^p
+            # coefficient a^p - (sg b)^p is factored through lin
+            form = [lin * sum(a ** (p - 1 - m) * (sg * b) ** m
+                              for m in range(p))]
+            form += [-(b**p) * math.comb(p, k) * sg ** (p - k)
+                     for k in range(1, p + 1)]
+            df = abs(F.coeff) * np.sqrt(sqnorm(form))
+            values[i, j] = float(np.max(df / dnorm))
     bound = None
     if F.kind == "power" and F.power == 2:
         # |z^2 - y^2|_2 <= |z + y|_4 |z - y|_4 <= c_emb (r1 + r2)

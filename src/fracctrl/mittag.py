@@ -7,7 +7,8 @@ series (small |z|, kept where its rounding estimate passes), the
 algebraic asymptotic expansion (large |z|) or a Talbot contour inversion
 (the rest), and every branch runs as whole-array numpy code.  The route
 is the same for every order alpha in (0, 1], alpha = 1 included.  The
-solver builds its kernel tables from these one time row at a time.
+solver builds each of its kernel tables with one `ml` call over the whole
+(time node x distinct eigenvalue) array.
 
 The scalar reference evaluation the tests compare against lives in the
 test suite (`tests/ml_oracle.py`).
@@ -38,9 +39,11 @@ _REL_TOL = 1e-11
 # to 1, not to the value, and passes sums that lose ~1e-9 relative where
 # E is small.
 _SERIES_ROUNDING = 2.0 * np.finfo(float).eps
-# Elements per vectorised pass; bounds the series' (elements x terms)
-# work array to a few MB whatever the caller passes.
-_CHUNK = 2048
+# Elements per vectorised pass.  It bounds the series' (elements x terms)
+# work arrays, several of which are alive at once, to 512 x 400 floats
+# (1.6 MB) each whatever the caller passes; the kernel tables pass a whole
+# table.  Each element's value does not depend on the chunk it falls in.
+_CHUNK = 512
 
 
 class MLEvaluationError(ArithmeticError):
@@ -303,8 +306,8 @@ def h_symbol(lam, t, alpha):
     if np.any(np.asarray(lam) < 0.0) or np.any(np.asarray(t) < 0.0):
         raise ValueError("h_symbol requires lam >= 0 and t >= 0")
     if np.ndim(t) == 0:
-        # a scalar t is raised with the C library's pow, as the kernel
-        # tables always have been; numpy's vectorised power can round
+        # a scalar t is raised with the C library's pow, as the solver's
+        # kernel tables are; numpy's vectorised power can round
         # differently in the last bit
         t = float(t)
     # t = 0 gives z = 0 and E_(a,1)(0) = 1 exactly

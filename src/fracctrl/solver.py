@@ -2,13 +2,15 @@
 
 The linear part propagates each eigenmode exactly through Mittag-Leffler
 symbols, so piecewise-constant controls incur no time-stepping error.  The
-per-mode kernel tables depend only on (basis, grid, alpha) and are built
-once per problem.  The semilinear term is handled by product integration
-with inner Picard sweeps per step; a step whose sweeps do not settle keeps
-the explicit step with the nonlinearity frozen at the step start.  An
-independent finite-difference L1 solver is provided for cross-validation;
-it is the one part of the package that needs scipy (sparse LU), which it
-imports when called.
+per-mode kernel tables depend only on (basis, grid, alpha); they are built
+once per problem, each with one Mittag-Leffler call over the whole (time
+node x distinct eigenvalue) array.  The semilinear term is handled by
+product integration with inner Picard sweeps per step, one nodal/spectral
+round trip each; a step whose sweeps do not settle keeps the explicit step
+with the nonlinearity frozen at the step start.  An independent
+finite-difference L1 solver is provided for cross-validation; it is the
+one part of the package that needs scipy (sparse LU), which it imports
+when called.
 """
 
 import math
@@ -18,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .domain import Field, actuator_coefficients
-from .mittag import check_order, h_symbol, ml
+from .mittag import check_order, ml
 
 __all__ = [
     "TimeGrid",
@@ -92,8 +94,7 @@ class NonlinearTerm:
     def __call__(self, y):
         if self.is_zero:
             return np.zeros_like(y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.coeff * y**self.power
+        return self.coeff * y**self.power
 
 
 def _control_values(u, steps):
@@ -136,16 +137,20 @@ def _kernel_tables(basis, grid, alpha):
     time t_n.  The tables depend only on the frozen (basis, grid, alpha),
     so every simulation and operator of one problem shares one build.
     """
-    lam = basis.eigenvalues
-    E1 = np.empty((grid.K + 1, lam.size))
-    W = np.zeros((grid.K + 1, lam.size))
-    # one array evaluation per time row keeps the work at O(modes)
-    for n, t in enumerate(grid.nodes):
-        E1[n] = h_symbol(lam, t, alpha)
-        if t > 0:
-            ta = t**alpha
-            W[n] = ta * ml(alpha, alpha + 1.0, -lam * ta)
-    Wd = np.diff(W, axis=0)
+    # t^alpha from Python floats keeps the C library's pow (numpy's
+    # vectorised power can differ in the last bit); t = 0 gives z = 0,
+    # so E1[0] = 1 and W[0] = 0 exactly.  The tables are evaluated over
+    # the distinct eigenvalues (a square basis repeats most of them),
+    # which halves the evaluator's whole-array work space, and spread to
+    # the modes by `take`, which keeps them C-ordered: the history sums
+    # reduce over rows, and their rounding depends on the layout.
+    ta = np.array([t**alpha for t in grid.nodes.tolist()])
+    lam, mode = np.unique(basis.eigenvalues, return_inverse=True)
+    z = -np.outer(ta, lam)
+    E1 = np.take(ml(alpha, 1.0, z), mode, axis=1)
+    W = ml(alpha, alpha + 1.0, z)
+    W *= ta[:, None]
+    Wd = np.take(np.diff(W, axis=0), mode, axis=1)
     E1.flags.writeable = False
     Wd.flags.writeable = False
     return E1, Wd
@@ -163,7 +168,7 @@ def solve_linear(y0, u, act, basis, grid, alpha):
     coeffs[0] = c0
     for n in range(1, grid.K + 1):
         # step k of the control sees kernel weight Wd[n-1-k]
-        drive = np.sum(uvals[:n, None] * Wd[n - 1 :: -1], axis=0)
+        drive = np.einsum("k,km->m", uvals[:n], Wd[n - 1 :: -1])
         coeffs[n] = E1[n] * c0 + b * drive
     return Trajectory(basis=basis, grid=grid, coeffs=coeffs, control=uvals)
 
@@ -192,59 +197,69 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
     coeffs = np.empty((grid.K + 1, c0.size))
     coeffs[0] = c0
     g = np.empty((grid.K, c0.size))  # per-step source: u_k b + f_k
-    f_prev = project(F(nodal(c0)))
-    for n in range(1, grid.K + 1):
-        k = n - 1
-        fk = f_prev  # predictor: F at the step start
-        g[k] = uvals[k] * b + fk
-        base = E1[n] * c0
-        if k > 0:
-            base += np.sum(g[:k] * Wd[n - 1 : 0 : -1], axis=0)
-        state = base + g[k] * Wd[0]
-        prev_delta = np.inf
-        settled = False
-        growth = 0
-        for _ in range(MAX_SWEEPS):
-            if not np.all(np.isfinite(state)):
-                break
-            fk = 0.5 * (f_prev + project(F(nodal(state))))
+    # F overflows where the state runs away; the finiteness checks below
+    # act on that, so the floating-point warnings are silenced once here
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_prev = project(F(nodal(c0)))
+        for n in range(1, grid.K + 1):
+            k = n - 1
+            fk = f_prev  # predictor: F at the step start
             g[k] = uvals[k] * b + fk
-            new_state = base + g[k] * Wd[0]
-            delta = np.linalg.norm(new_state - state)
-            state = new_state
-            if not np.isfinite(delta):
-                break
-            scale = max(1.0, np.linalg.norm(state))
-            if delta <= TOL_PICARD * scale:
-                settled = True
-                break
-            if delta >= 0.5 * prev_delta and delta <= 1e4 * TOL_PICARD * scale:
-                # contraction has hit the rounding floor of the
-                # nodal/spectral round trip; further sweeps cannot improve
-                settled = True
-                break
-            # two consecutive growing updates: the sweep map is expanding
-            # at this amplitude; stop without burning the sweep budget
-            growth = growth + 1 if delta > prev_delta else 0
-            if growth >= 2:
-                break
-            prev_delta = delta
-        if not settled:
-            # the averaged step equation has no reachable fixed point at
-            # this amplitude; keep the explicit product-integration step
-            # (nonlinearity frozen at the step start), guarding against
-            # runaway growth
-            state = base + (uvals[k] * b + f_prev) * Wd[0]
-            norm = np.linalg.norm(state)
-            if not np.isfinite(norm) or norm > 1e8:
-                raise SemilinearDivergenceError(
-                    f"state blew up at step {n} "
-                    "(left the contraction regime)"
-                )
-            fk = f_prev
-            g[k] = uvals[k] * b + fk
-        coeffs[n] = state
-        f_prev = project(F(nodal(state)))
+            base = E1[n] * c0
+            if k > 0:
+                # step j's source sees kernel weight Wd[n-1-j]
+                base += np.einsum("km,km->m", g[:k], Wd[n - 1 : 0 : -1])
+            state = base + g[k] * Wd[0]
+            prev_delta = math.inf
+            settled = False
+            growth = 0
+            for _ in range(MAX_SWEEPS):
+                if not np.all(np.isfinite(state)):
+                    break
+                fk = 0.5 * (f_prev + project(F(nodal(state))))
+                g[k] = uvals[k] * b + fk
+                new_state = base + g[k] * Wd[0]
+                step = new_state - state
+                # sqrt(x @ x) is what np.linalg.norm computes for a real
+                # vector, without its dispatch
+                delta = math.sqrt(step @ step)
+                state = new_state
+                if not math.isfinite(delta):
+                    break
+                scale = max(1.0, math.sqrt(state @ state))
+                if delta <= TOL_PICARD * scale:
+                    settled = True
+                    break
+                if (delta >= 0.5 * prev_delta
+                        and delta <= 1e4 * TOL_PICARD * scale):
+                    # contraction has hit the rounding floor of the
+                    # nodal/spectral round trip; further sweeps cannot
+                    # improve
+                    settled = True
+                    break
+                # two consecutive growing updates: the sweep map is
+                # expanding at this amplitude; stop without burning the
+                # sweep budget
+                growth = growth + 1 if delta > prev_delta else 0
+                if growth >= 2:
+                    break
+                prev_delta = delta
+            if not settled:
+                # the averaged step equation has no reachable fixed point
+                # at this amplitude; keep the explicit product-integration
+                # step (nonlinearity frozen at the step start), guarding
+                # against runaway growth
+                state = base + (uvals[k] * b + f_prev) * Wd[0]
+                norm = math.sqrt(state @ state)
+                if not math.isfinite(norm) or norm > 1e8:
+                    raise SemilinearDivergenceError(
+                        f"state blew up at step {n} "
+                        "(left the contraction regime)"
+                    )
+                fk = f_prev
+                g[k] = uvals[k] * b + fk
+            coeffs[n] = state
+            f_prev = project(F(nodal(state)))
     return Trajectory(basis=basis, grid=grid, coeffs=coeffs, control=uvals)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from fracctrl.control import (
     picard_sequence,
     pinv_apply,
 )
+from fracctrl.diagnostics import hypothesis_report
 from fracctrl.domain import (
     Actuator,
     Field,
@@ -476,6 +478,29 @@ class TestPicardSequence:
         assert report.residuals[-1] == problem.operator().target_norm(
             problem.d_s.values.ravel() - reached.ravel()
         )
+
+
+class TestOperatorPerProblem:
+    def test_diagnostics_and_loop_share_one_operator(
+        self, setup, monkeypatch
+    ):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return assemble_H(*args, **kwargs)
+
+        monkeypatch.setattr(control, "assemble_H", counted)
+        problem = _example_problem(setup, NonlinearTerm.none(), n_max=1)
+        hypothesis_report(problem, n_samples=10)
+        algorithm1(problem)
+        assert len(calls) == 1
+        assert problem.operator() is problem.operator()
+        # a problem made by dataclasses.replace builds its own operator
+        other = dataclasses.replace(problem, lambda_reg=1e-6)
+        assert other.operator() is not problem.operator()
+        assert other.operator().lambda_reg == 1e-6
+        assert len(calls) == 2
 
 
 class TestKernelTables:

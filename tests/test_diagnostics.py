@@ -193,7 +193,64 @@ def _reference_fn(F, radii, basis, n_samples, seed):
     return values, c_emb, c_diff
 
 
+def _vectorised_fn(F, radii, basis, n_samples, seed):
+    """estimate_FN's table and constants with the sample pairs stacked,
+    reduced over the field axes one radius pair at a time."""
+    wx, wy = basis.domain.quad_weights()
+    w = np.outer(wx, wy)
+    damp = (1.0 + basis.eigenvalues).reshape(basis.mx, basis.my) ** -1.0
+    rng = np.random.default_rng(seed)
+
+    def sample_unit():
+        v = basis.from_spectral(
+            rng.standard_normal((basis.mx, basis.my)) * damp
+        )
+        return v / math.sqrt(float(np.sum(w * v**2)))
+
+    pairs = [
+        (sample_unit(), sample_unit(), rng.uniform(), rng.uniform())
+        for _ in range(n_samples)
+    ]
+    v1, v2, s1, s2 = (np.array(col) for col in zip(*pairs))
+    fields = (1, 2)
+    c_emb = float(np.max(np.sum(w * v1**4, axis=fields) ** 0.25))
+    values = np.zeros((radii.size, radii.size))
+    c_diff = 0.0
+    for i, r1 in enumerate(radii):
+        z = (r1 * s1)[:, None, None] * v1
+        for j, r2 in enumerate(radii):
+            y = (r2 * s2)[:, None, None] * v2
+            dz2 = (z - y) ** 2
+            dnorm = np.sqrt(np.sum(w * dz2, axis=fields))
+            keep = dnorm != 0.0
+            if not keep.any():
+                continue
+            dz2, dnorm = dz2[keep], dnorm[keep]
+            c_diff = max(c_diff, float(np.max(
+                np.sum(w * dz2**2, axis=fields) ** 0.25 / dnorm
+            )))
+            df = F(z[keep]) - F(y[keep])
+            ratio = np.sqrt(np.sum(w * df**2, axis=fields)) / dnorm
+            values[i, j] = float(ratio.max())
+    return values, c_emb, c_diff
+
+
 class TestEstimateFN:
+    # seed 0 is the one `fracctrl run` uses; seed 11 draws a pair with
+    # v1 . v2 = 0.997 and a / b = 1.01 on the diagonal, where moments of
+    # v1 and v2 themselves would lose 1.5e-13 to cancellation
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_matches_vectorised_loop_at_example_scale(self, seed):
+        problem = load_config(bundled_config_path("example1.cfg")).problem()
+        radii = np.geomspace(1e-4, 1.0, 9)
+        table = estimate_FN(problem.F, radii, problem.basis, 100, seed)
+        values, c_emb, c_diff = _vectorised_fn(
+            problem.F, radii, problem.basis, 100, seed
+        )
+        np.testing.assert_allclose(table.values, values, rtol=1e-13, atol=0)
+        assert table.c_emb == pytest.approx(c_emb, rel=1e-13, abs=0)
+        assert table.c_diff == pytest.approx(c_diff, rel=1e-13, abs=0)
+
     @pytest.mark.parametrize("power", [2, 3])
     def test_matches_reference_loop(self, power):
         basis = build_basis(RectDomain(1.0, 1.0, 13, 11), 5, 4)

@@ -1,10 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fracctrl.config import bundled_config_path, load_config
-from fracctrl.domain import Actuator, Field, RectDomain, build_basis
+from fracctrl.control import pinv_apply
+from fracctrl.domain import (
+    Actuator,
+    Field,
+    RectDomain,
+    actuator_coefficients,
+    build_basis,
+)
 from fracctrl.mittag import h_symbol
 from fracctrl.solver import (
     GridTrajectory,
@@ -17,6 +25,7 @@ from fracctrl.solver import (
     solve_semilinear,
 )
 from ml_oracle import _ml_scalar
+from semilinear_oracle import solve_semilinear_reference
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +180,65 @@ class TestSolveSemilinear:
             solve_semilinear(
                 y0, None, NonlinearTerm.square(), act, basis, grid, 0.9
             )
+
+
+class TestSweepLoopBitIdentical:
+    """The solver against the reference loop in `semilinear_oracle`:
+    trimming the sweep loop's overhead must not move a bit."""
+
+    @pytest.mark.parametrize("name, unsettled", [
+        ("example1", [60]),  # the final step keeps the explicit step
+        ("example2", []),
+    ])
+    def test_example_trajectory(self, name, unsettled):
+        problem = load_config(bundled_config_path(f"{name}.cfg")).problem()
+        # the first residual-update control: non-zero on every step
+        u = pinv_apply(problem.operator(), problem.target_values()).values
+        args = (problem.y0, u, problem.F, problem.act, problem.basis,
+                problem.grid, problem.alpha)
+        ref, kept_explicit = solve_semilinear_reference(*args)
+        assert kept_explicit == unsettled
+        assert np.array_equal(solve_semilinear(*args).coeffs, ref.coeffs)
+
+    def test_linear_drive(self):
+        problem = load_config(bundled_config_path("example1.cfg")).problem()
+        u = pinv_apply(problem.operator(), problem.target_values()).values
+        basis, grid, alpha = problem.basis, problem.grid, problem.alpha
+        y0 = Field.from_function(
+            basis.domain, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y)
+        )
+        traj = solve_linear(y0, u, problem.act, basis, grid, alpha)
+        # the drive as a materialised product summed over the step axis
+        E1, Wd = _kernel_tables(basis, grid, alpha)
+        b = actuator_coefficients(problem.act, basis)
+        c0 = y0.coefficients(basis).ravel()
+        for n in range(1, grid.K + 1):
+            drive = np.sum(u[:n, None] * Wd[n - 1 :: -1], axis=0)
+            assert np.array_equal(traj.coeffs[n], E1[n] * c0 + b * drive)
+
+    def test_divergence(self, setup):
+        dom, basis, act, grid = setup
+        y0 = Field.from_function(dom, lambda x, y: 50.0 + 0.0 * x)
+        args = (y0, None, NonlinearTerm.square(), act, basis, grid, 0.9)
+        with pytest.raises(SemilinearDivergenceError) as ref:
+            solve_semilinear_reference(*args)
+        with pytest.raises(SemilinearDivergenceError) as got:
+            solve_semilinear(*args)
+        assert str(got.value) == str(ref.value)
+
+
+    def test_overflow_raises_without_warnings(self, setup):
+        # F overflows on the first sweep; the overflow and the inf - inf
+        # that follows stay inside the solver, which reports the
+        # divergence as its own error, not as a floating-point warning
+        dom, basis, act, grid = setup
+        y0 = Field.from_function(dom, lambda x, y: 1e200 + 0.0 * x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SemilinearDivergenceError):
+                solve_semilinear(
+                    y0, None, NonlinearTerm.square(), act, basis, grid, 0.9
+                )
 
 
 class TestL1Oracle:
