@@ -90,7 +90,9 @@ def _execute(cfg, problem):
     if cfg.method == "picard":
         return picard_sequence(problem)
     if cfg.method == "linear":
-        problem = dataclasses.replace(problem, n_max=1)
+        # on the run's own problem, which holds the operator the
+        # diagnostics already assembled
+        problem.n_max = 1
     return algorithm1(problem)
 
 
@@ -101,7 +103,7 @@ def _run_one(cfg, outdir, seed):
     problem = cfg.problem()
     hyp = None
     try:
-        hyp = hypothesis_report(problem, n_samples=100, seed=seed)
+        hyp = hypothesis_report(problem, seed=seed)
         u, traj, report = _execute(cfg, problem)
     except NUMERICAL_ERRORS as exc:
         status = ("diverged" if isinstance(exc, SemilinearDivergenceError)

@@ -381,6 +381,7 @@ def picard_sequence(problem):
     the target) is recovered from the simulation as reached(u_n) - M u_n,
     which is exact for the discrete mild solution.
     """
+    problem._check_metric()
     if np.any(problem.y0.values != 0.0):
         raise ValueError("the fixed-point sequence requires y0 = 0")
     H = problem.operator()

@@ -48,6 +48,9 @@ _ENVELOPE_ROUNDS = 8
 # q -> 0 every mode ties near u = 0 and, without it, each round would
 # split ever smaller crossings there that carry no area
 _ENVELOPE_TIE = 1e-11
+# sample pairs behind the F_N table: one default, so `run`'s manifest and
+# `verify` report the same constants for the same config and seed
+FN_SAMPLES = 100
 
 __all__ = [
     "EnvelopeError",
@@ -208,7 +211,7 @@ class FNTable:
         return float(self.values[i, 0])
 
 
-def estimate_FN(F, radii, basis, n_samples=200, seed=0):
+def estimate_FN(F, radii, basis, n_samples=FN_SAMPLES, seed=0):
     """Randomized estimate of the Lipschitz modulus table of F.
 
     Samples smooth random fields (spectral coefficients damped by
@@ -435,7 +438,8 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
-def hypothesis_report(problem, q=0.5, radii=None, n_samples=200, seed=0):
+def hypothesis_report(problem, q=0.5, radii=None, n_samples=FN_SAMPLES,
+                      seed=0):
     """Full hypothesis check for a control problem.
 
     Verdicts: 'controllability' from the Gram spectrum (violated when the

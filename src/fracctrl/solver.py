@@ -4,10 +4,13 @@ The linear part propagates each eigenmode exactly through Mittag-Leffler
 symbols, so piecewise-constant controls incur no time-stepping error.  The
 per-mode kernel tables depend only on (basis, grid, alpha); they are built
 once per problem, each with one Mittag-Leffler call over the whole (time
-node x distinct eigenvalue) array.  The semilinear term is handled by
-product integration with inner Picard sweeps per step, one nodal/spectral
-round trip each; a step whose sweeps do not settle keeps the explicit step
-with the nonlinearity frozen at the step start.  An independent
+node x distinct eigenvalue) array.  The control drive of every node is one
+Toeplitz product of the step values with the step weights, taken before
+any step; the semilinear solve starts from that linear response, and its
+steps integrate F only, by product integration with inner Picard sweeps
+per step, one nodal/spectral round trip each.  A step whose sweeps do not
+settle keeps its predictor, the explicit step with the nonlinearity frozen
+at the step start.  An independent
 finite-difference L1 solver is provided for cross-validation; it is the
 one part of the package that needs scipy (sparse LU), which it imports
 when called.
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import Field, actuator_coefficients
 from .mittag import check_order, ml
@@ -164,29 +168,31 @@ def solve_linear(y0, u, act, basis, grid, alpha):
     E1, Wd = _kernel_tables(basis, grid, alpha)
     uvals = _control_values(u, grid.K)
 
-    coeffs = np.empty((grid.K + 1, c0.size))
-    coeffs[0] = c0
-    for n in range(1, grid.K + 1):
-        # step k of the control sees kernel weight Wd[n-1-k]
-        drive = np.einsum("k,km->m", uvals[:n], Wd[n - 1 :: -1])
-        coeffs[n] = E1[n] * c0 + b * drive
+    # step k of the control sees kernel weight Wd[n-1-k] at t_n, so the
+    # drive is L @ Wd with the lower-triangular Toeplitz matrix
+    # L[i, j] = u[i-j]: a reversed sliding window over the zero-padded
+    # values, a strided view that allocates nothing of size K x K
+    padded = np.concatenate([np.zeros(grid.K - 1), uvals])
+    drive = sliding_window_view(padded, grid.K)[:, ::-1] @ Wd
+    drive *= b
+    coeffs = E1 * c0
+    coeffs[1:] += drive
     return Trajectory(basis=basis, grid=grid, coeffs=coeffs, control=uvals)
 
 
 def solve_semilinear(y0, u, F, act, basis, grid, alpha):
     """Mild solution with a pointwise nonlinearity by product integration.
 
-    F(y) is treated as constant on each step: the predictor uses the value
-    at the step start, then inner Picard sweeps replace it with the average
-    of the step endpoints until the state update stalls below TOL_PICARD.
+    The linear response (free evolution plus control drive) comes from
+    `solve_linear`; the steps integrate F only.  F(y) is treated as
+    constant on each step: the predictor uses the value at the step
+    start, then inner Picard sweeps replace it with the average of the
+    step endpoints until the state update stalls below TOL_PICARD.
     """
-    alpha = check_order(alpha)
+    lin = solve_linear(y0, u, act, basis, grid, alpha)
     if F.is_zero:
-        return solve_linear(y0, u, act, basis, grid, alpha)
-    b = actuator_coefficients(act, basis)
-    c0 = y0.coefficients(basis).ravel()
-    E1, Wd = _kernel_tables(basis, grid, alpha)
-    uvals = _control_values(u, grid.K)
+        return lin
+    Wd = _kernel_tables(basis, grid, check_order(alpha))[1]
 
     def project(nodal):
         return basis.to_spectral(nodal).ravel()
@@ -194,34 +200,33 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
     def nodal(cvec):
         return basis.from_spectral(cvec.reshape(basis.mx, basis.my))
 
-    coeffs = np.empty((grid.K + 1, c0.size))
-    coeffs[0] = c0
-    g = np.empty((grid.K, c0.size))  # per-step source: u_k b + f_k
+    # each step overwrites its row of the linear response, which no later
+    # step reads
+    coeffs = lin.coeffs
+    f = np.empty((grid.K, coeffs.shape[1]))  # per-step source f_k
     # F overflows where the state runs away; the finiteness checks below
     # act on that, so the floating-point warnings are silenced once here
     with np.errstate(over="ignore", invalid="ignore"):
-        f_prev = project(F(nodal(c0)))
+        f_prev = project(F(nodal(coeffs[0])))
         for n in range(1, grid.K + 1):
             k = n - 1
-            fk = f_prev  # predictor: F at the step start
-            g[k] = uvals[k] * b + fk
-            base = E1[n] * c0
+            base = coeffs[n]
             if k > 0:
                 # step j's source sees kernel weight Wd[n-1-j]
-                base += np.einsum("km,km->m", g[:k], Wd[n - 1 : 0 : -1])
-            state = base + g[k] * Wd[0]
+                base += np.einsum("km,km->m", f[:k], Wd[n - 1 : 0 : -1])
+            # predictor: F at the step start
+            predictor = base + f_prev * Wd[0]
+            state = predictor
             prev_delta = math.inf
             settled = False
             growth = 0
             for _ in range(MAX_SWEEPS):
-                if not np.all(np.isfinite(state)):
-                    break
                 fk = 0.5 * (f_prev + project(F(nodal(state))))
-                g[k] = uvals[k] * b + fk
-                new_state = base + g[k] * Wd[0]
+                new_state = base + fk * Wd[0]
                 step = new_state - state
                 # sqrt(x @ x) is what np.linalg.norm computes for a real
-                # vector, without its dispatch
+                # vector, without its dispatch; a non-finite state gives
+                # a non-finite delta
                 delta = math.sqrt(step @ step)
                 state = new_state
                 if not math.isfinite(delta):
@@ -249,7 +254,7 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
                 # at this amplitude; keep the explicit product-integration
                 # step (nonlinearity frozen at the step start), guarding
                 # against runaway growth
-                state = base + (uvals[k] * b + f_prev) * Wd[0]
+                state = predictor
                 norm = math.sqrt(state @ state)
                 if not math.isfinite(norm) or norm > 1e8:
                     raise SemilinearDivergenceError(
@@ -257,10 +262,10 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
                         "(left the contraction regime)"
                     )
                 fk = f_prev
-                g[k] = uvals[k] * b + fk
+            f[k] = fk
             coeffs[n] = state
             f_prev = project(F(nodal(state)))
-    return Trajectory(basis=basis, grid=grid, coeffs=coeffs, control=uvals)
+    return lin
 
 
 @dataclass

@@ -1,11 +1,15 @@
 """Reference semilinear stepper for the solver tests.
 
 This is `fracctrl.solver.solve_semilinear` as it was written before its
-sweep loop was trimmed: the history sum is a materialised product summed
-over the step axis, every norm is `np.linalg.norm`, and the floating-point
-warnings of F are silenced around each call of F.  The trimmed solver must
-reproduce its trajectories bit for bit.  It also reports the steps that
-kept the explicit step, so a test can show that it exercised that branch.
+sweep loop was trimmed and before the control drive left the step loop:
+every step's source is u_k b + f_k, the history sum is a materialised
+product summed over the step axis, every norm is `np.linalg.norm`, and the
+floating-point warnings of F are silenced around each call of F.  The
+solver takes the drive from one Toeplitz product instead, which
+re-associates (u_k b + f_k) Wd as b (u_k Wd) + f_k Wd; its trajectories
+must agree with this loop's to rounding, and its divergence messages
+exactly.  The loop also reports the steps that kept the explicit step, so
+a test can show that it exercised that branch.
 """
 
 import numpy as np

@@ -243,7 +243,8 @@ class TestCriterion8Determinism:
 class TestCriterion9Diagnostics:
     def test_zero_gain_hypothesis_violated(self, tmp_path):
         src = bundled_config_path("example1.cfg")
-        text = open(src).read().replace("gain = 25.0", "gain = 0.0")
+        with open(src) as fh:
+            text = fh.read().replace("gain = 25.0", "gain = 0.0")
         # smaller basis keeps the diagnostic pass quick
         text = text.replace("mx = 20", "mx = 8").replace("my = 20",
                                                          "my = 8")

@@ -19,6 +19,7 @@ from fracctrl.cli import (
     main,
 )
 from fracctrl.config import bundled_config_path
+from fracctrl.diagnostics import HypothesisReport
 from fracctrl.mittag import MLEvaluationError
 
 TINY = """
@@ -193,6 +194,23 @@ class TestLinearMethod:
                      "--method", "linear"])
         return code, out / name
 
+    def test_one_operator_per_run(self, tiny_cfg, tmp_path, monkeypatch):
+        # the diagnostics and the loop share the run's operator, with its
+        # SVD and Cholesky factor
+        from fracctrl import control
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return assemble_H(*args, **kwargs)
+
+        assemble_H = control.assemble_H
+        monkeypatch.setattr(control, "assemble_H", counted)
+        code, _ = self._run(tmp_path, "tiny", TINY)
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
     def test_gamma_target_mode(self, tmp_path):
         code, rundir = self._run(
             tmp_path, "gamma",
@@ -325,6 +343,22 @@ class TestVerify:
         path = tmp_path / "dead.cfg"
         path.write_text(TINY.replace("gain = 1.0", "gain = 0.0"))
         assert main(["verify", "--config", str(path)]) == EXIT_HYPOTHESIS
+
+    def test_constants_match_run_manifest(self, tmp_path, capsys):
+        # F != 0, so the constants depend on the F_N sample count
+        path = tmp_path / "square.cfg"
+        path.write_text(TINY.replace("f = none", "f = square"))
+        out = tmp_path / "out"
+        main(["run", "--config", str(path), "--out", str(out),
+              "--method", "linear"])
+        manifest = json.loads(
+            (out / "square" / "manifest.json").read_text()
+        )
+        capsys.readouterr()
+        main(["verify", "--config", str(path)])
+        printed = capsys.readouterr().out.strip()
+        hyp = HypothesisReport(**manifest["hypothesis_report"])
+        assert printed == hyp.to_text()
 
 
 class TestSweep:

@@ -421,6 +421,13 @@ class TestPicardSequence:
         with pytest.raises(ValueError):
             picard_sequence(problem)
 
+    def test_rejects_bad_target_mode(self, setup):
+        # a misspelt mode must not run silently as "omega"
+        problem = _example_problem(setup, NonlinearTerm.none())
+        problem.target_mode = "gamma_typo"
+        with pytest.raises(ValueError, match="target_mode"):
+            picard_sequence(problem)
+
     def test_small_target_contracts(self, setup):
         # scaled-down target: successive control increments shrink
         problem = _example_problem(
