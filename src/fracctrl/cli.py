@@ -10,7 +10,6 @@ Exit codes: 0 success/converged, 2 invalid config, 3 non-converged run
 """
 
 import argparse
-import configparser
 import dataclasses
 import hashlib
 import json
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import OUTPUT_ROOT_ENV, ConfigError, load_config
+from .config import OUTPUT_ROOT_ENV, ConfigError, load_config, read_ini
 from .control import GramConditionError, algorithm1, picard_sequence
 from .diagnostics import EnvelopeError, hypothesis_report
 from .domain import restrict, trace
@@ -71,12 +70,10 @@ def _sha256(path):
 def _iteration_lines(report):
     lines = ["# n residual boundary_error cost control_diff"]
     for n in range(report.iterations):
-        diff = (report.control_diffs[n - 1]
-                if 0 < n <= len(report.control_diffs) else float("nan"))
         lines.append(
             f"{n + 1} {report.residuals[n]:.17e} "
             f"{report.boundary_errors[n]:.17e} {report.costs[n]:.17e} "
-            f"{diff:.17e}"
+            f"{report.control_diffs[n]:.17e}"
         )
     return lines
 
@@ -230,8 +227,7 @@ def cmd_verify(args):
 def _sweep_row(args, param, value, outroot):
     """One sweep row: rewrite the config with the override, run isolated."""
     section, _, key = param.partition(".")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cp.read(args.config)
+    cp = read_ini(args.config)
     if not cp.has_section(section):
         cp.add_section(section)
     cp.set(section, key, value)

@@ -4,6 +4,8 @@ A config file resolves to a ControlProblem plus run metadata.  Targets and
 extensions are polynomials given as monomial coefficient lists — a
 space-separated sequence of (i, j, c) triples meaning c * x^i * y^j — so
 both bundled examples are expressed exactly without an expression parser.
+A file key that `load_config` does not read is an error, so a misspelt
+key cannot fall back to a default silently.
 """
 
 import ast
@@ -31,6 +33,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "load_config",
+    "read_ini",
     "parse_poly",
     "eval_poly",
     "bundled_config_path",
@@ -116,43 +119,25 @@ def _parse_floats(text, n, what):
     return vals
 
 
-@dataclass
-class ExperimentConfig:
-    """A fully resolved run description.
-
-    Holds the constructed numerical objects plus the flat key/value view
-    (every default materialized) used by the run manifest.
+@dataclass(kw_only=True)
+class ExperimentConfig(ControlProblem):
+    """A fully resolved run description: the control problem plus the run
+    metadata and the flat key/value view (every default materialized)
+    used by the run manifest.
     """
 
     path: str
-    alpha: float
-    grid: TimeGrid
-    domain: RectDomain
-    basis: object
-    act: Actuator
-    gamma: Region
-    omega_c: Region
-    F: NonlinearTerm
-    zd: np.ndarray
-    d_s: GridPatch
-    y0: Field
-    eps: float
-    lambda_reg: float
-    n_max: int
-    stop_metric: str
-    target_mode: str
     method: str
     seed: int
     resolved: dict = field(default_factory=dict)
 
+    @property
+    def domain(self):
+        return self.basis.domain
+
     def problem(self):
-        return ControlProblem(
-            basis=self.basis, act=self.act, grid=self.grid,
-            alpha=self.alpha, F=self.F, omega_c=self.omega_c,
-            gamma=self.gamma, d_s=self.d_s, zd=self.zd, y0=self.y0,
-            eps=self.eps, lambda_reg=self.lambda_reg, n_max=self.n_max,
-            stop_metric=self.stop_metric, target_mode=self.target_mode,
-        )
+        """The control problem this config describes: the config itself."""
+        return self
 
 
 def _get(cp, path, section, key, required=True):
@@ -172,14 +157,26 @@ def bundled_config_path(name):
     return str(ref)
 
 
-def load_config(path):
-    """Read and resolve an experiment config file."""
+def read_ini(path):
+    """Parse a config file; a file that is missing or that configparser
+    rejects raises a one-line ConfigError."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(path, "-", "-", " ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(path, "-", "-", "file not found or unreadable")
+    return cp
+
+
+def load_config(path):
+    """Read and resolve an experiment config file."""
+    cp = read_ini(path)
+    asked = set()  # every (section, key) read, present in the file or not
 
     def get(section, key, required=True):
+        asked.add((section, cp.optionxform(key)))
         return _get(cp, path, section, key, required)
 
     def get_typed(section, key, cast, required=True):
@@ -373,12 +370,14 @@ def load_config(path):
             path, "loop", "eps/n_max", "eps must be > 0 and n_max >= 1"
         )
     seed = record("run", "seed", get_typed("run", "seed", int))
+    for section in cp.sections():
+        for key in cp.options(section):
+            if (section, key) not in asked:
+                raise ConfigError(path, section, key, "unknown key")
 
     return ExperimentConfig(
-        path=str(path), alpha=alpha, grid=grid, domain=domain, basis=basis,
-        act=act, gamma=gamma, omega_c=omega_c, F=F, zd=zd, d_s=d_s, y0=y0,
-        eps=eps, lambda_reg=lambda_reg, n_max=n_max,
-        stop_metric=stop_metric, target_mode=target_mode, method=method,
-        seed=seed,
-        resolved=resolved,
+        basis=basis, act=act, grid=grid, alpha=alpha, F=F, omega_c=omega_c,
+        gamma=gamma, d_s=d_s, zd=zd, y0=y0, eps=eps, lambda_reg=lambda_reg,
+        n_max=n_max, stop_metric=stop_metric, target_mode=target_mode,
+        path=str(path), method=method, seed=seed, resolved=resolved,
     )

@@ -5,6 +5,12 @@ state on a target region at time T, applies its Tikhonov-regularized
 pseudo-inverse, and runs the two outer iterations that handle the
 nonlinearity: the fixed-point control sequence and the residual-update
 loop.
+
+The pseudo-inverse is the Tikhonov filter form u = V diag(sigma / (sigma^2
++ lambda)) U^T rw in one thin SVD Mw = U diag(sigma) V^T of the weighted
+reachability matrix (Hansen, Rank-Deficient and Discrete Ill-Posed
+Problems, SIAM 1998, sec. 4.2); the diagnostics' gain mu reads the same
+filter.
 """
 
 import math
@@ -44,7 +50,8 @@ CONTROL_NORM_BOUND = 1e8
 
 
 class GramConditionError(RuntimeError):
-    """Gram factorization failed; carries the smallest eigenvalue seen."""
+    """The regularized Gram matrix Mw Mw^T + lambda I is singular; carries
+    its smallest eigenvalue."""
 
     def __init__(self, sigma_min):
         self.sigma_min = sigma_min
@@ -97,44 +104,39 @@ def _target_dofs(basis, target):
 class ControllabilityOperator:
     """Discrete reachability map u -> state on the target region at T.
 
-    M maps per-step control values to target node values; the Gram matrix
-    and pseudo-inverse act in the weighted (discrete L2) inner product of
-    the target subgrid.
+    M maps per-step control values to target node values; the
+    pseudo-inverse acts in the weighted (discrete L2) inner product of the
+    target subgrid, through the thin SVD of Mw = sqrt(weights) M.
     """
 
     M: np.ndarray  # (dofs, K)
     weights: np.ndarray  # (dofs,) quadrature weights of the target nodes
     grid: object
-    target: object
     lambda_reg: float = -1.0  # negative: use the trace-scaled default
-    _chol: object = field(default=None, repr=False)
-    _sigma: object = field(default=None, repr=False)
+    _svd: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.M)):
             raise ValueError("reachability matrix has non-finite entries")
         sw = np.sqrt(self.weights)
         self.Mw = sw[:, None] * self.M
-        self.G = self.Mw @ self.Mw.T
         if self.lambda_reg < 0.0:
-            self.lambda_reg = 1e-8 * np.trace(self.G) / self.G.shape[0]
+            G = self.Mw @ self.Mw.T
+            self.lambda_reg = 1e-8 * np.trace(G) / G.shape[0]
 
-    def _factorization(self):
-        """Lower Cholesky factor of G + lambda_reg I, computed once."""
-        if self._chol is None:
-            A = self.G + self.lambda_reg * np.eye(self.G.shape[0])
-            try:
-                self._chol = np.linalg.cholesky(A)
-            except np.linalg.LinAlgError as exc:
-                sigma = float(np.linalg.eigvalsh(A)[0])
-                raise GramConditionError(sigma) from exc
-        return self._chol
+    def svd(self):
+        """Thin SVD (U, sigma, Vt) of Mw, sigma descending, computed once."""
+        if self._svd is None:
+            self._svd = np.linalg.svd(self.Mw, full_matrices=False)
+        return self._svd
 
-    def _singular_values(self):
-        """Singular values of Mw (descending), computed once."""
-        if self._sigma is None:
-            self._sigma = np.linalg.svd(self.Mw, compute_uv=False)
-        return self._sigma
+    def filter_factors(self):
+        """Tikhonov filter sigma / (sigma^2 + lambda_reg) of each singular
+        value; 0 where sigma is 0, the pseudo-inverse's limit at
+        lambda_reg = 0."""
+        sig = self.svd()[1]
+        return np.divide(sig, sig**2 + self.lambda_reg,
+                         out=np.zeros_like(sig), where=sig > 0.0)
 
     def apply(self, u_values):
         """Forward map: target node values reached from the control."""
@@ -158,7 +160,7 @@ def assemble_H(basis, act, grid, target, alpha, lambda_reg=-1.0):
     C = (b[None, :] * Wd[::-1]).T  # (modes, K); column k uses Wd[K-1-k]
     E, w = _target_dofs(basis, target)
     return ControllabilityOperator(
-        M=E @ C, weights=w, grid=grid, target=target, lambda_reg=lambda_reg
+        M=E @ C, weights=w, grid=grid, lambda_reg=lambda_reg
     )
 
 
@@ -166,19 +168,23 @@ def pinv_apply(H, r):
     """Tikhonov-regularized pseudo-inverse control for a target residual.
 
     Returns the minimizer of |M u - r|^2 (weighted target norm) +
-    lambda_reg |u|^2 in its dual form u = Mw^T (G + lambda I)^(-1) rw.
+    lambda_reg |u|^2, u = V diag(filter) U^T rw.  It is unique when the
+    Gram matrix Mw Mw^T + lambda_reg I is positive definite; its smallest
+    eigenvalue is lambda_reg + sigma_min^2, or lambda_reg alone when the
+    target has more nodes than the control has steps.
     """
     r = np.asarray(r, dtype=float).ravel()
-    if r.size != H.M.shape[0]:
-        raise ValueError(
-            f"residual has {r.size} values, target holds {H.M.shape[0]}"
-        )
+    dofs, K = H.M.shape
+    if r.size != dofs:
+        raise ValueError(f"residual has {r.size} values, target holds {dofs}")
+    U, sig, Vt = H.svd()
+    low = H.lambda_reg + (sig[-1] ** 2 if dofs <= K else 0.0)
+    if low <= 0.0:
+        raise GramConditionError(float(low))
     rw = np.sqrt(H.weights) * r
-    L = H._factorization()
-    # numpy has no triangular solver; the Gram matrix has at most a few
-    # hundred rows, so two general solves cost little
-    dual = np.linalg.solve(L.T, np.linalg.solve(L, rw))
-    return ControlSignal(values=H.Mw.T @ dual, grid=H.grid)
+    return ControlSignal(
+        values=Vt.T @ (H.filter_factors() * (U.T @ rw)), grid=H.grid
+    )
 
 
 def linear_control(H, d_s):
@@ -273,9 +279,9 @@ class ControlProblem:
     def operator(self):
         """The reachability operator, assembled on the first call and
         shared by every later one, so the diagnostics and the outer loop
-        also share its cached SVD and Cholesky factor.  The field holding
-        it is not an init argument, so a problem made by
-        `dataclasses.replace` assembles its own."""
+        also share its cached SVD.  The field holding it is not an init
+        argument, so a problem made by `dataclasses.replace` assembles its
+        own."""
         if self._operator is None:
             self._operator = assemble_H(
                 self.basis, self.act, self.grid, self.target_region(),
@@ -340,11 +346,11 @@ def algorithm1(problem):
             boundary_error(traj, problem.zd, problem.gamma)
         )
         report.costs.append(u.cost())
-        if u_prev is not None:
-            report.control_diffs.append(
-                math.sqrt(float(np.sum((u.values - u_prev.values) ** 2))
-                          * problem.grid.dt)
-            )
+        report.control_diffs.append(
+            math.nan if u_prev is None else
+            math.sqrt(float(np.sum((u.values - u_prev.values) ** 2))
+                      * problem.grid.dt)
+        )
         u_prev = u
 
         if res < best_res:

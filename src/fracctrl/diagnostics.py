@@ -161,15 +161,11 @@ def estimate_A1(basis, grid, alpha, q, rtol=1e-8):
 
 def pinv_gain(H):
     """Operator norm of the regularized pseudo-inverse (the constant mu):
-    max over singular values sigma of sigma / (sigma^2 + lambda_reg)."""
-    sig = H._singular_values()
-    lam = H.lambda_reg
-    if lam <= 0.0:
-        smallest = sig[sig > 0.0]
-        if smallest.size == 0:
-            return math.inf
-        return 1.0 / float(smallest.min())
-    return float(np.max(sig / (sig**2 + lam)))
+    the largest filter factor sigma / (sigma^2 + lambda_reg) that
+    `pinv_apply` applies.  At lambda_reg = 0 that is 1 / (smallest positive
+    sigma), and inf when every sigma is 0."""
+    mu = float(np.max(H.filter_factors()))
+    return mu if mu > 0.0 or H.lambda_reg > 0.0 else math.inf
 
 
 def g_alpha_norm(grid, alpha, s=2.0):
@@ -389,7 +385,7 @@ class GramSpectrum:
 def gram_spectrum(H, tol=1e-8):
     """Singular-value summary of the weighted reachability matrix: the
     discrete proxy for approximate controllability of the linear system."""
-    sig = H._singular_values()
+    sig = H.svd()[1]
     smax = float(sig[0]) if sig.size else 0.0
     smin = float(sig[-1]) if sig.size else 0.0
     rank = int(np.count_nonzero(sig > tol * smax)) if smax > 0.0 else 0

@@ -156,7 +156,8 @@ class TestCriterion3LinearExactness:
         # best achievable residual: the Tikhonov bias
         # lambda (G + lambda I)^{-1} d_w in the weighted target norm
         dw = np.sqrt(H.weights) * manufactured.ravel()
-        A = H.G + 1e-10 * np.eye(H.G.shape[0])
+        G = H.Mw @ H.Mw.T
+        A = G + 1e-10 * np.eye(G.shape[0])
         bias = 1e-10 * np.linalg.norm(np.linalg.solve(A, dw))
         problem.eps = 1e-6 + bias
         u, traj, report = algorithm1(problem)

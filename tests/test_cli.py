@@ -183,6 +183,87 @@ class TestRun:
             ).read_bytes(), name
 
 
+def test_run_factors_the_operator_once(tiny_cfg, tmp_path, monkeypatch):
+    # the diagnostics and every pseudo-inverse read one thin SVD of the
+    # reachability matrix; no other factorization or linear solve runs
+    calls = []
+    for name in ("svd", "cholesky", "solve", "eigvalsh", "eigh", "lstsq",
+                 "inv", "qr"):
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name,
+                    **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    code = main(["run", "--config", tiny_cfg, "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert calls == ["svd"]
+
+
+def test_picard_last_diff_is_the_stopping_one(tiny_cfg, tmp_path,
+                                              monkeypatch):
+    # iterations.dat row n prints control_diffs[n]: for the fixed-point
+    # sequence, the diff that stopped the loop is on the last row
+    from fracctrl import cli
+
+    reports = []
+
+    def recorded(problem):
+        u, traj, report = picard(problem)
+        reports.append(report)
+        return u, traj, report
+
+    picard = cli.picard_sequence
+    monkeypatch.setattr(cli, "picard_sequence", recorded)
+    code = main(["run", "--config", tiny_cfg, "--out", str(tmp_path),
+                 "--method", "picard"])
+    assert code == EXIT_OK
+    (report,) = reports
+    rows = np.loadtxt(tmp_path / "tiny" / "iterations.dat", ndmin=2)
+    assert rows.shape[0] == report.iterations >= 2
+    assert list(rows[:, 4]) == report.control_diffs
+    assert rows[-1, 4] <= 1e-2  # eps of TINY
+
+
+class TestConfigErrors:
+    """A config file that cannot be used exits 2 with one stderr line."""
+
+    def _one_line(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        return err[0]
+
+    def test_unparsable_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY.replace("alpha = 0.5", "alpha 0.5"))
+        line = self._one_line(
+            ["run", "--config", str(path), "--out", str(tmp_path)], capsys
+        )
+        assert "alpha 0.5" in line
+
+    def test_misspelt_key(self, tmp_path, capsys):
+        path = tmp_path / "typo.cfg"
+        path.write_text(TINY.replace("lambda_reg", "lamda_reg"))
+        line = self._one_line(
+            ["run", "--config", str(path), "--out", str(tmp_path)], capsys
+        )
+        assert "[loop] lamda_reg: unknown key" in line
+
+    def test_sweep_param_without_section(self, tiny_cfg, tmp_path, capsys):
+        self._one_line(
+            ["sweep", "--config", tiny_cfg, "--out", str(tmp_path),
+             "--param", "K", "--values", "8,16"], capsys,
+        )
+
+    def test_sweep_unknown_key(self, tiny_cfg, tmp_path, capsys):
+        line = self._one_line(
+            ["sweep", "--config", tiny_cfg, "--out", str(tmp_path),
+             "--param", "domain.k_steps", "--values", "8,16"], capsys,
+        )
+        assert "[domain] k_steps: unknown key" in line
+
+
 class TestLinearMethod:
     """--method linear is one residual-update iteration of algorithm1."""
 
@@ -196,7 +277,7 @@ class TestLinearMethod:
 
     def test_one_operator_per_run(self, tiny_cfg, tmp_path, monkeypatch):
         # the diagnostics and the loop share the run's operator, with its
-        # SVD and Cholesky factor
+        # SVD
         from fracctrl import control
 
         calls = []

@@ -1,15 +1,19 @@
 """Config parsing: polynomial lists, section resolution, error anchoring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fracctrl.config import (
     ConfigError,
+    ExperimentConfig,
     bundled_config_path,
     eval_poly,
     load_config,
     parse_poly,
 )
+from fracctrl.control import ControlProblem
 
 TINY = """
 [problem]
@@ -105,6 +109,29 @@ class TestLoadConfig:
         problem = cfg.problem()
         assert problem.alpha == cfg.alpha
         assert problem.eps == cfg.eps
+
+    def test_config_is_its_problem(self, tmp_path):
+        # ExperimentConfig adds run metadata to ControlProblem and
+        # redeclares none of its fields
+        cfg = load_config(write_cfg(tmp_path))
+        assert isinstance(cfg, ControlProblem)
+        assert cfg.problem() is cfg
+        assert cfg.domain is cfg.basis.domain
+        own = set(vars(ExperimentConfig)["__annotations__"])
+        assert own == {"path", "method", "seed", "resolved"}
+        assert not own & {f.name for f in dataclasses.fields(ControlProblem)}
+
+    def test_unparsable_file(self, tmp_path):
+        text = TINY.replace("alpha = 0.5", "alpha 0.5")
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_cfg(tmp_path, text))
+        assert len(str(exc.value).splitlines()) == 1
+
+    def test_unknown_key(self, tmp_path):
+        text = TINY.replace("lambda_reg", "lamda_reg")
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_cfg(tmp_path, text))
+        assert (exc.value.section, exc.value.key) == ("loop", "lamda_reg")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

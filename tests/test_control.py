@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import fracctrl.control as control
+from fracctrl.config import bundled_config_path, load_config
 from fracctrl.control import (
     ControlProblem,
     ControlSignal,
+    GramConditionError,
     _target_dofs,
     algorithm1,
     assemble_H,
@@ -67,10 +69,9 @@ class TestPinvApply:
         H = assemble_H(basis, act, grid, gamma, 0.3, lambda_reg=1e-4)
         row = H.Mw[:1, :]
         H.Mw = row
-        H.G = row @ row.T
         H.M = H.M[:1, :]
         H.weights = H.weights[:1] * 0 + 1.0
-        H._chol = None
+        H._svd = None
         r = np.array([2.5])
         u = pinv_apply(H, r)
         expect = row[0] * 2.5 / ((row @ row.T).item() + 1e-4)
@@ -120,6 +121,39 @@ class TestPinvApply:
         H = assemble_H(basis, act, grid, omega, 0.3)
         with pytest.raises(ValueError):
             pinv_apply(H, np.ones(3))
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_matches_dual_cholesky_form(self, name):
+        # the SVD filter form against the dual form
+        # u = Mw^T (Mw Mw^T + lambda I)^(-1) rw through a Cholesky factor,
+        # on the bundled examples' operators, for d_s and random residuals
+        problem = load_config(bundled_config_path(f"{name}.cfg")).problem()
+        H = problem.operator()
+        G = H.Mw @ H.Mw.T
+        L = np.linalg.cholesky(G + H.lambda_reg * np.eye(G.shape[0]))
+        rng = np.random.default_rng(3)
+        residuals = [problem.target_values()] + [
+            rng.standard_normal(G.shape[0]) for _ in range(20)
+        ]
+        for r in residuals:
+            rw = np.sqrt(H.weights) * r
+            ref = H.Mw.T @ np.linalg.solve(L.T, np.linalg.solve(L, rw))
+            u = pinv_apply(H, r).values
+            assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_singular_gram_raises(self, setup):
+        # without regularization the Gram matrix of a target with more
+        # nodes than steps is singular; with fewer nodes it is positive
+        # definite (if badly conditioned) and the control is returned
+        _, basis, grid, act, omega, gamma = setup
+        H = assemble_H(basis, act, grid, omega, 0.3, lambda_reg=0.0)
+        assert H.M.shape[0] > grid.K
+        with pytest.raises(GramConditionError) as exc:
+            pinv_apply(H, np.ones(H.M.shape[0]))
+        assert exc.value.sigma_min == 0.0
+        H = assemble_H(basis, act, grid, gamma, 0.3, lambda_reg=0.0)
+        assert H.M.shape[0] < grid.K
+        pinv_apply(H, np.ones(H.M.shape[0]))
 
 
 class TestAssembleH:
@@ -287,7 +321,8 @@ class TestAlgorithm1:
         # the best achievable residual is the regularization bias
         # lambda (G + lambda I)^{-1} d_w, computable in closed form
         dw = np.sqrt(H.weights) * manufactured.ravel()
-        A = H.G + problem.lambda_reg * np.eye(H.G.shape[0])
+        G = H.Mw @ H.Mw.T
+        A = G + problem.lambda_reg * np.eye(G.shape[0])
         bias = problem.lambda_reg * np.linalg.norm(
             np.linalg.solve(A, dw)
         )

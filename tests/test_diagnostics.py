@@ -5,7 +5,7 @@ import pytest
 
 from fracctrl import diagnostics
 from fracctrl.config import bundled_config_path, load_config
-from fracctrl.control import ControlProblem, assemble_H
+from fracctrl.control import ControlProblem, assemble_H, pinv_apply
 from fracctrl.diagnostics import (
     EnvelopeError,
     FNTable,
@@ -454,14 +454,15 @@ class TestPinvGain:
         assert pinv_gain(H) == pytest.approx(expect, rel=1e-12)
 
     def test_one_svd_per_operator(self, setup, monkeypatch):
-        # gram_spectrum and pinv_gain share the operator's singular values
+        # gram_spectrum, pinv_gain and pinv_apply share the operator's
+        # thin SVD
         _, basis, grid = setup
         act = Actuator.zonal(0.0, 0.2, 0.2, 0.4)
         H = assemble_H(
             basis, act, grid, Region.interior(0.0, 0.3, 0.0, 0.1), 0.3,
             lambda_reg=1e-6,
         )
-        sig = np.linalg.svd(H.Mw, compute_uv=False)
+        sig = np.linalg.svd(H.Mw, full_matrices=False)[1]
         svd, calls = np.linalg.svd, []
 
         def counted(*args, **kwargs):
@@ -471,6 +472,7 @@ class TestPinvGain:
         monkeypatch.setattr(np.linalg, "svd", counted)
         spec = gram_spectrum(H)
         gain = pinv_gain(H)
+        pinv_apply(H, np.ones(H.M.shape[0]))
         assert gram_spectrum(H) == spec
         assert len(calls) == 1
         assert (spec.sigma_max, spec.sigma_min) == (sig[0], sig[-1])
