@@ -50,14 +50,16 @@ CONTROL_NORM_BOUND = 1e8
 
 
 class GramConditionError(RuntimeError):
-    """The regularized Gram matrix Mw Mw^T + lambda I is singular; carries
-    its smallest eigenvalue."""
+    """The regularized Gram matrix Mw Mw^T + lambda I is singular to
+    working precision; carries its smallest eigenvalue and the rounding
+    floor that eigenvalue did not clear."""
 
-    def __init__(self, sigma_min):
+    def __init__(self, sigma_min, floor):
         self.sigma_min = sigma_min
+        self.floor = floor
         super().__init__(
-            f"regularized Gram matrix is not positive definite "
-            f"(smallest eigenvalue {sigma_min:.3e})"
+            f"regularized Gram matrix is numerically singular (smallest "
+            f"eigenvalue {sigma_min:.3e}, rounding floor {floor:.3e})"
         )
 
 
@@ -171,7 +173,9 @@ def pinv_apply(H, r):
     lambda_reg |u|^2, u = V diag(filter) U^T rw.  It is unique when the
     Gram matrix Mw Mw^T + lambda_reg I is positive definite; its smallest
     eigenvalue is lambda_reg + sigma_min^2, or lambda_reg alone when the
-    target has more nodes than the control has steps.
+    target has more nodes than the control has steps.  Singular values
+    below max(dofs, K) eps sigma_max are rounding noise, so that
+    eigenvalue must exceed the square of this floor.
     """
     r = np.asarray(r, dtype=float).ravel()
     dofs, K = H.M.shape
@@ -179,8 +183,9 @@ def pinv_apply(H, r):
         raise ValueError(f"residual has {r.size} values, target holds {dofs}")
     U, sig, Vt = H.svd()
     low = H.lambda_reg + (sig[-1] ** 2 if dofs <= K else 0.0)
-    if low <= 0.0:
-        raise GramConditionError(float(low))
+    floor = (max(dofs, K) * np.finfo(float).eps * sig[0]) ** 2
+    if low <= floor:
+        raise GramConditionError(float(low), float(floor))
     rw = np.sqrt(H.weights) * r
     return ControlSignal(
         values=Vt.T @ (H.filter_factors() * (U.T @ rw)), grid=H.grid

@@ -10,11 +10,20 @@ is the same for every order alpha in (0, 1], alpha = 1 included.  The
 solver builds each of its kernel tables with one `ml` call over the whole
 (time node x distinct eigenvalue) array.
 
+Both sums stop where each element's own terms allow.  The series stops
+at the first term below 1e-16 of the sum; the expansion stops at the
+first window of terms bounded below rounding of its leading term, a
+point read from |z| alone, so at large |z| it sums a handful of terms.
+The Gamma coefficients of both are formed once per `ml` call.  An
+element's value therefore depends only on (alpha, beta, z), never on
+the array or chunk it is evaluated in.
+
 The scalar reference evaluation the tests compare against lives in the
 test suite (`tests/ml_oracle.py`).
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +39,11 @@ __all__ = [
 _SERIES_CUTOFF = 5.0
 _SERIES_MAX_TERMS = 400
 _ASYMPTOTIC_MAX_TERMS = 60
-# leading asymptotic terms whose powers keep the negative base
-_ASYMPTOTIC_EXACT_POWERS = 8
+# The expansion is cut before its first window of three terms that is
+# bounded below this fraction of the leading term, where the rest no
+# longer moves the sum beyond rounding (measured against the sum of all
+# 59 terms: at most 6.7e-16 relative).
+_EXPANSION_TAIL = np.finfo(float).eps / 8
 _REL_TOL = 1e-11
 # Rounding error of a Taylor sum per unit of its summed term magnitudes
 # (against mpmath on a grid of alpha, beta and z the true error stayed
@@ -39,10 +51,12 @@ _REL_TOL = 1e-11
 # to 1, not to the value, and passes sums that lose ~1e-9 relative where
 # E is small.
 _SERIES_ROUNDING = 2.0 * np.finfo(float).eps
-# Elements per vectorised pass.  It bounds the series' (elements x terms)
-# work arrays, several of which are alive at once, to 512 x 400 floats
-# (1.6 MB) each whatever the caller passes; the kernel tables pass a whole
-# table.  Each element's value does not depend on the chunk it falls in.
+# Elements per vectorised pass.  It bounds the (elements x terms) work
+# arrays of the sums, several of which are alive at once, to 512 x 400
+# floats (1.6 MB) each whatever the caller passes; the kernel tables pass
+# a whole table.  A chunk forms as many terms as its most demanding
+# element needs, but each element's value does not depend on the chunk
+# it falls in.
 _CHUNK = 512
 
 
@@ -102,7 +116,57 @@ def _log_gamma(x):
             + tail / y - shift)
 
 
-def _series_vec(alpha, beta, z):
+class _Coefficients:
+    """Reciprocal Gamma coefficients of one order pair (alpha, beta).
+
+    `_rgamma` loops in Python, so `ml` forms them once per call and its
+    chunks share them: the series' 1/Gamma(beta + alpha k), as far as the
+    longest chunk sum needs, and the expansion's coefficients with the
+    bounds of its truncation rule.
+    """
+
+    def __init__(self, alpha, beta):
+        self.alpha = alpha
+        self.beta = beta
+        self._series = np.empty(0)
+
+    def series(self, n):
+        """1/Gamma(beta + alpha k) for k = 1, ..., n."""
+        if n > self._series.size:
+            ks = np.arange(1, n + 1)
+            self._series = _rgamma(self.beta + self.alpha * ks)
+        return self._series[:n]
+
+    @cached_property
+    def expansion(self):
+        """(c, bounds) of the expansion for z -> -inf.
+
+        Term i (i = 0, ..., 58) is -(1/z)^k / Gamma(beta - alpha k) =
+        c[i] |1/z|^k with k = i + 1.  Past the leading (first non-zero)
+        term i0, term i is below `_EXPANSION_TAIL` / 3 of the leading one
+        once |z|^(i - i0) >= 3 |c[i]| / (_EXPANSION_TAIL |c[i0]|), and
+        window j (terms j, j + 1, j + 2; j > i0) once |z| reaches the
+        largest of its three such values.  bounds[j] is the least of
+        those over windows 0..j, so the first bounded window of an
+        element is the number of bounds above its |z|, a number that
+        never grows with |z|.
+        """
+        ks = np.arange(1, _ASYMPTOTIC_MAX_TERMS)
+        g = _rgamma(self.beta - self.alpha * ks)
+        # -(1/z)^k = (-1)^(k+1) |1/z|^k for z < 0
+        c = np.where(ks % 2 == 1, g, -g)
+        mags = np.abs(g)
+        reach = np.full(ks.size, np.inf)
+        lead = np.flatnonzero(mags)
+        if lead.size:
+            i0 = lead[0]
+            ratio = 3.0 * mags[i0 + 1 :] / (_EXPANSION_TAIL * mags[i0])
+            reach[i0 + 1 :] = ratio ** (1.0 / np.arange(1, ks.size - i0))
+        window = np.maximum(np.maximum(reach[:-2], reach[1:-1]), reach[2:])
+        return c, np.minimum.accumulate(window)
+
+
+def _series_vec(alpha, beta, z, coef):
     """Taylor sum for a 1-D z; returns (values, rounding_error_estimates).
 
     The sums run over k < n, where n is the first index at which even the
@@ -120,7 +184,7 @@ def _series_vec(alpha, beta, z):
               and k * log_zmax - math.lgamma(a) <= math.log(1e-16) - 1.0),
              ks.size)
     zk = np.cumprod(np.broadcast_to(z[:, None], (z.size, n)), axis=1)
-    terms = zk * _rgamma(args[:n])
+    terms = zk * coef.series(n)
     head = np.full((z.size, 1), _rgamma(beta))
     terms = np.hstack([head, terms])
     totals = np.cumsum(terms, axis=1)[:, 1:]
@@ -135,36 +199,38 @@ def _series_vec(alpha, beta, z):
     return totals[at], _SERIES_ROUNDING * mags[at]
 
 
-def _asymptotic_vec(alpha, beta, z):
+def _asymptotic_vec(alpha, beta, z, coef):
     """Algebraic expansion for a 1-D array of z < 0, z -> -inf; returns
     (values, error_estimates).
 
-    Where numpy vectorises `power` (AVX-512 builds), a negative base
-    still takes a scalar path about 40x slower.  Only the leading powers,
-    which seed the pairwise sum, are formed that way; the rest are
-    |1/z|^k with the parity sign.  The two agree to within an ulp per
-    term, and with the leading terms kept the sums on the bundled
-    examples' kernel tables are bit-identical to the term-by-term scalar
-    reference (checked by the test suite).
+    The terms are c_k |1/z|^k, k < 60 (`_Coefficients.expansion`).  Each
+    element is cut where its own |z| says: before the first window of
+    three neighbour terms that is bounded below `_EXPANSION_TAIL` of the
+    leading term, or, if no window is, before the window of least sum.
+    Its value sums the terms before the cut and its error estimate is the
+    window at the cut.  The bounds fall as |z| grows, so the smallest |z|
+    of the array needs the most terms and the array forms only those; no
+    element's value depends on the others in its array.
     """
-    ks = np.arange(1, _ASYMPTOTIC_MAX_TERMS)
-    powers = np.where(ks % 2 == 1, -1.0, 1.0) * (-1.0 / z[:, None]) ** ks
-    lead = _ASYMPTOTIC_EXACT_POWERS
-    powers[:, :lead] = (1.0 / z[:, None]) ** ks[:lead]
-    terms = -powers * _rgamma(beta - alpha * ks)
+    c, bounds = coef.expansion
+    # cut = number of windows whose bound exceeds |z|
+    cut = np.searchsorted(-bounds, z)
+    ks = np.arange(1, min(int(cut.max()) + 3, c.size) + 1)
+    terms = (-1.0 / z[:, None]) ** ks * c[: ks.size]
     mags = np.abs(terms)
-    # Individual terms can vanish at gamma poles without the remainder
-    # being small, so the truncation point minimizes a window of
-    # neighbor terms.
     window = mags[:, :-2] + mags[:, 1:-1] + mags[:, 2:]
-    cut = np.argmin(window, axis=1) + 1
+    # Individual terms can vanish at gamma poles without the remainder
+    # being small, so an element with no bounded window is cut at the
+    # minimizing window over all terms.
+    unbounded = cut == bounds.size
+    cut[unbounded] = np.argmin(window[unbounded], axis=1)
     total = np.empty(z.size)
-    for c in np.unique(cut):
+    for j in np.unique(cut):
         # one row-wise sum per truncation length keeps each row's
         # summation order that of a 1-D np.sum over its kept terms
-        rows = cut == c
-        total[rows] = terms[rows, : c - 1].sum(axis=1)
-    err = window[np.arange(z.size), cut - 1]
+        rows = cut == j
+        total[rows] = terms[rows, :j].sum(axis=1)
+    err = window[np.arange(z.size), cut]
     if alpha >= 2.0 / 3.0:
         # For alpha >= 2/3 the negative axis also carries an exponentially
         # small oscillatory saddle contribution from the conjugate branch
@@ -239,7 +305,7 @@ def _accepted(value, err):
     return err <= _REL_TOL * np.maximum(np.abs(value), 1e-300)
 
 
-def _ml_vec(alpha, beta, z):
+def _ml_vec(alpha, beta, z, coef):
     """Evaluate a 1-D array: z = 0, then series, asymptotic, contour,
     each on the elements no earlier branch accepted."""
     out = np.empty(z.size)
@@ -248,7 +314,7 @@ def _ml_vec(alpha, beta, z):
     idx = np.flatnonzero(~zero)
     series = np.flatnonzero(_series_safe(alpha, beta, z[idx]))
     if series.size:
-        value, err = _series_vec(alpha, beta, z[idx[series]])
+        value, err = _series_vec(alpha, beta, z[idx[series]], coef)
         ok = _accepted(value, err)
         out[idx[series[ok]]] = value[ok]
         idx = np.delete(idx, series[ok])
@@ -258,7 +324,7 @@ def _ml_vec(alpha, beta, z):
                                 "positive arguments supported only near 0")
     if idx.size == 0:
         return out
-    value, err = _asymptotic_vec(alpha, beta, z[idx])
+    value, err = _asymptotic_vec(alpha, beta, z[idx], coef)
     ok = _accepted(value, err)
     out[idx[ok]] = value[ok]
     idx = idx[~ok]
@@ -290,8 +356,10 @@ def ml(alpha, beta, z):
     # evaluated once
     flat, inverse = np.unique(z.ravel(), return_inverse=True)
     out = np.empty(flat.size)
+    coef = _Coefficients(alpha, beta)
     for lo in range(0, flat.size, _CHUNK):
-        out[lo : lo + _CHUNK] = _ml_vec(alpha, beta, flat[lo : lo + _CHUNK])
+        out[lo : lo + _CHUNK] = _ml_vec(alpha, beta, flat[lo : lo + _CHUNK],
+                                        coef)
     if z.ndim == 0:
         return float(out[0])
     return out[inverse].reshape(z.shape)

@@ -74,6 +74,35 @@ def _ml_asymptotic(alpha, beta, z):
     return total, best_err
 
 
+def _asymptotic_59(alpha, beta, z):
+    """The array expansion `ml` used before its per-element truncation,
+    kept as the reference the new one is bounded against: every element
+    forms all 59 terms (the first 8 powers from the negative base 1/z)
+    and is cut at the window of least sum.  Returns (values,
+    error_estimates) for a 1-D array of z < 0."""
+    ks = np.arange(1, _ASYMPTOTIC_MAX_TERMS)
+    powers = np.where(ks % 2 == 1, -1.0, 1.0) * (-1.0 / z[:, None]) ** ks
+    powers[:, :8] = (1.0 / z[:, None]) ** ks[:8]
+    terms = -powers * rgamma(beta - alpha * ks)
+    mags = np.abs(terms)
+    window = mags[:, :-2] + mags[:, 1:-1] + mags[:, 2:]
+    cut = np.argmin(window, axis=1) + 1
+    total = np.empty(z.size)
+    for c in np.unique(cut):
+        rows = cut == c
+        total[rows] = terms[rows, : c - 1].sum(axis=1)
+    err = window[np.arange(z.size), cut - 1]
+    if alpha >= 2.0 / 3.0:
+        w = np.abs(z) ** (1.0 / alpha)
+        phi = math.pi / alpha
+        envelope = (1.0 / alpha) * w ** (1.0 - beta) * np.exp(
+            w * math.cos(phi)
+        )
+        total += envelope * np.cos(w * math.sin(phi) + phi * (1.0 - beta))
+        err += envelope * (np.minimum(1.0, 2.0 * (1.0 - alpha) * w) + 1e-12)
+    return total, err
+
+
 def _ml_integral(alpha, beta, z):
     """Spectral-function integral for 0 < alpha < 1, z < 0.
 

@@ -144,7 +144,9 @@ class TestPinvApply:
     def test_singular_gram_raises(self, setup):
         # without regularization the Gram matrix of a target with more
         # nodes than steps is singular; with fewer nodes it is positive
-        # definite (if badly conditioned) and the control is returned
+        # definite in exact arithmetic, but its smallest singular values
+        # lie below the rounding floor max(dofs, K) eps sigma_max and the
+        # control they would give (|u| ~ 1e16) is meaningless
         _, basis, grid, act, omega, gamma = setup
         H = assemble_H(basis, act, grid, omega, 0.3, lambda_reg=0.0)
         assert H.M.shape[0] > grid.K
@@ -153,7 +155,9 @@ class TestPinvApply:
         assert exc.value.sigma_min == 0.0
         H = assemble_H(basis, act, grid, gamma, 0.3, lambda_reg=0.0)
         assert H.M.shape[0] < grid.K
-        pinv_apply(H, np.ones(H.M.shape[0]))
+        with pytest.raises(GramConditionError) as exc:
+            pinv_apply(H, np.ones(H.M.shape[0]))
+        assert 0.0 < exc.value.sigma_min <= exc.value.floor
 
 
 class TestAssembleH:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma, gammaln, rgamma
 
 from fracctrl import mittag
+from fracctrl.config import bundled_config_path, load_config
 from fracctrl.domain import RectDomain, build_basis
 from fracctrl.mittag import (
     MLEvaluationError,
@@ -19,7 +20,7 @@ from fracctrl.mittag import (
     ml,
 )
 from fracctrl.solver import TimeGrid, _kernel_tables
-from ml_oracle import _ml_scalar
+from ml_oracle import _asymptotic_59, _ml_scalar
 
 # High-precision reference values, frozen from a 40+ digit pre-build run
 # (direct extended-precision series, cross-checked against Talbot inversion
@@ -290,6 +291,26 @@ class TestArrayEvaluator:
         for i in picks:
             assert values[i] == ml(0.3, 1.0, z[i])
 
+    def test_every_element_independent_of_its_chunk(self, branch_log):
+        # arrays one short of a chunk, one over and several chunks long,
+        # in shuffled order, each element against its own scalar call
+        C = mittag._CHUNK
+        z = -np.geomspace(1e-3, 1e4, 3 * C + 7)
+        rng = np.random.default_rng(11)
+        picks = [rng.choice(z.size, n, replace=False)
+                 for n in (C - 1, C + 1, z.size)]
+        reached = {}
+        for alpha, beta in ORDERS:
+            scalar = np.array([ml(alpha, beta, v) for v in z])
+            for name, zs in branch_log.items():
+                if zs:
+                    reached.setdefault(name, set()).add(alpha)
+                zs.clear()
+            for idx in picks:
+                assert np.array_equal(ml(alpha, beta, z[idx]), scalar[idx])
+        for name in ("series", "asymptotic", "contour"):
+            assert reached.get(name, set()) >= {0.3, 0.6, 0.9, 1.0}, name
+
     def test_unaccepted_element_raises_with_its_z(self):
         with pytest.raises(MLEvaluationError) as err:
             ml(0.5, 1.0, np.array([-1.0, 80.0, -2.0]))
@@ -317,6 +338,51 @@ class TestArrayEvaluator:
             h_symbol(np.array([1.0, -1.0]), 0.5, 0.4)
         with pytest.raises(ValueError):
             h_symbol(1.0, np.array([0.5, -0.1]), 0.4)
+
+
+def _kernel_table_arguments():
+    """(alpha, z) of the kernel tables of examples 1 and 2 and of example
+    2 scaled to K = 240 and 30 x 30 modes (the `scaled-synth` benchmark)."""
+    out = []
+    for name, scale in (("example1", None), ("example2", None),
+                        ("example2", (240, 30))):
+        problem = load_config(bundled_config_path(f"{name}.cfg")).problem()
+        basis, grid = problem.basis, problem.grid
+        if scale:
+            grid = TimeGrid(grid.T, scale[0])
+            basis = build_basis(basis.domain, scale[1], scale[1])
+        ta = np.array([t**problem.alpha for t in grid.nodes.tolist()])
+        z = -np.outer(ta, np.unique(basis.eigenvalues))
+        out.append((problem.alpha, np.unique(z)))
+    return out
+
+
+class TestExpansionTruncation:
+    """The asymptotic branch, cut per element, against the 59-term
+    expansion it replaced (`ml_oracle._asymptotic_59`), on |z| >= 1:
+    `ml` takes the branch only where the series did not settle."""
+
+    @staticmethod
+    def _compare(alpha, beta, z):
+        z = z[z <= -1.0]
+        coef = mittag._Coefficients(alpha, beta)
+        for part in np.array_split(z, -(-z.size // mittag._CHUNK)):
+            value, err = mittag._asymptotic_vec(alpha, beta, part, coef)
+            ref, ref_err = _asymptotic_59(alpha, beta, part)
+            kept = mittag._accepted(ref, ref_err)
+            assert np.all(mittag._accepted(value, err)[kept])
+            # measured: at most 6.7e-16
+            assert np.all(np.abs(value - ref)[kept]
+                          <= 1e-15 * np.abs(ref[kept]))
+
+    @pytest.mark.parametrize("alpha,beta", ORDERS)
+    def test_z_grid(self, alpha, beta):
+        self._compare(alpha, beta, Z_GRID)
+
+    def test_kernel_tables(self):
+        for alpha, z in _kernel_table_arguments():
+            for beta in (1.0, alpha + 1.0):
+                self._compare(alpha, beta, z)
 
 
 def _gamma_arguments():

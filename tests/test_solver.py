@@ -352,10 +352,13 @@ def _scalar_kernel_tables(basis, grid, alpha):
 
 class TestKernelTableStability:
     """The array-built tables against the scalar build.  Example 1 never
-    reaches the middle range, so it must match bit for bit; example 2
-    takes a few modes through the contour instead of the spectral
-    integral.  Wd = W[k+1] - W[k] cancels where a step adds little, so
-    its deviation is bounded relative to the W entries it comes from."""
+    reaches the middle range, so it differs only where the array
+    expansion sums fewer terms, or in another order, than the scalar
+    one's 59 (measured: 4.4e-16 relative in E1, 7.9e-16 of the W scale
+    in Wd); example 2 takes a few modes through the contour instead of
+    the spectral integral.  Wd = W[k+1] - W[k] cancels where a step adds
+    little, so its deviation is bounded relative to the W entries it
+    comes from."""
 
     @staticmethod
     def _tables(name):
@@ -363,10 +366,11 @@ class TestKernelTableStability:
         args = (problem.basis, problem.grid, problem.alpha)
         return _kernel_tables(*args), _scalar_kernel_tables(*args)
 
-    def test_example1_bit_identical(self):
-        (E1, Wd), (E1s, Wds, _) = self._tables("example1")
-        assert np.array_equal(E1, E1s)
-        assert np.array_equal(Wd, Wds)
+    def test_example1_within_rel_1e15(self):
+        (E1, Wd), (E1s, Wds, W) = self._tables("example1")
+        np.testing.assert_allclose(E1, E1s, rtol=1e-15, atol=0.0)
+        scale = np.maximum(np.abs(W[:-1]), np.abs(W[1:]))
+        assert np.all(np.abs(Wd - Wds) <= 1e-15 * scale)
 
     def test_example2_within_rel_1e12(self):
         (E1, Wd), (E1s, Wds, W) = self._tables("example2")
