@@ -345,6 +345,10 @@ def load_config(path):
     lambda_reg = record(
         "loop", "lambda_reg", get_typed("loop", "lambda_reg", float)
     )
+    # a negative value marks the trace-scaled default, which only an
+    # omitted key selects
+    if cp.has_option("loop", "lambda_reg") and not lambda_reg >= 0.0:
+        raise ConfigError(path, "loop", "lambda_reg", "must be >= 0")
     n_max = record("loop", "n_max", get_typed("loop", "n_max", int))
     stop_metric = record(
         "loop", "stop_metric", get("loop", "stop_metric")

@@ -168,8 +168,8 @@ def pinv_gain(H):
     return mu if mu > 0.0 or H.lambda_reg > 0.0 else math.inf
 
 
-def g_alpha_norm(grid, alpha, s=2.0):
-    """Discrete L^s norm of the scalar kernel g_alpha(t) = t^(alpha-1) /
+def g_alpha_norm(grid, alpha):
+    """Discrete L2 norm of the scalar kernel g_alpha(t) = t^(alpha-1) /
     Gamma(alpha) on the run's time grid (midpoint rule).
 
     For alpha <= 1/2 the continuum L2 norm diverges at t = 0, so the value
@@ -180,7 +180,7 @@ def g_alpha_norm(grid, alpha, s=2.0):
     dt = grid.dt
     mids = (np.arange(grid.K) + 0.5) * dt
     g = mids ** (alpha - 1.0) / math.gamma(alpha)
-    return float(np.sum(dt * g**s) ** (1.0 / s))
+    return float(np.sum(dt * g**2) ** 0.5)
 
 
 @dataclass(frozen=True)
@@ -189,18 +189,12 @@ class FNTable:
 
     values[i, j] is a randomized lower bound on
     sup { |F(z) - F(y)| / |z - y| : |z| <= radii[i], |y| <= radii[j] }
-    in the discrete L2 norm; bound holds the quadratic-growth estimate
-    c_emb * c_diff * (r_i + r_j) when F is a square nonlinearity, where
-    c_emb and c_diff are the largest L4/L2 ratios seen over the sampled
-    fields and over the sampled difference directions respectively.
+    in the discrete L2 norm.
     """
 
     radii: np.ndarray
     values: np.ndarray
     kind: str
-    c_emb: float = 0.0
-    c_diff: float = 0.0
-    bound: np.ndarray = None
 
     def fn_zero(self, i):
         """F_N(radii[i], 0), the modulus against the zero state."""
@@ -222,10 +216,7 @@ def estimate_FN(F, radii, basis, n_samples=FN_SAMPLES, seed=0):
         raise ValueError("radii must be strictly increasing")
     n = radii.size
     if F.is_zero:
-        return FNTable(
-            radii=radii, values=np.zeros((n, n)), kind="none",
-            bound=np.zeros((n, n)),
-        )
+        return FNTable(radii=radii, values=np.zeros((n, n)), kind="none")
 
     domain = basis.domain
     wx, wy = domain.quad_weights()
@@ -264,7 +255,7 @@ def estimate_FN(F, radii, basis, n_samples=FN_SAMPLES, seed=0):
     sq1, sqe, cross = v1 * v1, e * e, v1 * e
     p = F.power
     moments = {}
-    for q in {2, 4, 2 * p}:
+    for q in {2, 2 * p}:
         for k in range(q + 1):
             j = min(k, q - k)
             ops = ([cross] * j + [sq1] * ((k - j) // 2)
@@ -280,10 +271,7 @@ def estimate_FN(F, radii, basis, n_samples=FN_SAMPLES, seed=0):
             for k in range(d + 1) for l in range(d + 1)
         )
 
-    # discrete L2 -> L4 embedding constant
-    c_emb = float(np.max(moments[4, 0] ** 0.25))
     values = np.zeros((n, n))
-    c_diff = 0.0
     for i, r1 in enumerate(radii):
         for j, r2 in enumerate(radii):
             a, b = r1 * s1, r2 * s2
@@ -295,10 +283,6 @@ def estimate_FN(F, radii, basis, n_samples=FN_SAMPLES, seed=0):
             a, b, sg, lin, dnorm = (
                 x[keep] for x in (a, b, sig, lin, dnorm)
             )
-            # |z - y|_4^2 is the L2 norm of (lin v1 - b e)^2
-            c_diff = max(c_diff, float(np.max(
-                sqnorm([lin**2, -2.0 * lin * b, b**2]) ** 0.25 / dnorm
-            )))
             # F(z) - F(y) = c (a^p v1^p - b^p (sg v1 + e)^p); the v1^p
             # coefficient a^p - (sg b)^p is factored through lin
             form = [lin * sum(a ** (p - 1 - m) * (sg * b) ** m
@@ -307,15 +291,7 @@ def estimate_FN(F, radii, basis, n_samples=FN_SAMPLES, seed=0):
                      for k in range(1, p + 1)]
             df = abs(F.coeff) * np.sqrt(sqnorm(form))
             values[i, j] = float(np.max(df / dnorm))
-    bound = None
-    if F.kind == "power" and F.power == 2:
-        # |z^2 - y^2|_2 <= |z + y|_4 |z - y|_4 <= c_emb (r1 + r2)
-        # * c_diff |z - y|_2 over the sampled fields and differences
-        bound = abs(F.coeff) * c_emb * c_diff * np.add.outer(radii, radii)
-    return FNTable(
-        radii=radii, values=values, kind=F.kind, c_emb=c_emb,
-        c_diff=c_diff, bound=bound,
-    )
+    return FNTable(radii=radii, values=values, kind=F.kind)
 
 
 @dataclass(frozen=True)

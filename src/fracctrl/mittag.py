@@ -3,20 +3,24 @@
 Two-parameter Mittag-Leffler evaluation on the real axis and the
 mode-wise symbol of the initial-data propagator.  `ml` and `h_symbol`
 take scalars or arrays: each element is routed by a mask to the Taylor
-series (small |z|, kept where its rounding estimate passes), the
-algebraic asymptotic expansion (large |z|) or a Talbot contour inversion
-(the rest), and every branch runs as whole-array numpy code.  The route
-is the same for every order alpha in (0, 1], alpha = 1 included.  The
-solver builds each of its kernel tables with one `ml` call over the whole
-(time node x distinct eigenvalue) array.
+series (|z| up to a reach read from the series' own Gamma table, kept
+where its rounding estimate passes), the algebraic asymptotic expansion
+(large |z|) or a Talbot contour inversion (the rest), and every branch
+runs as whole-array numpy code.  The route is the same for every order
+alpha in (0, 1], alpha = 1 included.  The solver builds each of its
+kernel tables with one `ml` call over the whole (time node x distinct
+eigenvalue) array.
 
 Both sums stop where each element's own terms allow.  The series stops
 at the first term below 1e-16 of the sum; the expansion stops at the
 first window of terms bounded below rounding of its leading term, a
 point read from |z| alone, so at large |z| it sums a handful of terms.
-The Gamma coefficients of both are formed once per `ml` call.  An
-element's value therefore depends only on (alpha, beta, z), never on
-the array or chunk it is evaluated in.
+The Gamma coefficients of both are formed once per `ml` call, and the
+series' reach and each chunk's sum length are read from the same table
+as its terms (a-priori truncation as in Gorenflo, Loutchko & Luchko,
+Fract. Calc. Appl. Anal. 5(4), 2002).  An element's value therefore
+depends only on (alpha, beta, z), never on the array or chunk it is
+evaluated in.
 
 The scalar reference evaluation the tests compare against lives in the
 test suite (`tests/ml_oracle.py`).
@@ -34,10 +38,15 @@ __all__ = [
     "h_symbol",
 ]
 
-# Taylor series is accurate and cheap up to here; beyond it cancellation
-# forces the asymptotic/contour branches.
+# The Taylor series serves |z| up to a reach read from the Gamma table of
+# its terms (`_Coefficients.series_reach`): no term above e^9.2, so
+# cancellation costs at most that factor relative to 1, and the stopping
+# test met within the 399 terms.  The reach never exceeds this cutoff.
 _SERIES_CUTOFF = 5.0
 _SERIES_MAX_TERMS = 400
+# log of the a-priori stopping bound on a series term: 1e-16 with a
+# factor-e margin
+_SERIES_STOP = math.log(1e-16) - 1.0
 _ASYMPTOTIC_MAX_TERMS = 60
 # The expansion is cut before its first window of three terms that is
 # bounded below this fraction of the leading term, where the rest no
@@ -47,9 +56,8 @@ _EXPANSION_TAIL = np.finfo(float).eps / 8
 _REL_TOL = 1e-11
 # Rounding error of a Taylor sum per unit of its summed term magnitudes
 # (against mpmath on a grid of alpha, beta and z the true error stayed
-# below this).  The a-priori `_series_safe` test bounds the loss relative
-# to 1, not to the value, and passes sums that lose ~1e-9 relative where
-# E is small.
+# below this).  The series reach bounds the loss relative to 1, not to
+# the value, and admits sums that lose ~1e-9 relative where E is small.
 _SERIES_ROUNDING = 2.0 * np.finfo(float).eps
 # Elements per vectorised pass.  It bounds the (elements x terms) work
 # arrays of the sums, several of which are alive at once, to 512 x 400
@@ -100,42 +108,40 @@ def _rgamma(x):
     return np.array(values).reshape(np.shape(x))
 
 
-def _log_gamma(x):
-    """log Gamma(x) for an array of x >= 1, elementwise in numpy.
-
-    Stirling's series at x + 8, taken back to x by the recurrence
-    Gamma(x + 8) = x (x + 1) ... (x + 7) Gamma(x); the truncation error
-    is below 1e-13.  It serves `_series_safe`, whose arguments come from
-    z, so `_rgamma`'s Python loop is not used there.
-    """
-    y = x + 8.0
-    r = 1.0 / (y * y)
-    tail = (1/12 + r * (-1/360 + r * (1/1260 + r * (-1/1680 + r / 1188))))
-    shift = np.log(x[..., None] + np.arange(8.0)).sum(axis=-1)
-    return ((y - 0.5) * np.log(y) - y + 0.5 * math.log(2.0 * math.pi)
-            + tail / y - shift)
-
-
 class _Coefficients:
-    """Reciprocal Gamma coefficients of one order pair (alpha, beta).
+    """Gamma coefficients of one order pair (alpha, beta).
 
-    `_rgamma` loops in Python, so `ml` forms them once per call and its
-    chunks share them: the series' 1/Gamma(beta + alpha k), as far as the
-    longest chunk sum needs, and the expansion's coefficients with the
-    bounds of its truncation rule.
+    `_rgamma` and `math.lgamma` loop in Python, so `ml` forms them once
+    per call and its chunks share them: the series' 1/Gamma(beta + alpha k)
+    and log Gamma(beta + alpha k) for k = 1, ..., 399, with the series
+    reach and sum lengths read from them, and the expansion's coefficients
+    with the bounds of its truncation rule.
     """
 
     def __init__(self, alpha, beta):
         self.alpha = alpha
         self.beta = beta
-        self._series = np.empty(0)
+        self.ks = np.arange(1, _SERIES_MAX_TERMS)
+        args = beta + alpha * self.ks
+        self.series = _rgamma(args)
+        self.log_gamma = np.array([math.lgamma(a) for a in args.tolist()])
+        # a sum may stop at term k only once beta + alpha k > 1.5
+        self.stoppable = args > 1.5
+        # log|term k| = k log|z| - log_gamma[k]: the largest |z| at which
+        # no term exceeds e^9.2, and at which some stoppable term is below
+        # the stopping bound
+        peak = np.min((9.2 + self.log_gamma) / self.ks)
+        stop = np.max(((_SERIES_STOP + self.log_gamma) / self.ks)
+                      [self.stoppable], initial=-np.inf)
+        self.series_reach = min(math.exp(min(peak, stop)), _SERIES_CUTOFF)
 
-    def series(self, n):
-        """1/Gamma(beta + alpha k) for k = 1, ..., n."""
-        if n > self._series.size:
-            ks = np.arange(1, n + 1)
-            self._series = _rgamma(self.beta + self.alpha * ks)
-        return self._series[:n]
+    def series_length(self, zmax):
+        """Terms a sum over |z| <= zmax forms: the first k at which
+        zmax^k / Gamma(beta + alpha k) is stoppable and below the stopping
+        bound, else all 399."""
+        hit = self.stoppable & (
+            self.ks * math.log(zmax) - self.log_gamma <= _SERIES_STOP)
+        return int(np.argmax(hit)) + 1 if hit.any() else hit.size
 
     @cached_property
     def expansion(self):
@@ -167,30 +173,26 @@ class _Coefficients:
 
 
 def _series_vec(alpha, beta, z, coef):
-    """Taylor sum for a 1-D z; returns (values, rounding_error_estimates).
+    """Taylor sum for a 1-D z within `coef.series_reach`; returns (values,
+    rounding_error_estimates).
 
-    The sums run over k < n, where n is the first index at which even the
-    largest |z| of the array meets the stopping test; each element then
-    takes its own partial sum at its own stopping index, where its term
-    falls below 1e-16 of the sum (or of 1).  The rounding estimate is
+    The sums run over k <= n, where n (`_Coefficients.series_length`, read
+    from the Gamma table of the terms, as the reach is) is the first index
+    at which even the largest |z| of the array meets the a-priori stopping
+    test; the reach keeps n within 399.  Each element then takes its own
+    partial sum at its own stopping index, where its term falls below
+    1e-16 of the sum (or of 1).  The rounding estimate is
     `_SERIES_ROUNDING` times the summed term magnitudes.
     """
-    ks = np.arange(1, _SERIES_MAX_TERMS)
-    args = beta + alpha * ks
-    # log|term_k| at the largest |z|, with a factor-e margin on 1e-16
-    log_zmax = math.log(np.abs(z).max())
-    n = next((k for k, a in zip(ks.tolist(), args.tolist())
-              if a > 1.5
-              and k * log_zmax - math.lgamma(a) <= math.log(1e-16) - 1.0),
-             ks.size)
+    n = coef.series_length(np.abs(z).max())
     zk = np.cumprod(np.broadcast_to(z[:, None], (z.size, n)), axis=1)
-    terms = zk * coef.series(n)
+    terms = zk * coef.series[:n]
     head = np.full((z.size, 1), _rgamma(beta))
     terms = np.hstack([head, terms])
     totals = np.cumsum(terms, axis=1)[:, 1:]
     mags = np.cumsum(np.abs(terms), axis=1)[:, 1:]
     done = ((np.abs(terms[:, 1:]) <= 1e-16 * np.maximum(np.abs(totals), 1.0))
-            & (args[:n] > 1.5))
+            & coef.stoppable[:n])
     stopped = done.any(axis=1)
     if not stopped.all():
         raise MLEvaluationError(alpha, beta, float(z[np.argmin(stopped)]),
@@ -283,24 +285,6 @@ def _talbot_vec(alpha, beta, z, nodes=32):
     return v1
 
 
-def _series_safe(alpha, beta, z):
-    """Mask of a 1-D z: is the Taylor sum short and cancellation-safe?
-
-    The largest term sits near k* = (|z|^(1/alpha) - beta)/alpha; its log
-    magnitude bounds the precision lost to alternating-sign cancellation
-    relative to 1 (the a-posteriori rounding test then judges the sum
-    relative to its value).
-    """
-    x = np.abs(z)
-    mid = (x > 1.0) & (x <= _SERIES_CUTOFF)
-    peak = x[mid] ** (1.0 / alpha)
-    kstar = (peak - beta) / alpha
-    log_max_term = kstar * np.log(x[mid]) - _log_gamma(peak)
-    safe = x <= 1.0
-    safe[mid] = (kstar <= 0.0) | ((kstar <= 300.0) & (log_max_term <= 9.2))
-    return safe
-
-
 def _accepted(value, err):
     return err <= _REL_TOL * np.maximum(np.abs(value), 1e-300)
 
@@ -312,7 +296,7 @@ def _ml_vec(alpha, beta, z, coef):
     zero = z == 0.0
     out[zero] = _rgamma(beta)
     idx = np.flatnonzero(~zero)
-    series = np.flatnonzero(_series_safe(alpha, beta, z[idx]))
+    series = np.flatnonzero(np.abs(z[idx]) <= coef.series_reach)
     if series.size:
         value, err = _series_vec(alpha, beta, z[idx[series]], coef)
         ok = _accepted(value, err)

@@ -4,15 +4,17 @@
 against.  It adds the Taylor terms one at a time, takes the middle range
 through the spectral-function integral (`scipy.integrate.quad`) instead
 of the contour, and evaluates alpha = 1 through Kummer's transformation
-of the confluent hypergeometric function.  It shares the series-safety
-mask, the tolerances and the reciprocal Gamma function with the runtime
-evaluator, so where both take the same branch they agree bit for bit,
-and falls back on the runtime's contour only where the integral fails.
+of the confluent hypergeometric function.  It shares the series mask
+(|z| up to the reach of `fracctrl.mittag._Coefficients`), the tolerances
+and the reciprocal Gamma function with the runtime evaluator, so where
+both take the same branch they agree bit for bit, and falls back on the
+runtime's contour only where the integral fails.
 mpmath stays the independent referee (`test_mittag.py`).
 """
 
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -24,10 +26,15 @@ from fracctrl.mittag import (
     _SERIES_MAX_TERMS,
     _SERIES_ROUNDING,
     MLEvaluationError,
-    _series_safe,
+    _Coefficients,
     _talbot_vec,
 )
 from fracctrl.mittag import _rgamma as rgamma
+
+
+@lru_cache(maxsize=None)
+def _series_reach(alpha, beta):
+    return _Coefficients(alpha, beta).series_reach
 
 
 def _ml_series(alpha, beta, z):
@@ -177,7 +184,7 @@ def _ml_scalar(alpha, beta, z):
         return rgamma(beta)
     if alpha == 1.0:
         return _ml_alpha_one(beta, z)
-    if _series_safe(alpha, beta, np.array([z]))[0]:
+    if abs(z) <= _series_reach(alpha, beta):
         value, err = _ml_series(alpha, beta, z)
         if err <= _REL_TOL * max(abs(value), 1e-300):
             return value

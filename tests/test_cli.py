@@ -420,6 +420,13 @@ class TestVerify:
         assert code == EXIT_OK
         assert "controllability" in capsys.readouterr().out
 
+    def test_verify_ok_at_alpha_0_1(self, tmp_path):
+        # here the series' 399-term budget, not its cancellation, sets
+        # how far it serves the kernel tables
+        path = tmp_path / "slow.cfg"
+        path.write_text(TINY.replace("alpha = 0.5", "alpha = 0.1"))
+        assert main(["verify", "--config", str(path)]) == EXIT_OK
+
     def test_zero_gain_violated(self, tmp_path):
         path = tmp_path / "dead.cfg"
         path.write_text(TINY.replace("gain = 1.0", "gain = 0.0"))

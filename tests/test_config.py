@@ -149,6 +149,7 @@ class TestLoadConfig:
         ("type = zonal", "type = ring"),
         ("gamma = left 0.0 0.1", "gamma = left 0.0"),
         ("eps = 1e-2", "eps = -1.0"),
+        ("lambda_reg = 1e-8", "lambda_reg = -0.5"),
         ("z_d = (0, 0, 1e-3)", "z_d = (0, 0"),
     ])
     def test_rejects_bad_values(self, tmp_path, old, new):

@@ -159,7 +159,7 @@ class TestGAlphaNorm:
 
 
 def _reference_fn(F, radii, basis, n_samples, seed):
-    """estimate_FN's table and constants, one sample pair at a time."""
+    """estimate_FN's table, one sample pair at a time."""
     wx, wy = basis.domain.quad_weights()
     w = np.outer(wx, wy)
     damp = (1.0 + basis.eigenvalues).reshape(basis.mx, basis.my) ** -1.0
@@ -175,8 +175,6 @@ def _reference_fn(F, radii, basis, n_samples, seed):
         (sample_unit(), sample_unit(), rng.uniform(), rng.uniform())
         for _ in range(n_samples)
     ]
-    c_emb = max(float(np.sum(w * v**4)) ** 0.25 for v, *_ in pairs)
-    c_diff = 0.0
     values = np.zeros((radii.size, radii.size))
     for i, r1 in enumerate(radii):
         for j, r2 in enumerate(radii):
@@ -185,16 +183,13 @@ def _reference_fn(F, radii, basis, n_samples, seed):
                 dnorm = math.sqrt(float(np.sum(w * (z - y) ** 2)))
                 if dnorm == 0.0:
                     continue
-                c_diff = max(
-                    c_diff, float(np.sum(w * (z - y) ** 4)) ** 0.25 / dnorm
-                )
                 ratio = math.sqrt(float(np.sum(w * (F(z) - F(y)) ** 2)))
                 values[i, j] = max(values[i, j], ratio / dnorm)
-    return values, c_emb, c_diff
+    return values
 
 
 def _vectorised_fn(F, radii, basis, n_samples, seed):
-    """estimate_FN's table and constants with the sample pairs stacked,
+    """estimate_FN's table with the sample pairs stacked,
     reduced over the field axes one radius pair at a time."""
     wx, wy = basis.domain.quad_weights()
     w = np.outer(wx, wy)
@@ -213,26 +208,20 @@ def _vectorised_fn(F, radii, basis, n_samples, seed):
     ]
     v1, v2, s1, s2 = (np.array(col) for col in zip(*pairs))
     fields = (1, 2)
-    c_emb = float(np.max(np.sum(w * v1**4, axis=fields) ** 0.25))
     values = np.zeros((radii.size, radii.size))
-    c_diff = 0.0
     for i, r1 in enumerate(radii):
         z = (r1 * s1)[:, None, None] * v1
         for j, r2 in enumerate(radii):
             y = (r2 * s2)[:, None, None] * v2
-            dz2 = (z - y) ** 2
-            dnorm = np.sqrt(np.sum(w * dz2, axis=fields))
+            dnorm = np.sqrt(np.sum(w * (z - y) ** 2, axis=fields))
             keep = dnorm != 0.0
             if not keep.any():
                 continue
-            dz2, dnorm = dz2[keep], dnorm[keep]
-            c_diff = max(c_diff, float(np.max(
-                np.sum(w * dz2**2, axis=fields) ** 0.25 / dnorm
-            )))
+            dnorm = dnorm[keep]
             df = F(z[keep]) - F(y[keep])
             ratio = np.sqrt(np.sum(w * df**2, axis=fields)) / dnorm
             values[i, j] = float(ratio.max())
-    return values, c_emb, c_diff
+    return values
 
 
 class TestEstimateFN:
@@ -244,12 +233,8 @@ class TestEstimateFN:
         problem = load_config(bundled_config_path("example1.cfg")).problem()
         radii = np.geomspace(1e-4, 1.0, 9)
         table = estimate_FN(problem.F, radii, problem.basis, 100, seed)
-        values, c_emb, c_diff = _vectorised_fn(
-            problem.F, radii, problem.basis, 100, seed
-        )
+        values = _vectorised_fn(problem.F, radii, problem.basis, 100, seed)
         np.testing.assert_allclose(table.values, values, rtol=1e-13, atol=0)
-        assert table.c_emb == pytest.approx(c_emb, rel=1e-13, abs=0)
-        assert table.c_diff == pytest.approx(c_diff, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("power", [2, 3])
     def test_matches_reference_loop(self, power):
@@ -257,10 +242,8 @@ class TestEstimateFN:
         F = NonlinearTerm.scaled_power(1.5, power)
         radii = np.array([0.0, 0.1, 0.5, 2.0])
         table = estimate_FN(F, radii, basis, n_samples=30, seed=7)
-        values, c_emb, c_diff = _reference_fn(F, radii, basis, 30, 7)
+        values = _reference_fn(F, radii, basis, 30, 7)
         np.testing.assert_allclose(table.values, values, rtol=1e-12)
-        assert table.c_emb == pytest.approx(c_emb, rel=1e-12)
-        assert table.c_diff == pytest.approx(c_diff, rel=1e-12)
 
     def test_none_is_zero(self, setup):
         _, basis, _ = setup
@@ -292,17 +275,6 @@ class TestEstimateFN:
         a = estimate_FN(NonlinearTerm.square(), radii, basis, 60, seed=3)
         b = estimate_FN(NonlinearTerm.square(), radii, basis, 60, seed=3)
         assert np.array_equal(a.values, b.values)
-
-    def test_closed_form_bound_dominates(self, setup):
-        # for F = y^2 the quadratic-growth bound with the empirical
-        # embedding constant must sit above every sampled ratio
-        _, basis, _ = setup
-        table = estimate_FN(
-            NonlinearTerm.square(), np.array([0.3, 1.0]), basis,
-            n_samples=100,
-        )
-        assert table.bound is not None
-        assert np.all(table.bound >= table.values - 1e-12)
 
     def test_rejects_bad_radii(self, setup):
         _, basis, _ = setup

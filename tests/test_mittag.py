@@ -13,7 +13,6 @@ from fracctrl.config import bundled_config_path, load_config
 from fracctrl.domain import RectDomain, build_basis
 from fracctrl.mittag import (
     MLEvaluationError,
-    _log_gamma,
     _rgamma,
     check_order,
     h_symbol,
@@ -206,6 +205,17 @@ ORDERS = [(a, b) for a in (0.3, 0.6, 0.9, 1.0) for b in (a, 1.0, a + 1.0)]
 # alpha = 1 with beta outside {1, 2}, where E_(1,beta) has no elementary
 # closed form; the evaluator takes them through the general branches
 ORDERS += [(1.0, b) for b in (0.5, 1.3, 2.7)]
+# Orders whose series reach the 399-term budget sets, not cancellation,
+# each on z around its reach (1.19-1.20 at alpha = 0.1, 1.00-1.01 at
+# 0.05).  They stay out of ORDERS: `_mp_ml`'s series runs past
+# |z|^(1/alpha) terms, which at alpha = 0.05 on Z_GRID does not finish
+# in minutes.
+SMALL_ORDERS = [
+    (a, b, zs)
+    for a, zs in ((0.1, (-0.9, -1.1, -1.2, -1.24, -1.27, -1.5)),
+                  (0.05, (-0.9, -1.0, -1.1, -1.2)))
+    for b in (a, 1.0, a + 1.0)
+]
 
 
 @pytest.fixture
@@ -235,17 +245,34 @@ def branch_log(monkeypatch):
     return log
 
 
+def _assert_matches_mpmath(alpha, beta, z):
+    values = ml(alpha, beta, z)
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        ref = np.array([float(_mp_ml(a, b, mpmath.mpf(v))) for v in z])
+    tol = np.where(np.abs(ref) < 1e-3, 1e-13, 1e-10 * np.abs(ref))
+    assert np.all(np.abs(values - ref) <= tol), (values - ref) / ref
+    return values
+
+
 class TestArrayEvaluator:
     @pytest.mark.parametrize("alpha,beta", ORDERS)
     def test_against_mpmath(self, alpha, beta):
-        values = ml(alpha, beta, Z_GRID)
-        with mpmath.workdps(30):
-            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
-            ref = np.array([float(_mp_ml(a, b, mpmath.mpf(z)))
-                            for z in Z_GRID])
-        tol = np.where(np.abs(ref) < 1e-3, 1e-13, 1e-10 * np.abs(ref))
-        assert np.all(np.abs(values - ref) <= tol), (values - ref) / ref
+        values = _assert_matches_mpmath(alpha, beta, Z_GRID)
         assert values[0] == _rgamma(beta)
+
+    @pytest.mark.parametrize("alpha,beta,zs", SMALL_ORDERS)
+    def test_small_orders_against_mpmath(self, alpha, beta, zs):
+        _assert_matches_mpmath(alpha, beta, np.array(zs))
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.02])
+    def test_tiny_orders_evaluate(self, alpha):
+        # the series reach falls below 1 here (0.92 and 0.93); past it
+        # the expansion and the contour take over.  E_(alpha,1)(-x) is
+        # completely monotone in x, so it falls from 1 and stays positive.
+        values = ml(alpha, 1.0, -np.linspace(0.0, 5.0, 501))
+        assert values[0] == 1.0
+        assert np.all(values > 0.0) and np.all(np.diff(values) < 0.0)
 
     @pytest.mark.parametrize("alpha,beta", ORDERS)
     def test_against_scalar_oracle(self, alpha, beta):
@@ -385,6 +412,28 @@ class TestExpansionTruncation:
                 self._compare(alpha, beta, z)
 
 
+class TestSeriesReach:
+    """`_Coefficients.series_reach` is the largest |z| <= 5 at which no
+    series term exceeds e^9.2 and some term k < 400 with beta + alpha k >
+    1.5 is below 1e-16 / e.  The cancellation bound decides it at alpha =
+    0.3, the 399-term budget at 0.1 and below, the cutoff at 0.9."""
+
+    @pytest.mark.parametrize("alpha,beta", ORDERS + [
+        (a, b) for a, b, _ in SMALL_ORDERS] + [(0.01, 1.0), (0.02, 1.0)])
+    def test_largest_admissible_z(self, alpha, beta):
+        k = np.arange(1, 400)
+        log_gamma = gammaln(beta + alpha * k)
+
+        def admissible(x):
+            log_terms = k * math.log(x) - log_gamma
+            stops = log_terms[beta + alpha * k > 1.5] <= math.log(1e-16) - 1
+            return x <= 5.0 and log_terms.max() <= 9.2 and stops.any()
+
+        reach = mittag._Coefficients(alpha, beta).series_reach
+        assert admissible(reach * (1.0 - 1e-12))
+        assert reach == 5.0 or not admissible(reach * (1.0 + 1e-12))
+
+
 def _gamma_arguments():
     """Every Gamma argument `ml` forms for the orders of the test grid and
     the bundled examples: beta + alpha k (series, k < 400) and
@@ -425,13 +474,3 @@ class TestGammaHelpers:
         assert type(_rgamma(2.5)) is float
         assert _rgamma(2.5) == _rgamma(np.array([2.5]))[0]
         assert _rgamma(-3.0) == 0.0
-
-    def test_log_gamma(self):
-        # `_series_safe` needs log Gamma of |z|^(1/alpha) >= 1 and uses it
-        # where that is at most beta + 300 alpha
-        x = np.concatenate([np.linspace(1.0, 400.0, 4001),
-                            1.0 + np.geomspace(1e-12, 1.0, 50)])
-        assert np.all(np.abs(_log_gamma(x) - gammaln(x)) <= 2e-12)
-        x = np.geomspace(1.0, 1e12, 500)
-        np.testing.assert_allclose(_log_gamma(x), gammaln(x), rtol=1e-13,
-                                   atol=1e-13)
