@@ -22,7 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import OUTPUT_ROOT_ENV, ConfigError, load_config, read_ini
+from .config import (
+    METHODS,
+    OUTPUT_ROOT_ENV,
+    ConfigError,
+    load_config,
+    read_ini,
+)
 from .control import GramConditionError, algorithm1, picard_sequence
 from .diagnostics import EnvelopeError, hypothesis_report
 from .domain import restrict, trace
@@ -154,6 +160,17 @@ def _run_one(cfg, outdir, seed):
     return (EXIT_OK if status == "converged" else EXIT_DIVERGED), summary
 
 
+def _resolved_config(cfg, seed):
+    """The config's resolved view with the values the run used: the
+    --method/--seed overrides and, for an omitted lambda_reg, the
+    operator's trace-scaled lambda (None before it was assembled)."""
+    resolved = {**cfg.resolved, "loop.method": cfg.method, "run.seed": seed}
+    if cfg.lambda_reg < 0.0:
+        H = cfg._operator  # read, not assembled: operator() would build it
+        resolved["loop.lambda_reg"] = None if H is None else H.lambda_reg
+    return dict(sorted(resolved.items()))
+
+
 def _write_manifest(cfg, outdir, hyp, summary, t_start, seed):
     artifacts = sorted(
         p.name for p in outdir.iterdir()
@@ -162,9 +179,7 @@ def _write_manifest(cfg, outdir, hyp, summary, t_start, seed):
     manifest = {
         "tool_version": __version__,
         "config_path": cfg.path,
-        "resolved_config": {
-            k: v for k, v in sorted(cfg.resolved.items())
-        },
+        "resolved_config": _resolved_config(cfg, seed),
         "method": cfg.method,
         "seed": seed,
         "started_utc": time.strftime(
@@ -184,14 +199,12 @@ def _write_manifest(cfg, outdir, hyp, summary, t_start, seed):
 
 def _load(args, path=None):
     """Load a config (args.config unless path is given) and apply the
-    --method/--seed overrides to it and to its resolved manifest view."""
+    --method/--seed overrides to it."""
     cfg = load_config(path or args.config)
     if args.method:
         cfg.method = args.method
-        cfg.resolved["loop.method"] = args.method
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.resolved["run.seed"] = args.seed
     return cfg
 
 
@@ -294,8 +307,7 @@ def build_parser():
                        help="concurrent sweep rows; never affects "
                        "numeric results")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--method", default=None,
-                       choices=("algorithm1", "picard", "linear"))
+        p.add_argument("--method", default=None, choices=METHODS)
         if verb == "sweep":
             p.add_argument("--param", help="override key, e.g. domain.K")
             p.add_argument("--values", help="comma-separated values")

@@ -4,13 +4,15 @@ A config file resolves to a ControlProblem plus run metadata.  Targets and
 extensions are polynomials given as monomial coefficient lists — a
 space-separated sequence of (i, j, c) triples meaning c * x^i * y^j — so
 both bundled examples are expressed exactly without an expression parser.
-A file key that `load_config` does not read is an error, so a misspelt
-key cannot fall back to a default silently.
+Every key has one row in `_KEYS`: its parser, default and check.  A file
+key that `load_config` does not read is an error, so a misspelt key
+cannot fall back to a default silently.
 """
 
 import ast
 import configparser
-import os
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
@@ -23,6 +25,7 @@ from .domain import (
     GridPatch,
     RectDomain,
     Region,
+    actuator_coefficients,
     build_basis,
     extend_target,
     region_nodes,
@@ -41,20 +44,9 @@ __all__ = [
 
 OUTPUT_ROOT_ENV = "FRACCTRL_OUT"
 
-_DEFAULTS = {
-    ("problem", "f"): "square",
-    ("domain", "lx"): "1.0",
-    ("domain", "ly"): "1.0",
-    ("actuator", "gain"): "1.0",
-    ("loop", "method"): "algorithm1",
-    ("run", "seed"): "0",
-    # the outer loop's settings default to ControlProblem's own values
-    **{("loop", f.name): f.default for f in fields(ControlProblem)
-       if f.name in ("eps", "lambda_reg", "n_max", "stop_metric",
-                     "target_mode")},
-}
-
-_METHODS = ("algorithm1", "picard", "linear")
+METHODS = ("algorithm1", "picard", "linear")
+F_KINDS = ("none", "square", "power")
+ACTUATOR_KINDS = ("zonal", "pointwise")  # Actuator's constructors
 
 
 class ConfigError(ValueError):
@@ -73,33 +65,24 @@ def parse_poly(text):
     Returns a list of (int, int, float) triples.  Commas between triples
     and surrounding brackets are tolerated.
     """
-    cleaned = text.strip().lstrip("[").rstrip("]").replace("),", ") ")
-    parts = cleaned.replace(")", ") ").split()
-    # re-join fragments so each element is one parenthesized triple
-    terms, buf = [], ""
-    for p in parts:
-        buf += p
-        if buf.count("(") == buf.count(")") and buf:
-            terms.append(buf)
-            buf = ""
-    if buf:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    out = []
-    for t in terms:
-        try:
-            tup = ast.literal_eval(t)
-        except (ValueError, SyntaxError) as exc:
-            raise ValueError(f"bad monomial term {t!r}") from exc
-        if not (isinstance(tup, tuple) and len(tup) == 3):
-            raise ValueError(f"monomial term must be (i, j, c), got {t!r}")
-        i, j, c = tup
-        if not (isinstance(i, int) and isinstance(j, int)
-                and i >= 0 and j >= 0):
-            raise ValueError(f"monomial powers must be ints >= 0 in {t!r}")
-        out.append((i, j, float(c)))
-    if not out:
+    # whitespace after a closing parenthesis, or none before the next
+    # triple, separates triples; whitespace inside a triple is dropped
+    body = re.sub(r"\)(\s+|(?=\())", "),",
+                  text.strip().lstrip("[").rstrip("]"))
+    try:
+        terms = ast.literal_eval("[" + "".join(body.split()) + "]")
+    except (ValueError, SyntaxError) as exc:
+        raise ValueError(f"bad monomial list {text!r}") from exc
+    if not terms:
         raise ValueError("empty polynomial")
-    return out
+    for t in terms:
+        if not (isinstance(t, tuple) and len(t) == 3
+                and all(isinstance(k, int) and k >= 0 for k in t[:2])):
+            raise ValueError(f"not an (i, j, c) term, i, j ints >= 0: {t!r}")
+    try:
+        return [(i, j, float(c)) for i, j, c in terms]
+    except TypeError as exc:
+        raise ValueError(f"non-numeric coefficient in {text!r}") from exc
 
 
 def eval_poly(terms, x, y):
@@ -112,11 +95,72 @@ def eval_poly(terms, x, y):
     return out
 
 
-def _parse_floats(text, n, what):
-    vals = [float(v) for v in text.replace(",", " ").split()]
-    if len(vals) != n:
-        raise ValueError(f"{what} needs {n} numbers, got {len(vals)}")
-    return vals
+def _floats(n=None):
+    """Parser of a list of numbers, n of them unless n is None."""
+    def parse(text):
+        vals = [float(v) for v in text.replace(",", " ").split()]
+        if n is not None and len(vals) != n:
+            raise ValueError(f"needs {n} numbers, got {len(vals)}")
+        return vals
+    return parse
+
+
+def _segment(text):
+    """'side s0 s1' of a boundary segment."""
+    spec = text.replace(",", " ").split()
+    if len(spec) != 3:
+        raise ValueError("needs: side s0 s1")
+    return [spec[0], float(spec[1]), float(spec[2])]
+
+
+def _one_of(options):
+    return (lambda v: v in options), f"must be one of {', '.join(options)}"
+
+
+_REQUIRED = object()
+_POSITIVE = (lambda v: v > 0.0), "must be > 0"
+_LOOP = {f.name: f.default for f in fields(ControlProblem)}
+
+# (section, key) -> (parse, default, check).  A default of _REQUIRED makes
+# the key required; an absent key with default None is left out of the
+# resolved view.  A check (predicate, message) applies to file values only.
+_KEYS = {
+    ("problem", "alpha"): (
+        float, _REQUIRED, ((lambda a: 0.0 < a <= 1.0), "must be in (0, 1]")),
+    ("problem", "T"): (float, _REQUIRED, _POSITIVE),
+    ("problem", "F"): (str.strip, "square", _one_of(F_KINDS)),
+    ("problem", "f_coeff"): (float, _REQUIRED, None),
+    ("problem", "f_power"): (int, _REQUIRED, None),
+    ("domain", "lx"): (float, 1.0, None),
+    ("domain", "ly"): (float, 1.0, None),
+    **{("domain", k): (int, _REQUIRED, None)
+       for k in ("nx", "ny", "mx", "my", "K")},
+    ("actuator", "type"): (str.strip, _REQUIRED, _one_of(ACTUATOR_KINDS)),
+    ("actuator", "gain"): (float, 1.0, None),
+    ("actuator", "box"): (_floats(4), _REQUIRED, None),
+    ("actuator", "point"): (_floats(2), _REQUIRED, None),
+    ("regions", "gamma"): (_segment, _REQUIRED, None),
+    ("regions", "omega_c"): (_floats(4), _REQUIRED, None),
+    ("target", "z_d"): (parse_poly, _REQUIRED, None),
+    ("target", "d_s"): (parse_poly, None, None),
+    ("target", "extension_profile"): (
+        _floats(), "smoothstep",
+        ((lambda c: c and abs(c[0] - 1.0) <= 1e-12),
+         "leading coefficient must be 1 so the trace matches z_d")),
+    ("initial", "y0"): (parse_poly, "zero", None),
+    ("loop", "eps"): (float, _LOOP["eps"], _POSITIVE),
+    # the default (negative) selects the trace-scaled lambda
+    ("loop", "lambda_reg"): (
+        float, _LOOP["lambda_reg"], ((lambda v: v >= 0.0), "must be >= 0")),
+    ("loop", "n_max"): (
+        int, _LOOP["n_max"], ((lambda n: n >= 1), "must be >= 1")),
+    ("loop", "stop_metric"): (
+        str.strip, _LOOP["stop_metric"], _one_of(STOP_METRICS)),
+    ("loop", "target_mode"): (
+        str.strip, _LOOP["target_mode"], _one_of(TARGET_MODES)),
+    ("loop", "method"): (str.strip, "algorithm1", _one_of(METHODS)),
+    ("run", "seed"): (int, 0, None),
+}
 
 
 @dataclass(kw_only=True)
@@ -140,17 +184,6 @@ class ExperimentConfig(ControlProblem):
         return self
 
 
-def _get(cp, path, section, key, required=True):
-    if cp.has_option(section, key):
-        return cp.get(section, key)
-    default = _DEFAULTS.get((section, key))
-    if default is not None:
-        return default
-    if required:
-        raise ConfigError(path, section, key, "missing required key")
-    return None
-
-
 def bundled_config_path(name):
     """Filesystem path of a packaged example config (e.g. 'example1.cfg')."""
     ref = resources.files("fracctrl") / "configs" / name
@@ -170,133 +203,86 @@ def read_ini(path):
     return cp
 
 
+@contextmanager
+def _anchored(path, section, key):
+    """Report a ValueError raised in the block as a ConfigError at
+    [section] key; a check spanning several keys of a section uses '-'."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(path, section, key, str(exc)) from exc
+
+
 def load_config(path):
     """Read and resolve an experiment config file."""
     cp = read_ini(path)
     asked = set()  # every (section, key) read, present in the file or not
-
-    def get(section, key, required=True):
-        asked.add((section, cp.optionxform(key)))
-        return _get(cp, path, section, key, required)
-
-    def get_typed(section, key, cast, required=True):
-        raw = get(section, key, required)
-        if raw is None:
-            return None
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(path, section, key, str(exc)) from exc
-
     resolved = {}
 
-    def record(section, key, value):
-        resolved[f"{section}.{key}"] = value
+    def read(section, key):
+        """The key's checked value or default, recorded unless None."""
+        parse, default, check = _KEYS[section, key]
+        asked.add((section, cp.optionxform(key)))
+        if cp.has_option(section, key):
+            with _anchored(path, section, key):
+                value = parse(cp.get(section, key))
+                if check is not None and not check[0](value):
+                    raise ValueError(check[1])
+        elif default is _REQUIRED:
+            raise ConfigError(path, section, key, "missing required key")
+        else:
+            value = default
+        if value is not None:
+            resolved[f"{section}.{key}"] = value
         return value
 
-    alpha = record("problem", "alpha", get_typed("problem", "alpha", float))
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError(path, "problem", "alpha", "must be in (0, 1]")
-    T = record("problem", "T", get_typed("problem", "T", float))
-    if T <= 0.0:
-        raise ConfigError(path, "problem", "T", "must be positive")
-
-    lx = record("domain", "lx", get_typed("domain", "lx", float))
-    ly = record("domain", "ly", get_typed("domain", "ly", float))
-    nx = record("domain", "nx", get_typed("domain", "nx", int))
-    ny = record("domain", "ny", get_typed("domain", "ny", int))
-    mx = record("domain", "mx", get_typed("domain", "mx", int))
-    my = record("domain", "my", get_typed("domain", "my", int))
-    K = record("domain", "K", get_typed("domain", "K", int))
-    try:
+    alpha = read("problem", "alpha")
+    T = read("problem", "T")
+    lx, ly, nx, ny, mx, my, K = [
+        read("domain", k) for k in ("lx", "ly", "nx", "ny", "mx", "my", "K")
+    ]
+    with _anchored(path, "domain", "-"):
         domain = RectDomain(lx, ly, nx, ny)
         basis = build_basis(domain, mx, my)
         grid = TimeGrid(T, K)
-    except ValueError as exc:
-        raise ConfigError(path, "domain", "-", str(exc)) from exc
 
-    kind = record("actuator", "type", get("actuator", "type")).strip()
-    gain = record(
-        "actuator", "gain", get_typed("actuator", "gain", float)
-    )
-    try:
-        if kind == "zonal":
-            box = _parse_floats(get("actuator", "box"), 4, "box")
-            record("actuator", "box", box)
-            act = Actuator.zonal(*box, gain=gain)
-        elif kind == "pointwise":
-            pt = _parse_floats(get("actuator", "point"), 2, "point")
-            record("actuator", "point", pt)
-            act = Actuator.pointwise(*pt, gain=gain)
-        else:
-            raise ValueError(f"type must be zonal or pointwise, got {kind!r}")
-    except ValueError as exc:
-        raise ConfigError(path, "actuator", kind, str(exc)) from exc
+    kind = read("actuator", "type")
+    gain = read("actuator", "gain")
+    support_key = "box" if kind == "zonal" else "point"
+    support = read("actuator", support_key)
+    with _anchored(path, "actuator", support_key):
+        act = getattr(Actuator, kind)(*support, gain=gain)
+        actuator_coefficients(act, basis)  # the support lies in the domain
 
-    gspec = get("regions", "gamma").replace(",", " ").split()
-    try:
-        if len(gspec) != 3:
-            raise ValueError("gamma needs: side s0 s1")
-        gamma = Region.boundary(gspec[0], float(gspec[1]), float(gspec[2]))
-        record("regions", "gamma", [gspec[0], float(gspec[1]),
-                                    float(gspec[2])])
-        ob = _parse_floats(get("regions", "omega_c"), 4, "omega_c")
-        record("regions", "omega_c", ob)
-        omega_c = Region.interior(*ob)
+    segment = read("regions", "gamma")
+    with _anchored(path, "regions", "gamma"):
+        gamma = Region.boundary(*segment)
         gx, gy = region_nodes(domain, gamma)
+    rect = read("regions", "omega_c")
+    with _anchored(path, "regions", "omega_c"):
+        omega_c = Region.interior(*rect)
         ix, iy = region_nodes(domain, omega_c)
-    except ValueError as exc:
-        raise ConfigError(path, "regions", "-", str(exc)) from exc
 
-    fkind = record("problem", "F", get("problem", "f")).strip()
-    try:
-        if fkind == "none":
-            F = NonlinearTerm.none()
-        elif fkind == "square":
-            F = NonlinearTerm.square()
-        elif fkind == "power":
-            coeff = get_typed("problem", "f_coeff", float)
-            power = get_typed("problem", "f_power", int)
-            record("problem", "f_coeff", coeff)
-            record("problem", "f_power", power)
+    fkind = read("problem", "F")
+    if fkind == "power":
+        coeff, power = read("problem", "f_coeff"), read("problem", "f_power")
+        with _anchored(path, "problem", "f_power"):
             F = NonlinearTerm.scaled_power(coeff, power)
-        else:
-            raise ValueError(
-                f"F must be none, square or power, got {fkind!r}"
-            )
-    except ValueError as exc:
-        raise ConfigError(path, "problem", "F", str(exc)) from exc
+    else:
+        F = getattr(NonlinearTerm, fkind)()
 
     def on_gamma(terms):
         """A polynomial's samples at the grid nodes of Gamma."""
         return eval_poly(terms, domain.x[gx], domain.y[gy]).ravel()
 
     # boundary target: full 2-D polynomial evaluated on the segment nodes
-    try:
-        zd_terms = parse_poly(get("target", "z_d"))
-    except ValueError as exc:
-        raise ConfigError(path, "target", "z_d", str(exc)) from exc
-    record("target", "z_d", zd_terms)
-    zd = on_gamma(zd_terms)
-
-    def extend(profile=None):
-        """The extension of z_d into omega_c; it needs Gamma on the edge
-        of omega_c that touches the domain boundary."""
-        try:
-            return extend_target(zd, omega_c, gamma, domain, profile=profile)
-        except ValueError as exc:
-            raise ConfigError(path, "regions", "-", str(exc)) from exc
+    zd = on_gamma(read("target", "z_d"))
 
     # target extension into omega_c: explicit polynomial, a polynomial
     # decay profile in the inward coordinate, or the default smooth decay
-    ds_raw = get("target", "d_s", required=False)
-    prof_raw = get("target", "extension_profile", required=False)
-    if ds_raw is not None:
-        try:
-            ds_terms = parse_poly(ds_raw)
-        except ValueError as exc:
-            raise ConfigError(path, "target", "d_s", str(exc)) from exc
-        record("target", "d_s", ds_terms)
+    ds_terms = read("target", "d_s")
+    if ds_terms is not None:
+        asked.add(("target", "extension_profile"))  # d_s takes precedence
         xs, ys = domain.x[ix], domain.y[iy]
         d_s = GridPatch(x=xs, y=ys, values=eval_poly(ds_terms, xs, ys))
         if not np.allclose(on_gamma(ds_terms), zd, atol=1e-9):
@@ -304,76 +290,29 @@ def load_config(path):
                 path, "target", "d_s",
                 "trace on the boundary segment does not match z_d",
             )
-    elif prof_raw is not None:
-        try:
-            coefs = [float(v) for v in prof_raw.replace(",", " ").split()]
-        except ValueError as exc:
-            raise ConfigError(
-                path, "target", "extension_profile", str(exc)
-            ) from exc
-        if not coefs or abs(coefs[0] - 1.0) > 1e-12:
-            raise ConfigError(
-                path, "target", "extension_profile",
-                "leading coefficient must be 1 so the trace matches z_d",
-            )
-        record("target", "extension_profile", coefs)
-        x0, x1, y0b, y1b = omega_c.bounds
-        width = (x1 - x0) if gamma.side in ("left", "right") else (y1b - y0b)
-
-        def decay(depth, _c=np.asarray(coefs), _w=width):
-            return np.polynomial.polynomial.polyval(depth * _w, _c)
-
-        d_s = extend(decay)
     else:
-        record("target", "extension_profile", "smoothstep")
-        d_s = extend()
+        coefs = read("target", "extension_profile")
+        b = omega_c.bounds
+        width = b[1] - b[0] if gamma.side in ("left", "right") else b[3] - b[2]
 
-    y0_raw = get("initial", "y0", required=False) if cp.has_section(
-        "initial") else None
-    if y0_raw is not None:
-        try:
-            y0_terms = parse_poly(y0_raw)
-        except ValueError as exc:
-            raise ConfigError(path, "initial", "y0", str(exc)) from exc
-        record("initial", "y0", y0_terms)
-        y0 = Field(domain, eval_poly(y0_terms, domain.x, domain.y))
-    else:
-        record("initial", "y0", "zero")
-        y0 = Field.zero(domain)
+        def decay(depth):
+            return np.polynomial.polynomial.polyval(depth * width, coefs)
 
-    eps = record("loop", "eps", get_typed("loop", "eps", float))
-    lambda_reg = record(
-        "loop", "lambda_reg", get_typed("loop", "lambda_reg", float)
-    )
-    # a negative value marks the trace-scaled default, which only an
-    # omitted key selects
-    if cp.has_option("loop", "lambda_reg") and not lambda_reg >= 0.0:
-        raise ConfigError(path, "loop", "lambda_reg", "must be >= 0")
-    n_max = record("loop", "n_max", get_typed("loop", "n_max", int))
-    stop_metric = record(
-        "loop", "stop_metric", get("loop", "stop_metric")
-    ).strip()
-    if stop_metric not in STOP_METRICS:
-        raise ConfigError(
-            path, "loop", "stop_metric", f"must be one of {STOP_METRICS}"
-        )
-    target_mode = record(
-        "loop", "target_mode", get("loop", "target_mode")
-    ).strip()
-    if target_mode not in TARGET_MODES:
-        raise ConfigError(
-            path, "loop", "target_mode", f"must be one of {TARGET_MODES}"
-        )
-    method = record("loop", "method", get("loop", "method")).strip()
-    if method not in _METHODS:
-        raise ConfigError(
-            path, "loop", "method", f"must be one of {_METHODS}"
-        )
-    if eps <= 0.0 or n_max < 1:
-        raise ConfigError(
-            path, "loop", "eps/n_max", "eps must be > 0 and n_max >= 1"
-        )
-    seed = record("run", "seed", get_typed("run", "seed", int))
+        # the extension needs Gamma on the edge of omega_c that touches
+        # the domain boundary
+        with _anchored(path, "regions", "-"):
+            d_s = extend_target(zd, omega_c, gamma, domain, profile=(
+                None if coefs == "smoothstep" else decay))
+
+    y0_terms = read("initial", "y0")
+    y0 = Field.zero(domain) if y0_terms == "zero" else Field(
+        domain, eval_poly(y0_terms, domain.x, domain.y))
+
+    # the [loop] keys are named as the fields they set
+    loop = {k: read("loop", k) for k in ("eps", "lambda_reg", "n_max",
+                                         "stop_metric", "target_mode",
+                                         "method")}
+    seed = read("run", "seed")
     for section in cp.sections():
         for key in cp.options(section):
             if (section, key) not in asked:
@@ -381,7 +320,6 @@ def load_config(path):
 
     return ExperimentConfig(
         basis=basis, act=act, grid=grid, alpha=alpha, F=F, omega_c=omega_c,
-        gamma=gamma, d_s=d_s, zd=zd, y0=y0, eps=eps, lambda_reg=lambda_reg,
-        n_max=n_max, stop_metric=stop_metric, target_mode=target_mode,
-        path=str(path), method=method, seed=seed, resolved=resolved,
+        gamma=gamma, d_s=d_s, zd=zd, y0=y0, path=str(path), seed=seed,
+        resolved=resolved, **loop,
     )

@@ -15,7 +15,8 @@ Both sums stop where each element's own terms allow.  The series stops
 at the first term below 1e-16 of the sum; the expansion stops at the
 first window of terms bounded below rounding of its leading term, a
 point read from |z| alone, so at large |z| it sums a handful of terms.
-The Gamma coefficients of both are formed once per `ml` call, and the
+The Gamma coefficients of both are formed once per (alpha, beta) in a
+process and shared by every `ml` call of that order pair, and the
 series' reach and each chunk's sum length are read from the same table
 as its terms (a-priori truncation as in Gorenflo, Loutchko & Luchko,
 Fract. Calc. Appl. Anal. 5(4), 2002).  An element's value therefore
@@ -27,7 +28,7 @@ test suite (`tests/ml_oracle.py`).
 """
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -111,9 +112,10 @@ def _rgamma(x):
 class _Coefficients:
     """Gamma coefficients of one order pair (alpha, beta).
 
-    `_rgamma` and `math.lgamma` loop in Python, so `ml` forms them once
-    per call and its chunks share them: the series' 1/Gamma(beta + alpha k)
-    and log Gamma(beta + alpha k) for k = 1, ..., 399, with the series
+    `_rgamma` and `math.lgamma` loop in Python, so a process forms them
+    once per order pair (`_coefficients`) and every `ml` call of that
+    pair shares them: the series' 1/Gamma(beta + alpha k) and
+    log Gamma(beta + alpha k) for k = 1, ..., 399, with the series
     reach and sum lengths read from them, and the expansion's coefficients
     with the bounds of its truncation rule.
     """
@@ -170,6 +172,12 @@ class _Coefficients:
             reach[i0 + 1 :] = ratio ** (1.0 / np.arange(1, ks.size - i0))
         window = np.maximum(np.maximum(reach[:-2], reach[1:-1]), reach[2:])
         return c, np.minimum.accumulate(window)
+
+
+@lru_cache(maxsize=256)
+def _coefficients(alpha, beta):
+    """The `_Coefficients` of (alpha, beta), formed on its first use."""
+    return _Coefficients(alpha, beta)
 
 
 def _series_vec(alpha, beta, z, coef):
@@ -340,7 +348,7 @@ def ml(alpha, beta, z):
     # evaluated once
     flat, inverse = np.unique(z.ravel(), return_inverse=True)
     out = np.empty(flat.size)
-    coef = _Coefficients(alpha, beta)
+    coef = _coefficients(alpha, beta)
     for lo in range(0, flat.size, _CHUNK):
         out[lo : lo + _CHUNK] = _ml_vec(alpha, beta, flat[lo : lo + _CHUNK],
                                         coef)

@@ -18,7 +18,7 @@ from fracctrl.cli import (
     EXIT_OK,
     main,
 )
-from fracctrl.config import bundled_config_path
+from fracctrl.config import bundled_config_path, load_config
 from fracctrl.diagnostics import HypothesisReport
 from fracctrl.mittag import MLEvaluationError
 
@@ -323,6 +323,37 @@ class TestLinearMethod:
         u0 = np.loadtxt(dir0 / "control.dat")[:, 1]
         u1 = np.loadtxt(dir1 / "control.dat")[:, 1]
         assert np.max(np.abs(u1)) < 1e-3 * np.max(np.abs(u0))
+
+
+class TestManifestLambda:
+    """An omitted lambda_reg is recorded as the trace-scaled lambda the
+    run used, not as the negative default that selects it."""
+
+    @staticmethod
+    def _run(tmp_path):
+        path = tmp_path / "auto.cfg"
+        path.write_text(TINY.replace("lambda_reg = 1e-8\n", ""))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        manifest = json.loads((out / "auto" / "manifest.json").read_text())
+        return path, code, manifest["resolved_config"]["loop.lambda_reg"]
+
+    def test_records_the_operators_lambda(self, tmp_path):
+        path, code, recorded = self._run(tmp_path)
+        assert code == EXIT_OK
+        want = load_config(str(path)).operator().lambda_reg
+        assert want > 0.0
+        assert recorded == want
+
+    def test_null_when_no_operator_was_assembled(self, tmp_path,
+                                                 monkeypatch):
+        def fail(*args, **kwargs):
+            raise MLEvaluationError(0.5, 1.0, -1.0, "no convergent branch")
+
+        monkeypatch.setattr("fracctrl.cli.hypothesis_report", fail)
+        _, code, recorded = self._run(tmp_path)
+        assert code == EXIT_DIVERGED
+        assert recorded is None
 
 
 class TestNumericalFailure:

@@ -68,6 +68,14 @@ class TestParsePoly:
             (0, 3, 7.0), (0, 2, -13.0)
         ]
 
+    @pytest.mark.parametrize("text,want", [
+        ("(0,0,1)(1,0,2)", [(0, 0, 1.0), (1, 0, 2.0)]),  # no separator
+        ("(0,0,1),", [(0, 0, 1.0)]),  # trailing comma
+        ("((0,0,1))", [(0, 0, 1.0)]),  # redundant parentheses
+    ])
+    def test_separator_variants(self, text, want):
+        assert parse_poly(text) == want
+
     @pytest.mark.parametrize("bad", [
         "", "(1, 2)", "(1.5, 0, 1.0)", "(-1, 0, 1.0)", "(1, 0, 1.0",
         "1 2 3",
@@ -151,10 +159,37 @@ class TestLoadConfig:
         ("eps = 1e-2", "eps = -1.0"),
         ("lambda_reg = 1e-8", "lambda_reg = -0.5"),
         ("z_d = (0, 0, 1e-3)", "z_d = (0, 0"),
+        ("nx = 21", "nx = 4"),
+        ("K = 8", "K = 1"),
+        ("lambda_reg = 1e-8", "lambda_reg = 1e-8\nn_max = 0"),
+        ("lambda_reg = 1e-8", "lambda_reg = 1e-8\n[run]\nseed = 1.5"),
+        ("gain = 1.0", "gain = abc"),
+        ("f = none", "f = cube"),
+        ("type = zonal\nbox = 0.0 0.2 0.2 0.4",
+         "type = pointwise\npoint = 1.5 0.5"),
     ])
     def test_rejects_bad_values(self, tmp_path, old, new):
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, TINY.replace(old, new)))
+
+    @pytest.mark.parametrize("old,new,where", [
+        ("type = zonal", "type = ring", ("actuator", "type")),
+        ("box = 0.0 0.2 0.2 0.4", "box = 0.0 1.2 0.2 0.4",
+         ("actuator", "box")),
+        ("gamma = left 0.0 0.1", "gamma = left 0.0", ("regions", "gamma")),
+        ("omega_c = 0.0 0.3 0.0 0.1\n", "", ("regions", "omega_c")),
+        ("eps = 1e-2", "eps = -1.0", ("loop", "eps")),
+        ("eps = 1e-2", "eps = 1e-2\nn_max = 0", ("loop", "n_max")),
+        ("f = none", "f = power\nf_coeff = 1.0\nf_power = 4",
+         ("problem", "f_power")),
+        ("lambda_reg = 1e-8", "lambda_reg = 1e-8\n[run]\nseed = 1.5",
+         ("run", "seed")),
+    ])
+    def test_error_names_its_key(self, tmp_path, old, new, where):
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_cfg(tmp_path, TINY.replace(old, new)))
+        assert (exc.value.section, exc.value.key) == where
+        assert len(str(exc.value).splitlines()) == 1
 
     @pytest.mark.parametrize("key,val", [
         ("stop_metric", "sup"),
@@ -212,6 +247,42 @@ class TestBundledConfigs:
         assert cfg.method == "algorithm1"
         # the explicit extension restricts to the boundary target exactly
         assert np.allclose(cfg.d_s.values[0, :], cfg.zd, atol=1e-12)
+
+    def test_example1_resolved(self):
+        # every key, defaults included, as the run manifest records it
+        cfg = load_config(bundled_config_path("example1.cfg"))
+        assert cfg.resolved == {
+            "actuator.box": [0.0, 0.2, 0.2, 0.4],
+            "actuator.gain": 25.0,
+            "actuator.type": "zonal",
+            "domain.K": 60,
+            "domain.lx": 1.0,
+            "domain.ly": 1.0,
+            "domain.mx": 20,
+            "domain.my": 20,
+            "domain.nx": 51,
+            "domain.ny": 51,
+            "initial.y0": "zero",
+            "loop.eps": 0.02,
+            "loop.lambda_reg": 0.001875,
+            "loop.method": "algorithm1",
+            "loop.n_max": 50,
+            "loop.stop_metric": "l2",
+            "loop.target_mode": "omega",
+            "problem.F": "square",
+            "problem.T": 3.0,
+            "problem.alpha": 0.3,
+            "regions.gamma": ["left", 0.0, 0.1],
+            "regions.omega_c": [0.0, 0.3, 0.0, 0.1],
+            "run.seed": 0,
+            "target.d_s": [
+                (0, 3, 7.0), (0, 2, -13.0), (0, 0, 3.0),
+                (3, 3, 1.5217391304347827), (3, 2, -2.8260869565217392),
+                (3, 0, 0.6521739130434783), (2, 3, -1.1290322580645162),
+                (2, 2, 2.096774193548387), (2, 0, -0.4838709677419355),
+            ],
+            "target.z_d": [(0, 3, 7.0), (0, 2, -13.0), (0, 0, 3.0)],
+        }
 
     def test_example1_parameters(self):
         cfg = load_config(bundled_config_path("example1.cfg"))
