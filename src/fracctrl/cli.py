@@ -85,17 +85,9 @@ def _iteration_lines(report):
 
 
 def _execute(cfg, problem):
-    """Run the configured synthesis method; returns (u, traj, report).
-
-    The linear method is one residual-update iteration: a single
-    pseudo-inverse solve plus one confirming simulation.
-    """
+    """Run the configured synthesis method; returns (u, traj, report)."""
     if cfg.method == "picard":
         return picard_sequence(problem)
-    if cfg.method == "linear":
-        # on the run's own problem, which holds the operator the
-        # diagnostics already assembled
-        problem.n_max = 1
     return algorithm1(problem)
 
 
@@ -162,9 +154,11 @@ def _run_one(cfg, outdir, seed):
 
 def _resolved_config(cfg, seed):
     """The config's resolved view with the values the run used: the
-    --method/--seed overrides and, for an omitted lambda_reg, the
-    operator's trace-scaled lambda (None before it was assembled)."""
-    resolved = {**cfg.resolved, "loop.method": cfg.method, "run.seed": seed}
+    --method/--seed overrides, the linear method's n_max and, for an
+    omitted lambda_reg, the operator's trace-scaled lambda (None before
+    it was assembled)."""
+    resolved = {**cfg.resolved, "loop.method": cfg.method,
+                "loop.n_max": cfg.n_max, "run.seed": seed}
     if cfg.lambda_reg < 0.0:
         H = cfg._operator  # read, not assembled: operator() would build it
         resolved["loop.lambda_reg"] = None if H is None else H.lambda_reg
@@ -199,12 +193,18 @@ def _write_manifest(cfg, outdir, hyp, summary, t_start, seed):
 
 def _load(args, path=None):
     """Load a config (args.config unless path is given) and apply the
-    --method/--seed overrides to it."""
+    --method/--seed overrides to it.
+
+    The linear method is one residual-update iteration of `algorithm1`:
+    a single pseudo-inverse solve plus one confirming simulation.
+    """
     cfg = load_config(path or args.config)
     if args.method:
         cfg.method = args.method
     if args.seed is not None:
         cfg.seed = args.seed
+    if cfg.method == "linear":
+        cfg.n_max = 1
     return cfg
 
 

@@ -4,13 +4,15 @@ A config file resolves to a ControlProblem plus run metadata.  Targets and
 extensions are polynomials given as monomial coefficient lists — a
 space-separated sequence of (i, j, c) triples meaning c * x^i * y^j — so
 both bundled examples are expressed exactly without an expression parser.
-Every key has one row in `_KEYS`: its parser, default and check.  A file
-key that `load_config` does not read is an error, so a misspelt key
-cannot fall back to a default silently.
+Every key has one row in `_KEYS`: its parser, default and check; every
+number a key holds must be finite.  A file key that `load_config` does
+not read is an error, so a misspelt key cannot fall back to a default
+silently.
 """
 
 import ast
 import configparser
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -80,9 +82,12 @@ def parse_poly(text):
                 and all(isinstance(k, int) and k >= 0 for k in t[:2])):
             raise ValueError(f"not an (i, j, c) term, i, j ints >= 0: {t!r}")
     try:
-        return [(i, j, float(c)) for i, j, c in terms]
+        terms = [(i, j, float(c)) for i, j, c in terms]
     except TypeError as exc:
         raise ValueError(f"non-numeric coefficient in {text!r}") from exc
+    if not all(math.isfinite(c) for _, _, c in terms):
+        raise ValueError(f"non-finite coefficient in {text!r}")
+    return terms
 
 
 def eval_poly(terms, x, y):
@@ -95,10 +100,18 @@ def eval_poly(terms, x, y):
     return out
 
 
+def _finite(text):
+    """A float that is neither nan nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
 def _floats(n=None):
-    """Parser of a list of numbers, n of them unless n is None."""
+    """Parser of a list of finite numbers, n of them unless n is None."""
     def parse(text):
-        vals = [float(v) for v in text.replace(",", " ").split()]
+        vals = [_finite(v) for v in text.replace(",", " ").split()]
         if n is not None and len(vals) != n:
             raise ValueError(f"needs {n} numbers, got {len(vals)}")
         return vals
@@ -110,7 +123,7 @@ def _segment(text):
     spec = text.replace(",", " ").split()
     if len(spec) != 3:
         raise ValueError("needs: side s0 s1")
-    return [spec[0], float(spec[1]), float(spec[2])]
+    return [spec[0], _finite(spec[1]), _finite(spec[2])]
 
 
 def _one_of(options):
@@ -126,17 +139,17 @@ _LOOP = {f.name: f.default for f in fields(ControlProblem)}
 # resolved view.  A check (predicate, message) applies to file values only.
 _KEYS = {
     ("problem", "alpha"): (
-        float, _REQUIRED, ((lambda a: 0.0 < a <= 1.0), "must be in (0, 1]")),
-    ("problem", "T"): (float, _REQUIRED, _POSITIVE),
+        _finite, _REQUIRED, ((lambda a: 0.0 < a <= 1.0), "must be in (0, 1]")),
+    ("problem", "T"): (_finite, _REQUIRED, _POSITIVE),
     ("problem", "F"): (str.strip, "square", _one_of(F_KINDS)),
-    ("problem", "f_coeff"): (float, _REQUIRED, None),
+    ("problem", "f_coeff"): (_finite, _REQUIRED, None),
     ("problem", "f_power"): (int, _REQUIRED, None),
-    ("domain", "lx"): (float, 1.0, None),
-    ("domain", "ly"): (float, 1.0, None),
+    ("domain", "lx"): (_finite, 1.0, None),
+    ("domain", "ly"): (_finite, 1.0, None),
     **{("domain", k): (int, _REQUIRED, None)
        for k in ("nx", "ny", "mx", "my", "K")},
     ("actuator", "type"): (str.strip, _REQUIRED, _one_of(ACTUATOR_KINDS)),
-    ("actuator", "gain"): (float, 1.0, None),
+    ("actuator", "gain"): (_finite, 1.0, None),
     ("actuator", "box"): (_floats(4), _REQUIRED, None),
     ("actuator", "point"): (_floats(2), _REQUIRED, None),
     ("regions", "gamma"): (_segment, _REQUIRED, None),
@@ -148,10 +161,10 @@ _KEYS = {
         ((lambda c: c and abs(c[0] - 1.0) <= 1e-12),
          "leading coefficient must be 1 so the trace matches z_d")),
     ("initial", "y0"): (parse_poly, "zero", None),
-    ("loop", "eps"): (float, _LOOP["eps"], _POSITIVE),
+    ("loop", "eps"): (_finite, _LOOP["eps"], _POSITIVE),
     # the default (negative) selects the trace-scaled lambda
     ("loop", "lambda_reg"): (
-        float, _LOOP["lambda_reg"], ((lambda v: v >= 0.0), "must be >= 0")),
+        _finite, _LOOP["lambda_reg"], ((lambda v: v >= 0.0), "must be >= 0")),
     ("loop", "n_max"): (
         int, _LOOP["n_max"], ((lambda n: n >= 1), "must be >= 1")),
     ("loop", "stop_metric"): (
@@ -282,7 +295,9 @@ def load_config(path):
     # decay profile in the inward coordinate, or the default smooth decay
     ds_terms = read("target", "d_s")
     if ds_terms is not None:
-        asked.add(("target", "extension_profile"))  # d_s takes precedence
+        if cp.has_option("target", "extension_profile"):
+            raise ConfigError(path, "target", "extension_profile",
+                              "cannot be given together with d_s")
         xs, ys = domain.x[ix], domain.y[iy]
         d_s = GridPatch(x=xs, y=ys, values=eval_poly(ds_terms, xs, ys))
         if not np.allclose(on_gamma(ds_terms), zd, atol=1e-9):

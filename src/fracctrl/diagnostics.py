@@ -23,6 +23,20 @@ crossing at which a third mode is higher splits into two switches for the
 next round.  An envelope that has not settled after `_ENVELOPE_ROUNDS`
 rounds raises `EnvelopeError` rather than returning a partial sum.
 
+Only the modes that can win are evaluated.  E_(alpha,beta)(-x) is
+completely monotone in x >= 0 for 0 < alpha <= 1 and beta >= alpha
+(Schneider, Expo. Math. 14, 1996), so every f_j, and with them the
+envelope, is non-increasing in u.  All modes are evaluated on every
+`_ENVELOPE_STRIDE`-th grid node and the last.  A mode that wins at some
+u in [U_a, U_b] between two such nodes has
+f_j(U_a) >= f_j(u) = env(u) >= env(U_b), so only the modes with
+f_j(U_a) >= env(U_b) (1 - `_ENVELOPE_SLACK`) are evaluated at the nodes
+in between, and the others are -inf.  At a crossing c the same argument
+leaves the modes evaluated at the grid node below c whose value there is
+at least the crossing pair's value at c.  Every argmax runs over the
+modes in index order, so the winners, and A1, are those of an
+evaluation of every mode everywhere.
+
 The Lipschitz table F_N of F = c y^p is sampled on seed-fixed pairs
 z = a v1, y = b v2 of unit fields v1, v2 and scalars a, b.  Every norm
 it needs is a polynomial in (a, b) whose coefficients are per-sample
@@ -40,6 +54,12 @@ from .mittag import check_order, ml
 # log-spaced nodes per decade of u = t^alpha on which the winning mode is
 # first sampled
 _ENVELOPE_PER_DECADE = 60
+# every mode is evaluated on every _ENVELOPE_STRIDE-th start node and the
+# last; the nodes between two of them evaluate only the candidate modes
+_ENVELOPE_STRIDE = 8
+# relative slack of the candidate bound, far above the ~1e-9 relative
+# error of an `ml` Taylor sum, so rounding cannot drop a winning mode
+_ENVELOPE_SLACK = 1e-6
 # refinement rounds (bisect every crossing, then check it against all
 # modes) after which an unresolved envelope raises
 _ENVELOPE_ROUNDS = 8
@@ -99,13 +119,29 @@ def estimate_A1(basis, grid, alpha, q, rtol=1e-8):
     # a bracket cannot be narrower than one float spacing
     tol = max(rtol, np.finfo(float).eps)
 
+    def fill(f, u, cand):
+        """f[r, m] = f_m(u[r]) wherever cand[r, m], in one `ml` call."""
+        r, m = np.nonzero(cand)
+        f[r, m] = shift[m] * ml(alpha, alpha, -lam[m] * u[r])
+
     # u = 0, then log-spaced nodes from inside the boundary layer of
     # width 1/lam_max up to T^alpha
     Ta = grid.T**alpha
     u0 = min(1e-3 / (lam.max() + 1.0), Ta)
     n = math.ceil(_ENVELOPE_PER_DECADE * math.log10(Ta / u0)) + 1
     u = np.concatenate([[0.0], np.geomspace(u0, Ta, n)])
-    win = np.argmax(shift * ml(alpha, alpha, -np.outer(u, lam)), axis=1)
+    # every mode on the coarse nodes; on the nodes of a coarse interval
+    # only the modes that can win there (module docstring), the rest -inf
+    coarse = np.append(np.arange(0, u.size - 1, _ENVELOPE_STRIDE), u.size - 1)
+    f = np.full((u.size, lam.size), -np.inf)
+    f[coarse] = shift * ml(alpha, alpha, -np.outer(u[coarse], lam))
+    # node i lies in the interval [coarse[g[i]], coarse[g[i] + 1]]
+    g = np.minimum(np.arange(u.size) // _ENVELOPE_STRIDE, coarse.size - 2)
+    bound = f[coarse].max(axis=1)[g + 1] * (1.0 - _ENVELOPE_SLACK)
+    cand = f[coarse[g]] >= bound[:, None]
+    cand[coarse] = False
+    fill(f, u, cand)
+    win = np.argmax(f, axis=1)
     # open switches: mode j wins at lo, mode k at hi
     at = np.flatnonzero(win[:-1] != win[1:])
     lo, hi, j, k = u[at], u[at + 1], win[at], win[at + 1]
@@ -127,12 +163,21 @@ def estimate_A1(basis, grid, alpha, q, rtol=1e-8):
             b[act[~right]] = mid[~right]
             act = act[b[act] - a[act] > tol * b[act]]
         c = 0.5 * (a + b)
-        every = shift * ml(alpha, alpha, -np.outer(c, lam))
         rows = np.arange(c.size)
+        every = np.full((c.size, lam.size), -np.inf)
+        pick = np.zeros(every.shape, dtype=bool)
+        pick[rows, j] = pick[rows, k] = True
+        fill(every, c, pick)
+        pair = np.maximum(every[rows, j], every[rows, k])
+        # a mode that can beat the pair at c was a candidate at the start
+        # node below c, and was above the pair there
+        pick = (f[np.searchsorted(u, c, side="right") - 1]
+                >= (pair * (1.0 - _ENVELOPE_SLACK))[:, None])
+        pick[rows, j] = pick[rows, k] = False
+        fill(every, c, pick)
         best = np.argmax(every, axis=1)
         # a third mode above both at the crossing wins a piece between
         # them: split the switch into j -> best -> k and resolve both
-        pair = np.maximum(every[rows, j], every[rows, k])
         third = every[rows, best] > pair * (1.0 + _ENVELOPE_TIE)
         cross.append(c[~third])
         after.append(k[~third])

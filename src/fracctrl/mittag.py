@@ -346,7 +346,7 @@ def ml(alpha, beta, z):
     z = np.asarray(z, dtype=float)
     # repeated arguments (e.g. the mirrored modes of a square basis) are
     # evaluated once
-    flat, inverse = np.unique(z.ravel(), return_inverse=True)
+    flat, inverse = _distinct(z)
     out = np.empty(flat.size)
     coef = _coefficients(alpha, beta)
     for lo in range(0, flat.size, _CHUNK):
@@ -354,7 +354,20 @@ def ml(alpha, beta, z):
                                         coef)
     if z.ndim == 0:
         return float(out[0])
-    return out[inverse].reshape(z.shape)
+    if inverse is not None:
+        out = out[inverse]
+    return out.reshape(z.shape)
+
+
+def _distinct(z):
+    """(values, inverse) of z's elements: the sorted distinct values and
+    the index of each element among them, or (z, None) for a 1-D z that
+    is already strictly increasing.  A caller that evaluates several
+    orders on one array sorts it once here and passes the values to
+    `ml`, which then does not sort them again."""
+    if z.ndim == 1 and np.all(z[1:] > z[:-1]):
+        return z, None
+    return np.unique(z.ravel(), return_inverse=True)
 
 
 def h_symbol(lam, t, alpha):

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import Field, actuator_coefficients
-from .mittag import check_order, ml
+from .mittag import _distinct, check_order, ml
 
 __all__ = [
     "TimeGrid",
@@ -147,12 +147,18 @@ def _kernel_tables(basis, grid, alpha):
     # the distinct eigenvalues (a square basis repeats most of them),
     # which halves the evaluator's whole-array work space, and spread to
     # the modes by `take`, which keeps them C-ordered: the history sums
-    # reduce over rows, and their rounding depends on the layout.
+    # reduce over rows, and their rounding depends on the layout.  Both
+    # tables share one sort of their arguments.
     ta = np.array([t**alpha for t in grid.nodes.tolist()])
     lam, mode = np.unique(basis.eigenvalues, return_inverse=True)
     z = -np.outer(ta, lam)
-    E1 = np.take(ml(alpha, 1.0, z), mode, axis=1)
-    W = ml(alpha, alpha + 1.0, z)
+    flat, inverse = _distinct(z)
+
+    def table(beta):
+        return ml(alpha, beta, flat)[inverse].reshape(z.shape)
+
+    E1 = np.take(table(1.0), mode, axis=1)
+    W = table(alpha + 1.0)
     W *= ta[:, None]
     Wd = np.take(np.diff(W, axis=0), mode, axis=1)
     E1.flags.writeable = False

@@ -125,6 +125,33 @@ class TestRun:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == EXIT_CONFIG
         assert len(err) == 1 and err[0].startswith("config error:")
+        return err[0]
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("gain = 1.0", "gain = nan", "[actuator] gain"),
+        ("f = none", "f = power\nf_coeff = inf\nf_power = 2",
+         "[problem] f_coeff"),
+        ("T = 1.0", "T = inf", "[problem] T"),
+        ("lambda_reg = 1e-8", "lambda_reg = -inf", "[loop] lambda_reg"),
+        ("box = 0.0 0.2 0.2 0.4", "box = 0.0 0.2 0.2 inf",
+         "[actuator] box"),
+        ("gamma = left 0.0 0.1", "gamma = left 0.0 nan", "[regions] gamma"),
+        ("z_d = (0, 0, 1e-3)", "z_d = (0, 0, 1e999)", "[target] z_d"),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, old, new,
+                                       key):
+        assert old in TINY
+        line = self._config_error(tmp_path, capsys, "run",
+                                  TINY.replace(old, new))
+        assert key in line and "finite" in line
+
+    def test_d_s_with_extension_profile_exits_2(self, tmp_path, capsys):
+        # a valid profile too: with d_s given it would go unused
+        line = self._config_error(tmp_path, capsys, "run", TINY.replace(
+            "z_d = (0, 0, 1e-3)",
+            "z_d = (0, 0, 1e-3)\nd_s = (0, 0, 1e-3)\n"
+            "extension_profile = 1.0 -2.0 1.0"))
+        assert "[target] extension_profile" in line
 
     @pytest.mark.parametrize("verb", ["run", "verify"])
     def test_segment_without_nodes_exits_2(self, tmp_path, capsys, verb):
@@ -310,6 +337,25 @@ class TestLinearMethod:
         assert code == EXIT_DIVERGED
         summary = (rundir / "summary.txt").read_text()
         assert "status: max-iterations" in summary
+
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_manifest_records_one_iteration(self, tmp_path, where):
+        # the manifest records the n_max the run used, not the configured
+        # one, whether --method or the file selects the linear method
+        text = TINY + "n_max = 7\n"
+        if where == "file":
+            path = tmp_path / "tiny.cfg"
+            path.write_text(text + "method = linear\n")
+            out = tmp_path / "out"
+            code = main(["run", "--config", str(path), "--out", str(out)])
+            rundir = out / "tiny"
+        else:
+            code, rundir = self._run(tmp_path, "tiny", text)
+        assert code == EXIT_OK
+        manifest = json.loads((rundir / "manifest.json").read_text())
+        assert manifest["resolved_config"]["loop.n_max"] == 1
+        assert manifest["resolved_config"]["loop.method"] == "linear"
+        assert manifest["summary"]["iterations"] == 1
 
     def test_initial_state_is_used(self, tmp_path):
         # y0 already equals the constant boundary target and Neumann

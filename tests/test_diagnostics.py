@@ -27,6 +27,7 @@ from fracctrl.domain import (
 )
 from fracctrl.mittag import ml
 from fracctrl.solver import NonlinearTerm, TimeGrid
+from a1_oracle import estimate_A1 as dense_a1
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +136,39 @@ class TestA1Envelope:
             estimate_A1(basis8, TimeGrid(1.0, 8), 0.3, q=0.5)
         monkeypatch.setattr(diagnostics, "_ENVELOPE_ROUNDS", 2)
         assert estimate_A1(basis8, TimeGrid(1.0, 8), 0.3, q=0.5) > 0.0
+
+
+class TestA1Candidates:
+    """The pruned envelope against the dense one (`tests/a1_oracle.py`),
+    which evaluates every mode at every start node and crossing."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.6, 0.9, 1.0])
+    @pytest.mark.parametrize("q", [0.0, 0.25, 0.5, 1.0])
+    def test_bit_identical_to_dense(self, setup, basis8, alpha, q):
+        _, basis20, grid = setup
+        for basis, grid in ((basis8, TimeGrid(1.0, 8)), (basis20, grid)):
+            assert (estimate_A1(basis, grid, alpha, q)
+                    == dense_a1(basis, grid, alpha, q))
+
+    @pytest.mark.parametrize("name", ["example1.cfg", "example2.cfg"])
+    def test_bundled_configs_bit_identical(self, name):
+        cfg = load_config(bundled_config_path(name))
+        args = (cfg.basis, cfg.grid, cfg.alpha, 0.5)
+        assert estimate_A1(*args) == dense_a1(*args)
+
+    def test_evaluates_few_elements(self, monkeypatch):
+        # example 1 at the report's q: 148,312 ML elements when every mode
+        # is evaluated everywhere, 39,150 with the candidate bound
+        elements = []
+
+        def counting(alpha, beta, z):
+            elements.append(np.size(z))
+            return ml(alpha, beta, z)
+
+        monkeypatch.setattr(diagnostics, "ml", counting)
+        cfg = load_config(bundled_config_path("example1.cfg"))
+        estimate_A1(cfg.basis, cfg.grid, cfg.alpha, q=0.5)
+        assert sum(elements) <= 45_000
 
 
 class TestGAlphaNorm:

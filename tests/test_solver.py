@@ -13,7 +13,7 @@ from fracctrl.domain import (
     actuator_coefficients,
     build_basis,
 )
-from fracctrl.mittag import h_symbol
+from fracctrl.mittag import h_symbol, ml
 from fracctrl.solver import (
     GridTrajectory,
     NonlinearTerm,
@@ -371,6 +371,31 @@ class TestKernelTableStability:
         np.testing.assert_allclose(E1, E1s, rtol=1e-15, atol=0.0)
         scale = np.maximum(np.abs(W[:-1]), np.abs(W[1:]))
         assert np.all(np.abs(Wd - Wds) <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_one_sort_matches_two_calls(self, name, monkeypatch):
+        # both tables evaluate one sorted, deduplicated argument array;
+        # the build that passed the 2-D array to `ml` once per table gives
+        # the same bits
+        problem = load_config(bundled_config_path(f"{name}.cfg")).problem()
+        basis, grid, alpha = problem.basis, problem.grid, problem.alpha
+        ta = np.array([t**alpha for t in grid.nodes.tolist()])
+        lam, mode = np.unique(basis.eigenvalues, return_inverse=True)
+        z = -np.outer(ta, lam)
+        E1 = np.take(ml(alpha, 1.0, z), mode, axis=1)
+        W = ml(alpha, alpha + 1.0, z) * ta[:, None]
+        Wd = np.take(np.diff(W, axis=0), mode, axis=1)
+        sorts = []
+        unique = np.unique
+
+        def counting(a, *args, **kwargs):
+            sorts.append(np.size(a))
+            return unique(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        E1new, Wdnew = _kernel_tables.__wrapped__(basis, grid, alpha)
+        assert np.array_equal(E1new, E1) and np.array_equal(Wdnew, Wd)
+        assert sorts.count(z.size) == 1
 
     def test_example2_within_rel_1e12(self):
         (E1, Wd), (E1s, Wds, W) = self._tables("example2")
