@@ -47,6 +47,19 @@ NUMERICAL_ERRORS = (
 )
 
 
+def _emit(text):
+    """Print text to stdout.  A reader that has closed the pipe (`| head`)
+    loses the rest of the output, not the verb's exit code: stdout is
+    pointed at the null device, so later prints and the flush at exit do
+    not raise again."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _out_root(args):
     if args.out:
         return Path(args.out)
@@ -216,9 +229,8 @@ def cmd_run(args):
         return EXIT_CONFIG
     outdir = _out_root(args) / Path(args.config).stem
     code, summary = _run_one(cfg, outdir, cfg.seed)
-    for k, v in summary.items():
-        print(f"{k}: {v}")
-    print(f"artifacts: {outdir}")
+    _emit("\n".join(f"{k}: {v}" for k, v in summary.items())
+          + f"\nartifacts: {outdir}")
     return code
 
 
@@ -233,7 +245,7 @@ def cmd_verify(args):
     except NUMERICAL_ERRORS as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    print(report.to_text())
+    _emit(report.to_text())
     return EXIT_HYPOTHESIS if report.violated else EXIT_OK
 
 
@@ -284,7 +296,7 @@ def cmd_sweep(args):
             f"{summary.get('cost', float('nan'))}"
         )
     table = "\n".join(lines)
-    print(table)
+    _emit(table)
     (outroot / "sweep.dat").write_text(table + "\n")
     return worst
 

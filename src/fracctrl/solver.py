@@ -7,13 +7,15 @@ once per problem, each with one Mittag-Leffler call over the whole (time
 node x distinct eigenvalue) array.  The control drive of every node is one
 Toeplitz product of the step values with the step weights, taken before
 any step; the semilinear solve starts from that linear response, and its
-steps integrate F only, by product integration with inner Picard sweeps
-per step, one nodal/spectral round trip each.  A step whose sweeps do not
-settle keeps its predictor, the explicit step with the nonlinearity frozen
-at the step start.  An independent
-finite-difference L1 solver is provided for cross-validation; it is the
-one part of the package that needs scipy (sparse LU), which it imports
-when called.
+steps integrate F only, by product integration with F averaged over the
+step ends.  Each step solves that equation by sweeps, one nodal/spectral
+round trip each, mixed at depth one (Anderson); they start from F
+extrapolated linearly in time, and the F of a step's last sweep serves
+the next step.  A step whose sweeps do not settle keeps its predictor,
+the explicit step with the nonlinearity frozen at the step start.  An
+independent finite-difference L1 solver is provided for cross-validation;
+it is the one part of the package that needs scipy (sparse LU), which it
+imports when called.
 """
 
 import math
@@ -191,9 +193,17 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
 
     The linear response (free evolution plus control drive) comes from
     `solve_linear`; the steps integrate F only.  F(y) is treated as
-    constant on each step: the predictor uses the value at the step
-    start, then inner Picard sweeps replace it with the average of the
-    step endpoints until the state update stalls below TOL_PICARD.
+    constant on each step, at the average of its values at the step ends,
+    and each step solves that equation for its end state by sweeps
+    x -> G(x), one nodal/spectral round trip each, with depth-one
+    Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011).  The
+    sweeps start from the predictor (F frozen at the step start) on the
+    first step and from F extrapolated linearly in time from the last two
+    nodes after it.  They stop when the residual G(x) - x falls below
+    TOL_PICARD (or stalls at the round trip's rounding floor); the step
+    keeps G(x).  A step settled by TOL_PICARD hands the F of its last
+    sweep to the next step instead of evaluating F once more.  A step
+    whose sweeps do not settle keeps the predictor.
     """
     lin = solve_linear(y0, u, act, basis, grid, alpha)
     if F.is_zero:
@@ -213,7 +223,9 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
     # F overflows where the state runs away; the finiteness checks below
     # act on that, so the floating-point warnings are silenced once here
     with np.errstate(over="ignore", invalid="ignore"):
+        # projected F at the previous node and at the one before it
         f_prev = project(F(nodal(coeffs[0])))
+        f_back = None
         for n in range(1, grid.K + 1):
             k = n - 1
             base = coeffs[n]
@@ -222,24 +234,38 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
                 base += np.einsum("km,km->m", f[:k], Wd[n - 1 : 0 : -1])
             # predictor: F at the step start
             predictor = base + f_prev * Wd[0]
-            state = predictor
+            if f_back is None:
+                state = predictor
+            else:
+                # F at the step end extrapolated linearly from the last
+                # two nodes, averaged with F at the step start
+                state = base + (1.5 * f_prev - 0.5 * f_back) * Wd[0]
             prev_delta = math.inf
             settled = False
             growth = 0
+            f_end = None  # F(state) known without another round trip
+            g_old = r_old = None
             for _ in range(MAX_SWEEPS):
-                fk = 0.5 * (f_prev + project(F(nodal(state))))
-                new_state = base + fk * Wd[0]
-                step = new_state - state
+                f_state = project(F(nodal(state)))
+                fk = 0.5 * (f_prev + f_state)
+                g = base + fk * Wd[0]
+                # the residual of the step equation, the update a plain
+                # Picard sweep makes
+                r = g - state
                 # sqrt(x @ x) is what np.linalg.norm computes for a real
                 # vector, without its dispatch; a non-finite state gives
                 # a non-finite delta
-                delta = math.sqrt(step @ step)
-                state = new_state
+                delta = math.sqrt(r @ r)
+                state = g
                 if not math.isfinite(delta):
                     break
                 scale = max(1.0, math.sqrt(state @ state))
                 if delta <= TOL_PICARD * scale:
+                    # the F this sweep evaluated, at a state within the
+                    # tolerance of g, goes to the next step without
+                    # another round trip
                     settled = True
+                    f_end = f_state
                     break
                 if (delta >= 0.5 * prev_delta
                         and delta <= 1e4 * TOL_PICARD * scale):
@@ -255,6 +281,16 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
                 if growth >= 2:
                     break
                 prev_delta = delta
+                # depth-one Anderson mixing (Walker & Ni, 2011): of the
+                # last two sweep images, the combination whose linearised
+                # residual is least; plain Picard when the residuals do
+                # not differ
+                if g_old is not None:
+                    dr = r - r_old
+                    drdr = dr @ dr
+                    if drdr > 0.0:
+                        state = g - (r @ dr / drdr) * (g - g_old)
+                g_old, r_old = g, r
             if not settled:
                 # the averaged step equation has no reachable fixed point
                 # at this amplitude; keep the explicit product-integration
@@ -270,7 +306,9 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
                 fk = f_prev
             f[k] = fk
             coeffs[n] = state
-            f_prev = project(F(nodal(state)))
+            if f_end is None:
+                f_end = project(F(nodal(state)))
+            f_back, f_prev = f_prev, f_end
     return lin
 
 

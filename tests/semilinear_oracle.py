@@ -1,15 +1,24 @@
-"""Reference semilinear stepper for the solver tests.
+"""Reference semilinear steppers for the solver tests.
 
-This is `fracctrl.solver.solve_semilinear` as it was written before its
-sweep loop was trimmed and before the control drive left the step loop:
-every step's source is u_k b + f_k, the history sum is a materialised
-product summed over the step axis, every norm is `np.linalg.norm`, and the
-floating-point warnings of F are silenced around each call of F.  The
-solver takes the drive from one Toeplitz product instead, which
-re-associates (u_k b + f_k) Wd as b (u_k Wd) + f_k Wd; its trajectories
-must agree with this loop's to rounding, and its divergence messages
-exactly.  The loop also reports the steps that kept the explicit step, so
-a test can show that it exercised that branch.
+`solve_semilinear_reference` is `fracctrl.solver.solve_semilinear` as it
+was written before its sweep loop was trimmed, before the control drive
+left the step loop and before its sweeps were mixed: every step's source
+is u_k b + f_k, the history sum is a materialised product summed over the
+step axis, every norm is `np.linalg.norm`, the floating-point warnings of
+F are silenced around each call of F, and each step runs plain Picard
+sweeps from the predictor, with the floor and growth tests, then
+evaluates F once more at the settled state.  The solver must give its
+divergence messages exactly and keep the explicit step at the same steps
+(an explicit step differs from a settled one by O(dt)).  The loop reports
+those steps, so a test can show that it exercised that branch.
+
+Neither loop solves a step's equation to rounding: the floor test and
+TOL_PICARD leave settled steps up to about 3e-11 of max|coeffs| away
+from its solution on the bundled examples.  `solve_step_equation` is
+that solution: it repeats the reference loop with every settled step's
+sweeps run to 1e-15, with no floor or growth test, and keeps the
+predictor at the steps the reference loop reports.  The solver's
+trajectories are bounded against it, not against either loop's path.
 """
 
 import numpy as np
@@ -25,9 +34,15 @@ from fracctrl.solver import (
     _kernel_tables,
 )
 
+# sweeps allowed to reach 1e-15; the bundled examples' first controls
+# need at most 24
+EXACT_SWEEPS = 200
 
-def solve_semilinear_reference(y0, u, F, act, basis, grid, alpha):
-    """(Trajectory, steps n that kept the explicit step) for F != 0."""
+
+def _step_loop(y0, u, F, act, basis, grid, alpha, sweeps):
+    """The reference step loop around `sweeps(n, predictor, sweep)`, which
+    returns (settled, state, f_k); `sweep(state)` is one Picard sweep of
+    step n's equation and returns (f_k, its image of the state)."""
     alpha = check_order(alpha)
     b = actuator_coefficients(act, basis)
     c0 = y0.coefficients(basis).ravel()
@@ -51,39 +66,19 @@ def solve_semilinear_reference(y0, u, F, act, basis, grid, alpha):
     f_prev = project(F_quiet(nodal(c0)))
     for n in range(1, grid.K + 1):
         k = n - 1
-        fk = f_prev
-        g[k] = uvals[k] * b + fk
         base = E1[n] * c0
         if k > 0:
             base += np.sum(g[:k] * Wd[n - 1 : 0 : -1], axis=0)
-        state = base + g[k] * Wd[0]
-        prev_delta = np.inf
-        settled = False
-        growth = 0
-        for _ in range(MAX_SWEEPS):
-            if not np.all(np.isfinite(state)):
-                break
+
+        def sweep(state):
             fk = 0.5 * (f_prev + project(F_quiet(nodal(state))))
-            g[k] = uvals[k] * b + fk
-            new_state = base + g[k] * Wd[0]
-            delta = np.linalg.norm(new_state - state)
-            state = new_state
-            if not np.isfinite(delta):
-                break
-            scale = max(1.0, np.linalg.norm(state))
-            if delta <= TOL_PICARD * scale:
-                settled = True
-                break
-            if delta >= 0.5 * prev_delta and delta <= 1e4 * TOL_PICARD * scale:
-                settled = True
-                break
-            growth = growth + 1 if delta > prev_delta else 0
-            if growth >= 2:
-                break
-            prev_delta = delta
+            return fk, base + (uvals[k] * b + fk) * Wd[0]
+
+        predictor = base + (uvals[k] * b + f_prev) * Wd[0]
+        settled, state, fk = sweeps(n, predictor, sweep)
         if not settled:
             unsettled.append(n)
-            state = base + (uvals[k] * b + f_prev) * Wd[0]
+            state = predictor
             norm = np.linalg.norm(state)
             if not np.isfinite(norm) or norm > 1e8:
                 raise SemilinearDivergenceError(
@@ -91,8 +86,58 @@ def solve_semilinear_reference(y0, u, F, act, basis, grid, alpha):
                     "(left the contraction regime)"
                 )
             fk = f_prev
-            g[k] = uvals[k] * b + fk
+        g[k] = uvals[k] * b + fk
         coeffs[n] = state
         f_prev = project(F_quiet(nodal(state)))
     traj = Trajectory(basis=basis, grid=grid, coeffs=coeffs, control=uvals)
     return traj, unsettled
+
+
+def _reference_sweeps(n, predictor, sweep):
+    state, fk = predictor, None
+    prev_delta = np.inf
+    growth = 0
+    for _ in range(MAX_SWEEPS):
+        if not np.all(np.isfinite(state)):
+            break
+        fk, new_state = sweep(state)
+        delta = np.linalg.norm(new_state - state)
+        state = new_state
+        if not np.isfinite(delta):
+            break
+        scale = max(1.0, np.linalg.norm(state))
+        if delta <= TOL_PICARD * scale:
+            return True, state, fk
+        if delta >= 0.5 * prev_delta and delta <= 1e4 * TOL_PICARD * scale:
+            return True, state, fk
+        growth = growth + 1 if delta > prev_delta else 0
+        if growth >= 2:
+            break
+        prev_delta = delta
+    return False, state, fk
+
+
+def solve_semilinear_reference(y0, u, F, act, basis, grid, alpha):
+    """(Trajectory, steps n that kept the explicit step) for F != 0."""
+    return _step_loop(y0, u, F, act, basis, grid, alpha, _reference_sweeps)
+
+
+def solve_step_equation(y0, u, F, act, basis, grid, alpha, kept_explicit):
+    """Trajectory with every step outside `kept_explicit` solved to 1e-15
+    of max(1, |state|); the steps in it keep the predictor."""
+
+    def exact_sweeps(n, predictor, sweep):
+        if n in kept_explicit:
+            return False, predictor, None
+        state = predictor
+        for _ in range(EXACT_SWEEPS):
+            fk, new_state = sweep(state)
+            delta = np.linalg.norm(new_state - state)
+            state = new_state
+            if delta <= 1e-15 * max(1.0, np.linalg.norm(state)):
+                return True, state, fk
+        raise AssertionError(
+            f"step {n} did not reach 1e-15 in {EXACT_SWEEPS} sweeps"
+        )
+
+    return _step_loop(y0, u, F, act, basis, grid, alpha, exact_sweeps)[0]

@@ -491,6 +491,36 @@ def test_run_without_scipy(tmp_path):
     assert status_and_iterations(tmp_path / "out") == expect
 
 
+@pytest.mark.parametrize("argv, gain, code, written", [
+    (["run"], "1.0", EXIT_OK, "tiny/manifest.json"),
+    (["verify"], "0.0", EXIT_HYPOTHESIS, None),
+    (["sweep", "--param", "run.seed", "--values", "0,1"], "1.0", EXIT_OK,
+     "tiny-sweep/sweep.dat"),
+], ids=["run", "verify", "sweep"])
+def test_closed_stdout_keeps_exit_code(tmp_path, argv, gain, code, written):
+    # a reader that stops early (`fracctrl verify ... | head`): the pipe's
+    # read end is closed before the child starts, so its first write to
+    # stdout fails; the verb still finishes and exits with its own code
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY.replace("gain = 1.0", f"gain = {gain}"))
+    out = tmp_path / "out"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "fracctrl.cli", *argv,
+             "--config", str(cfg), "--out", str(out)],
+            env=_package_env(), stdout=write_end, stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == code
+    assert done.stderr == ""
+    if written:
+        assert (out / written).is_file()
+
+
 class TestVerify:
     def test_verify_ok(self, tiny_cfg, capsys):
         code = main(["verify", "--config", tiny_cfg])
