@@ -69,34 +69,6 @@ def _out_root(args):
     return Path.cwd() / "runs"
 
 
-def _write_columns(path, header, columns):
-    """Plain-text column file: '# header' then %.17e columns per row."""
-    arr = np.column_stack(columns)
-    with open(path, "w") as fh:
-        fh.write(f"# {header}\n")
-        for row in arr:
-            fh.write(" ".join(f"{v:.17e}" for v in row) + "\n")
-
-
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _iteration_lines(report):
-    lines = ["# n residual boundary_error cost control_diff"]
-    for n in range(report.iterations):
-        lines.append(
-            f"{n + 1} {report.residuals[n]:.17e} "
-            f"{report.boundary_errors[n]:.17e} {report.costs[n]:.17e} "
-            f"{report.control_diffs[n]:.17e}"
-        )
-    return lines
-
-
 def _execute(cfg, problem):
     """Run the configured synthesis method; returns (u, traj, report)."""
     if cfg.method == "picard":
@@ -126,30 +98,28 @@ def _run_one(cfg, outdir, seed):
     status = report.status
 
     grid = cfg.grid
-    t_left = np.arange(grid.K) * grid.dt
-    _write_columns(outdir / "control.dat", "t u", [t_left, u.values])
-
-    prof = trace(traj.final_field(), cfg.gamma)
-    _write_columns(
-        outdir / "gamma_profile.dat", "s z_d reached",
-        [prof.s, cfg.zd, prof.values],
-    )
-
-    patch = restrict(traj.final_field(), cfg.omega_c)
+    final = traj.final_field()
+    prof = trace(final, cfg.gamma)
+    patch = restrict(final, cfg.omega_c)
     px, py = np.meshgrid(patch.x, patch.y, indexing="ij")
-    _write_columns(
-        outdir / "reached_omega.dat", "x y value",
-        [px.ravel(), py.ravel(), patch.values.ravel()],
-    )
     fx, fy = np.meshgrid(cfg.domain.x, cfg.domain.y, indexing="ij")
-    fin = traj.final_field().values
-    _write_columns(
-        outdir / "reached_full.dat", "x y value",
-        [fx.ravel(), fy.ravel(), fin.ravel()],
-    )
-    (outdir / "iterations.dat").write_text(
-        "\n".join(_iteration_lines(report)) + "\n"
-    )
+    # plain-text column files: '# header', then one row per line
+    for name, header, fmt, columns in (
+        ("control.dat", "t u", "%.17e",
+         [np.arange(grid.K) * grid.dt, u.values]),
+        ("gamma_profile.dat", "s z_d reached", "%.17e",
+         [prof.s, cfg.zd, prof.values]),
+        ("reached_omega.dat", "x y value", "%.17e",
+         [px.ravel(), py.ravel(), patch.values.ravel()]),
+        ("reached_full.dat", "x y value", "%.17e",
+         [fx.ravel(), fy.ravel(), final.values.ravel()]),
+        ("iterations.dat", "n residual boundary_error cost control_diff",
+         "%d" + 4 * " %.17e",
+         [np.arange(1, report.iterations + 1), report.residuals,
+          report.boundary_errors, report.costs, report.control_diffs]),
+    ):
+        np.savetxt(outdir / name, np.column_stack(columns), fmt=fmt,
+                   header=header, comments="# ")
 
     summary = {
         "status": status,
@@ -197,7 +167,10 @@ def _write_manifest(cfg, outdir, hyp, summary, t_start, seed):
             None if hyp is None else dataclasses.asdict(hyp)
         ),
         "summary": summary,
-        "artifacts": {name: _sha256(outdir / name) for name in artifacts},
+        "artifacts": {
+            name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+            for name in artifacts
+        },
     }
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)

@@ -36,7 +36,6 @@ __all__ = [
     "GramConditionError",
     "assemble_H",
     "pinv_apply",
-    "linear_control",
     "picard_sequence",
     "algorithm1",
     "boundary_error",
@@ -192,12 +191,6 @@ def pinv_apply(H, r):
     )
 
 
-def linear_control(H, d_s):
-    """Control steering the linear system (F = 0, y0 = 0) to d_s at T."""
-    target = d_s.values if hasattr(d_s, "values") else d_s
-    return pinv_apply(H, np.asarray(target).ravel())
-
-
 def boundary_error(traj, zd, gamma):
     """Discrete L2(Gamma) distance between the reached trace and zd."""
     prof = trace(traj.final_field(), gamma)
@@ -339,25 +332,29 @@ def algorithm1(problem):
     for _ in range(problem.n_max):
         u = pinv_apply(H, r)
         reached, traj = _reached_values(problem, u)
-        if not np.all(np.isfinite(reached)):
-            report.residuals.append(math.inf)
-            report.status = "diverged"
-            return best_u, best_traj, report
-        resid_vec = ds_vec - reached
-        res = H.target_norm(resid_vec)
-
-        report.residuals.append(res)
-        report.boundary_errors.append(
-            boundary_error(traj, problem.zd, problem.gamma)
-        )
-        report.costs.append(u.cost())
-        report.control_diffs.append(
-            math.nan if u_prev is None else
-            math.sqrt(float(np.sum((u.values - u_prev.values) ** 2))
-                      * problem.grid.dt)
-        )
+        # a state or control beyond floating point overflows the norms
+        # of this row; a non-finite residual is recorded as inf and
+        # counts as divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid_vec = ds_vec - reached
+            res = H.target_norm(resid_vec)
+            report.residuals.append(res if math.isfinite(res) else math.inf)
+            report.boundary_errors.append(
+                boundary_error(traj, problem.zd, problem.gamma)
+            )
+            report.costs.append(u.cost())
+            report.control_diffs.append(
+                math.nan if u_prev is None else
+                math.sqrt(float(np.sum((u.values - u_prev.values) ** 2))
+                          * problem.grid.dt)
+            )
         u_prev = u
 
+        if not math.isfinite(res):
+            report.status = "diverged"
+            if best_u is None:
+                best_u, best_traj = u, traj
+            return best_u, best_traj, report
         if res < best_res:
             best_u, best_traj, best_res = u, traj, res
         # divergence = the residual growing at each of DIVERGENCE_STREAK

@@ -242,7 +242,9 @@ class FNTable:
     kind: str
 
     def fn_zero(self, i):
-        """F_N(radii[i], 0), the modulus against the zero state."""
+        """F_N(radii[i], radii[0]), the modulus against the table's
+        smallest ball, which stands in for the zero state: it is F_N(r, 0)
+        only when radii[0] = 0."""
         return float(self.values[i, 0])
 
 
@@ -355,8 +357,10 @@ def compute_constants(a1, mu, g_norm, fn_table):
     """Largest admissible target radius kappa and the derived constants.
 
     kappa is the largest radius on the table grid with
-    sup_(theta <= kappa) F_N(theta, 0) < 1 / (A1 + A2), A2 = mu * |g|;
-    then m_kappa = (kappa/mu) (1 - A1 sup F_N),
+    sup_(theta <= kappa) F_N(theta, r_0) < 1 / (A1 + A2), A2 = mu * |g|,
+    where r_0, the table's smallest radius (`FNTable.fn_zero`), stands in
+    for the zero state of the theory's F_N(theta, 0); then
+    m_kappa = (kappa/mu) (1 - A1 sup F_N),
     rho_kappa = (kappa/mu) (1 - (A1 + A2) sup F_N) and
     A_s = mu |g| sup F_N / (1 - A1 sup F_N).  When no radius qualifies the
     result carries admissible=False (hypothesis violated, not an error).

@@ -1,8 +1,7 @@
 """Fractional-calculus primitives.
 
-Two-parameter Mittag-Leffler evaluation on the real axis and the
-mode-wise symbol of the initial-data propagator.  `ml` and `h_symbol`
-take scalars or arrays: each element is routed by a mask to the Taylor
+Two-parameter Mittag-Leffler evaluation on the real axis.  `ml` takes
+scalars or arrays: each element is routed by a mask to the Taylor
 series (|z| up to a reach read from the series' own Gamma table, kept
 where its rounding estimate passes), the algebraic asymptotic expansion
 (large |z|) or a Talbot contour inversion (the rest), and every branch
@@ -36,7 +35,6 @@ __all__ = [
     "MLEvaluationError",
     "check_order",
     "ml",
-    "h_symbol",
 ]
 
 # The Taylor series serves |z| up to a reach read from the Gamma table of
@@ -369,19 +367,3 @@ def _distinct(z):
         return z, None
     return np.unique(z.ravel(), return_inverse=True)
 
-
-def h_symbol(lam, t, alpha):
-    """Eigen-symbol of the initial-data propagator: E_(a,1)(-lam * t^a).
-
-    lam and t may be scalars or arrays that broadcast together.
-    """
-    alpha = check_order(alpha)
-    if np.any(np.asarray(lam) < 0.0) or np.any(np.asarray(t) < 0.0):
-        raise ValueError("h_symbol requires lam >= 0 and t >= 0")
-    if np.ndim(t) == 0:
-        # a scalar t is raised with the C library's pow, as the solver's
-        # kernel tables are; numpy's vectorised power can round
-        # differently in the last bit
-        t = float(t)
-    # t = 0 gives z = 0 and E_(a,1)(0) = 1 exactly
-    return ml(alpha, 1.0, -np.asarray(lam, dtype=float) * t**alpha)

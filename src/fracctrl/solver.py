@@ -10,12 +10,12 @@ any step; the semilinear solve starts from that linear response, and its
 steps integrate F only, by product integration with F averaged over the
 step ends.  Each step solves that equation by sweeps, one nodal/spectral
 round trip each, mixed at depth one (Anderson); they start from F
-extrapolated linearly in time, and the F of a step's last sweep serves
-the next step.  A step whose sweeps do not settle keeps its predictor,
-the explicit step with the nonlinearity frozen at the step start.  An
-independent finite-difference L1 solver is provided for cross-validation;
-it is the one part of the package that needs scipy (sparse LU), which it
-imports when called.
+extrapolated linearly in time.  A step settles by one test, its residual
+within TOL_PICARD, and hands the F of its last sweep to the next step.
+A step whose sweeps do not settle keeps its predictor, the explicit step
+with the nonlinearity frozen at the step start.  The independent
+finite-difference cross-check lives in the test suite
+(`tests/l1_oracle.py`).
 """
 
 import math
@@ -32,11 +32,9 @@ __all__ = [
     "TimeGrid",
     "NonlinearTerm",
     "Trajectory",
-    "GridTrajectory",
     "SemilinearDivergenceError",
     "solve_linear",
     "solve_semilinear",
-    "l1_oracle_solve",
     "TOL_PICARD",
     "MAX_SWEEPS",
 ]
@@ -199,11 +197,11 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
     Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011).  The
     sweeps start from the predictor (F frozen at the step start) on the
     first step and from F extrapolated linearly in time from the last two
-    nodes after it.  They stop when the residual G(x) - x falls below
-    TOL_PICARD (or stalls at the round trip's rounding floor); the step
-    keeps G(x).  A step settled by TOL_PICARD hands the F of its last
-    sweep to the next step instead of evaluating F once more.  A step
-    whose sweeps do not settle keeps the predictor.
+    nodes after it.  A step settles when |G(x) - x| <= TOL_PICARD max(1,
+    |G(x)|); it keeps G(x) and hands the F of its last sweep to the next
+    step.  Sweeps that grow twice in a row, turn non-finite or run out of
+    MAX_SWEEPS leave the step unsettled: it keeps the predictor, and F is
+    evaluated there once more.
     """
     lin = solve_linear(y0, u, act, basis, grid, alpha)
     if F.is_zero:
@@ -232,18 +230,16 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
             if k > 0:
                 # step j's source sees kernel weight Wd[n-1-j]
                 base += np.einsum("km,km->m", f[:k], Wd[n - 1 : 0 : -1])
-            # predictor: F at the step start
-            predictor = base + f_prev * Wd[0]
             if f_back is None:
-                state = predictor
+                # the predictor: F at the step start
+                state = base + f_prev * Wd[0]
             else:
                 # F at the step end extrapolated linearly from the last
                 # two nodes, averaged with F at the step start
                 state = base + (1.5 * f_prev - 0.5 * f_back) * Wd[0]
             prev_delta = math.inf
-            settled = False
             growth = 0
-            f_end = None  # F(state) known without another round trip
+            f_end = None  # F at a settled state, from its last sweep
             g_old = r_old = None
             for _ in range(MAX_SWEEPS):
                 f_state = project(F(nodal(state)))
@@ -259,20 +255,11 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
                 state = g
                 if not math.isfinite(delta):
                     break
-                scale = max(1.0, math.sqrt(state @ state))
-                if delta <= TOL_PICARD * scale:
+                if delta <= TOL_PICARD * max(1.0, math.sqrt(state @ state)):
                     # the F this sweep evaluated, at a state within the
                     # tolerance of g, goes to the next step without
                     # another round trip
-                    settled = True
                     f_end = f_state
-                    break
-                if (delta >= 0.5 * prev_delta
-                        and delta <= 1e4 * TOL_PICARD * scale):
-                    # contraction has hit the rounding floor of the
-                    # nodal/spectral round trip; further sweeps cannot
-                    # improve
-                    settled = True
                     break
                 # two consecutive growing updates: the sweep map is
                 # expanding at this amplitude; stop without burning the
@@ -291,131 +278,21 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
                     if drdr > 0.0:
                         state = g - (r @ dr / drdr) * (g - g_old)
                 g_old, r_old = g, r
-            if not settled:
+            if f_end is None:
                 # the averaged step equation has no reachable fixed point
                 # at this amplitude; keep the explicit product-integration
-                # step (nonlinearity frozen at the step start), guarding
-                # against runaway growth
-                state = predictor
+                # step (the predictor, nonlinearity frozen at the step
+                # start), guarding against runaway growth
+                fk = f_prev
+                state = base + fk * Wd[0]
                 norm = math.sqrt(state @ state)
                 if not math.isfinite(norm) or norm > 1e8:
                     raise SemilinearDivergenceError(
                         f"state blew up at step {n} "
                         "(left the contraction regime)"
                     )
-                fk = f_prev
+                f_end = project(F(nodal(state)))
             f[k] = fk
             coeffs[n] = state
-            if f_end is None:
-                f_end = project(F(nodal(state)))
             f_back, f_prev = f_prev, f_end
     return lin
-
-
-@dataclass
-class GridTrajectory:
-    """Nodal-grid snapshots from the finite-difference oracle solver."""
-
-    domain: object
-    grid: TimeGrid
-    values: np.ndarray  # shape (K+1, nx, ny)
-
-    def snapshot(self, n):
-        return Field(self.domain, self.values[n])
-
-    def final_field(self):
-        return self.snapshot(self.grid.K)
-
-
-def _neumann_laplacian_1d(n, h):
-    """Second-difference matrix with mirror-ghost Neumann closure."""
-    from scipy.sparse import diags
-
-    main = np.full(n, -2.0)
-    off = np.ones(n - 1)
-    mat = diags([off, main, off], [-1, 0, 1], format="lil")
-    mat[0, 1] = 2.0
-    mat[n - 1, n - 2] = 2.0
-    return (mat / h**2).tocsr()
-
-
-def _cell_fractions(coords, h, length, a, b):
-    """Per-node overlap fraction of [a, b] with each control volume.
-
-    Control volumes are clipped to the domain, so boundary nodes own half
-    cells — this matches the even reflection implied by the mirror-ghost
-    Neumann closure and keeps the source representation second order.
-    """
-    lo = np.maximum(coords - 0.5 * h, 0.0)
-    hi = np.minimum(coords + 0.5 * h, length)
-    overlap = np.clip(np.minimum(hi, b) - np.maximum(lo, a), 0.0, None)
-    return overlap / (hi - lo)
-
-
-def _actuator_grid_shape(act, domain):
-    """Nodal representation of the actuator: control-volume fractions of
-    the support rectangle, or a discrete Dirac mass at the nearest node."""
-    shape = np.zeros((domain.nx, domain.ny))
-    if act.kind == "zonal":
-        x0, x1, y0, y1 = act.support
-        fx = _cell_fractions(domain.x, domain.dx, domain.lx, x0, x1)
-        fy = _cell_fractions(domain.y, domain.dy, domain.ly, y0, y1)
-        shape = np.outer(fx, fy)
-    else:
-        bx, by = act.support
-        ix = int(round(bx / domain.dx))
-        iy = int(round(by / domain.dy))
-        wx, wy = domain.quad_weights()
-        shape[ix, iy] = 1.0 / (wx[ix] * wy[iy])
-    return act.gain * shape
-
-
-def l1_oracle_solve(y0, u, F, act, domain, grid, alpha):
-    """Independent cross-check solver: implicit L1 Caputo stepping with a
-    5-point Neumann Laplacian; the nonlinearity is lagged one step.
-
-    Needs scipy (sparse LU), which the rest of the package does not.
-    """
-    from scipy.sparse import eye as sparse_eye
-    from scipy.sparse import identity, kron
-    from scipy.sparse.linalg import splu
-
-    alpha = check_order(alpha)
-    nx, ny = domain.nx, domain.ny
-    lap = kron(
-        _neumann_laplacian_1d(nx, domain.dx), identity(ny, format="csr")
-    ) + kron(
-        identity(nx, format="csr"), _neumann_laplacian_1d(ny, domain.dy)
-    )
-    dt = grid.dt
-    c0 = dt ** (-alpha) / math.gamma(2.0 - alpha)
-    try:
-        lu = splu((c0 * sparse_eye(nx * ny, format="csc") - lap.tocsc()))
-    except RuntimeError as exc:  # pragma: no cover - singular only if c0=0
-        raise RuntimeError(f"oracle linear solve failed: {exc}") from exc
-
-    k = np.arange(grid.K + 1, dtype=float)
-    bweights = (k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha)
-    uvals = _control_values(u, grid.K)
-    bshape = _actuator_grid_shape(act, domain).ravel()
-
-    values = np.empty((grid.K + 1, nx, ny))
-    values[0] = y0.values
-    flat = np.empty((grid.K + 1, nx * ny))
-    flat[0] = y0.values.ravel()
-    diffs = np.empty((grid.K, nx * ny))  # diffs[k] = y_(k+1) - y_k
-    for n in range(1, grid.K + 1):
-        # history: c0 * sum_{j=1}^{n-1} b_j (y_{n-j} - y_{n-j-1})
-        rhs = c0 * flat[n - 1]
-        if n > 1:
-            rhs -= c0 * (bweights[n - 1 : 0 : -1] @ diffs[: n - 1])
-        rhs += uvals[n - 1] * bshape + F(flat[n - 1])
-        if n == 1:
-            # initial-step correction restoring O(dt^(2-alpha)) accuracy at
-            # fixed time despite the t^alpha start singularity
-            rhs += 0.5 * (lap @ flat[0] + uvals[0] * bshape + F(flat[0]))
-        sol = lu.solve(rhs)
-        diffs[n - 1] = sol - flat[n - 1]
-        flat[n] = sol
-        values[n] = sol.reshape(nx, ny)
-    return GridTrajectory(domain=domain, grid=grid, values=values)

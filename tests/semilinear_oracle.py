@@ -2,7 +2,8 @@
 
 `solve_semilinear_reference` is `fracctrl.solver.solve_semilinear` as it
 was written before its sweep loop was trimmed, before the control drive
-left the step loop and before its sweeps were mixed: every step's source
+left the step loop, before its sweeps were mixed and before its floor
+test was deleted: every step's source
 is u_k b + f_k, the history sum is a materialised product summed over the
 step axis, every norm is `np.linalg.norm`, the floating-point warnings of
 F are silenced around each call of F, and each step runs plain Picard
@@ -12,13 +13,15 @@ divergence messages exactly and keep the explicit step at the same steps
 (an explicit step differs from a settled one by O(dt)).  The loop reports
 those steps, so a test can show that it exercised that branch.
 
-Neither loop solves a step's equation to rounding: the floor test and
-TOL_PICARD leave settled steps up to about 3e-11 of max|coeffs| away
-from its solution on the bundled examples.  `solve_step_equation` is
-that solution: it repeats the reference loop with every settled step's
-sweeps run to 1e-15, with no floor or growth test, and keeps the
-predictor at the steps the reference loop reports.  The solver's
-trajectories are bounded against it, not against either loop's path.
+Neither loop solves a step's equation to rounding: the reference loop's
+floor test, which settles slowly contracting steps early, and TOL_PICARD
+leave settled steps up to about 3e-11 of max|coeffs| away from its
+solution on the bundled examples.  The solver has no floor test; it
+settles by TOL_PICARD alone.  `solve_step_equation` is that solution: it
+repeats the reference loop with every settled step's sweeps run to
+1e-15, with no floor or growth test, and keeps the predictor at the
+steps the reference loop reports.  The solver's trajectories are bounded
+against it, not against either loop's path.
 """
 
 import numpy as np

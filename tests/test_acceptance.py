@@ -32,12 +32,8 @@ from fracctrl.domain import (
     extend_target,
 )
 from fracctrl.mittag import ml
-from fracctrl.solver import (
-    NonlinearTerm,
-    TimeGrid,
-    l1_oracle_solve,
-    solve_linear,
-)
+from fracctrl.solver import NonlinearTerm, TimeGrid, solve_linear
+from l1_oracle import l1_oracle_solve
 
 TEN_MINUTES = 600.0
 

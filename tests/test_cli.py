@@ -1,5 +1,6 @@
 """Command-line runner: exit codes, artifacts, manifest, determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -446,6 +447,29 @@ class TestNumericalFailure:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "envelope" in err[0]
 
+    def test_overflowing_residual_exits_3(self, tmp_path, capsys):
+        # with y0 = 1e200 every residual's norm overflows to inf, so no
+        # iteration improves on the last; the first one counts as
+        # divergence and its control is the one returned and written
+        text = Path(bundled_config_path("example2.cfg")).read_text()
+        path = tmp_path / "huge.cfg"
+        path.write_text(
+            text.replace("f = square", "f = none")
+            .replace("n_max = 50", "n_max = 3")
+            + "\n[initial]\ny0 = (0, 0, 1e200)\n"
+        )
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_DIVERGED
+        assert "status: diverged" in capsys.readouterr().out
+        summary = (out / "huge" / "summary.txt").read_text().splitlines()
+        assert summary[:3] == ["status: diverged", "iterations: 1",
+                               "boundary_error: inf"]
+        rows = np.loadtxt(out / "huge" / "iterations.dat", ndmin=2)
+        assert rows.shape == (1, 5) and rows[0, 1] == np.inf
+        control = np.loadtxt(out / "huge" / "control.dat")
+        assert np.all(np.isfinite(control))
+
 
 def _package_env():
     """Environment for a child interpreter that imports this fracctrl."""
@@ -455,8 +479,18 @@ def _package_env():
 
 
 def test_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency: scipy serves the tests and the
-    # L1 cross-check solver, and would add to every start-up
+    # numpy is the only runtime dependency: scipy serves the tests (the
+    # Mittag-Leffler and L1 oracles), and would add to every start-up.
+    # No module of the package imports it, at the top or inside a function
+    for path in Path(fracctrl.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(n.split(".")[0] != "scipy" for n in names), path
     probe = ("import sys, fracctrl.cli, fracctrl.config; "
              "print(sorted(m for m in sys.modules "
              "if m.split('.')[0] == 'scipy'))")

@@ -15,7 +15,6 @@ from fracctrl.mittag import (
     MLEvaluationError,
     _rgamma,
     check_order,
-    h_symbol,
     ml,
 )
 from fracctrl.solver import TimeGrid, _kernel_tables
@@ -76,18 +75,25 @@ class TestCheckOrder:
 
 
 class TestSymbols:
+    @staticmethod
+    def h_symbol(lam, t, alpha):
+        # initial-data propagator symbol, as the solver's E1 table holds it
+        return ml(alpha, 1.0, -lam * t**alpha)
+
     def test_h_at_lambda_zero(self):
         for t in [0.0, 0.5, 7.0]:
-            assert h_symbol(0.0, t, 0.4) == pytest.approx(1.0, abs=1e-13)
+            assert self.h_symbol(0.0, t, 0.4) == pytest.approx(
+                1.0, abs=1e-13
+            )
 
     def test_h_classical_limit(self):
         lam, t = 3.7, 1.2
-        assert h_symbol(lam, t, 1.0) == pytest.approx(
+        assert self.h_symbol(lam, t, 1.0) == pytest.approx(
             math.exp(-lam * t), rel=1e-12
         )
 
     def test_h_frozen_oracle(self):
-        assert h_symbol(2 * math.pi**2, 3.0, 0.3) == pytest.approx(
+        assert self.h_symbol(2 * math.pi**2, 3.0, 0.3) == pytest.approx(
             H_2PI2_T3_A03, rel=1e-10
         )
 
@@ -115,11 +121,11 @@ class TestSymbols:
         alpha=st.floats(0.2, 1.0),
     )
     def test_h_bounded_and_monotone(self, lam, t, alpha):
-        v = h_symbol(lam, t, alpha)
+        v = self.h_symbol(lam, t, alpha)
         # positivity can underflow to 0.0 for lam * t^alpha >> 1
         assert 0.0 <= v <= 1.0 + 1e-12
-        assert h_symbol(lam * 1.5 + 0.1, t, alpha) <= v + 1e-9
-        assert h_symbol(lam, t * 1.5 + 0.01, alpha) <= v + 1e-9
+        assert self.h_symbol(lam * 1.5 + 0.1, t, alpha) <= v + 1e-9
+        assert self.h_symbol(lam, t * 1.5 + 0.01, alpha) <= v + 1e-9
 
 
 def _unit_basis():
@@ -300,7 +306,6 @@ class TestArrayEvaluator:
             value = ml(0.6, 1.0, z)
             assert type(value) is float
             assert value == _ml_scalar(0.6, 1.0, -2.0)
-        assert type(h_symbol(3.0, 0.5, 0.6)) is float
 
     def test_shape_is_kept(self):
         assert ml(0.6, 1.0, np.array([])).shape == (0,)
@@ -356,15 +361,10 @@ class TestArrayEvaluator:
         lam = _unit_basis().eigenvalues
         assert lam[0] == 0.0
         for t in (0.0, 0.7, 3.0):
-            expect = [h_symbol(lm, t, 0.4) for lm in lam]
-            np.testing.assert_array_equal(h_symbol(lam, t, 0.4), expect)
-        assert np.all(h_symbol(lam, 0.0, 0.4) == 1.0)
-
-    def test_h_symbol_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            h_symbol(np.array([1.0, -1.0]), 0.5, 0.4)
-        with pytest.raises(ValueError):
-            h_symbol(1.0, np.array([0.5, -0.1]), 0.4)
+            ta = t**0.4
+            expect = [ml(0.4, 1.0, -lm * ta) for lm in lam]
+            np.testing.assert_array_equal(ml(0.4, 1.0, -lam * ta), expect)
+        assert np.all(ml(0.4, 1.0, -lam * 0.0) == 1.0)
 
 
 def _kernel_table_arguments():
