@@ -88,14 +88,14 @@ def _run_one(cfg, outdir, seed):
     except NUMERICAL_ERRORS as exc:
         status = ("diverged" if isinstance(exc, SemilinearDivergenceError)
                   else "failed")
-        print(f"{status}: {exc}", file=sys.stderr)
-        summary = {"status": status, "error": str(exc)}
-        (outdir / "summary.txt").write_text(
-            f"status: {status}\nreason: {exc}\n"
-        )
-        _write_manifest(cfg, outdir, hyp, summary, t_start, seed)
-        return EXIT_DIVERGED, summary
+        return _stopped(cfg, outdir, hyp, status, exc, t_start, seed)
     status = report.status
+    if not report.iterations:
+        # the loop returned before its first row: picard_sequence's first
+        # state is not finite or its first update exceeds the norm bound
+        return _stopped(cfg, outdir, hyp, status,
+                        "the loop stopped before completing an iteration",
+                        t_start, seed)
 
     grid = cfg.grid
     final = traj.final_field()
@@ -133,6 +133,18 @@ def _run_one(cfg, outdir, seed):
     )
     _write_manifest(cfg, outdir, hyp, summary, t_start, seed)
     return (EXIT_OK if status == "converged" else EXIT_DIVERGED), summary
+
+
+def _stopped(cfg, outdir, hyp, status, reason, t_start, seed):
+    """Report a run that produced no result: one stderr line, a summary
+    and the manifest; returns (exit, summary)."""
+    print(f"{status}: {reason}", file=sys.stderr)
+    summary = {"status": status, "error": str(reason)}
+    (outdir / "summary.txt").write_text(
+        f"status: {status}\nreason: {reason}\n"
+    )
+    _write_manifest(cfg, outdir, hyp, summary, t_start, seed)
+    return EXIT_DIVERGED, summary
 
 
 def _resolved_config(cfg, seed):

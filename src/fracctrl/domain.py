@@ -9,7 +9,7 @@ profiles.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -91,6 +91,17 @@ def _cos_rows(m, length, coords):
     return rows
 
 
+def _synthesis_analysis(m, length, nodes):
+    """Read-only cosine rows k < m at `nodes` uniform nodes on [0,
+    length], and the same rows times their trapezoid weights."""
+    coords = np.linspace(0.0, length, nodes)
+    rows = _cos_rows(m, length, coords)
+    weighted = rows * _trapezoid_weights(coords)
+    rows.flags.writeable = False
+    weighted.flags.writeable = False
+    return rows, weighted
+
+
 @dataclass(frozen=True)
 class SpectralBasis:
     """Truncated Neumann eigenbasis e_ij(x,y) = c_i cos(i pi x / lx) *
@@ -116,22 +127,38 @@ class SpectralBasis:
     @cached_property
     def _factors(self):
         """Read-only cosine rows (ex, ey) at the grid nodes."""
-        d = self.domain
-        ex = _cos_rows(self.mx, d.lx, d.x)
-        ey = _cos_rows(self.my, d.ly, d.y)
-        ex.flags.writeable = False
-        ey.flags.writeable = False
-        return ex, ey
+        return self._on_grid(self.domain.nx, self.domain.ny)[:2]
 
     @cached_property
     def _analysis(self):
         """Trapezoid-weighted analysis pair (ex * wx, (ey * wy).T)."""
-        wx, wy = self.domain.quad_weights()
-        ex, ey = self._factors
-        ax, ay = ex * wx, ey * wy
-        ax.flags.writeable = False
-        ay.flags.writeable = False
-        return ax, ay.T
+        return self._on_grid(self.domain.nx, self.domain.ny)[2:]
+
+    @lru_cache(maxsize=8)
+    def _on_grid(self, nx, ny):
+        """Read-only (ex, ey, ax, ay_t) on the uniform nx x ny node grid
+        of the domain rectangle."""
+        d = self.domain
+        ex, ax = _synthesis_analysis(self.mx, d.lx, nx)
+        ey, ay = _synthesis_analysis(self.my, d.ly, ny)
+        return ex, ey, ax, ay.T
+
+    def alias_free(self, power):
+        """Read-only (ex, ey, ax, ay_t): the synthesis rows and analysis
+        pair of `_factors` and `_analysis` on the coarsest uniform
+        trapezoid grid that projects y**power exactly, for y in the span.
+
+        Per axis, the products of a test mode with y**power hold cosines
+        of index up to (power+1)(m-1), which N trapezoid intervals
+        integrate exactly below index 2N (Orszag's alias-free rule), so N
+        = (power+1)(m-1)//2 + 1, but never more than the domain grid has;
+        on the domain grid itself these are `_factors` and `_analysis`.
+        """
+        d = self.domain
+        return self._on_grid(
+            min(d.nx, (power + 1) * (self.mx - 1) // 2 + 2),
+            min(d.ny, (power + 1) * (self.my - 1) // 2 + 2),
+        )
 
     def to_spectral(self, values):
         """Coefficients c_ij = <f, e_ij> by trapezoid quadrature (exact for

@@ -4,17 +4,18 @@ The linear part propagates each eigenmode exactly through Mittag-Leffler
 symbols, so piecewise-constant controls incur no time-stepping error.  The
 per-mode kernel tables depend only on (basis, grid, alpha); they are built
 once per problem, each with one Mittag-Leffler call over the whole (time
-node x distinct eigenvalue) array.  The control drive of every node is one
-Toeplitz product of the step values with the step weights, taken before
-any step; the semilinear solve starts from that linear response, and its
-steps integrate F only, by product integration with F averaged over the
-step ends.  Each step solves that equation by sweeps, one nodal/spectral
-round trip each, mixed at depth one (Anderson); they start from F
-extrapolated linearly in time.  A step settles by one test, its residual
-within TOL_PICARD, and hands the F of its last sweep to the next step.
-A step whose sweeps do not settle keeps its predictor, the explicit step
-with the nonlinearity frozen at the step start.  The independent
-finite-difference cross-check lives in the test suite
+node x distinct eigenvalue) array.  With F = 0 the control drive of every
+node is one Toeplitz product of the step values with the step weights
+(`solve_linear`).  Otherwise the semilinear solve integrates the source
+u_k b + f_k step by step, by product integration with F averaged over the
+step ends, so the control drive rides in the history sum the steps take
+anyway.  Each step solves that equation by sweeps, one round trip to
+F's alias-free nodal grid each, mixed at depth one (Anderson); they start
+from F extrapolated linearly in time.  A step settles by one test, its
+residual within TOL_PICARD, and hands the F of its last sweep to the next
+step.  A step whose sweeps do not settle keeps its predictor, the
+explicit step with the nonlinearity frozen at the step start.  The
+independent finite-difference cross-check lives in the test suite
 (`tests/l1_oracle.py`).
 """
 
@@ -186,76 +187,91 @@ def solve_linear(y0, u, act, basis, grid, alpha):
     return Trajectory(basis=basis, grid=grid, coeffs=coeffs, control=uvals)
 
 
+def _f_projection(F, basis):
+    """c -> the coefficients of F's Galerkin projection at the state with
+    coefficient vector c, taken on F's alias-free grid: exact for the
+    polynomial F, with fewer nodes than the domain grid where possible."""
+    ex, ey, ax, ay_t = basis.alias_free(F.power)
+    ex_t = ex.T
+    shape = (basis.mx, basis.my)
+
+    def project(c):
+        return (ax @ F(ex_t @ c.reshape(shape) @ ey) @ ay_t).ravel()
+
+    return project
+
+
 def solve_semilinear(y0, u, F, act, basis, grid, alpha):
     """Mild solution with a pointwise nonlinearity by product integration.
 
-    The linear response (free evolution plus control drive) comes from
-    `solve_linear`; the steps integrate F only.  F(y) is treated as
-    constant on each step, at the average of its values at the step ends,
-    and each step solves that equation for its end state by sweeps
-    x -> G(x), one nodal/spectral round trip each, with depth-one
-    Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011).  The
-    sweeps start from the predictor (F frozen at the step start) on the
-    first step and from F extrapolated linearly in time from the last two
-    nodes after it.  A step settles when |G(x) - x| <= TOL_PICARD max(1,
-    |G(x)|); it keeps G(x) and hands the F of its last sweep to the next
-    step.  Sweeps that grow twice in a row, turn non-finite or run out of
-    MAX_SWEEPS leave the step unsettled: it keeps the predictor, and F is
-    evaluated there once more.
+    F = 0 is `solve_linear`.  Otherwise each step's source is u_k b + f_k,
+    with F(y) treated as constant on the step, at the average of its
+    values at the step ends, projected on F's alias-free grid
+    (`SpectralBasis.alias_free`).  Each step solves that equation for its
+    end state by sweeps x -> G(x), one nodal/spectral round trip each,
+    with depth-one Anderson mixing (Walker & Ni, SIAM J. Numer. Anal.
+    49(4), 2011).  The sweeps start from the predictor (F frozen at the
+    step start) on the first step and from F extrapolated linearly in time
+    from the last two nodes after it.  A step settles when |G(x) - x| <=
+    TOL_PICARD max(1, |G(x)|); it keeps G(x) and hands the F of its last
+    sweep to the next step.  Sweeps that grow twice in a row, turn
+    non-finite or run out of MAX_SWEEPS leave the step unsettled: it keeps
+    the predictor, and F is evaluated there once more.
     """
-    lin = solve_linear(y0, u, act, basis, grid, alpha)
     if F.is_zero:
-        return lin
-    Wd = _kernel_tables(basis, grid, check_order(alpha))[1]
+        return solve_linear(y0, u, act, basis, grid, alpha)
+    alpha = check_order(alpha)
+    b = actuator_coefficients(act, basis)
+    c0 = y0.coefficients(basis).ravel()
+    E1, Wd = _kernel_tables(basis, grid, alpha)
+    uvals = _control_values(u, grid.K)
+    project = _f_projection(F, basis)
+    w0 = Wd[0]
+    half_w0 = 0.5 * w0
+    tol2 = TOL_PICARD * TOL_PICARD
 
-    def project(nodal):
-        return basis.to_spectral(nodal).ravel()
-
-    def nodal(cvec):
-        return basis.from_spectral(cvec.reshape(basis.mx, basis.my))
-
-    # each step overwrites its row of the linear response, which no later
-    # step reads
-    coeffs = lin.coeffs
-    f = np.empty((grid.K, coeffs.shape[1]))  # per-step source f_k
+    coeffs = np.empty((grid.K + 1, c0.size))
+    coeffs[0] = c0
+    s = np.empty((grid.K, c0.size))  # per-step source u_k b + f_k
     # F overflows where the state runs away; the finiteness checks below
     # act on that, so the floating-point warnings are silenced once here
     with np.errstate(over="ignore", invalid="ignore"):
         # projected F at the previous node and at the one before it
-        f_prev = project(F(nodal(coeffs[0])))
+        f_prev = project(c0)
         f_back = None
         for n in range(1, grid.K + 1):
             k = n - 1
-            base = coeffs[n]
+            base = E1[n] * c0
             if k > 0:
                 # step j's source sees kernel weight Wd[n-1-j]
-                base += np.einsum("km,km->m", f[:k], Wd[n - 1 : 0 : -1])
+                base += np.einsum("km,km->m", s[:k], Wd[n - 1 : 0 : -1])
+            drive = uvals[k] * b
+            # G(x) = anchor + half_w0 F(x): the step end's half of the
+            # averaged source is all a sweep adds
+            anchor = base + (drive + 0.5 * f_prev) * w0
             if f_back is None:
                 # the predictor: F at the step start
-                state = base + f_prev * Wd[0]
+                state = anchor + half_w0 * f_prev
             else:
                 # F at the step end extrapolated linearly from the last
-                # two nodes, averaged with F at the step start
-                state = base + (1.5 * f_prev - 0.5 * f_back) * Wd[0]
-            prev_delta = math.inf
+                # two nodes
+                state = anchor + half_w0 * (2.0 * f_prev - f_back)
+            prev_d2 = math.inf
             growth = 0
             f_end = None  # F at a settled state, from its last sweep
             g_old = r_old = None
             for _ in range(MAX_SWEEPS):
-                f_state = project(F(nodal(state)))
-                fk = 0.5 * (f_prev + f_state)
-                g = base + fk * Wd[0]
+                f_state = project(state)
+                g = anchor + half_w0 * f_state
                 # the residual of the step equation, the update a plain
-                # Picard sweep makes
+                # Picard sweep makes; squared norms throughout (a
+                # non-finite state gives a non-finite d2)
                 r = g - state
-                # sqrt(x @ x) is what np.linalg.norm computes for a real
-                # vector, without its dispatch; a non-finite state gives
-                # a non-finite delta
-                delta = math.sqrt(r @ r)
+                d2 = r @ r
                 state = g
-                if not math.isfinite(delta):
+                if not math.isfinite(d2):
                     break
-                if delta <= TOL_PICARD * max(1.0, math.sqrt(state @ state)):
+                if d2 <= tol2 * max(1.0, state @ state):
                     # the F this sweep evaluated, at a state within the
                     # tolerance of g, goes to the next step without
                     # another round trip
@@ -264,10 +280,10 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
                 # two consecutive growing updates: the sweep map is
                 # expanding at this amplitude; stop without burning the
                 # sweep budget
-                growth = growth + 1 if delta > prev_delta else 0
+                growth = growth + 1 if d2 > prev_d2 else 0
                 if growth >= 2:
                     break
-                prev_delta = delta
+                prev_d2 = d2
                 # depth-one Anderson mixing (Walker & Ni, 2011): of the
                 # last two sweep images, the combination whose linearised
                 # residual is least; plain Picard when the residuals do
@@ -284,15 +300,17 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
                 # step (the predictor, nonlinearity frozen at the step
                 # start), guarding against runaway growth
                 fk = f_prev
-                state = base + fk * Wd[0]
+                state = base + (drive + fk) * w0
                 norm = math.sqrt(state @ state)
                 if not math.isfinite(norm) or norm > 1e8:
                     raise SemilinearDivergenceError(
                         f"state blew up at step {n} "
                         "(left the contraction regime)"
                     )
-                f_end = project(F(nodal(state)))
-            f[k] = fk
+                f_end = project(state)
+            else:
+                fk = 0.5 * (f_prev + f_end)
+            s[k] = drive + fk
             coeffs[n] = state
             f_back, f_prev = f_prev, f_end
-    return lin
+    return Trajectory(basis=basis, grid=grid, coeffs=coeffs, control=uvals)

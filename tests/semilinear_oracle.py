@@ -1,14 +1,14 @@
 """Reference semilinear steppers for the solver tests.
 
 `solve_semilinear_reference` is `fracctrl.solver.solve_semilinear` as it
-was written before its sweep loop was trimmed, before the control drive
-left the step loop, before its sweeps were mixed and before its floor
-test was deleted: every step's source
-is u_k b + f_k, the history sum is a materialised product summed over the
-step axis, every norm is `np.linalg.norm`, the floating-point warnings of
-F are silenced around each call of F, and each step runs plain Picard
-sweeps from the predictor, with the floor and growth tests, then
-evaluates F once more at the settled state.  The solver must give its
+was written before its sweep loop was trimmed, before its sweeps were
+mixed, before its floor test was deleted and before F moved to its
+alias-free grid: every step's source is u_k b + f_k (as in the solver),
+F is projected on the domain grid, the history sum is a materialised
+product summed over the step axis, every norm is `np.linalg.norm`, the
+floating-point warnings of F are silenced around each call of F, and
+each step runs plain Picard sweeps from the predictor, with the floor
+and growth tests, then evaluates F once more at the settled state.  The solver must give its
 divergence messages exactly and keep the explicit step at the same steps
 (an explicit step differs from a settled one by O(dt)).  The loop reports
 those steps, so a test can show that it exercised that branch.

@@ -421,6 +421,23 @@ class TestNumericalFailure:
         manifest = json.loads((out / "dead" / "manifest.json").read_text())
         assert manifest["summary"]["status"] == "failed"
 
+    def test_picard_without_an_iteration_exits_3(self, tmp_path, capsys):
+        # the first fixed-point update already exceeds the control-norm
+        # bound, so the loop returns before its first report row
+        path = tmp_path / "far.cfg"
+        path.write_text(
+            TINY.replace("f = none", "f = square")
+            .replace("z_d = (0, 0, 1e-3)", "z_d = (0, 0, 1e9)")
+        )
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--out", str(out),
+                     "--method", "picard"])
+        assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "before completing an iteration" in err[0]
+        manifest = json.loads((out / "far" / "manifest.json").read_text())
+        assert manifest["summary"]["status"] == "diverged"
+
     def test_verify_ml_failure_exits_3(self, tiny_cfg, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise MLEvaluationError(0.5, 1.0, -1.0, "no convergent branch")

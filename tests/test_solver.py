@@ -4,13 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+from fracctrl import solver
 from fracctrl.config import bundled_config_path, load_config
 from fracctrl.control import algorithm1, pinv_apply
 from fracctrl.domain import (
     Actuator,
     Field,
     RectDomain,
-    SpectralBasis,
     actuator_coefficients,
     build_basis,
 )
@@ -154,6 +154,21 @@ class TestSolveSemilinear:
         )
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
 
+    def test_semilinear_never_calls_solve_linear(self, setup, monkeypatch):
+        # the control drive rides in the step loop's history sum; no
+        # (K x K)(K x modes) Toeplitz product is formed
+        dom, basis, act, grid = setup
+
+        def fail(*args):
+            raise AssertionError("solve_linear called")
+
+        monkeypatch.setattr(solver, "solve_linear", fail)
+        traj = solve_semilinear(
+            Field.zero(dom), 0.5 * np.ones(grid.K), NonlinearTerm.square(),
+            act, basis, grid, 0.3,
+        )
+        assert np.max(np.abs(traj.coeffs)) > 0.0
+
     def test_zero_data_stays_zero(self, setup):
         dom, basis, act, grid = setup
         traj = solve_semilinear(
@@ -199,7 +214,9 @@ class TestStepEquation:
     would differ by O(dt) and break the bound, so the bound also pins the
     steps that keep the explicit step.  Through the outer loop, the
     solver's last boundary error is bounded at 1e-7 of the step
-    equation's.
+    equation's.  The solver projects F on its alias-free grid and the
+    oracle on the domain grid; both projections are exact for the
+    polynomial F, so they differ by rounding only (`TestFProjection`).
     """
 
     @pytest.mark.parametrize("name, unsettled", [
@@ -242,15 +259,20 @@ class TestStepEquation:
         exact = run(step_equation)
         picard = run(lambda *args: solve_semilinear_reference(*args)[0])
         # every sweep and every fresh F at a settled state is one
-        # nodal/spectral round trip, so `to_spectral` counts them
+        # nodal/spectral round trip, one call of the solver's F projection
         calls = []
-        to_spectral = SpectralBasis.to_spectral
+        projection = solver._f_projection
 
-        def counted(basis, values):
-            calls.append(None)
-            return to_spectral(basis, values)
+        def counted(F, basis):
+            project = projection(F, basis)
 
-        monkeypatch.setattr(SpectralBasis, "to_spectral", counted)
+            def count(c):
+                calls.append(None)
+                return project(c)
+
+            return count
+
+        monkeypatch.setattr(solver, "_f_projection", counted)
         got = run(solve_semilinear)
         assert len(calls) <= round_trips
         # the outer loop amplifies per-step differences of 1e-11 to about
@@ -264,13 +286,13 @@ class TestStepEquation:
 
 class TestSweepLoopBitIdentical:
     """The solver against the reference loop in `semilinear_oracle`
-    where both do the same arithmetic: the control drive, a step that
-    keeps its predictor, and the divergence message.
+    where both do the same arithmetic: `solve_linear`'s control drive,
+    a step that keeps its predictor, and the divergence message.
 
-    The solver takes the control drive from `solve_linear`'s Toeplitz
-    product, (u b + f) Wd re-associated as b (u Wd) + f Wd, which moves
-    trajectories by rounding only (5.6e-16 of max|coeffs| measured on
-    the examples); they are bounded at 1e-14.
+    `solve_linear` takes the control drive from one Toeplitz product,
+    (u b) Wd re-associated as b (u Wd), which moves trajectories by
+    rounding only (5.6e-16 of max|coeffs| measured on the examples);
+    they are bounded at 1e-14.
     """
 
     @staticmethod
@@ -306,16 +328,13 @@ class TestSweepLoopBitIdentical:
         _, kept_explicit = solve_semilinear_reference(*args)
         assert kept_explicit == [1, 2]
         got = solve_semilinear(*args).coeffs
-        lin = solve_linear(y0, None, act, basis, grid, 0.9).coeffs
-        Wd = _kernel_tables(basis, grid, 0.9)[1]
+        E1, Wd = _kernel_tables(basis, grid, 0.9)
+        c0 = y0.coefficients(basis).ravel()
+        f = solver._f_projection(F, basis)
 
-        def f(c):
-            nodal = basis.from_spectral(c.reshape(basis.mx, basis.my))
-            return basis.to_spectral(F(nodal)).ravel()
-
-        assert np.array_equal(got[1], lin[1] + f(got[0]) * Wd[0])
+        assert np.array_equal(got[1], E1[1] * c0 + f(got[0]) * Wd[0])
         assert np.array_equal(
-            got[2], lin[2] + f(got[0]) * Wd[1] + f(got[1]) * Wd[0]
+            got[2], E1[2] * c0 + f(got[0]) * Wd[1] + f(got[1]) * Wd[0]
         )
 
     def test_divergence(self, setup):
@@ -341,6 +360,49 @@ class TestSweepLoopBitIdentical:
                 solve_semilinear(
                     y0, None, NonlinearTerm.square(), act, basis, grid, 0.9
                 )
+
+
+class TestFProjection:
+    """The solver projects F on its alias-free grid
+    (`SpectralBasis.alias_free`), where the trapezoid rule is exact for
+    the Galerkin projection of y**p, so it agrees with the projection on
+    the domain grid up to rounding."""
+
+    @staticmethod
+    def _domain_projection(F, basis, c):
+        nodal = basis.from_spectral(c.reshape(basis.mx, basis.my))
+        return basis.to_spectral(F(nodal)).ravel()
+
+    @staticmethod
+    def _state(basis):
+        rng = np.random.default_rng(3)
+        return rng.normal(size=basis.mx * basis.my)
+
+    @pytest.mark.parametrize("power", [2, 3])
+    @pytest.mark.parametrize("dom, mx, my, nodes", [
+        # (power=2 nodes, power=3 nodes) per axis
+        (RectDomain(1.0, 1.0, 51, 51), 20, 20, ((30, 30), (40, 40))),
+        (RectDomain(1.0, 1.0, 21, 21), 6, 6, ((9, 9), (12, 12))),
+        (RectDomain(2.0, 0.5, 41, 31), 12, 8, ((18, 12), (24, 16))),
+    ])
+    def test_coarser_grid_within_rounding(self, dom, mx, my, nodes, power):
+        basis = build_basis(dom, mx, my)
+        ex, ey, _, _ = basis.alias_free(power)
+        assert (ex.shape[1], ey.shape[1]) == nodes[power - 2]
+        F = NonlinearTerm.scaled_power(0.7, power)
+        c = self._state(basis)
+        got = solver._f_projection(F, basis)(c)
+        ref = self._domain_projection(F, basis, c)
+        assert not np.array_equal(got, ref)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_domain_grid_bit_identical(self):
+        # 30 modes at power 3 need 60 nodes; the domain grid has 51
+        basis = build_basis(RectDomain(1.0, 1.0, 51, 51), 30, 30)
+        F = NonlinearTerm.scaled_power(-2.0, 3)
+        c = self._state(basis)
+        got = solver._f_projection(F, basis)(c)
+        assert np.array_equal(got, self._domain_projection(F, basis, c))
 
 
 class TestL1Oracle:
