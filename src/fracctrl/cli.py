@@ -207,11 +207,7 @@ def _load(args, path=None):
 
 
 def cmd_run(args):
-    try:
-        cfg = _load(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load(args)
     outdir = _out_root(args) / Path(args.config).stem
     code, summary = _run_one(cfg, outdir, cfg.seed)
     _emit("\n".join(f"{k}: {v}" for k, v in summary.items())
@@ -220,11 +216,7 @@ def cmd_run(args):
 
 
 def cmd_verify(args):
-    try:
-        cfg = _load(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load(args)
     try:
         report = hypothesis_report(cfg.problem(), seed=cfg.seed)
     except NUMERICAL_ERRORS as exc:
@@ -252,23 +244,19 @@ def _sweep_row(args, param, value, outroot):
 
 
 def cmd_sweep(args):
-    if not args.param or not args.values:
-        print("sweep needs --param section.key and --values v1,v2,...",
+    values = [v for v in args.values.split(",") if v]
+    if len(set(values)) < len(values):
+        # two rows with one value would share one row directory
+        print(f"config error: --values repeats a value: {args.values}",
               file=sys.stderr)
         return EXIT_CONFIG
-    values = [v for v in args.values.split(",") if v]
     outroot = _out_root(args) / f"{Path(args.config).stem}-sweep"
-    try:
-        rows = []
-        with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-            futs = [
-                pool.submit(_sweep_row, args, args.param, v, outroot)
-                for v in values
-            ]
-            rows = [f.result() for f in futs]  # input order preserved
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
+        futs = [
+            pool.submit(_sweep_row, args, args.param, v, outroot)
+            for v in values
+        ]
+        rows = [f.result() for f in futs]  # input order preserved
     header = f"# {args.param} status iterations boundary_error cost"
     lines = [header]
     worst = EXIT_OK
@@ -300,21 +288,27 @@ def build_parser():
         p.add_argument("--out", default=None,
                        help=f"output root (default ${OUTPUT_ROOT_ENV} "
                        "or ./runs)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="concurrent sweep rows; never affects "
-                       "numeric results")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--method", default=None, choices=METHODS)
         if verb == "sweep":
-            p.add_argument("--param", help="override key, e.g. domain.K")
-            p.add_argument("--values", help="comma-separated values")
+            p.add_argument("--threads", type=int, default=1,
+                           help="concurrent sweep rows; never affects "
+                           "numeric results")
+            p.add_argument("--param", required=True,
+                           help="override key, e.g. domain.K")
+            p.add_argument("--values", required=True,
+                           help="comma-separated values")
         p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

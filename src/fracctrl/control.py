@@ -26,7 +26,7 @@ from .domain import (
     trace,
 )
 from .mittag import check_order
-from .solver import _kernel_tables, solve_linear, solve_semilinear
+from .solver import NonlinearTerm, _kernel_tables, solve_semilinear
 
 __all__ = [
     "ControlSignal",
@@ -318,9 +318,9 @@ def algorithm1(problem):
     ds_vec = problem.target_values()
     r = ds_vec.copy()
     if np.any(problem.y0.values != 0.0):
-        free = solve_linear(
-            problem.y0, None, problem.act, problem.basis, problem.grid,
-            problem.alpha,
+        free = solve_semilinear(
+            problem.y0, None, NonlinearTerm.none(), problem.act,
+            problem.basis, problem.grid, problem.alpha,
         )
         r = r - _on_target(problem, free)
 

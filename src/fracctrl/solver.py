@@ -4,18 +4,17 @@ The linear part propagates each eigenmode exactly through Mittag-Leffler
 symbols, so piecewise-constant controls incur no time-stepping error.  The
 per-mode kernel tables depend only on (basis, grid, alpha); they are built
 once per problem, each with one Mittag-Leffler call over the whole (time
-node x distinct eigenvalue) array.  With F = 0 the control drive of every
-node is one Toeplitz product of the step values with the step weights
-(`solve_linear`).  Otherwise the semilinear solve integrates the source
-u_k b + f_k step by step, by product integration with F averaged over the
-step ends, so the control drive rides in the history sum the steps take
-anyway.  Each step solves that equation by sweeps, one round trip to
-F's alias-free nodal grid each, mixed at depth one (Anderson); they start
-from F extrapolated linearly in time.  A step settles by one test, its
-residual within TOL_PICARD, and hands the F of its last sweep to the next
-step.  A step whose sweeps do not settle keeps its predictor, the
-explicit step with the nonlinearity frozen at the step start.  The
-independent finite-difference cross-check lives in the test suite
+node x distinct eigenvalue) array.  `solve_semilinear` is the one forward
+solver, for F = 0 as well: it integrates the source u_k b + f_k step by
+step, by product integration with F averaged over the step ends, so the
+control drive rides in the history sum the steps take anyway.  Each step
+solves that equation by sweeps, one round trip to F's alias-free nodal
+grid each, mixed at depth one (Anderson); they start from F extrapolated
+linearly in time.  A step settles by one test, its residual within
+TOL_PICARD, and hands the F of its last sweep to the next step.  A step
+whose sweeps do not settle keeps its predictor, the explicit step with
+the nonlinearity frozen at the step start.  The independent
+finite-difference cross-check lives in the test suite
 (`tests/l1_oracle.py`).
 """
 
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import Field, actuator_coefficients
 from .mittag import _distinct, check_order, ml
@@ -34,7 +32,6 @@ __all__ = [
     "NonlinearTerm",
     "Trajectory",
     "SemilinearDivergenceError",
-    "solve_linear",
     "solve_semilinear",
     "TOL_PICARD",
     "MAX_SWEEPS",
@@ -167,26 +164,6 @@ def _kernel_tables(basis, grid, alpha):
     return E1, Wd
 
 
-def solve_linear(y0, u, act, basis, grid, alpha):
-    """Exact-in-time mild solution with F = 0 and piecewise-constant u."""
-    alpha = check_order(alpha)
-    b = actuator_coefficients(act, basis)
-    c0 = y0.coefficients(basis).ravel()
-    E1, Wd = _kernel_tables(basis, grid, alpha)
-    uvals = _control_values(u, grid.K)
-
-    # step k of the control sees kernel weight Wd[n-1-k] at t_n, so the
-    # drive is L @ Wd with the lower-triangular Toeplitz matrix
-    # L[i, j] = u[i-j]: a reversed sliding window over the zero-padded
-    # values, a strided view that allocates nothing of size K x K
-    padded = np.concatenate([np.zeros(grid.K - 1), uvals])
-    drive = sliding_window_view(padded, grid.K)[:, ::-1] @ Wd
-    drive *= b
-    coeffs = E1 * c0
-    coeffs[1:] += drive
-    return Trajectory(basis=basis, grid=grid, coeffs=coeffs, control=uvals)
-
-
 def _f_projection(F, basis):
     """c -> the coefficients of F's Galerkin projection at the state with
     coefficient vector c, taken on F's alias-free grid: exact for the
@@ -204,22 +181,21 @@ def _f_projection(F, basis):
 def solve_semilinear(y0, u, F, act, basis, grid, alpha):
     """Mild solution with a pointwise nonlinearity by product integration.
 
-    F = 0 is `solve_linear`.  Otherwise each step's source is u_k b + f_k,
-    with F(y) treated as constant on the step, at the average of its
-    values at the step ends, projected on F's alias-free grid
-    (`SpectralBasis.alias_free`).  Each step solves that equation for its
-    end state by sweeps x -> G(x), one nodal/spectral round trip each,
-    with depth-one Anderson mixing (Walker & Ni, SIAM J. Numer. Anal.
-    49(4), 2011).  The sweeps start from the predictor (F frozen at the
-    step start) on the first step and from F extrapolated linearly in time
-    from the last two nodes after it.  A step settles when |G(x) - x| <=
+    The package's one forward solver: F = 0 (`NonlinearTerm.none()`) runs
+    the same steps, each settling at its first sweep.  Each step's source
+    is u_k b + f_k, with F(y) treated as constant on the step, at the
+    average of its values at the step ends, projected on F's alias-free
+    grid (`SpectralBasis.alias_free`).  Each step solves that equation
+    for its end state by sweeps x -> G(x), one nodal/spectral round trip
+    each, with depth-one Anderson mixing (Walker & Ni, SIAM J. Numer.
+    Anal. 49(4), 2011).  The sweeps start from F extrapolated linearly in
+    time from the last two nodes; on the first step that is the predictor
+    (F frozen at the step start).  A step settles when |G(x) - x| <=
     TOL_PICARD max(1, |G(x)|); it keeps G(x) and hands the F of its last
     sweep to the next step.  Sweeps that grow twice in a row, turn
     non-finite or run out of MAX_SWEEPS leave the step unsettled: it keeps
     the predictor, and F is evaluated there once more.
     """
-    if F.is_zero:
-        return solve_linear(y0, u, act, basis, grid, alpha)
     alpha = check_order(alpha)
     b = actuator_coefficients(act, basis)
     c0 = y0.coefficients(basis).ravel()
@@ -238,7 +214,9 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
     with np.errstate(over="ignore", invalid="ignore"):
         # projected F at the previous node and at the one before it
         f_prev = project(c0)
-        f_back = None
+        # with f_back = f_prev the extrapolation 2 f_prev - f_back is
+        # f_prev exactly: the first step starts from the predictor
+        f_back = f_prev
         for n in range(1, grid.K + 1):
             k = n - 1
             base = E1[n] * c0
@@ -249,13 +227,9 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
             # G(x) = anchor + half_w0 F(x): the step end's half of the
             # averaged source is all a sweep adds
             anchor = base + (drive + 0.5 * f_prev) * w0
-            if f_back is None:
-                # the predictor: F at the step start
-                state = anchor + half_w0 * f_prev
-            else:
-                # F at the step end extrapolated linearly from the last
-                # two nodes
-                state = anchor + half_w0 * (2.0 * f_prev - f_back)
+            # F at the step end extrapolated linearly from the last two
+            # nodes
+            state = anchor + half_w0 * (2.0 * f_prev - f_back)
             prev_d2 = math.inf
             growth = 0
             f_end = None  # F at a settled state, from its last sweep

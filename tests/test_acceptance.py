@@ -32,18 +32,18 @@ from fracctrl.domain import (
     extend_target,
 )
 from fracctrl.mittag import ml
-from fracctrl.solver import NonlinearTerm, TimeGrid, solve_linear
+from fracctrl.solver import NonlinearTerm, TimeGrid, solve_semilinear
 from l1_oracle import l1_oracle_solve
 
 TEN_MINUTES = 600.0
 
 
-def _run_example(tmp_path_factory, name, threads):
-    out = tmp_path_factory.mktemp(f"{name}-t{threads}")
+def _run_example(tmp_path_factory, name):
+    out = tmp_path_factory.mktemp(name)
     t0 = time.perf_counter()
     code = main([
         "run", "--config", bundled_config_path(f"{name}.cfg"),
-        "--out", str(out), "--threads", str(threads),
+        "--out", str(out),
     ])
     elapsed = time.perf_counter() - t0
     rundir = out / name
@@ -53,12 +53,12 @@ def _run_example(tmp_path_factory, name, threads):
 
 @pytest.fixture(scope="module")
 def ex1_run(tmp_path_factory):
-    return _run_example(tmp_path_factory, "example1", threads=1)
+    return _run_example(tmp_path_factory, "example1")
 
 
 @pytest.fixture(scope="module")
 def ex2_run(tmp_path_factory):
-    return _run_example(tmp_path_factory, "example2", threads=1)
+    return _run_example(tmp_path_factory, "example2")
 
 
 class TestCriterion1MittagLeffler:
@@ -87,8 +87,8 @@ class TestCriterion2SolverCrossValidation:
             lambda x, y: basis.evaluate_mode(1, 0, x, y)
             + basis.evaluate_mode(0, 1, x, y),
         )
-        spec = solve_linear(
-            y0, None, act, basis, grid, 0.3
+        spec = solve_semilinear(
+            y0, None, NonlinearTerm.none(), act, basis, grid, 0.3
         ).final_field().values
         fd = l1_oracle_solve(
             y0, None, NonlinearTerm.none(), act, dom, grid, 0.3
@@ -224,17 +224,32 @@ class TestCriterion8Determinism:
     def test_threads_do_not_change_artifacts(
         self, ex1_run, tmp_path_factory
     ):
-        _, rundir1, manifest1, _ = ex1_run
-        code, rundir8, manifest8, _ = _run_example(
-            tmp_path_factory, "example1", threads=8
-        )
+        # two sweep rows run at once, each byte for byte a plain run: the
+        # seed reaches the diagnostics only, never the run's artifacts
+        _, rundir, manifest, _ = ex1_run
+        out = tmp_path_factory.mktemp("example1-sweep")
+        code = main([
+            "sweep", "--config", bundled_config_path("example1.cfg"),
+            "--out", str(out), "--param", "run.seed", "--values", "0,1",
+            "--threads", "2",
+        ])
         assert code == EXIT_OK
-        inventory = manifest1["artifacts"]
-        assert inventory == manifest8["artifacts"]
-        for name in inventory:
-            assert (rundir1 / name).read_bytes() == (
-                rundir8 / name
-            ).read_bytes(), name
+        inventory = manifest["artifacts"]
+        assert len(inventory) == 6
+        for seed in (0, 1):
+            rowdir = out / "example1-sweep" / f"run.seed={seed}"
+            for name in inventory:
+                assert (rowdir / name).read_bytes() == (
+                    rundir / name
+                ).read_bytes(), (seed, name)
+        row0 = json.loads(
+            (out / "example1-sweep" / "run.seed=0" / "manifest.json")
+            .read_text()
+        )
+        # the row directory holds its config besides the run's artifacts
+        assert row0["artifacts"].pop("config.cfg")
+        assert row0["artifacts"] == inventory
+        assert row0["hypothesis_report"] == manifest["hypothesis_report"]
 
 
 class TestCriterion9Diagnostics:

@@ -198,17 +198,12 @@ class TestRun:
         )
         assert manifest["method"] == method
 
-    def test_threads_do_not_change_results(self, tiny_cfg, tmp_path):
-        out1, out8 = tmp_path / "t1", tmp_path / "t8"
-        assert main(["run", "--config", tiny_cfg, "--out", str(out1),
-                     "--threads", "1"]) == EXIT_OK
-        assert main(["run", "--config", tiny_cfg, "--out", str(out8),
-                     "--threads", "8"]) == EXIT_OK
-        inv = json.loads((out1 / "tiny" / "manifest.json").read_text())
-        for name in inv["artifacts"]:
-            assert (out1 / "tiny" / name).read_bytes() == (
-                out8 / "tiny" / name
-            ).read_bytes(), name
+    @pytest.mark.parametrize("verb", ["run", "verify"])
+    def test_threads_is_a_sweep_flag(self, tiny_cfg, tmp_path, verb):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--config", tiny_cfg, "--out", str(tmp_path),
+                  "--threads", "2"])
+        assert exc.value.code == EXIT_CONFIG
 
 
 def test_run_factors_the_operator_once(tiny_cfg, tmp_path, monkeypatch):
@@ -637,7 +632,36 @@ class TestSweep:
         assert manifest["resolved_config"]["loop.method"] == "picard"
         assert manifest["resolved_config"]["run.seed"] == 7
 
+    def test_threads_do_not_change_results(self, tiny_cfg, tmp_path):
+        # two rows at once, each byte for byte a plain run
+        plain, out = tmp_path / "plain", tmp_path / "out"
+        assert main(["run", "--config", tiny_cfg,
+                     "--out", str(plain)]) == EXIT_OK
+        assert main(["sweep", "--config", tiny_cfg, "--out", str(out),
+                     "--param", "run.seed", "--values", "0,1",
+                     "--threads", "2"]) == EXIT_OK
+        inv = json.loads((plain / "tiny" / "manifest.json").read_text())
+        assert len(inv["artifacts"]) == 6
+        for seed in (0, 1):
+            rowdir = out / "tiny-sweep" / f"run.seed={seed}"
+            for name in inv["artifacts"]:
+                assert (rowdir / name).read_bytes() == (
+                    plain / "tiny" / name
+                ).read_bytes(), (seed, name)
+
     def test_sweep_requires_param(self, tiny_cfg, tmp_path):
-        code = main(["sweep", "--config", tiny_cfg,
-                     "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", tiny_cfg,
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == EXIT_CONFIG
+
+    def test_repeated_value_exits_2(self, tiny_cfg, tmp_path, capsys):
+        # two rows with one value would write one row directory at once
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", tiny_cfg, "--out", str(out),
+                     "--param", "run.seed", "--values", "0,0",
+                     "--threads", "2"])
         assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "repeats" in err[0]
+        assert not out.exists()

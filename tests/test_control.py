@@ -34,7 +34,6 @@ from fracctrl.solver import (
     NonlinearTerm,
     TimeGrid,
     _kernel_tables,
-    solve_linear,
     solve_semilinear,
 )
 
@@ -289,7 +288,9 @@ class TestBoundaryError:
         y0 = Field.from_function(
             dom, lambda x, y: np.cos(np.pi * x) + 0.5
         )
-        traj = solve_linear(y0, None, act, basis, grid, 0.5)
+        traj = solve_semilinear(
+            y0, None, NonlinearTerm.none(), act, basis, grid, 0.5
+        )
         from fracctrl.domain import trace
 
         prof = trace(traj.final_field(), gamma)
@@ -298,8 +299,9 @@ class TestBoundaryError:
     def test_constant_offset_norm(self, setup):
         # error c over a segment of length L has norm c sqrt(L)
         dom, basis, grid, act, omega, gamma = setup
-        traj = solve_linear(
-            Field.zero(dom), None, act, basis, grid, 0.5
+        traj = solve_semilinear(
+            Field.zero(dom), None, NonlinearTerm.none(), act, basis, grid,
+            0.5,
         )
         c = 2.0
         zd = np.full(dom.y[dom.y <= 0.1 + 1e-9].size, c)
@@ -418,7 +420,9 @@ class TestAlgorithm1:
         )
         H = problem.operator()
         manufactured = H.apply(np.sin(np.linspace(0.0, 2.0, H.M.shape[1])))
-        free = solve_linear(problem.y0, None, act, basis, grid, 0.3)
+        free = solve_semilinear(
+            problem.y0, None, NonlinearTerm.none(), act, basis, grid, 0.3
+        )
         offset = restrict(free.final_field(), omega).values
         problem.d_s = GridPatch(
             x=problem.d_s.x, y=problem.d_s.y,

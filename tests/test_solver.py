@@ -20,7 +20,6 @@ from fracctrl.solver import (
     SemilinearDivergenceError,
     TimeGrid,
     _kernel_tables,
-    solve_linear,
     solve_semilinear,
 )
 from l1_oracle import GridTrajectory, l1_oracle_solve
@@ -68,13 +67,17 @@ class TestNonlinearTerm:
 
 
 class TestSolveLinear:
+    """The linear system (F = 0) through the one solver's step loop."""
+
     def test_eigenmode_decay_law(self, setup):
         dom, basis, act, grid = setup
         alpha = 0.3
         y0 = Field.from_function(
             dom, lambda x, y: basis.evaluate_mode(1, 0, x, y)
         )
-        traj = solve_linear(y0, None, act, basis, grid, alpha)
+        traj = solve_semilinear(
+            y0, None, NonlinearTerm.none(), act, basis, grid, alpha
+        )
         c = traj.coeffs[-1].reshape(basis.mx, basis.my)
         assert c[1, 0] == pytest.approx(
             ml(alpha, 1.0, -math.pi**2 * 3.0**alpha), abs=1e-12
@@ -85,13 +88,18 @@ class TestSolveLinear:
 
     def test_zero_data_zero_trajectory(self, setup):
         dom, basis, act, grid = setup
-        traj = solve_linear(Field.zero(dom), None, act, basis, grid, 0.5)
+        traj = solve_semilinear(
+            Field.zero(dom), None, NonlinearTerm.none(), act, basis, grid,
+            0.5,
+        )
         assert np.max(np.abs(traj.coeffs)) == 0.0
 
     def test_snapshot_zero_is_initial_state(self, setup):
         dom, basis, act, grid = setup
         y0 = Field.from_function(dom, lambda x, y: np.cos(np.pi * x))
-        traj = solve_linear(y0, None, act, basis, grid, 0.5)
+        traj = solve_semilinear(
+            y0, None, NonlinearTerm.none(), act, basis, grid, 0.5
+        )
         assert np.allclose(traj.snapshot(0).values, y0.values, atol=1e-12)
 
     def test_classical_integrator_mode(self, setup):
@@ -99,8 +107,9 @@ class TestSolveLinear:
         # integrates the control: c_00(T) = T for u = 1
         dom, basis, _, grid = setup
         act = Actuator.zonal(0.0, 1.0, 0.0, 1.0)
-        traj = solve_linear(
-            Field.zero(dom), np.ones(grid.K), act, basis, grid, 1.0
+        traj = solve_semilinear(
+            Field.zero(dom), np.ones(grid.K), NonlinearTerm.none(), act,
+            basis, grid, 1.0,
         )
         assert traj.coeffs[-1][0] == pytest.approx(3.0, rel=1e-12)
 
@@ -112,14 +121,14 @@ class TestSolveLinear:
         rng = np.random.default_rng(7)
         ua = rng.normal(size=grid.K)
         ub = rng.normal(size=grid.K)
-        combo = solve_linear(
+        F = NonlinearTerm.none()
+        combo = solve_semilinear(
             Field(dom, 2.0 * y0a.values - 0.5 * y0b.values),
-            2.0 * ua - 0.5 * ub, act, basis, grid, alpha,
+            2.0 * ua - 0.5 * ub, F, act, basis, grid, alpha,
         )
-        parts = (
-            2.0 * solve_linear(y0a, ua, act, basis, grid, alpha).coeffs
-            - 0.5 * solve_linear(y0b, ub, act, basis, grid, alpha).coeffs
-        )
+        a = solve_semilinear(y0a, ua, F, act, basis, grid, alpha)
+        b = solve_semilinear(y0b, ub, F, act, basis, grid, alpha)
+        parts = 2.0 * a.coeffs - 0.5 * b.coeffs
         assert np.max(np.abs(combo.coeffs - parts)) < 1e-10
 
     def test_modes_decay_monotonically(self, setup):
@@ -127,48 +136,30 @@ class TestSolveLinear:
         y0 = Field.from_function(
             dom, lambda x, y: np.exp(np.cos(np.pi * x) + np.cos(np.pi * y))
         )
-        traj = solve_linear(y0, None, act, basis, grid, 0.4)
+        traj = solve_semilinear(
+            y0, None, NonlinearTerm.none(), act, basis, grid, 0.4
+        )
         mags = np.abs(traj.coeffs)
         assert np.all(np.diff(mags, axis=0) <= 1e-14)
 
     def test_mass_conservation(self, setup):
         dom, basis, act, grid = setup
         y0 = Field.from_function(dom, lambda x, y: 1.0 + np.cos(np.pi * x))
-        traj = solve_linear(y0, None, act, basis, grid, 0.3)
+        traj = solve_semilinear(
+            y0, None, NonlinearTerm.none(), act, basis, grid, 0.3
+        )
         assert np.max(np.abs(traj.coeffs[:, 0] - traj.coeffs[0, 0])) < 1e-12
 
     def test_control_length_mismatch(self, setup):
         dom, basis, act, grid = setup
         with pytest.raises(ValueError):
-            solve_linear(Field.zero(dom), np.ones(10), act, basis, grid, 0.5)
+            solve_semilinear(
+                Field.zero(dom), np.ones(10), NonlinearTerm.none(), act,
+                basis, grid, 0.5,
+            )
 
 
 class TestSolveSemilinear:
-    def test_no_nonlinearity_matches_linear(self, setup):
-        dom, basis, act, grid = setup
-        y0 = Field.from_function(dom, lambda x, y: 0.1 * np.cos(np.pi * x))
-        u = 0.3 * np.ones(grid.K)
-        a = solve_linear(y0, u, act, basis, grid, 0.3)
-        b = solve_semilinear(
-            y0, u, NonlinearTerm.none(), act, basis, grid, 0.3
-        )
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
-
-    def test_semilinear_never_calls_solve_linear(self, setup, monkeypatch):
-        # the control drive rides in the step loop's history sum; no
-        # (K x K)(K x modes) Toeplitz product is formed
-        dom, basis, act, grid = setup
-
-        def fail(*args):
-            raise AssertionError("solve_linear called")
-
-        monkeypatch.setattr(solver, "solve_linear", fail)
-        traj = solve_semilinear(
-            Field.zero(dom), 0.5 * np.ones(grid.K), NonlinearTerm.square(),
-            act, basis, grid, 0.3,
-        )
-        assert np.max(np.abs(traj.coeffs)) > 0.0
-
     def test_zero_data_stays_zero(self, setup):
         dom, basis, act, grid = setup
         traj = solve_semilinear(
@@ -285,14 +276,12 @@ class TestStepEquation:
 
 
 class TestSweepLoopBitIdentical:
-    """The solver against the reference loop in `semilinear_oracle`
-    where both do the same arithmetic: `solve_linear`'s control drive,
-    a step that keeps its predictor, and the divergence message.
+    """The solver against references where both do the same arithmetic:
+    the F = 0 closed form, a step that keeps its predictor, and the
+    divergence message.
 
-    `solve_linear` takes the control drive from one Toeplitz product,
-    (u b) Wd re-associated as b (u Wd), which moves trajectories by
-    rounding only (5.6e-16 of max|coeffs| measured on the examples);
-    they are bounded at 1e-14.
+    Trajectories that differ from a reference by the order of a sum move
+    by rounding only; they are bounded at 1e-14 of max|coeffs|.
     """
 
     @staticmethod
@@ -306,7 +295,9 @@ class TestSweepLoopBitIdentical:
         y0 = Field.from_function(
             basis.domain, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y)
         )
-        traj = solve_linear(y0, u, problem.act, basis, grid, alpha)
+        traj = solve_semilinear(
+            y0, u, NonlinearTerm.none(), problem.act, basis, grid, alpha
+        )
         # the drive as a materialised product summed over the step axis
         E1, Wd = _kernel_tables(basis, grid, alpha)
         b = actuator_coefficients(problem.act, basis)
