@@ -83,7 +83,7 @@ def _run_one(cfg, outdir, seed):
     problem = cfg.problem()
     hyp = None
     try:
-        hyp = hypothesis_report(problem, seed=seed)
+        hyp = hypothesis_report(problem)
         u, traj, report = _execute(cfg, problem)
     except NUMERICAL_ERRORS as exc:
         status = ("diverged" if isinstance(exc, SemilinearDivergenceError)
@@ -218,7 +218,7 @@ def cmd_run(args):
 def cmd_verify(args):
     cfg = _load(args)
     try:
-        report = hypothesis_report(cfg.problem(), seed=cfg.seed)
+        report = hypothesis_report(cfg.problem())
     except NUMERICAL_ERRORS as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -285,11 +285,15 @@ def build_parser():
                      ("sweep", cmd_sweep)):
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None,
-                       help=f"output root (default ${OUTPUT_ROOT_ENV} "
-                       "or ./runs)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--method", default=None, choices=METHODS)
+        if verb == "verify":
+            # verify writes no file and runs no loop
+            p.set_defaults(method=None)
+        else:
+            p.add_argument("--out", default=None,
+                           help=f"output root (default ${OUTPUT_ROOT_ENV} "
+                           "or ./runs)")
+            p.add_argument("--method", default=None, choices=METHODS)
         if verb == "sweep":
             p.add_argument("--threads", type=int, default=1,
                            help="concurrent sweep rows; never affects "

@@ -2,10 +2,10 @@
 
 Estimates the constants that enter the small-data contraction argument:
 the L1-in-time kernel norm A1, the pseudo-inverse gain mu, the L2 norm of
-the scalar kernel g_alpha, an empirical Lipschitz modulus of the
-nonlinearity, the admissible target radius kappa with its margins m_kappa
-and rho_kappa, the contraction factor A_s, and a Gram-spectrum proxy for
-approximate controllability of the linearized system.
+the scalar kernel g_alpha, a closed-form bracket of the Lipschitz modulus
+of the nonlinearity, the admissible target radius kappa with its margins
+m_kappa and rho_kappa, the contraction factor A_s, and a Gram-spectrum
+proxy for approximate controllability of the linearized system.
 
 A1 is computed in closed form.  In u = t^alpha the integrand is the
 upper envelope of the mode curves f_j(u) = (lam_j + 1)^q
@@ -37,11 +37,17 @@ at least the crossing pair's value at c.  Every argmax runs over the
 modes in index order, so the winners, and A1, are those of an
 evaluation of every mode everywhere.
 
-The Lipschitz table F_N of F = c y^p is sampled on seed-fixed pairs
-z = a v1, y = b v2 of unit fields v1, v2 and scalars a, b.  Every norm
-it needs is a polynomial in (a, b) whose coefficients are per-sample
-moments of the two fields, computed once, so each radius pair costs a
-few operations on vectors of length n_samples.
+For F = c y^p, F_N(r, 0) = sup |F(z)|_2 / |z|_2 over fields z of the
+span with |z|_2 <= r is |c| r^(p-1) sup |v^p|_2 over unit fields v.
+The trapezoid rule makes the modes e_k orthonormal on the nodes
+(`build_basis` keeps m < n - 1), so a unit field has unit coefficients
+and, by Cauchy-Schwarz, |v|_inf <= C_inf with C_inf^2 = max over the
+nodes of sum_k e_k^2.  Then |v^p|_2 <= |v|_inf^(p-1) |v|_2 gives the
+upper end |c| C_inf^(p-1).  The normalised reproducing kernel
+v*(x) = sum_k e_k(x0) e_k(x) / C_inf at the maximising node x0 attains
+|v*(x0)| = C_inf (Nevai, J. Approx. Theory 48, 1986, on Christoffel
+functions), and |c| |v*^p|_2 is the lower end.  On 20 x 20 modes of the
+unit square C_inf = 39, and for F = y^2 the bracket is [26.0, 39].
 """
 
 import math
@@ -68,18 +74,14 @@ _ENVELOPE_ROUNDS = 8
 # q -> 0 every mode ties near u = 0 and, without it, each round would
 # split ever smaller crossings there that carry no area
 _ENVELOPE_TIE = 1e-11
-# sample pairs behind the F_N table: one default, so `run`'s manifest and
-# `verify` report the same constants for the same config and seed
-FN_SAMPLES = 100
 
 __all__ = [
     "EnvelopeError",
     "HypothesisReport",
-    "FNTable",
     "Constants",
     "GramSpectrum",
     "estimate_A1",
-    "estimate_FN",
+    "lipschitz_bracket",
     "compute_constants",
     "gram_spectrum",
     "pinv_gain",
@@ -228,117 +230,28 @@ def g_alpha_norm(grid, alpha):
     return float(np.sum(dt * g**2) ** 0.5)
 
 
-@dataclass(frozen=True)
-class FNTable:
-    """Empirical Lipschitz modulus of the nonlinearity on nested balls.
+def lipschitz_bracket(F, basis):
+    """Bracket (lower, upper) of F_N(r, 0) / r^(p-1) for F = c y^p on the
+    span of the basis, in the discrete L2 norm; (0, 0) for F = none.
 
-    values[i, j] is a randomized lower bound on
-    sup { |F(z) - F(y)| / |z - y| : |z| <= radii[i], |y| <= radii[j] }
-    in the discrete L2 norm.
+    F_N(r, 0) = |c| r^(p-1) sup |v^p|_2 over unit fields v of the span.
+    The upper end is |c| C_inf^(p-1), C_inf^2 = max over the nodes of
+    sum_k e_k^2; the lower end is |c| |v*^p|_2 for the normalised
+    reproducing kernel v* at the node of that maximum (module docstring).
     """
-
-    radii: np.ndarray
-    values: np.ndarray
-    kind: str
-
-    def fn_zero(self, i):
-        """F_N(radii[i], radii[0]), the modulus against the table's
-        smallest ball, which stands in for the zero state: it is F_N(r, 0)
-        only when radii[0] = 0."""
-        return float(self.values[i, 0])
-
-
-def estimate_FN(F, radii, basis, n_samples=FN_SAMPLES, seed=0):
-    """Randomized estimate of the Lipschitz modulus table of F.
-
-    Samples smooth random fields (spectral coefficients damped by
-    (1 + lam)^-1) on nested balls and records the largest Lipschitz ratio
-    seen; the result is a seed-fixed lower bound on the true supremum, not
-    a certificate.
-    """
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size == 0 or np.any(radii < 0.0):
-        raise ValueError("radii must be a non-empty 1-D array of radii >= 0")
-    if not np.all(np.diff(radii) > 0.0):
-        raise ValueError("radii must be strictly increasing")
-    n = radii.size
     if F.is_zero:
-        return FNTable(radii=radii, values=np.zeros((n, n)), kind="none")
-
-    domain = basis.domain
-    wx, wy = domain.quad_weights()
-    w = np.outer(wx, wy)
-    lam = np.asarray(basis.eigenvalues, dtype=float)
-    damp = (1.0 + lam).reshape(basis.mx, basis.my) ** -1.0
-    rng = np.random.default_rng(seed)
-
-    def sample_unit():
-        coeffs = rng.standard_normal((basis.mx, basis.my)) * damp
-        v = basis.from_spectral(coeffs)
-        nrm = math.sqrt(float(np.sum(w * v**2)))
-        return v / nrm
-
-    # sample pair s is z = a v1[s], y = b v2[s] with the scalars a = r1
-    # s1[s], b = r2 s2[s] of a radius pair (r1, r2)
-    v1 = np.empty((n_samples, domain.nx, domain.ny))
-    v2 = np.empty_like(v1)
-    s1, s2 = np.empty(n_samples), np.empty(n_samples)
-    for s in range(n_samples):
-        v1[s], v2[s] = sample_unit(), sample_unit()
-        s1[s], s2[s] = rng.uniform(), rng.uniform()
-    # The damping leaves the constant mode dominant, so v2 is often
-    # close to +-v1 and z - y, F(z) - F(y) are small differences of large
-    # fields.  Each norm is therefore written in v1 and the difference
-    # field e = v2 - sig v1, sig = sign(v1 . v2), where that cancellation
-    # is gone: z - y = (a - sig b) v1 - b e, and F(z) - F(y) is a form of
-    # degree p in (v1, e).  The squared L2 norm of a form
-    # sum_k c_k v1^(d-k) e^k is sum_(k,l) c_k c_l M(2d-k-l, k+l), with the
-    # per-sample moments M(k, l) = sum w v1^k e^l.  Every moment needed
-    # has k + l even, so it is one einsum over products of the three
-    # buffers v1^2, e^2 and v1 e; no stack of powers is held.
-    sig = np.where(np.einsum("ij,sij,sij->s", w, v1, v2) < 0.0, -1.0, 1.0)
-    e = v2  # overwritten in place: v2 is not needed again
-    e -= sig[:, None, None] * v1
-    sq1, sqe, cross = v1 * v1, e * e, v1 * e
-    p = F.power
-    moments = {}
-    for q in {2, 2 * p}:
-        for k in range(q + 1):
-            j = min(k, q - k)
-            ops = ([cross] * j + [sq1] * ((k - j) // 2)
-                   + [sqe] * ((q - k - j) // 2))
-            spec = ",".join(["ij"] + ["sij"] * len(ops)) + "->s"
-            moments[k, q - k] = np.einsum(spec, w, *ops)
-
-    def sqnorm(c):
-        """Per-sample sum of w (sum_k c[k] v1^(d-k) e^k)^2, d = len(c)-1."""
-        d = len(c) - 1
-        return sum(
-            c[k] * c[l] * moments[2 * d - k - l, k + l]
-            for k in range(d + 1) for l in range(d + 1)
-        )
-
-    values = np.zeros((n, n))
-    for i, r1 in enumerate(radii):
-        for j, r2 in enumerate(radii):
-            a, b = r1 * s1, r2 * s2
-            lin = a - sig * b  # z - y = lin v1 - b e
-            dnorm = np.sqrt(sqnorm([lin, -b]))
-            keep = dnorm != 0.0
-            if not keep.any():
-                continue
-            a, b, sg, lin, dnorm = (
-                x[keep] for x in (a, b, sig, lin, dnorm)
-            )
-            # F(z) - F(y) = c (a^p v1^p - b^p (sg v1 + e)^p); the v1^p
-            # coefficient a^p - (sg b)^p is factored through lin
-            form = [lin * sum(a ** (p - 1 - m) * (sg * b) ** m
-                              for m in range(p))]
-            form += [-(b**p) * math.comb(p, k) * sg ** (p - k)
-                     for k in range(1, p + 1)]
-            df = abs(F.coeff) * np.sqrt(sqnorm(form))
-            values[i, j] = float(np.max(df / dnorm))
-    return FNTable(radii=radii, values=values, kind=F.kind)
+        return 0.0, 0.0
+    # the basis is separable, so sum_k e_k^2 is a product of axis sums
+    ex, ey = basis._factors
+    sx, sy = np.sum(ex**2, axis=0), np.sum(ey**2, axis=0)
+    i, j = int(np.argmax(sx)), int(np.argmax(sy))
+    c_inf = math.sqrt(sx[i] * sy[j])
+    # the coefficients of the kernel at node (i, j) are e_k there
+    v = basis.from_spectral(np.outer(ex[:, i], ey[:, j])) / c_inf
+    wx, wy = basis.domain.quad_weights()
+    vp = math.sqrt(float(np.sum(np.outer(wx, wy) * v ** (2 * F.power))))
+    c = abs(F.coeff)
+    return c * vp, c * c_inf ** (F.power - 1)
 
 
 @dataclass(frozen=True)
@@ -350,16 +263,20 @@ class Constants:
     rho_kappa: float
     a_s: float
     admissible: bool
-    sup_fn: float
 
 
-def compute_constants(a1, mu, g_norm, fn_table):
+# no radius qualifies: the hypothesis is violated, not an error
+_INADMISSIBLE = Constants(
+    kappa=0.0, m_kappa=0.0, rho_kappa=0.0, a_s=math.inf, admissible=False
+)
+
+
+def compute_constants(a1, mu, g_norm, radii, fn):
     """Largest admissible target radius kappa and the derived constants.
 
-    kappa is the largest radius on the table grid with
-    sup_(theta <= kappa) F_N(theta, r_0) < 1 / (A1 + A2), A2 = mu * |g|,
-    where r_0, the table's smallest radius (`FNTable.fn_zero`), stands in
-    for the zero state of the theory's F_N(theta, 0); then
+    fn[i] = F_N(radii[i], 0) on increasing radii.  kappa is the largest
+    radius with sup_(theta <= kappa) F_N(theta, 0) < 1 / (A1 + A2),
+    A2 = mu * |g|; then
     m_kappa = (kappa/mu) (1 - A1 sup F_N),
     rho_kappa = (kappa/mu) (1 - (A1 + A2) sup F_N) and
     A_s = mu |g| sup F_N / (1 - A1 sup F_N).  When no radius qualifies the
@@ -371,22 +288,19 @@ def compute_constants(a1, mu, g_norm, fn_table):
     limit = 1.0 / (a1 + a2)
     best = None
     running_sup = 0.0
-    for i, r in enumerate(fn_table.radii):
-        running_sup = max(running_sup, fn_table.fn_zero(i))
+    for r, f in zip(radii, fn):
+        running_sup = max(running_sup, float(f))
         if running_sup < limit:
-            best = (r, running_sup)
+            best = (float(r), running_sup)
     if best is None:
-        return Constants(
-            kappa=0.0, m_kappa=0.0, rho_kappa=0.0, a_s=math.inf,
-            admissible=False, sup_fn=float(fn_table.fn_zero(0)),
-        )
+        return _INADMISSIBLE
     kappa, sup_fn = best
     m_kappa = (kappa / mu) * (1.0 - a1 * sup_fn)
     rho_kappa = (kappa / mu) * (1.0 - (a1 + a2) * sup_fn)
     a_s = a2 * sup_fn / (1.0 - a1 * sup_fn)
     return Constants(
         kappa=kappa, m_kappa=m_kappa, rho_kappa=rho_kappa, a_s=a_s,
-        admissible=True, sup_fn=sup_fn,
+        admissible=True,
     )
 
 
@@ -427,6 +341,8 @@ class HypothesisReport:
     a1: float
     mu: float
     g_norm: float
+    fn_lower: float
+    fn_upper: float
     kappa: float
     m_kappa: float
     rho_kappa: float
@@ -446,6 +362,8 @@ class HypothesisReport:
             f"  A1 (kernel L1 norm)        : {self.a1:.6e}",
             f"  mu (pseudo-inverse gain)   : {self.mu:.6e}",
             f"  |g_alpha| (L2, grid level) : {self.g_norm:.6e}",
+            f"  F_N(r,0) / r^(p-1) bracket : [{self.fn_lower:.6e}, "
+            f"{self.fn_upper:.6e}]",
             f"  kappa (admissible radius)  : {self.kappa:.6e}",
             f"  m_kappa                    : {self.m_kappa:.6e}",
             f"  rho_kappa                  : {self.rho_kappa:.6e}",
@@ -459,13 +377,13 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
-def hypothesis_report(problem, q=0.5, radii=None, n_samples=FN_SAMPLES,
-                      seed=0):
+def hypothesis_report(problem, q=0.5, radii=None):
     """Full hypothesis check for a control problem.
 
     Verdicts: 'controllability' from the Gram spectrum (violated when the
     reachability matrix is identically zero), 'small-data-contraction'
-    from the existence of an admissible radius with A_s < 1.
+    from the existence of an admissible radius with A_s < 1, for the
+    upper end of the Lipschitz bracket.
     """
     if radii is None:
         radii = np.geomspace(1e-4, 1.0, 9)
@@ -474,17 +392,13 @@ def hypothesis_report(problem, q=0.5, radii=None, n_samples=FN_SAMPLES,
     a1 = estimate_A1(problem.basis, problem.grid, problem.alpha, q)
     mu = pinv_gain(H)
     g_norm = g_alpha_norm(problem.grid, problem.alpha)
-    fn = estimate_FN(
-        problem.F, radii, problem.basis, n_samples=n_samples, seed=seed
-    )
+    lower, upper = lipschitz_bracket(problem.F, problem.basis)
     if mu > 0.0 and math.isfinite(mu):
-        consts = compute_constants(a1, mu, g_norm, fn)
+        fn = upper * np.asarray(radii, dtype=float) ** (problem.F.power - 1)
+        consts = compute_constants(a1, mu, g_norm, radii, fn)
     else:
         # dead actuator: no control authority, so no admissible radius
-        consts = Constants(
-            kappa=0.0, m_kappa=0.0, rho_kappa=0.0, a_s=math.inf,
-            admissible=False, sup_fn=float(fn.fn_zero(0)),
-        )
+        consts = _INADMISSIBLE
     verdicts = {
         "controllability": spectrum.verdict,
         "small-data-contraction": (
@@ -493,8 +407,9 @@ def hypothesis_report(problem, q=0.5, radii=None, n_samples=FN_SAMPLES,
         ),
     }
     return HypothesisReport(
-        a1=a1, mu=mu, g_norm=g_norm, kappa=consts.kappa,
-        m_kappa=consts.m_kappa, rho_kappa=consts.rho_kappa, a_s=consts.a_s,
+        a1=a1, mu=mu, g_norm=g_norm, fn_lower=lower, fn_upper=upper,
+        kappa=consts.kappa, m_kappa=consts.m_kappa,
+        rho_kappa=consts.rho_kappa, a_s=consts.a_s,
         gram_sigma_min=spectrum.sigma_min,
         gram_sigma_max=spectrum.sigma_max,
         effective_rank=spectrum.effective_rank, verdicts=verdicts,

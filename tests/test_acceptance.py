@@ -202,7 +202,7 @@ class TestCriterion6SmallDataContraction:
         ratios = report.contraction_ratios()
         assert len(ratios) >= 2
         assert all(r < 1.0 for r in ratios)
-        hyp = hypothesis_report(problem, n_samples=100, seed=0)
+        hyp = hypothesis_report(problem)
         assert hyp.a_s < 1.0
         assert not hyp.violated
 
@@ -225,7 +225,8 @@ class TestCriterion8Determinism:
         self, ex1_run, tmp_path_factory
     ):
         # two sweep rows run at once, each byte for byte a plain run: the
-        # seed reaches the diagnostics only, never the run's artifacts
+        # seed reaches no computation, neither the artifacts nor the
+        # hypothesis report
         _, rundir, manifest, _ = ex1_run
         out = tmp_path_factory.mktemp("example1-sweep")
         code = main([
@@ -242,14 +243,16 @@ class TestCriterion8Determinism:
                 assert (rowdir / name).read_bytes() == (
                     rundir / name
                 ).read_bytes(), (seed, name)
-        row0 = json.loads(
-            (out / "example1-sweep" / "run.seed=0" / "manifest.json")
-            .read_text()
-        )
-        # the row directory holds its config besides the run's artifacts
-        assert row0["artifacts"].pop("config.cfg")
-        assert row0["artifacts"] == inventory
-        assert row0["hypothesis_report"] == manifest["hypothesis_report"]
+        for seed in (0, 1):
+            row = json.loads(
+                (out / "example1-sweep" / f"run.seed={seed}"
+                 / "manifest.json").read_text()
+            )
+            # the row directory holds its config besides the run's
+            # artifacts
+            assert row["artifacts"].pop("config.cfg")
+            assert row["artifacts"] == inventory
+            assert row["hypothesis_report"] == manifest["hypothesis_report"]
 
 
 class TestCriterion9Diagnostics:
@@ -266,7 +269,7 @@ class TestCriterion9Diagnostics:
 
     def test_example1_gram_and_a1(self):
         cfg = load_config(bundled_config_path("example1.cfg"))
-        hyp = hypothesis_report(cfg.problem(), n_samples=100, seed=0)
+        hyp = hypothesis_report(cfg.problem())
         assert hyp.gram_sigma_min > 0.0
         # as q -> 0 the kernel-norm integral reduces to the closed form
         # T^alpha / Gamma(alpha + 1)

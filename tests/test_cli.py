@@ -70,6 +70,11 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _out_flag(verb, out):
+    """The --out option for the verbs that write files; verify takes none."""
+    return [] if verb == "verify" else ["--out", str(out)]
+
+
 class TestRun:
     def test_run_writes_artifacts(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "out"
@@ -122,7 +127,7 @@ class TestRun:
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         code = main([verb, "--config", str(path),
-                     "--out", str(tmp_path / "o")])
+                     *_out_flag(verb, tmp_path / "o")])
         err = capsys.readouterr().err.strip().splitlines()
         assert code == EXIT_CONFIG
         assert len(err) == 1 and err[0].startswith("config error:")
@@ -201,9 +206,23 @@ class TestRun:
     @pytest.mark.parametrize("verb", ["run", "verify"])
     def test_threads_is_a_sweep_flag(self, tiny_cfg, tmp_path, verb):
         with pytest.raises(SystemExit) as exc:
-            main([verb, "--config", tiny_cfg, "--out", str(tmp_path),
+            main([verb, "--config", tiny_cfg, *_out_flag(verb, tmp_path),
                   "--threads", "2"])
         assert exc.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag", [["--out", "o"],
+                                      ["--method", "linear"]],
+                             ids=["out", "method"])
+    def test_verify_takes_no_run_flags(self, tiny_cfg, tmp_path,
+                                       monkeypatch, flag):
+        # verify writes no file and runs no loop
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", tiny_cfg, *flag])
+        assert exc.value.code == EXIT_CONFIG
+        assert list(cwd.iterdir()) == []
 
 
 def test_run_factors_the_operator_once(tiny_cfg, tmp_path, monkeypatch):
@@ -454,7 +473,7 @@ class TestNumericalFailure:
         )
         monkeypatch.setattr("fracctrl.diagnostics._ENVELOPE_ROUNDS", 1)
         code = main([verb, "--config", str(path),
-                     "--out", str(tmp_path / "o")])
+                     *_out_flag(verb, tmp_path / "o")])
         assert code == EXIT_DIVERGED
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "envelope" in err[0]
@@ -555,7 +574,7 @@ def test_closed_stdout_keeps_exit_code(tmp_path, argv, gain, code, written):
     try:
         done = subprocess.run(
             [sys.executable, "-m", "fracctrl.cli", *argv,
-             "--config", str(cfg), "--out", str(out)],
+             "--config", str(cfg), *_out_flag(argv[0], out)],
             env=_package_env(), stdout=write_end, stderr=subprocess.PIPE,
             text=True,
         )
@@ -586,7 +605,7 @@ class TestVerify:
         assert main(["verify", "--config", str(path)]) == EXIT_HYPOTHESIS
 
     def test_constants_match_run_manifest(self, tmp_path, capsys):
-        # F != 0, so the constants depend on the F_N sample count
+        # F != 0, so the constants depend on the Lipschitz bracket
         path = tmp_path / "square.cfg"
         path.write_text(TINY.replace("f = none", "f = square"))
         out = tmp_path / "out"

@@ -541,7 +541,7 @@ class TestOperatorPerProblem:
 
         monkeypatch.setattr(control, "assemble_H", counted)
         problem = _example_problem(setup, NonlinearTerm.none(), n_max=1)
-        hypothesis_report(problem, n_samples=10)
+        hypothesis_report(problem)
         algorithm1(problem)
         assert len(calls) == 1
         assert problem.operator() is problem.operator()

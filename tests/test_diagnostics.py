@@ -8,13 +8,12 @@ from fracctrl.config import bundled_config_path, load_config
 from fracctrl.control import ControlProblem, assemble_H, pinv_apply
 from fracctrl.diagnostics import (
     EnvelopeError,
-    FNTable,
     compute_constants,
     estimate_A1,
-    estimate_FN,
     g_alpha_norm,
     gram_spectrum,
     hypothesis_report,
+    lipschitz_bracket,
     pinv_gain,
 )
 from fracctrl.domain import (
@@ -192,142 +191,53 @@ class TestGAlphaNorm:
         assert b > a
 
 
-def _reference_fn(F, radii, basis, n_samples, seed):
-    """estimate_FN's table, one sample pair at a time."""
-    wx, wy = basis.domain.quad_weights()
-    w = np.outer(wx, wy)
-    damp = (1.0 + basis.eigenvalues).reshape(basis.mx, basis.my) ** -1.0
-    rng = np.random.default_rng(seed)
+class TestLipschitzBracket:
+    def test_c_inf_on_example1_basis(self):
+        # 20 cosines per unit axis: sum_k e_k^2 = 1 + 19 * 2 at a corner
+        basis = load_config(bundled_config_path("example1.cfg")).basis
+        lower, upper = lipschitz_bracket(NonlinearTerm.square(), basis)
+        assert upper == pytest.approx(39.0, rel=1e-14)
+        assert lower == pytest.approx(26.0085, abs=1e-4)
 
-    def sample_unit():
-        v = basis.from_spectral(
-            rng.standard_normal((basis.mx, basis.my)) * damp
-        )
-        return v / math.sqrt(float(np.sum(w * v**2)))
-
-    pairs = [
-        (sample_unit(), sample_unit(), rng.uniform(), rng.uniform())
-        for _ in range(n_samples)
-    ]
-    values = np.zeros((radii.size, radii.size))
-    for i, r1 in enumerate(radii):
-        for j, r2 in enumerate(radii):
-            for v1, v2, s1, s2 in pairs:
-                z, y = r1 * s1 * v1, r2 * s2 * v2
-                dnorm = math.sqrt(float(np.sum(w * (z - y) ** 2)))
-                if dnorm == 0.0:
-                    continue
-                ratio = math.sqrt(float(np.sum(w * (F(z) - F(y)) ** 2)))
-                values[i, j] = max(values[i, j], ratio / dnorm)
-    return values
-
-
-def _vectorised_fn(F, radii, basis, n_samples, seed):
-    """estimate_FN's table with the sample pairs stacked,
-    reduced over the field axes one radius pair at a time."""
-    wx, wy = basis.domain.quad_weights()
-    w = np.outer(wx, wy)
-    damp = (1.0 + basis.eigenvalues).reshape(basis.mx, basis.my) ** -1.0
-    rng = np.random.default_rng(seed)
-
-    def sample_unit():
-        v = basis.from_spectral(
-            rng.standard_normal((basis.mx, basis.my)) * damp
-        )
-        return v / math.sqrt(float(np.sum(w * v**2)))
-
-    pairs = [
-        (sample_unit(), sample_unit(), rng.uniform(), rng.uniform())
-        for _ in range(n_samples)
-    ]
-    v1, v2, s1, s2 = (np.array(col) for col in zip(*pairs))
-    fields = (1, 2)
-    values = np.zeros((radii.size, radii.size))
-    for i, r1 in enumerate(radii):
-        z = (r1 * s1)[:, None, None] * v1
-        for j, r2 in enumerate(radii):
-            y = (r2 * s2)[:, None, None] * v2
-            dnorm = np.sqrt(np.sum(w * (z - y) ** 2, axis=fields))
-            keep = dnorm != 0.0
-            if not keep.any():
-                continue
-            dnorm = dnorm[keep]
-            df = F(z[keep]) - F(y[keep])
-            ratio = np.sqrt(np.sum(w * df**2, axis=fields)) / dnorm
-            values[i, j] = float(ratio.max())
-    return values
-
-
-class TestEstimateFN:
-    # seed 0 is the one `fracctrl run` uses; seed 11 draws a pair with
-    # v1 . v2 = 0.997 and a / b = 1.01 on the diagonal, where moments of
-    # v1 and v2 themselves would lose 1.5e-13 to cancellation
-    @pytest.mark.parametrize("seed", [0, 11])
-    def test_matches_vectorised_loop_at_example_scale(self, seed):
-        problem = load_config(bundled_config_path("example1.cfg")).problem()
-        radii = np.geomspace(1e-4, 1.0, 9)
-        table = estimate_FN(problem.F, radii, problem.basis, 100, seed)
-        values = _vectorised_fn(problem.F, radii, problem.basis, 100, seed)
-        np.testing.assert_allclose(table.values, values, rtol=1e-13, atol=0)
+    @pytest.mark.parametrize("r", [1e-3, 0.7])
+    def test_lower_end_attained_by_the_kernel(self, setup, r):
+        # the normalised reproducing kernel at the corner node
+        dom, basis, _ = setup
+        coeffs = np.array([[basis.evaluate_mode(i, j, 0.0, 0.0)
+                            for j in range(basis.my)]
+                           for i in range(basis.mx)])
+        v = basis.from_spectral(coeffs) / np.linalg.norm(coeffs)
+        w = np.outer(*dom.quad_weights())
+        F = NonlinearTerm.square()
+        lower, _ = lipschitz_bracket(F, basis)
+        ratio = math.sqrt(float(np.sum(w * F(r * v) ** 2))) / r**2
+        assert ratio == pytest.approx(lower, rel=1e-12)
 
     @pytest.mark.parametrize("power", [2, 3])
-    def test_matches_reference_loop(self, power):
+    def test_upper_end_bounds_span_fields(self, power):
         basis = build_basis(RectDomain(1.0, 1.0, 13, 11), 5, 4)
+        w = np.outer(*basis.domain.quad_weights())
         F = NonlinearTerm.scaled_power(1.5, power)
-        radii = np.array([0.0, 0.1, 0.5, 2.0])
-        table = estimate_FN(F, radii, basis, n_samples=30, seed=7)
-        values = _reference_fn(F, radii, basis, 30, 7)
-        np.testing.assert_allclose(table.values, values, rtol=1e-12)
+        lower, upper = lipschitz_bracket(F, basis)
+        assert 0.0 < lower <= upper
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            coeffs = rng.standard_normal((basis.mx, basis.my))
+            z = rng.uniform(1e-3, 2.0) * basis.from_spectral(coeffs)
+            norm = math.sqrt(float(np.sum(w * z**2)))
+            ratio = math.sqrt(float(np.sum(w * F(z) ** 2))) / norm
+            assert ratio <= upper * norm ** (power - 1) * (1.0 + 1e-12)
 
-    def test_none_is_zero(self, setup):
-        _, basis, _ = setup
-        table = estimate_FN(
-            NonlinearTerm.none(), np.array([0.1, 1.0]), basis
-        )
-        assert np.all(table.values == 0.0)
-
-    def test_vanishes_at_zero_radius(self, setup):
-        _, basis, _ = setup
-        table = estimate_FN(
-            NonlinearTerm.square(), np.array([1e-12, 0.5]), basis,
-            n_samples=50,
-        )
-        assert table.values[0, 0] < 1e-10
-
-    def test_grows_with_radius(self, setup):
-        _, basis, _ = setup
-        table = estimate_FN(
-            NonlinearTerm.square(), np.array([0.1, 0.5, 2.0]), basis,
-            n_samples=100,
-        )
-        d = np.diag(table.values)
-        assert d[0] < d[1] < d[2]
-
-    def test_seed_reproducible(self, setup):
-        _, basis, _ = setup
-        radii = np.array([0.2, 1.0])
-        a = estimate_FN(NonlinearTerm.square(), radii, basis, 60, seed=3)
-        b = estimate_FN(NonlinearTerm.square(), radii, basis, 60, seed=3)
-        assert np.array_equal(a.values, b.values)
-
-    def test_rejects_bad_radii(self, setup):
-        _, basis, _ = setup
-        with pytest.raises(ValueError):
-            estimate_FN(NonlinearTerm.square(), np.array([0.5, 0.1]), basis)
+    def test_none_is_zero(self):
+        assert lipschitz_bracket(
+            NonlinearTerm.none(), build_basis(RectDomain(), 4, 4)
+        ) == (0.0, 0.0)
 
 
 class TestComputeConstants:
-    def _table(self, radii, fn_zero):
-        n = len(radii)
-        values = np.zeros((n, n))
-        values[:, 0] = fn_zero
-        return FNTable(
-            radii=np.asarray(radii, dtype=float), values=values, kind="power"
-        )
-
     def test_zero_nonlinearity(self):
-        table = self._table([0.5, 2.0], [0.0, 0.0])
-        c = compute_constants(a1=1.5, mu=10.0, g_norm=2.0, fn_table=table)
+        c = compute_constants(a1=1.5, mu=10.0, g_norm=2.0, radii=[0.5, 2.0],
+                              fn=[0.0, 0.0])
         assert c.admissible
         assert c.kappa == 2.0
         assert c.m_kappa == pytest.approx(2.0 / 10.0)
@@ -342,8 +252,7 @@ class TestComputeConstants:
         kappa = 1.0
         c = 0.5 / ((a1 + a2) * kappa)
         radii = [0.5, 1.0]
-        table = self._table(radii, [c * r for r in radii])
-        out = compute_constants(a1, mu, g, table)
+        out = compute_constants(a1, mu, g, radii, [c * r for r in radii])
         assert out.kappa == kappa
         sup_fn = c * kappa
         assert out.m_kappa == pytest.approx((kappa / mu) * (1 - a1 * sup_fn))
@@ -357,16 +266,16 @@ class TestComputeConstants:
         assert out.rho_kappa <= out.m_kappa
 
     def test_no_admissible_radius(self):
-        table = self._table([1.0], [100.0])
-        out = compute_constants(a1=1.0, mu=1.0, g_norm=1.0, fn_table=table)
+        out = compute_constants(a1=1.0, mu=1.0, g_norm=1.0, radii=[1.0],
+                                fn=[100.0])
         assert not out.admissible
         assert out.kappa == 0.0
 
     def test_admissible_implies_contraction(self):
         # A_s < 1 is algebraically equivalent to the admissibility
         # inequality sup F_N < 1/(A1 + A2)
-        table = self._table([0.1, 0.4], [0.01, 0.05])
-        out = compute_constants(a1=2.0, mu=3.0, g_norm=1.0, fn_table=table)
+        out = compute_constants(a1=2.0, mu=3.0, g_norm=1.0, radii=[0.1, 0.4],
+                                fn=[0.01, 0.05])
         assert out.admissible
         assert out.a_s < 1.0
 
@@ -407,7 +316,7 @@ class TestGramSpectrum:
 
 
 class TestHypothesisReport:
-    def _problem(self, gain):
+    def _problem(self, gain, F=NonlinearTerm.square()):
         dom = RectDomain(1.0, 1.0, 26, 26)
         basis = build_basis(dom, 10, 10)
         grid = TimeGrid(3.0, 20)
@@ -419,17 +328,17 @@ class TestHypothesisReport:
         d_s = extend_target(zd, omega, gamma, dom)
         return ControlProblem(
             basis=basis, act=act, grid=grid, alpha=0.3,
-            F=NonlinearTerm.square(), omega_c=omega, gamma=gamma,
+            F=F, omega_c=omega, gamma=gamma,
             d_s=d_s, zd=zd, lambda_reg=1e-6,
         )
 
     def test_zero_gain_violated(self):
-        report = hypothesis_report(self._problem(0.0), n_samples=40)
+        report = hypothesis_report(self._problem(0.0))
         assert report.verdicts["controllability"] == "violated"
         assert report.violated
 
     def test_live_actuator_controllable(self):
-        report = hypothesis_report(self._problem(1.0), n_samples=40)
+        report = hypothesis_report(self._problem(1.0))
         assert report.verdicts["controllability"] == "satisfied"
         assert report.gram_sigma_min > 0.0
         assert report.a1 > 0.0 and report.mu > 0.0
@@ -438,13 +347,21 @@ class TestHypothesisReport:
         # the admissibility radius search must find some kappa with
         # A_s < 1 on a grid reaching small radii
         report = hypothesis_report(
-            self._problem(1.0), radii=np.geomspace(1e-6, 1.0, 11),
-            n_samples=40,
+            self._problem(1.0), radii=np.geomspace(1e-6, 1.0, 11)
         )
         assert report.verdicts["small-data-contraction"] == "satisfied"
         assert report.a_s < 1.0
         assert report.kappa > 0.0
         assert report.to_text().startswith("hypothesis report")
+
+    def test_linear_system_admits_every_radius(self):
+        report = hypothesis_report(
+            self._problem(1.0, NonlinearTerm.none()),
+            radii=np.geomspace(1e-4, 2.0, 5),
+        )
+        assert (report.fn_lower, report.fn_upper) == (0.0, 0.0)
+        assert report.kappa == 2.0
+        assert report.a_s == 0.0
 
 
 class TestPinvGain:
