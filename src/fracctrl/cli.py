@@ -4,9 +4,9 @@ Verbs: `run` (full control synthesis with artifacts), `verify`
 (hypothesis diagnostics only), `sweep` (repeat a run over a parameter
 range, one isolated subdirectory per value).
 
-Exit codes: 0 success/converged, 2 invalid config, 3 non-converged run
-(diverged, max-iterations or a numerical failure), 4 hypothesis violated
-(verify).
+Exit codes: 0 success/converged, 2 invalid config or options or an
+unwritable output, 3 non-converged run (diverged, max-iterations or a
+numerical failure), 4 hypothesis violated (verify).
 """
 
 import argparse
@@ -76,7 +76,7 @@ def _execute(cfg, problem):
     return algorithm1(problem)
 
 
-def _run_one(cfg, outdir, seed):
+def _run_one(cfg, outdir):
     """Execute a config and write all artifacts; returns (exit, summary)."""
     outdir.mkdir(parents=True, exist_ok=True)
     t_start = time.time()
@@ -88,14 +88,14 @@ def _run_one(cfg, outdir, seed):
     except NUMERICAL_ERRORS as exc:
         status = ("diverged" if isinstance(exc, SemilinearDivergenceError)
                   else "failed")
-        return _stopped(cfg, outdir, hyp, status, exc, t_start, seed)
+        return _stopped(cfg, outdir, hyp, status, exc, t_start)
     status = report.status
     if not report.iterations:
         # the loop returned before its first row: picard_sequence's first
         # state is not finite or its first update exceeds the norm bound
         return _stopped(cfg, outdir, hyp, status,
                         "the loop stopped before completing an iteration",
-                        t_start, seed)
+                        t_start)
 
     grid = cfg.grid
     final = traj.final_field()
@@ -131,11 +131,11 @@ def _run_one(cfg, outdir, seed):
     (outdir / "summary.txt").write_text(
         "\n".join(f"{k}: {v}" for k, v in summary.items()) + "\n"
     )
-    _write_manifest(cfg, outdir, hyp, summary, t_start, seed)
+    _write_manifest(cfg, outdir, hyp, summary, t_start)
     return (EXIT_OK if status == "converged" else EXIT_DIVERGED), summary
 
 
-def _stopped(cfg, outdir, hyp, status, reason, t_start, seed):
+def _stopped(cfg, outdir, hyp, status, reason, t_start):
     """Report a run that produced no result: one stderr line, a summary
     and the manifest; returns (exit, summary)."""
     print(f"{status}: {reason}", file=sys.stderr)
@@ -143,24 +143,24 @@ def _stopped(cfg, outdir, hyp, status, reason, t_start, seed):
     (outdir / "summary.txt").write_text(
         f"status: {status}\nreason: {reason}\n"
     )
-    _write_manifest(cfg, outdir, hyp, summary, t_start, seed)
+    _write_manifest(cfg, outdir, hyp, summary, t_start)
     return EXIT_DIVERGED, summary
 
 
-def _resolved_config(cfg, seed):
+def _resolved_config(cfg):
     """The config's resolved view with the values the run used: the
     --method/--seed overrides, the linear method's n_max and, for an
     omitted lambda_reg, the operator's trace-scaled lambda (None before
     it was assembled)."""
     resolved = {**cfg.resolved, "loop.method": cfg.method,
-                "loop.n_max": cfg.n_max, "run.seed": seed}
+                "loop.n_max": cfg.n_max, "run.seed": cfg.seed}
     if cfg.lambda_reg < 0.0:
         H = cfg._operator  # read, not assembled: operator() would build it
         resolved["loop.lambda_reg"] = None if H is None else H.lambda_reg
     return dict(sorted(resolved.items()))
 
 
-def _write_manifest(cfg, outdir, hyp, summary, t_start, seed):
+def _write_manifest(cfg, outdir, hyp, summary, t_start):
     artifacts = sorted(
         p.name for p in outdir.iterdir()
         if p.is_file() and p.name != "manifest.json"
@@ -168,9 +168,9 @@ def _write_manifest(cfg, outdir, hyp, summary, t_start, seed):
     manifest = {
         "tool_version": __version__,
         "config_path": cfg.path,
-        "resolved_config": _resolved_config(cfg, seed),
+        "resolved_config": _resolved_config(cfg),
         "method": cfg.method,
-        "seed": seed,
+        "seed": cfg.seed,
         "started_utc": time.strftime(
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime(t_start)
         ),
@@ -209,7 +209,7 @@ def _load(args, path=None):
 def cmd_run(args):
     cfg = _load(args)
     outdir = _out_root(args) / Path(args.config).stem
-    code, summary = _run_one(cfg, outdir, cfg.seed)
+    code, summary = _run_one(cfg, outdir)
     _emit("\n".join(f"{k}: {v}" for k, v in summary.items())
           + f"\nartifacts: {outdir}")
     return code
@@ -239,17 +239,23 @@ def _sweep_row(args, param, value, outroot):
     with open(rowcfg_path, "w") as fh:
         cp.write(fh)
     cfg = _load(args, str(rowcfg_path))
-    code, summary = _run_one(cfg, rowdir, cfg.seed)
+    code, summary = _run_one(cfg, rowdir)
     return value, code, summary
 
 
 def cmd_sweep(args):
+    section, _, key = args.param.partition(".")
     values = [v for v in args.values.split(",") if v]
-    if len(set(values)) < len(values):
+    for bad, message in (
+        (not (section and key), f"--param is not section.key: {args.param}"),
+        (not values, f"--values holds no value: {args.values!r}"),
         # two rows with one value would share one row directory
-        print(f"config error: --values repeats a value: {args.values}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        (len(set(values)) < len(values),
+         f"--values repeats a value: {args.values}"),
+    ):
+        if bad:
+            print(f"config error: {message}", file=sys.stderr)
+            return EXIT_CONFIG
     outroot = _out_root(args) / f"{Path(args.config).stem}-sweep"
     with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
         futs = [
@@ -285,11 +291,11 @@ def build_parser():
                      ("sweep", cmd_sweep)):
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
         if verb == "verify":
-            # verify writes no file and runs no loop
-            p.set_defaults(method=None)
+            # verify writes no file, runs no loop and draws nothing
+            p.set_defaults(method=None, seed=None)
         else:
+            p.add_argument("--seed", type=int, default=None)
             p.add_argument("--out", default=None,
                            help=f"output root (default ${OUTPUT_ROOT_ENV} "
                            "or ./runs)")
@@ -312,6 +318,10 @@ def main(argv=None):
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # the output root or an artifact in it cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

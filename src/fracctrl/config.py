@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .control import STOP_METRICS, TARGET_MODES, ControlProblem
+from .control import STOP_METRICS, ControlProblem
 from .domain import (
     Actuator,
     Field,
@@ -169,8 +169,6 @@ _KEYS = {
         int, _LOOP["n_max"], ((lambda n: n >= 1), "must be >= 1")),
     ("loop", "stop_metric"): (
         str.strip, _LOOP["stop_metric"], _one_of(STOP_METRICS)),
-    ("loop", "target_mode"): (
-        str.strip, _LOOP["target_mode"], _one_of(TARGET_MODES)),
     ("loop", "method"): (str.strip, "algorithm1", _one_of(METHODS)),
     ("run", "seed"): (int, 0, None),
 }
@@ -325,8 +323,7 @@ def load_config(path):
 
     # the [loop] keys are named as the fields they set
     loop = {k: read("loop", k) for k in ("eps", "lambda_reg", "n_max",
-                                         "stop_metric", "target_mode",
-                                         "method")}
+                                         "stop_metric", "method")}
     seed = read("run", "seed")
     for section in cp.sections():
         for key in cp.options(section):

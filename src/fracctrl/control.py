@@ -43,7 +43,6 @@ __all__ = [
 
 N_MAX = 50
 STOP_METRICS = ("l2", "im")
-TARGET_MODES = ("omega", "gamma")
 DIVERGENCE_STREAK = 5
 CONTROL_NORM_BOUND = 1e8
 
@@ -243,9 +242,6 @@ class ControlProblem:
     stop_metric: str = "l2"  # "l2": reached-state error on omega_c;
     # "im": pre-image norm |pinv(r_(n+1) - r_n)|_U, which ignores target
     # components outside the reachable set
-    target_mode: str = "omega"  # "omega": steer the extension d_s on
-    # omega_c (the default workflow); "gamma": aim the reachability
-    # operator directly at the boundary trace target zd
     _operator: object = field(default=None, init=False, repr=False,
                               compare=False)  # see operator()
 
@@ -255,24 +251,10 @@ class ControlProblem:
                 f"stop_metric must be one of {STOP_METRICS}, "
                 f"got {self.stop_metric!r}"
             )
-        if self.target_mode not in TARGET_MODES:
-            raise ValueError(
-                f"target_mode must be one of {TARGET_MODES}, "
-                f"got {self.target_mode!r}"
-            )
 
     def __post_init__(self):
         if self.y0 is None:
             self.y0 = Field.zero(self.basis.domain)
-
-    def target_region(self):
-        return self.gamma if self.target_mode == "gamma" else self.omega_c
-
-    def target_values(self):
-        """Flat target vector in the space H acts on."""
-        if self.target_mode == "gamma":
-            return np.asarray(self.zd, dtype=float).ravel()
-        return self.d_s.values.ravel()
 
     def operator(self):
         """The reachability operator, assembled on the first call and
@@ -282,22 +264,22 @@ class ControlProblem:
         own."""
         if self._operator is None:
             self._operator = assemble_H(
-                self.basis, self.act, self.grid, self.target_region(),
+                self.basis, self.act, self.grid, self.omega_c,
                 self.alpha, self.lambda_reg,
             )
         return self._operator
 
 
 def _on_target(problem, traj):
-    """Final state of a trajectory at the target region's nodes, flattened
-    in the order H's rows use."""
-    ix, iy = region_nodes(problem.basis.domain, problem.target_region())
+    """Final state of a trajectory at omega_c's nodes, flattened in the
+    order H's rows use."""
+    ix, iy = region_nodes(problem.basis.domain, problem.omega_c)
     return traj.final_field().values[np.ix_(ix, iy)].ravel()
 
 
 def _reached_values(problem, u):
-    """Simulate the semilinear system and evaluate the final state on the
-    target region; returns (flattened target values, trajectory)."""
+    """Simulate the semilinear system and evaluate the final state on
+    omega_c; returns (flattened target values, trajectory)."""
     traj = solve_semilinear(
         problem.y0, u.values, problem.F, problem.act, problem.basis,
         problem.grid, problem.alpha,
@@ -315,7 +297,7 @@ def algorithm1(problem):
     """
     problem._check_metric()
     H = problem.operator()
-    ds_vec = problem.target_values()
+    ds_vec = problem.d_s.values.ravel()
     r = ds_vec.copy()
     if np.any(problem.y0.values != 0.0):
         free = solve_semilinear(
@@ -393,7 +375,7 @@ def picard_sequence(problem):
     if np.any(problem.y0.values != 0.0):
         raise ValueError("the fixed-point sequence requires y0 = 0")
     H = problem.operator()
-    ds_vec = problem.target_values()
+    ds_vec = problem.d_s.values.ravel()
 
     report = IterationReport()
     u = ControlSignal(np.zeros(problem.grid.K), problem.grid)

@@ -53,6 +53,9 @@ eps = 1e-2
 lambda_reg = 1e-8
 """
 
+# TINY's node spacing is 0.05: this omega_c holds only Gamma's nodes
+NARROW = TINY.replace("omega_c = 0.0 0.3", "omega_c = 0.0 0.01")
+
 ARTIFACTS = (
     "control.dat", "gamma_profile.dat", "reached_omega.dat",
     "reached_full.dat", "iterations.dat", "summary.txt", "manifest.json",
@@ -182,6 +185,17 @@ class TestRun:
         assert main(["run", "--config", tiny_cfg]) == EXIT_OK
         assert (root / "tiny" / "summary.txt").is_file()
 
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_output_root_is_a_file(self, tiny_cfg, tmp_path, capsys, verb):
+        out = tmp_path / "file"
+        out.write_text("")
+        argv = [verb, "--config", tiny_cfg, "--out", str(out)]
+        if verb == "sweep":
+            argv += ["--param", "run.seed", "--values", "0"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("output error:")
+
     def test_zero_target_trivial(self, tmp_path):
         path = tmp_path / "zero.cfg"
         path.write_text(TINY.replace("z_d = (0, 0, 1e-3)",
@@ -211,11 +225,12 @@ class TestRun:
         assert exc.value.code == EXIT_CONFIG
 
     @pytest.mark.parametrize("flag", [["--out", "o"],
-                                      ["--method", "linear"]],
-                             ids=["out", "method"])
+                                      ["--method", "linear"],
+                                      ["--seed", "0"]],
+                             ids=["out", "method", "seed"])
     def test_verify_takes_no_run_flags(self, tiny_cfg, tmp_path,
                                        monkeypatch, flag):
-        # verify writes no file and runs no loop
+        # verify writes no file, runs no loop and draws nothing
         cwd = tmp_path / "cwd"
         cwd.mkdir()
         monkeypatch.chdir(cwd)
@@ -335,10 +350,8 @@ class TestLinearMethod:
         assert len(calls) == 1
 
     def test_gamma_target_mode(self, tmp_path):
-        code, rundir = self._run(
-            tmp_path, "gamma",
-            TINY.replace("eps = 1e-2", "eps = 1e-2\ntarget_mode = gamma"),
-        )
+        # omega_c half a node wide on Gamma's edge: H aims at z_d on Gamma
+        code, rundir = self._run(tmp_path, "gamma", NARROW)
         assert code == EXIT_OK
         _, zd, reached = np.loadtxt(
             rundir / "gamma_profile.dat", unpack=True
@@ -375,10 +388,9 @@ class TestLinearMethod:
     def test_initial_state_is_used(self, tmp_path):
         # y0 already equals the constant boundary target and Neumann
         # diffusion keeps it there, so the control has nothing left to do
-        text = TINY.replace("eps = 1e-2", "eps = 1e-2\ntarget_mode = gamma")
-        code0, dir0 = self._run(tmp_path, "zero", text)
+        code0, dir0 = self._run(tmp_path, "zero", NARROW)
         code1, dir1 = self._run(
-            tmp_path, "held", text + "\n[initial]\ny0 = (0, 0, 1e-3)\n"
+            tmp_path, "held", NARROW + "\n[initial]\ny0 = (0, 0, 1e-3)\n"
         )
         assert code0 == code1 == EXIT_OK
         u0 = np.loadtxt(dir0 / "control.dat")[:, 1]
@@ -683,4 +695,18 @@ class TestSweep:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "repeats" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param,values", [
+        ("run.seed", ","), ("run.seed", ""), ("runseed", "0,1"),
+    ])
+    def test_malformed_sweep_exits_2(self, tiny_cfg, tmp_path, capsys,
+                                     param, values):
+        # no row starts: nothing is written
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", tiny_cfg, "--out", str(out),
+                     "--param", param, "--values", values])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
         assert not out.exists()

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fracctrl.cli import EXIT_CONFIG, main
 from fracctrl.config import (
     ConfigError,
     ExperimentConfig,
@@ -105,7 +106,6 @@ class TestLoadConfig:
         assert cfg.grid.K == 8
         assert cfg.F.is_zero
         assert cfg.method == "algorithm1"  # default
-        assert cfg.target_mode == "omega"  # default
         assert cfg.zd.shape[0] == cfg.d_s.values.shape[1]
         # defaults are materialized into the resolved view
         assert cfg.resolved["loop.n_max"] == 50
@@ -193,13 +193,20 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("key,val", [
         ("stop_metric", "sup"),
-        ("target_mode", "full"),
         ("method", "newton"),
     ])
     def test_rejects_bad_loop_options(self, tmp_path, key, val):
         text = TINY + f"{key} = {val}\n"
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, text))
+
+    def test_target_mode_is_an_unknown_key(self, tmp_path, capsys):
+        # a target on Gamma itself is an omega_c narrower than one node
+        # spacing on Gamma's edge; no key selects it
+        path = write_cfg(tmp_path, TINY + "target_mode = gamma\n")
+        assert main(["verify", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "[loop] target_mode" in err[0]
 
     def test_explicit_ds_trace_must_match(self, tmp_path):
         # extension trace is 2e-3 but z_d is 1e-3
@@ -268,7 +275,6 @@ class TestBundledConfigs:
             "loop.method": "algorithm1",
             "loop.n_max": 50,
             "loop.stop_metric": "l2",
-            "loop.target_mode": "omega",
             "problem.F": "square",
             "problem.T": 3.0,
             "problem.alpha": 0.3,

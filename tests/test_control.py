@@ -130,7 +130,7 @@ class TestPinvApply:
         G = H.Mw @ H.Mw.T
         L = np.linalg.cholesky(G + H.lambda_reg * np.eye(G.shape[0]))
         rng = np.random.default_rng(3)
-        residuals = [problem.target_values()] + [
+        residuals = [problem.d_s.values.ravel()] + [
             rng.standard_normal(G.shape[0]) for _ in range(20)
         ]
         for r in residuals:
@@ -244,6 +244,33 @@ class TestAssembleH:
         E, w_new = _target_dofs(basis, target)
         assert np.array_equal(E, E_ref)
         assert np.array_equal(w_new, w.ravel())
+
+    @pytest.mark.parametrize("gamma", [
+        Region.boundary("left", 0.0, 0.1),
+        Region.boundary("right", 0.2, 0.5),
+        Region.boundary("bottom", 0.3, 0.6),
+        Region.boundary("top", 0.1, 0.4),
+    ], ids=lambda g: g.side)
+    def test_half_node_strip_is_the_segment(self, setup, gamma):
+        # an omega_c narrower than one node spacing on Gamma's edge holds
+        # exactly Gamma's nodes, and the default extension is z_d there:
+        # steering d_s on it aims H at z_d on Gamma itself
+        dom, basis, _, _, _, _ = setup
+        hx, hy = dom.x[1] / 2, dom.y[1] / 2
+        s0, s1 = gamma.bounds
+        strip = Region.interior(*{
+            "left": (0.0, hx, s0, s1),
+            "right": (dom.lx - hx, dom.lx, s0, s1),
+            "bottom": (s0, s1, 0.0, hy),
+            "top": (s0, s1, dom.ly - hy, dom.ly),
+        }[gamma.side])
+        E, w = _target_dofs(basis, gamma)
+        E_strip, w_strip = _target_dofs(basis, strip)
+        assert np.array_equal(E_strip, E)
+        assert np.array_equal(w_strip, w)
+        zd = np.cos(np.arange(w.size) + 0.5)
+        d_s = extend_target(zd, strip, gamma, dom)
+        assert np.array_equal(d_s.values.ravel(), zd)
 
     def test_rejects_empty_target(self, setup):
         dom, basis, grid, act, _, _ = setup
@@ -363,9 +390,12 @@ class TestAlgorithm1:
         assert np.allclose(later, later[0], rtol=1e-2)
 
     def test_gamma_mode_residual_is_boundary_error(self, setup):
+        # an omega_c half a node wide on Gamma's edge holds only Gamma's
+        # nodes, where the default extension is z_d
+        narrow = Region.interior(0.0, 0.01, 0.0, 0.1)
         problem = _example_problem(
-            setup, NonlinearTerm.none(), eps=1e-3, lambda_reg=1e-8,
-            target_mode="gamma", n_max=3,
+            (*setup[:4], narrow, setup[5]), NonlinearTerm.none(), eps=1e-3,
+            lambda_reg=1e-8, n_max=3,
         )
         u, traj, report = algorithm1(problem)
         assert report.residuals == pytest.approx(report.boundary_errors)
@@ -461,13 +491,6 @@ class TestPicardSequence:
         problem = _example_problem(setup, NonlinearTerm.none())
         problem.y0 = Field.from_function(dom, lambda x, y: x * 0 + 1.0)
         with pytest.raises(ValueError):
-            picard_sequence(problem)
-
-    def test_rejects_bad_target_mode(self, setup):
-        # a misspelt mode must not run silently as "omega"
-        problem = _example_problem(setup, NonlinearTerm.none())
-        problem.target_mode = "gamma_typo"
-        with pytest.raises(ValueError, match="target_mode"):
             picard_sequence(problem)
 
     def test_small_target_contracts(self, setup):

@@ -217,7 +217,7 @@ class TestStepEquation:
     def test_example_trajectory(self, name, unsettled):
         problem = load_config(bundled_config_path(f"{name}.cfg")).problem()
         # the first residual-update control: non-zero on every step
-        u = pinv_apply(problem.operator(), problem.target_values()).values
+        u = pinv_apply(problem.operator(), problem.d_s.values.ravel()).values
         args = (problem.y0, u, problem.F, problem.act, problem.basis,
                 problem.grid, problem.alpha)
         ref, kept_explicit = solve_semilinear_reference(*args)
@@ -290,7 +290,7 @@ class TestSweepLoopBitIdentical:
 
     def test_linear_drive(self):
         problem = load_config(bundled_config_path("example1.cfg")).problem()
-        u = pinv_apply(problem.operator(), problem.target_values()).values
+        u = pinv_apply(problem.operator(), problem.d_s.values.ravel()).values
         basis, grid, alpha = problem.basis, problem.grid, problem.alpha
         y0 = Field.from_function(
             basis.domain, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y)
