@@ -86,20 +86,6 @@ class ControlSignal:
         return math.sqrt(self.cost())
 
 
-def _target_dofs(basis, target):
-    """Evaluation matrix of all modes at the target's grid nodes and the
-    nodes' quadrature weights (a one-node axis weighs 1, so a boundary
-    segment gets its tangential trapezoid weights)."""
-    d = basis.domain
-    ix, iy = region_nodes(d, target)
-    ex, ey = basis._factors
-    E = np.einsum("ip,jq->pqij", ex[:, ix], ey[:, iy]).reshape(
-        ix.size * iy.size, basis.mx * basis.my
-    )
-    w = np.outer(_trapezoid_weights(d.x[ix]), _trapezoid_weights(d.y[iy]))
-    return E, w.ravel()
-
-
 @dataclass
 class ControllabilityOperator:
     """Discrete reachability map u -> state on the target region at T.
@@ -121,8 +107,7 @@ class ControllabilityOperator:
         sw = np.sqrt(self.weights)
         self.Mw = sw[:, None] * self.M
         if self.lambda_reg < 0.0:
-            G = self.Mw @ self.Mw.T
-            self.lambda_reg = 1e-8 * np.trace(G) / G.shape[0]
+            self.lambda_reg = 1e-8 * np.sum(self.Mw**2) / self.Mw.shape[0]
 
     def svd(self):
         """Thin SVD (U, sigma, Vt) of Mw, sigma descending, computed once."""
@@ -151,16 +136,23 @@ def assemble_H(basis, act, grid, target, alpha, lambda_reg=-1.0):
 
     Column k holds the target-node values of the response to a unit
     control on step k, computed exactly per mode through the primitive of
-    the weakly singular kernel.
+    the weakly singular kernel and synthesised at the nodes by the
+    separable cosine rows, one small product per step.
     """
     alpha = check_order(alpha)
     b = actuator_coefficients(act, basis)
     _, Wd = _kernel_tables(basis, grid, alpha)
-    # response of mode m at time T to a unit control on step k
-    C = (b[None, :] * Wd[::-1]).T  # (modes, K); column k uses Wd[K-1-k]
-    E, w = _target_dofs(basis, target)
+    d = basis.domain
+    ix, iy = region_nodes(d, target)
+    ex, ey = basis._factors
+    # mode responses at time T to a unit control on step k use Wd[K-1-k]
+    C = (b * Wd[::-1]).reshape(grid.K, basis.mx, basis.my)
+    M = (ex[:, ix].T @ C @ ey[:, iy]).reshape(grid.K, -1).T
+    # a one-node axis weighs 1, so a boundary segment gets its tangential
+    # trapezoid weights
+    w = np.outer(_trapezoid_weights(d.x[ix]), _trapezoid_weights(d.y[iy]))
     return ControllabilityOperator(
-        M=E @ C, weights=w, grid=grid, lambda_reg=lambda_reg
+        M=M, weights=w.ravel(), grid=grid, lambda_reg=lambda_reg
     )
 
 

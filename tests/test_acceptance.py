@@ -13,6 +13,8 @@ applied to boundary_error ** 2.
 
 import json
 import math
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -34,6 +36,7 @@ from fracctrl.domain import (
 from fracctrl.mittag import ml
 from fracctrl.solver import NonlinearTerm, TimeGrid, solve_semilinear
 from l1_oracle import l1_oracle_solve
+from test_cli import _package_env
 
 TEN_MINUTES = 600.0
 
@@ -253,6 +256,29 @@ class TestCriterion8Determinism:
             assert row["artifacts"].pop("config.cfg")
             assert row["artifacts"] == inventory
             assert row["hypothesis_report"] == manifest["hypothesis_report"]
+
+    def test_blas_threads_do_not_change_artifacts(self, tmp_path):
+        # the BLAS thread count splits large matrix products differently,
+        # so no product whose rounding depends on it may reach an
+        # artifact: example 2 under 1 and 2 BLAS threads writes the same
+        # bytes
+        hashes = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(_package_env(), OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-m", "fracctrl.cli", "run", "--config",
+                 bundled_config_path("example2.cfg"), "--out", str(out)],
+                env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == EXIT_OK, done.stderr
+            manifest = json.loads(
+                (out / "example2" / "manifest.json").read_text()
+            )
+            hashes.append(manifest["artifacts"])
+        assert len(hashes[0]) == 6
+        assert hashes[0] == hashes[1]
 
 
 class TestCriterion9Diagnostics:

@@ -10,7 +10,6 @@ from fracctrl.control import (
     ControlProblem,
     ControlSignal,
     GramConditionError,
-    _target_dofs,
     algorithm1,
     assemble_H,
     boundary_error,
@@ -26,6 +25,7 @@ from fracctrl.domain import (
     Region,
     _cos_rows,
     _trapezoid_weights,
+    actuator_coefficients,
     build_basis,
     extend_target,
     restrict,
@@ -211,9 +211,12 @@ class TestAssembleH:
         Region.boundary("top", 0.1, 0.4),
     ])
     def test_target_dofs_match_per_side_construction(self, setup, target):
-        # reference: the target rows built from the node coordinates, with
-        # each boundary side placed on its edge by hand
-        dom, basis, _, _, _, _ = setup
+        # reference: the dense evaluation matrix of all modes at the
+        # target nodes, built from the node coordinates with each boundary
+        # side placed on its edge by hand, times the mode responses at T.
+        # H synthesises the nodes per step from the separable cosine rows
+        # instead, so M agrees up to rounding and the weights exactly
+        dom, basis, grid, act, _, _ = setup
 
         def nodes(coords, lo, hi):
             return coords[(coords >= lo - 1e-9) & (coords <= hi + 1e-9)]
@@ -241,9 +244,13 @@ class TestAssembleH:
         E_ref = np.einsum("ip,jq->pqij", ex, ey).reshape(
             n, basis.mx * basis.my
         )
-        E, w_new = _target_dofs(basis, target)
-        assert np.array_equal(E, E_ref)
-        assert np.array_equal(w_new, w.ravel())
+        _, Wd = _kernel_tables(basis, grid, 0.3)
+        C = (actuator_coefficients(act, basis)[None, :] * Wd[::-1]).T
+        M_ref = E_ref @ C
+        H = assemble_H(basis, act, grid, target, 0.3)
+        assert H.M.shape == M_ref.shape
+        assert np.max(np.abs(H.M - M_ref)) <= 1e-13 * np.max(np.abs(M_ref))
+        assert np.array_equal(H.weights, w.ravel())
 
     @pytest.mark.parametrize("gamma", [
         Region.boundary("left", 0.0, 0.1),
@@ -255,7 +262,7 @@ class TestAssembleH:
         # an omega_c narrower than one node spacing on Gamma's edge holds
         # exactly Gamma's nodes, and the default extension is z_d there:
         # steering d_s on it aims H at z_d on Gamma itself
-        dom, basis, _, _, _, _ = setup
+        dom, basis, grid, act, _, _ = setup
         hx, hy = dom.x[1] / 2, dom.y[1] / 2
         s0, s1 = gamma.bounds
         strip = Region.interior(*{
@@ -264,11 +271,11 @@ class TestAssembleH:
             "bottom": (s0, s1, 0.0, hy),
             "top": (s0, s1, dom.ly - hy, dom.ly),
         }[gamma.side])
-        E, w = _target_dofs(basis, gamma)
-        E_strip, w_strip = _target_dofs(basis, strip)
-        assert np.array_equal(E_strip, E)
-        assert np.array_equal(w_strip, w)
-        zd = np.cos(np.arange(w.size) + 0.5)
+        H = assemble_H(basis, act, grid, gamma, 0.3)
+        H_strip = assemble_H(basis, act, grid, strip, 0.3)
+        assert np.array_equal(H_strip.M, H.M)
+        assert np.array_equal(H_strip.weights, H.weights)
+        zd = np.cos(np.arange(H.weights.size) + 0.5)
         d_s = extend_target(zd, strip, gamma, dom)
         assert np.array_equal(d_s.values.ravel(), zd)
 
