@@ -29,7 +29,12 @@ from .config import (
     load_config,
     read_ini,
 )
-from .control import GramConditionError, algorithm1, picard_sequence
+from .control import (
+    GramConditionError,
+    algorithm1,
+    boundary_error,
+    picard_sequence,
+)
 from .diagnostics import EnvelopeError, hypothesis_report
 from .domain import restrict, trace
 from .mittag import MLEvaluationError
@@ -121,16 +126,18 @@ def _run_one(cfg, outdir):
         np.savetxt(outdir / name, np.column_stack(columns), fmt=fmt,
                    header=header, comments="# ")
 
-    summary = {
-        "status": status,
-        "iterations": report.iterations,
-        "boundary_error": report.boundary_errors[-1],
-        "residual": report.residuals[-1],
-        "cost": report.costs[-1],
-    }
-    (outdir / "summary.txt").write_text(
-        "\n".join(f"{k}: {v}" for k, v in summary.items()) + "\n"
-    )
+    # the returned control and its state, which a non-converged loop
+    # takes from its best row rather than its last
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = {
+            "status": status,
+            "iterations": report.iterations,
+            "boundary_error": boundary_error(traj, cfg.zd, cfg.gamma),
+            "residual": cfg.operator().target_norm(
+                cfg.d_s.values.ravel() - patch.values.ravel()
+            ),
+            "cost": u.cost(),
+        }
     _write_manifest(cfg, outdir, hyp, summary, t_start)
     return (EXIT_OK if status == "converged" else EXIT_DIVERGED), summary
 
@@ -140,9 +147,6 @@ def _stopped(cfg, outdir, hyp, status, reason, t_start):
     and the manifest; returns (exit, summary)."""
     print(f"{status}: {reason}", file=sys.stderr)
     summary = {"status": status, "error": str(reason)}
-    (outdir / "summary.txt").write_text(
-        f"status: {status}\nreason: {reason}\n"
-    )
     _write_manifest(cfg, outdir, hyp, summary, t_start)
     return EXIT_DIVERGED, summary
 
@@ -161,6 +165,12 @@ def _resolved_config(cfg):
 
 
 def _write_manifest(cfg, outdir, hyp, summary, t_start):
+    """Write summary.txt, one `key: value` line per summary entry, then
+    manifest.json, which records the same summary and the SHA-256 of
+    every other file in outdir."""
+    (outdir / "summary.txt").write_text(
+        "\n".join(f"{k}: {v}" for k, v in summary.items()) + "\n"
+    )
     artifacts = sorted(
         p.name for p in outdir.iterdir()
         if p.is_file() and p.name != "manifest.json"

@@ -78,12 +78,8 @@ _ENVELOPE_TIE = 1e-11
 __all__ = [
     "EnvelopeError",
     "HypothesisReport",
-    "Constants",
-    "GramSpectrum",
     "estimate_A1",
     "lipschitz_bracket",
-    "compute_constants",
-    "gram_spectrum",
     "pinv_gain",
     "g_alpha_norm",
     "hypothesis_report",
@@ -254,86 +250,6 @@ def lipschitz_bracket(F, basis):
     return c * vp, c * c_inf ** (F.power - 1)
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Small-data constants: the admissible target radius and its margins."""
-
-    kappa: float
-    m_kappa: float
-    rho_kappa: float
-    a_s: float
-    admissible: bool
-
-
-# no radius qualifies: the hypothesis is violated, not an error
-_INADMISSIBLE = Constants(
-    kappa=0.0, m_kappa=0.0, rho_kappa=0.0, a_s=math.inf, admissible=False
-)
-
-
-def compute_constants(a1, mu, g_norm, radii, fn):
-    """Largest admissible target radius kappa and the derived constants.
-
-    fn[i] = F_N(radii[i], 0) on increasing radii.  kappa is the largest
-    radius with sup_(theta <= kappa) F_N(theta, 0) < 1 / (A1 + A2),
-    A2 = mu * |g|; then
-    m_kappa = (kappa/mu) (1 - A1 sup F_N),
-    rho_kappa = (kappa/mu) (1 - (A1 + A2) sup F_N) and
-    A_s = mu |g| sup F_N / (1 - A1 sup F_N).  When no radius qualifies the
-    result carries admissible=False (hypothesis violated, not an error).
-    """
-    if a1 < 0.0 or mu <= 0.0 or g_norm < 0.0:
-        raise ValueError("a1, g_norm must be >= 0 and mu > 0")
-    a2 = mu * g_norm
-    limit = 1.0 / (a1 + a2)
-    best = None
-    running_sup = 0.0
-    for r, f in zip(radii, fn):
-        running_sup = max(running_sup, float(f))
-        if running_sup < limit:
-            best = (float(r), running_sup)
-    if best is None:
-        return _INADMISSIBLE
-    kappa, sup_fn = best
-    m_kappa = (kappa / mu) * (1.0 - a1 * sup_fn)
-    rho_kappa = (kappa / mu) * (1.0 - (a1 + a2) * sup_fn)
-    a_s = a2 * sup_fn / (1.0 - a1 * sup_fn)
-    return Constants(
-        kappa=kappa, m_kappa=m_kappa, rho_kappa=rho_kappa, a_s=a_s,
-        admissible=True,
-    )
-
-
-@dataclass(frozen=True)
-class GramSpectrum:
-    """Extreme singular values of the reachability matrix."""
-
-    sigma_min: float
-    sigma_max: float
-    effective_rank: int
-    n_dofs: int
-    tol: float
-
-    @property
-    def verdict(self):
-        if self.sigma_max <= 0.0 or self.sigma_min <= 0.0:
-            return "violated"
-        return "satisfied"
-
-
-def gram_spectrum(H, tol=1e-8):
-    """Singular-value summary of the weighted reachability matrix: the
-    discrete proxy for approximate controllability of the linear system."""
-    sig = H.svd()[1]
-    smax = float(sig[0]) if sig.size else 0.0
-    smin = float(sig[-1]) if sig.size else 0.0
-    rank = int(np.count_nonzero(sig > tol * smax)) if smax > 0.0 else 0
-    return GramSpectrum(
-        sigma_min=smin, sigma_max=smax, effective_rank=rank,
-        n_dofs=H.Mw.shape[0], tol=tol,
-    )
-
-
 @dataclass
 class HypothesisReport:
     """Everything the verify command prints, in one structure."""
@@ -380,37 +296,45 @@ class HypothesisReport:
 def hypothesis_report(problem, q=0.5, radii=None):
     """Full hypothesis check for a control problem.
 
-    Verdicts: 'controllability' from the Gram spectrum (violated when the
-    reachability matrix is identically zero), 'small-data-contraction'
-    from the existence of an admissible radius with A_s < 1, for the
-    upper end of the Lipschitz bracket.
+    'controllability' is satisfied when the smallest singular value of
+    the weighted reachability matrix is positive.  For the upper end of
+    the Lipschitz bracket, F_N(r, 0) = upper r^(p-1) grows with r, so the
+    admissible radius kappa is the largest radius with
+    F_N(kappa, 0) < 1 / (A1 + A2), A2 = mu |g|; then
+    m_kappa = (kappa/mu) (1 - A1 F_N(kappa, 0)),
+    rho_kappa = (kappa/mu) (1 - (A1 + A2) F_N(kappa, 0)) and
+    A_s = A2 F_N(kappa, 0) / (1 - A1 F_N(kappa, 0)).  With no admissible
+    radius, or mu 0 or inf (a dead actuator), kappa and the margins are 0
+    and A_s is inf.  'small-data-contraction' is satisfied when A_s < 1.
     """
     if radii is None:
         radii = np.geomspace(1e-4, 1.0, 9)
+    radii = np.asarray(radii, dtype=float)
     H = problem.operator()
-    spectrum = gram_spectrum(H)
-    a1 = estimate_A1(problem.basis, problem.grid, problem.alpha, q)
     mu = pinv_gain(H)
+    sig = H.svd()[1]
+    a1 = estimate_A1(problem.basis, problem.grid, problem.alpha, q)
     g_norm = g_alpha_norm(problem.grid, problem.alpha)
     lower, upper = lipschitz_bracket(problem.F, problem.basis)
-    if mu > 0.0 and math.isfinite(mu):
-        fn = upper * np.asarray(radii, dtype=float) ** (problem.F.power - 1)
-        consts = compute_constants(a1, mu, g_norm, radii, fn)
-    else:
-        # dead actuator: no control authority, so no admissible radius
-        consts = _INADMISSIBLE
-    verdicts = {
-        "controllability": spectrum.verdict,
-        "small-data-contraction": (
-            "satisfied" if consts.admissible and consts.a_s < 1.0
-            else "violated"
-        ),
-    }
+    a2 = mu * g_norm
+    fn = upper * radii ** (problem.F.power - 1)
+    ok = np.flatnonzero(fn < 1.0 / (a1 + a2))
+    kappa = m_kappa = rho_kappa = 0.0
+    a_s = math.inf
+    if ok.size and 0.0 < mu < math.inf:
+        kappa, f = float(radii[ok[-1]]), float(fn[ok[-1]])
+        m_kappa = (kappa / mu) * (1.0 - a1 * f)
+        rho_kappa = (kappa / mu) * (1.0 - (a1 + a2) * f)
+        a_s = a2 * f / (1.0 - a1 * f)
     return HypothesisReport(
         a1=a1, mu=mu, g_norm=g_norm, fn_lower=lower, fn_upper=upper,
-        kappa=consts.kappa, m_kappa=consts.m_kappa,
-        rho_kappa=consts.rho_kappa, a_s=consts.a_s,
-        gram_sigma_min=spectrum.sigma_min,
-        gram_sigma_max=spectrum.sigma_max,
-        effective_rank=spectrum.effective_rank, verdicts=verdicts,
+        kappa=kappa, m_kappa=m_kappa, rho_kappa=rho_kappa, a_s=a_s,
+        gram_sigma_min=float(sig[-1]), gram_sigma_max=float(sig[0]),
+        effective_rank=int(np.count_nonzero(sig > 1e-8 * sig[0])),
+        verdicts={
+            "controllability": "satisfied" if sig[-1] > 0.0 else "violated",
+            "small-data-contraction": (
+                "satisfied" if a_s < 1.0 else "violated"
+            ),
+        },
     )

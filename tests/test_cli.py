@@ -20,8 +20,11 @@ from fracctrl.cli import (
     main,
 )
 from fracctrl.config import bundled_config_path, load_config
+from fracctrl.control import ControlSignal, boundary_error
 from fracctrl.diagnostics import HypothesisReport
+from fracctrl.domain import restrict
 from fracctrl.mittag import MLEvaluationError
+from fracctrl.solver import solve_semilinear
 
 TINY = """
 [problem]
@@ -443,9 +446,12 @@ class TestNumericalFailure:
         assert code == EXIT_DIVERGED
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "Gram" in err[0]
-        assert "status: failed" in (out / "dead" / "summary.txt").read_text()
+        summary = (out / "dead" / "summary.txt").read_text().splitlines()
+        assert "status: failed" in summary
         manifest = json.loads((out / "dead" / "manifest.json").read_text())
         assert manifest["summary"]["status"] == "failed"
+        # summary.txt names the field as stdout and the manifest do
+        assert f"error: {manifest['summary']['error']}" in summary
 
     def test_picard_without_an_iteration_exits_3(self, tmp_path, capsys):
         # the first fixed-point update already exceeds the control-norm
@@ -512,6 +518,42 @@ class TestNumericalFailure:
         assert rows.shape == (1, 5) and rows[0, 1] == np.inf
         control = np.loadtxt(out / "huge" / "control.dat")
         assert np.all(np.isfinite(control))
+
+
+def test_summary_describes_the_written_control(tmp_path, capsys):
+    # the residual grows at every row, so the loop stops at n_max and
+    # returns its first row's control: the summary must describe that
+    # control, not the last row
+    path = tmp_path / "grow.cfg"
+    path.write_text(
+        TINY.replace("f = none", "f = square")
+        .replace("z_d = (0, 0, 1e-3)", "z_d = (0, 0, 1.0)") + "n_max = 3\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == (
+        EXIT_DIVERGED)
+    rundir = out / "grow"
+    rows = np.loadtxt(rundir / "iterations.dat", ndmin=2)
+    assert rows.shape[0] == 3 and np.argmin(rows[:, 1]) != 2
+    problem = load_config(str(path)).problem()
+    u = ControlSignal(np.loadtxt(rundir / "control.dat")[:, 1],
+                      problem.grid)
+    traj = solve_semilinear(problem.y0, u.values, problem.F, problem.act,
+                            problem.basis, problem.grid, problem.alpha)
+    reached = restrict(traj.final_field(), problem.omega_c).values.ravel()
+    want = {
+        "boundary_error": boundary_error(traj, problem.zd, problem.gamma),
+        "residual": problem.operator().target_norm(
+            problem.d_s.values.ravel() - reached),
+        "cost": u.cost(),
+    }
+    lines = (rundir / "summary.txt").read_text().splitlines()
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    for key, value in want.items():
+        written = float(next(line for line in lines
+                             if line.startswith(f"{key}: ")).split()[1])
+        assert written == pytest.approx(value, rel=1e-12)
+        assert manifest["summary"][key] == written
 
 
 def _package_env():

@@ -8,10 +8,8 @@ from fracctrl.config import bundled_config_path, load_config
 from fracctrl.control import ControlProblem, assemble_H, pinv_apply
 from fracctrl.diagnostics import (
     EnvelopeError,
-    compute_constants,
     estimate_A1,
     g_alpha_norm,
-    gram_spectrum,
     hypothesis_report,
     lipschitz_bracket,
     pinv_gain,
@@ -234,25 +232,55 @@ class TestLipschitzBracket:
         ) == (0.0, 0.0)
 
 
+def _problem(basis, grid, gain, F=NonlinearTerm.square()):
+    """The bundled examples' geometry (alpha = 0.3, lambda_reg = 1e-6) on
+    a given basis and time grid."""
+    dom = basis.domain
+    omega = Region.interior(0.0, 0.3, 0.0, 0.1)
+    gamma = Region.boundary("left", 0.0, 0.1)
+    ys = dom.y[dom.y <= 0.1 + 1e-9]
+    zd = 7 * ys**3 - 13 * ys**2 + 3.0
+    return ControlProblem(
+        basis=basis, act=Actuator.zonal(0.0, 0.2, 0.2, 0.4, gain=gain),
+        grid=grid, alpha=0.3, F=F, omega_c=omega, gamma=gamma,
+        d_s=extend_target(zd, omega, gamma, dom), zd=zd, lambda_reg=1e-6,
+    )
+
+
 class TestComputeConstants:
-    def test_zero_nonlinearity(self):
-        c = compute_constants(a1=1.5, mu=10.0, g_norm=2.0, radii=[0.5, 2.0],
-                              fn=[0.0, 0.0])
-        assert c.admissible
+    """The small-data constants of `hypothesis_report` for given A1, mu,
+    |g| and upper end of the Lipschitz bracket; F = y^2, so
+    F_N(r, 0) = upper * r."""
+
+    @staticmethod
+    def _report(monkeypatch, a1, mu, g_norm, upper, radii):
+        for name, value in (("estimate_A1", a1), ("pinv_gain", mu),
+                            ("g_alpha_norm", g_norm),
+                            ("lipschitz_bracket", (0.0, upper))):
+            monkeypatch.setattr(diagnostics, name,
+                                lambda *args, _value=value: _value)
+        problem = _problem(build_basis(RectDomain(1.0, 1.0, 26, 26), 10, 10),
+                           TimeGrid(3.0, 20), gain=1.0)
+        return hypothesis_report(problem, radii=radii)
+
+    def test_zero_nonlinearity(self, monkeypatch):
+        c = self._report(monkeypatch, a1=1.5, mu=10.0, g_norm=2.0,
+                         upper=0.0, radii=[0.5, 2.0])
+        assert c.verdicts["small-data-contraction"] == "satisfied"
         assert c.kappa == 2.0
         assert c.m_kappa == pytest.approx(2.0 / 10.0)
         assert c.rho_kappa == pytest.approx(2.0 / 10.0)
         assert c.a_s == 0.0
 
-    def test_linear_modulus_model(self):
+    def test_linear_modulus_model(self, monkeypatch):
         # F_N(theta, 0) = c theta with c (A1 + A2) kappa = 0.5 at the
         # admissible radius: substitute into the closed formulas
         a1, mu, g = 1.0, 2.0, 1.5
         a2 = mu * g
         kappa = 1.0
         c = 0.5 / ((a1 + a2) * kappa)
-        radii = [0.5, 1.0]
-        out = compute_constants(a1, mu, g, radii, [c * r for r in radii])
+        out = self._report(monkeypatch, a1, mu, g, upper=c,
+                           radii=[0.5, 1.0])
         assert out.kappa == kappa
         sup_fn = c * kappa
         assert out.m_kappa == pytest.approx((kappa / mu) * (1 - a1 * sup_fn))
@@ -265,42 +293,37 @@ class TestComputeConstants:
         assert out.m_kappa > 0.0
         assert out.rho_kappa <= out.m_kappa
 
-    def test_no_admissible_radius(self):
-        out = compute_constants(a1=1.0, mu=1.0, g_norm=1.0, radii=[1.0],
-                                fn=[100.0])
-        assert not out.admissible
+    def test_no_admissible_radius(self, monkeypatch):
+        out = self._report(monkeypatch, a1=1.0, mu=1.0, g_norm=1.0,
+                           upper=100.0, radii=[1.0])
+        assert out.verdicts["small-data-contraction"] == "violated"
         assert out.kappa == 0.0
+        assert out.a_s == math.inf
 
-    def test_admissible_implies_contraction(self):
+    def test_admissible_implies_contraction(self, monkeypatch):
         # A_s < 1 is algebraically equivalent to the admissibility
-        # inequality sup F_N < 1/(A1 + A2)
-        out = compute_constants(a1=2.0, mu=3.0, g_norm=1.0, radii=[0.1, 0.4],
-                                fn=[0.01, 0.05])
-        assert out.admissible
+        # inequality F_N(kappa, 0) < 1/(A1 + A2)
+        out = self._report(monkeypatch, a1=2.0, mu=3.0, g_norm=1.0,
+                           upper=0.125, radii=[0.1, 0.4])
+        assert out.kappa == 0.4
         assert out.a_s < 1.0
 
 
 class TestGramSpectrum:
     def test_zero_actuator_violated(self, setup):
         _, basis, grid = setup
-        act = Actuator.zonal(0.0, 0.2, 0.2, 0.4, gain=0.0)
-        H = assemble_H(
-            basis, act, grid, Region.interior(0.0, 0.3, 0.0, 0.1), 0.3
-        )
-        spec = gram_spectrum(H)
-        assert spec.sigma_max == 0.0
-        assert spec.verdict == "violated"
+        report = hypothesis_report(_problem(basis, grid, gain=0.0))
+        assert report.gram_sigma_max == 0.0
+        assert report.effective_rank == 0
+        assert report.verdicts["controllability"] == "violated"
 
     def test_example_geometry_satisfied(self, setup):
         _, basis, grid = setup
-        act = Actuator.zonal(0.0, 0.2, 0.2, 0.4)
-        H = assemble_H(
-            basis, act, grid, Region.interior(0.0, 0.3, 0.0, 0.1), 0.3
-        )
-        spec = gram_spectrum(H)
-        assert spec.sigma_min > 0.0
-        assert spec.verdict == "satisfied"
-        assert 1 <= spec.effective_rank <= spec.n_dofs
+        problem = _problem(basis, grid, gain=1.0)
+        report = hypothesis_report(problem)
+        assert report.gram_sigma_min > 0.0
+        assert report.verdicts["controllability"] == "satisfied"
+        assert 1 <= report.effective_rank <= problem.operator().M.shape[0]
 
     def test_column_permutation_invariant(self, setup):
         _, basis, grid = setup
@@ -318,24 +341,14 @@ class TestGramSpectrum:
 class TestHypothesisReport:
     def _problem(self, gain, F=NonlinearTerm.square()):
         dom = RectDomain(1.0, 1.0, 26, 26)
-        basis = build_basis(dom, 10, 10)
-        grid = TimeGrid(3.0, 20)
-        act = Actuator.zonal(0.0, 0.2, 0.2, 0.4, gain=gain)
-        omega = Region.interior(0.0, 0.3, 0.0, 0.1)
-        gamma = Region.boundary("left", 0.0, 0.1)
-        ys = dom.y[dom.y <= 0.1 + 1e-9]
-        zd = 7 * ys**3 - 13 * ys**2 + 3.0
-        d_s = extend_target(zd, omega, gamma, dom)
-        return ControlProblem(
-            basis=basis, act=act, grid=grid, alpha=0.3,
-            F=F, omega_c=omega, gamma=gamma,
-            d_s=d_s, zd=zd, lambda_reg=1e-6,
-        )
+        return _problem(build_basis(dom, 10, 10), TimeGrid(3.0, 20), gain, F)
 
     def test_zero_gain_violated(self):
         report = hypothesis_report(self._problem(0.0))
         assert report.verdicts["controllability"] == "violated"
         assert report.violated
+        # mu = 0: no control authority, so no admissible radius
+        assert (report.mu, report.kappa, report.a_s) == (0.0, 0.0, math.inf)
 
     def test_live_actuator_controllable(self):
         report = hypothesis_report(self._problem(1.0))
@@ -363,6 +376,33 @@ class TestHypothesisReport:
         assert report.kappa == 2.0
         assert report.a_s == 0.0
 
+    @pytest.mark.parametrize("name, kappa", [
+        ("example1.cfg", 1e-3), ("example2.cfg", 10 ** -2.5),
+    ])
+    def test_bundled_constants_closed_form(self, name, kappa):
+        # kappa is the largest radius of the default grid with
+        # F_N(kappa, 0) < 1/(A1 + A2); the margins and A_s follow from
+        # the report's own constants
+        problem = load_config(bundled_config_path(name)).problem()
+        r = hypothesis_report(problem)
+        assert r.kappa == kappa
+        a2 = r.mu * r.g_norm
+
+        def fn(radius):
+            return r.fn_upper * radius ** (problem.F.power - 1)
+
+        f = fn(r.kappa)
+        assert f < 1.0 / (r.a1 + a2) <= fn(r.kappa * 10**0.5)
+        assert r.m_kappa == pytest.approx(
+            (r.kappa / r.mu) * (1.0 - r.a1 * f), rel=1e-12
+        )
+        assert r.rho_kappa == pytest.approx(
+            (r.kappa / r.mu) * (1.0 - (r.a1 + a2) * f), rel=1e-12
+        )
+        assert r.a_s == pytest.approx(
+            a2 * f / (1.0 - r.a1 * f), rel=1e-12
+        )
+
 
 class TestPinvGain:
     def test_matches_svd_formula(self, setup):
@@ -377,14 +417,11 @@ class TestPinvGain:
         assert pinv_gain(H) == pytest.approx(expect, rel=1e-12)
 
     def test_one_svd_per_operator(self, setup, monkeypatch):
-        # gram_spectrum, pinv_gain and pinv_apply share the operator's
-        # thin SVD
+        # the report's Gram spectrum and gain, and pinv_apply, share the
+        # operator's thin SVD
         _, basis, grid = setup
-        act = Actuator.zonal(0.0, 0.2, 0.2, 0.4)
-        H = assemble_H(
-            basis, act, grid, Region.interior(0.0, 0.3, 0.0, 0.1), 0.3,
-            lambda_reg=1e-6,
-        )
+        problem = _problem(basis, grid, gain=1.0)
+        H = problem.operator()
         sig = np.linalg.svd(H.Mw, full_matrices=False)[1]
         svd, calls = np.linalg.svd, []
 
@@ -393,10 +430,11 @@ class TestPinvGain:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        spec = gram_spectrum(H)
-        gain = pinv_gain(H)
+        report = hypothesis_report(problem)
         pinv_apply(H, np.ones(H.M.shape[0]))
-        assert gram_spectrum(H) == spec
+        assert hypothesis_report(problem) == report
         assert len(calls) == 1
-        assert (spec.sigma_max, spec.sigma_min) == (sig[0], sig[-1])
-        assert gain == np.max(sig / (sig**2 + 1e-6))
+        assert (report.gram_sigma_max, report.gram_sigma_min) == (
+            sig[0], sig[-1]
+        )
+        assert report.mu == np.max(sig / (sig**2 + 1e-6))
