@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +253,9 @@ def _sweep_row(args, param, value, outroot):
 
 
 def cmd_sweep(args):
+    # imported here: it loads `logging`, which `run` and `verify` never use
+    from concurrent.futures import ThreadPoolExecutor
+
     section, _, key = args.param.partition(".")
     values = [v for v in args.values.split(",") if v]
     for bad, message in (

@@ -112,7 +112,7 @@ def estimate_A1(basis, grid, alpha, q, rtol=1e-8):
     alpha = check_order(alpha)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"fractional power q must be in [0, 1], got {q}")
-    lam = np.unique(np.asarray(basis.eigenvalues, dtype=float))
+    lam, _ = basis.distinct_eigenvalues
     shift = (lam + 1.0) ** q
     # a bracket cannot be narrower than one float spacing
     tol = max(rtol, np.finfo(float).eps)

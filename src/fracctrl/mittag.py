@@ -14,6 +14,11 @@ Both sums stop where each element's own terms allow.  The series stops
 at the first term below 1e-16 of the sum; the expansion stops at the
 first window of terms bounded below rounding of its leading term, a
 point read from |z| alone, so at large |z| it sums a handful of terms.
+The Taylor sum holds three (elements x terms) work arrays: the head
+and terms, whose magnitudes and then running magnitude sums overwrite
+them in place, the running totals, and the stopping bounds.  The
+expansion's input arrives sorted, so its cuts come in runs of rows, and
+each run is summed as one slice.
 The Gamma coefficients of both are formed once per (alpha, beta) in a
 process and shared by every `ml` call of that order pair, and the
 series' reach and each chunk's sum length are read from the same table
@@ -59,9 +64,9 @@ _REL_TOL = 1e-11
 # the value, and admits sums that lose ~1e-9 relative where E is small.
 _SERIES_ROUNDING = 2.0 * np.finfo(float).eps
 # Elements per vectorised pass.  It bounds the (elements x terms) work
-# arrays of the sums, several of which are alive at once, to 512 x 400
-# floats (1.6 MB) each whatever the caller passes; the kernel tables pass
-# a whole table.  A chunk forms as many terms as its most demanding
+# arrays of the sums, up to three of which are alive at once, to 512 x
+# 400 floats (1.6 MB) each whatever the caller passes; the kernel tables
+# pass a whole table.  A chunk forms as many terms as its most demanding
 # element needs, but each element's value does not depend on the chunk
 # it falls in.
 _CHUNK = 512
@@ -191,19 +196,26 @@ def _series_vec(alpha, beta, z, coef):
     `_SERIES_ROUNDING` times the summed term magnitudes.
     """
     n = coef.series_length(np.abs(z).max())
-    zk = np.cumprod(np.broadcast_to(z[:, None], (z.size, n)), axis=1)
-    terms = zk * coef.series[:n]
-    head = np.full((z.size, 1), _rgamma(beta))
-    terms = np.hstack([head, terms])
-    totals = np.cumsum(terms, axis=1)[:, 1:]
-    mags = np.cumsum(np.abs(terms), axis=1)[:, 1:]
-    done = ((np.abs(terms[:, 1:]) <= 1e-16 * np.maximum(np.abs(totals), 1.0))
-            & coef.stoppable[:n])
+    # column 0 holds the head 1/Gamma(beta), column k the term of z^k
+    terms = np.empty((z.size, n + 1))
+    terms[:, 0] = _rgamma(beta)
+    np.cumprod(np.broadcast_to(z[:, None], (z.size, n)), axis=1,
+               out=terms[:, 1:])
+    terms[:, 1:] *= coef.series[:n]
+    totals = np.cumsum(terms, axis=1)
+    bound = np.abs(totals[:, 1:])
+    np.maximum(bound, 1.0, out=bound)
+    bound *= 1e-16
+    np.abs(terms, out=terms)
+    done = terms[:, 1:] <= bound
+    done &= coef.stoppable[:n]
     stopped = done.any(axis=1)
     if not stopped.all():
         raise MLEvaluationError(alpha, beta, float(z[np.argmin(stopped)]),
                                 "Taylor series did not converge")
-    at = (np.arange(z.size), np.argmax(done, axis=1))
+    # the summed magnitudes overwrite the magnitudes
+    mags = np.cumsum(terms, axis=1, out=terms)
+    at = (np.arange(z.size), np.argmax(done, axis=1) + 1)
     return totals[at], _SERIES_ROUNDING * mags[at]
 
 
@@ -233,11 +245,12 @@ def _asymptotic_vec(alpha, beta, z, coef):
     unbounded = cut == bounds.size
     cut[unbounded] = np.argmin(window[unbounded], axis=1)
     total = np.empty(z.size)
-    for j in np.unique(cut):
-        # one row-wise sum per truncation length keeps each row's
-        # summation order that of a 1-D np.sum over its kept terms
-        rows = cut == j
-        total[rows] = terms[rows, :j].sum(axis=1)
+    # one row-wise sum per run of equal cuts (a sorted z keeps them in
+    # runs) keeps each row's summation order that of a 1-D np.sum over
+    # its kept terms
+    starts = np.flatnonzero(np.diff(cut, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [z.size]):
+        total[lo:hi] = terms[lo:hi, : cut[lo]].sum(axis=1)
     err = window[np.arange(z.size), cut]
     if alpha >= 2.0 / 3.0:
         # For alpha >= 2/3 the negative axis also carries an exponentially

@@ -148,7 +148,7 @@ def _kernel_tables(basis, grid, alpha):
     # reduce over rows, and their rounding depends on the layout.  Both
     # tables share one sort of their arguments.
     ta = np.array([t**alpha for t in grid.nodes.tolist()])
-    lam, mode = np.unique(basis.eigenvalues, return_inverse=True)
+    lam, mode = basis.distinct_eigenvalues
     z = -np.outer(ta, lam)
     flat, inverse = _distinct(z)
 

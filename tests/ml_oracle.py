@@ -10,6 +10,10 @@ and the reciprocal Gamma function with the runtime evaluator, so where
 both take the same branch they agree bit for bit, and falls back on the
 runtime's contour only where the integral fails.
 mpmath stays the independent referee (`test_mittag.py`).
+
+`_series_matrix` and `_asymptotic_masked` keep the array Taylor sum and
+expansion as they were before the sums were taken in place and per run
+of equal cuts, as the reference those are held bit-identical to.
 """
 
 import math
@@ -100,6 +104,66 @@ def _asymptotic_59(alpha, beta, z):
         total[rows] = terms[rows, : c - 1].sum(axis=1)
     err = window[np.arange(z.size), cut - 1]
     if alpha >= 2.0 / 3.0:
+        w = np.abs(z) ** (1.0 / alpha)
+        phi = math.pi / alpha
+        envelope = (1.0 / alpha) * w ** (1.0 - beta) * np.exp(
+            w * math.cos(phi)
+        )
+        total += envelope * np.cos(w * math.sin(phi) + phi * (1.0 - beta))
+        err += envelope * (np.minimum(1.0, 2.0 * (1.0 - alpha) * w) + 1e-12)
+    return total, err
+
+
+def _series_matrix(alpha, beta, z, coef):
+    """Taylor sum for a 1-D z within `coef.series_reach`; returns (values,
+    rounding_error_estimates).  One (elements x terms) array per step."""
+    n = coef.series_length(np.abs(z).max())
+    zk = np.cumprod(np.broadcast_to(z[:, None], (z.size, n)), axis=1)
+    terms = zk * coef.series[:n]
+    head = np.full((z.size, 1), rgamma(beta))
+    terms = np.hstack([head, terms])
+    totals = np.cumsum(terms, axis=1)[:, 1:]
+    mags = np.cumsum(np.abs(terms), axis=1)[:, 1:]
+    done = ((np.abs(terms[:, 1:]) <= 1e-16 * np.maximum(np.abs(totals), 1.0))
+            & coef.stoppable[:n])
+    stopped = done.any(axis=1)
+    if not stopped.all():
+        raise MLEvaluationError(alpha, beta, float(z[np.argmin(stopped)]),
+                                "Taylor series did not converge")
+    at = (np.arange(z.size), np.argmax(done, axis=1))
+    return totals[at], _SERIES_ROUNDING * mags[at]
+
+
+def _asymptotic_masked(alpha, beta, z, coef):
+    """Algebraic expansion for a 1-D array of z < 0, cut per element;
+    returns (values, error_estimates).  The rows of each distinct cut are
+    gathered by a mask and summed together."""
+    c, bounds = coef.expansion
+    # cut = number of windows whose bound exceeds |z|
+    cut = np.searchsorted(-bounds, z)
+    ks = np.arange(1, min(int(cut.max()) + 3, c.size) + 1)
+    terms = (-1.0 / z[:, None]) ** ks * c[: ks.size]
+    mags = np.abs(terms)
+    window = mags[:, :-2] + mags[:, 1:-1] + mags[:, 2:]
+    # Individual terms can vanish at gamma poles without the remainder
+    # being small, so an element with no bounded window is cut at the
+    # minimizing window over all terms.
+    unbounded = cut == bounds.size
+    cut[unbounded] = np.argmin(window[unbounded], axis=1)
+    total = np.empty(z.size)
+    for j in np.unique(cut):
+        # one row-wise sum per truncation length keeps each row's
+        # summation order that of a 1-D np.sum over its kept terms
+        rows = cut == j
+        total[rows] = terms[rows, :j].sum(axis=1)
+    err = window[np.arange(z.size), cut]
+    if alpha >= 2.0 / 3.0:
+        # For alpha >= 2/3 the negative axis also carries an exponentially
+        # small oscillatory saddle contribution from the conjugate branch
+        # pair z^(1/alpha) e^(+-i pi/alpha).  Its leading term is added
+        # explicitly; the next saddle correction scales like
+        # (1-alpha)*w relative to the envelope and enters the error
+        # estimate.
         w = np.abs(z) ** (1.0 / alpha)
         phi = math.pi / alpha
         envelope = (1.0 / alpha) * w ** (1.0 - beta) * np.exp(

@@ -610,6 +610,22 @@ def test_run_without_scipy(tmp_path):
     assert status_and_iterations(tmp_path / "out") == expect
 
 
+def test_run_loads_no_masked_arrays_or_thread_pool(tmp_path):
+    # `np.unique` without `return_inverse` imports numpy.ma, and the
+    # thread pool of `sweep` imports logging: a run needs neither
+    probe = ("import sys; from fracctrl.cli import main; "
+             "code = main(sys.argv[1:]); "
+             "print(sorted(m for m in ('numpy.ma', 'concurrent.futures') "
+             "if m in sys.modules)); sys.exit(code)")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, "run", "--config",
+         bundled_config_path("example2.cfg"), "--out", str(tmp_path)],
+        env=_package_env(), capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("argv, gain, code, written", [
     (["run"], "1.0", EXIT_OK, "tiny/manifest.json"),
     (["verify"], "0.0", EXIT_HYPOTHESIS, None),

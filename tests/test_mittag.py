@@ -18,7 +18,12 @@ from fracctrl.mittag import (
     ml,
 )
 from fracctrl.solver import TimeGrid, _kernel_tables
-from ml_oracle import _asymptotic_59, _ml_scalar
+from ml_oracle import (
+    _asymptotic_59,
+    _asymptotic_masked,
+    _ml_scalar,
+    _series_matrix,
+)
 
 # High-precision reference values, frozen from a 40+ digit pre-build run
 # (direct extended-precision series, cross-checked against Talbot inversion
@@ -410,6 +415,41 @@ class TestExpansionTruncation:
         for alpha, z in _kernel_table_arguments():
             for beta in (1.0, alpha + 1.0):
                 self._compare(alpha, beta, z)
+
+
+class TestSumsBitIdentical:
+    """The Taylor sum taken in place and the expansion summed per run of
+    equal cuts give every value and error estimate of the array sums they
+    replaced (`ml_oracle._series_matrix`, `_asymptotic_masked`) bit for
+    bit, on the elements and chunks `ml` routes to each."""
+
+    @staticmethod
+    def _compare(alpha, beta, z):
+        coef = mittag._Coefficients(alpha, beta)
+        flat = np.unique(z)
+        for lo in range(0, flat.size, mittag._CHUNK):
+            part = flat[lo : lo + mittag._CHUNK]
+            rest = part != 0.0
+            series = rest & (np.abs(part) <= coef.series_reach)
+            if series.any():
+                got = mittag._series_vec(alpha, beta, part[series], coef)
+                ref = _series_matrix(alpha, beta, part[series], coef)
+                assert np.array_equal(got, ref)
+                rest[series] = ~mittag._accepted(*ref)
+            rest &= part < 0.0
+            if rest.any():
+                got = mittag._asymptotic_vec(alpha, beta, part[rest], coef)
+                ref = _asymptotic_masked(alpha, beta, part[rest], coef)
+                assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("alpha,beta", ORDERS)
+    def test_z_grid(self, alpha, beta):
+        self._compare(alpha, beta, Z_GRID)
+
+    @pytest.mark.parametrize("alpha,beta", ORDERS)
+    def test_kernel_tables(self, alpha, beta):
+        for _, z in _kernel_table_arguments():
+            self._compare(alpha, beta, z)
 
 
 class TestSeriesReach:
