@@ -203,13 +203,18 @@ def _load(args, path=None):
     --method/--seed overrides to it.
 
     The linear method is one residual-update iteration of `algorithm1`:
-    a single pseudo-inverse solve plus one confirming simulation.
+    a single pseudo-inverse solve plus one confirming simulation.  The
+    fixed-point sequence (picard) is defined for y0 = 0 only, so a
+    picard config with another initial state is a config error.
     """
     cfg = load_config(path or args.config)
     if args.method:
         cfg.method = args.method
     if args.seed is not None:
         cfg.seed = args.seed
+    if cfg.method == "picard" and np.any(cfg.y0.values != 0.0):
+        raise ConfigError(cfg.path, "loop", "method",
+                          "picard requires [initial] y0 = zero")
     if cfg.method == "linear":
         cfg.n_max = 1
     return cfg

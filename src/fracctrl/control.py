@@ -26,7 +26,7 @@ from .domain import (
     trace,
 )
 from .mittag import check_order
-from .solver import NonlinearTerm, _kernel_tables, solve_semilinear
+from .solver import NonlinearTerm, _step_weights, solve_semilinear
 
 __all__ = [
     "ControlSignal",
@@ -141,7 +141,7 @@ def assemble_H(basis, act, grid, target, alpha, lambda_reg=-1.0):
     """
     alpha = check_order(alpha)
     b = actuator_coefficients(act, basis)
-    _, Wd = _kernel_tables(basis, grid, alpha)
+    Wd = _step_weights(basis, grid, alpha)
     d = basis.domain
     ix, iy = region_nodes(d, target)
     ex, ey = basis._factors

@@ -6,9 +6,10 @@ series (|z| up to a reach read from the series' own Gamma table, kept
 where its rounding estimate passes), the algebraic asymptotic expansion
 (large |z|) or a Talbot contour inversion (the rest), and every branch
 runs as whole-array numpy code.  The route is the same for every order
-alpha in (0, 1], alpha = 1 included.  The solver builds each of its
-kernel tables with one `ml` call over the whole (time node x distinct
-eigenvalue) array.
+alpha in (0, 1], alpha = 1 included.  Repeated arguments are evaluated
+once: `ml` sorts its array and takes the distinct values, unless it is a
+1-D array that already increases strictly.  The solver builds its kernel
+tables by `ml` calls over row slabs of at most sixteen chunks.
 
 Both sums stop where each element's own terms allow.  The series stops
 at the first term below 1e-16 of the sum; the expansion stops at the
@@ -66,9 +67,9 @@ _SERIES_ROUNDING = 2.0 * np.finfo(float).eps
 # Elements per vectorised pass.  It bounds the (elements x terms) work
 # arrays of the sums, up to three of which are alive at once, to 512 x
 # 400 floats (1.6 MB) each whatever the caller passes; the kernel tables
-# pass a whole table.  A chunk forms as many terms as its most demanding
-# element needs, but each element's value does not depend on the chunk
-# it falls in.
+# pass row slabs of at most 16 chunks.  A chunk forms as many terms as
+# its most demanding element needs, but each element's value does not
+# depend on the chunk it falls in.
 _CHUNK = 512
 
 
@@ -356,8 +357,12 @@ def ml(alpha, beta, z):
         raise ValueError("ml requires alpha > 0 and beta > 0")
     z = np.asarray(z, dtype=float)
     # repeated arguments (e.g. the mirrored modes of a square basis) are
-    # evaluated once
-    flat, inverse = _distinct(z)
+    # evaluated once, in increasing order; a 1-D z that already increases
+    # strictly is not sorted again
+    if z.ndim == 1 and np.all(z[1:] > z[:-1]):
+        flat, inverse = z, None
+    else:
+        flat, inverse = np.unique(z.ravel(), return_inverse=True)
     out = np.empty(flat.size)
     coef = _coefficients(alpha, beta)
     for lo in range(0, flat.size, _CHUNK):
@@ -368,15 +373,4 @@ def ml(alpha, beta, z):
     if inverse is not None:
         out = out[inverse]
     return out.reshape(z.shape)
-
-
-def _distinct(z):
-    """(values, inverse) of z's elements: the sorted distinct values and
-    the index of each element among them, or (z, None) for a 1-D z that
-    is already strictly increasing.  A caller that evaluates several
-    orders on one array sorts it once here and passes the values to
-    `ml`, which then does not sort them again."""
-    if z.ndim == 1 and np.all(z[1:] > z[:-1]):
-        return z, None
-    return np.unique(z.ravel(), return_inverse=True)
 

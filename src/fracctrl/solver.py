@@ -2,9 +2,11 @@
 
 The linear part propagates each eigenmode exactly through Mittag-Leffler
 symbols, so piecewise-constant controls incur no time-stepping error.  The
-per-mode kernel tables depend only on (basis, grid, alpha); they are built
-once per problem, each with one Mittag-Leffler call over the whole (time
-node x distinct eigenvalue) array.  `solve_semilinear` is the one forward
+per-mode kernel tables depend only on (basis, grid, alpha); each is built
+once per problem, on its first read, by Mittag-Leffler calls over row
+slabs of the (time node x distinct eigenvalue) arguments.  The step
+weights serve every solve and operator; the free-decay table only a solve
+from a non-zero initial state.  `solve_semilinear` is the one forward
 solver, for F = 0 as well: it integrates the source u_k b + f_k step by
 step, by product integration with F averaged over the step ends, so the
 control drive rides in the history sum the steps take anyway.  Each step
@@ -25,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .domain import Field, actuator_coefficients
-from .mittag import _distinct, check_order, ml
+from .mittag import _CHUNK, check_order, ml
 
 __all__ = [
     "TimeGrid",
@@ -129,39 +131,66 @@ class Trajectory:
         return self.snapshot(self.grid.K)
 
 
-@lru_cache(maxsize=8)
-def _kernel_tables(basis, grid, alpha):
-    """Read-only mode/time tables (E1, Wd) of the propagator symbols.
+# Arguments per `ml` call of a kernel-table build: sixteen of the
+# evaluator's chunks.  A build evaluates its table by row slabs of at
+# most this size, so it holds neither the whole (time node x eigenvalue)
+# argument array nor its sort, and no table but the one it returns.
+_SLAB = 16 * _CHUNK
 
-    E1[n, m] = E_(a,1)(-lam_m t_n^a).  With W[n, m] = t_n^a E_(a,a+1)(-lam_m
-    t_n^a), the primitive of the weakly singular kernel, Wd[k] = W[k+1] -
-    W[k] is the exact weight of step [t_(n-k-1), t_(n-k)] at observation
-    time t_n.  The tables depend only on the frozen (basis, grid, alpha),
-    so every simulation and operator of one problem shares one build.
-    """
+
+def _slabs(grid, alpha, lam, overlap):
+    """(first row, t^alpha, z) of each row slab of the arguments z[n, j]
+    = -lam_j t_n^alpha; consecutive slabs share `overlap` rows."""
     # t^alpha from Python floats keeps the C library's pow (numpy's
-    # vectorised power can differ in the last bit); t = 0 gives z = 0,
-    # so E1[0] = 1 and W[0] = 0 exactly.  The tables are evaluated over
-    # the distinct eigenvalues (a square basis repeats most of them),
-    # which halves the evaluator's whole-array work space, and spread to
-    # the modes by `take`, which keeps them C-ordered: the history sums
-    # reduce over rows, and their rounding depends on the layout.  Both
-    # tables share one sort of their arguments.
+    # vectorised power can differ in the last bit); t = 0 gives z = 0
     ta = np.array([t**alpha for t in grid.nodes.tolist()])
+    rows = max(overlap + 1, _SLAB // lam.size)
+    for lo in range(0, ta.size - overlap, rows - overlap):
+        t = ta[lo : lo + rows]
+        yield lo, t, -np.outer(t, lam)
+
+
+# The tables are evaluated over the distinct eigenvalues (a square basis
+# repeats most of them) and spread to the modes by `take` straight into
+# a C-ordered (time node x mode) table: the history sums reduce over
+# rows, and their rounding depends on the layout.  An `ml` value depends
+# only on (alpha, beta, z), so the slabs give every entry of a
+# whole-array build.
+@lru_cache(maxsize=8)
+def _decay_table(basis, grid, alpha):
+    """Read-only E1[n, m] = E_(a,1)(-lam_m t_n^a), the free decay of y0.
+
+    E1[0] = 1 exactly.  Only a non-zero initial state reads it.
+    """
     lam, mode = basis.distinct_eigenvalues
-    z = -np.outer(ta, lam)
-    flat, inverse = _distinct(z)
-
-    def table(beta):
-        return ml(alpha, beta, flat)[inverse].reshape(z.shape)
-
-    E1 = np.take(table(1.0), mode, axis=1)
-    W = table(alpha + 1.0)
-    W *= ta[:, None]
-    Wd = np.take(np.diff(W, axis=0), mode, axis=1)
+    E1 = np.empty((grid.K + 1, mode.size))
+    for lo, _, z in _slabs(grid, alpha, lam, 0):
+        np.take(ml(alpha, 1.0, z), mode, axis=1,
+                out=E1[lo : lo + z.shape[0]])
     E1.flags.writeable = False
+    return E1
+
+
+@lru_cache(maxsize=8)
+def _step_weights(basis, grid, alpha):
+    """Read-only step weights Wd[k] = W[k+1] - W[k], K rows.
+
+    W[n, m] = t_n^a E_(a,a+1)(-lam_m t_n^a) is the primitive of the
+    weakly singular kernel, so Wd[k, m] is the exact weight of step
+    [t_(n-k-1), t_(n-k)] at observation time t_n (W[0] = 0 exactly).
+    The weights depend only on the frozen (basis, grid, alpha), so every
+    simulation and operator of one problem shares one build.  Its slabs
+    share one row, the one each difference across them needs.
+    """
+    lam, mode = basis.distinct_eigenvalues
+    Wd = np.empty((grid.K, mode.size))
+    for lo, ta, z in _slabs(grid, alpha, lam, 1):
+        W = ml(alpha, alpha + 1.0, z)
+        W *= ta[:, None]
+        np.take(np.diff(W, axis=0), mode, axis=1,
+                out=Wd[lo : lo + z.shape[0] - 1])
     Wd.flags.writeable = False
-    return E1, Wd
+    return Wd
 
 
 def _f_projection(F, basis):
@@ -199,7 +228,10 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
     alpha = check_order(alpha)
     b = actuator_coefficients(act, basis)
     c0 = y0.coefficients(basis).ravel()
-    E1, Wd = _kernel_tables(basis, grid, alpha)
+    Wd = _step_weights(basis, grid, alpha)
+    # the free decay of y0: a zero initial state has none, and its table
+    # is not built
+    E1 = _decay_table(basis, grid, alpha) if c0.any() else None
     uvals = _control_values(u, grid.K)
     project = _f_projection(F, basis)
     w0 = Wd[0]
@@ -219,7 +251,7 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
         f_back = f_prev
         for n in range(1, grid.K + 1):
             k = n - 1
-            base = E1[n] * c0
+            base = np.zeros(c0.size) if E1 is None else E1[n] * c0
             if k > 0:
                 # step j's source sees kernel weight Wd[n-1-j]
                 base += np.einsum("km,km->m", s[:k], Wd[n - 1 : 0 : -1])

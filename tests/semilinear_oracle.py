@@ -34,7 +34,8 @@ from fracctrl.solver import (
     SemilinearDivergenceError,
     Trajectory,
     _control_values,
-    _kernel_tables,
+    _decay_table,
+    _step_weights,
 )
 
 # sweeps allowed to reach 1e-15; the bundled examples' first controls
@@ -49,7 +50,8 @@ def _step_loop(y0, u, F, act, basis, grid, alpha, sweeps):
     alpha = check_order(alpha)
     b = actuator_coefficients(act, basis)
     c0 = y0.coefficients(basis).ravel()
-    E1, Wd = _kernel_tables(basis, grid, alpha)
+    E1 = _decay_table(basis, grid, alpha)
+    Wd = _step_weights(basis, grid, alpha)
     uvals = _control_values(u, grid.K)
 
     def F_quiet(y):

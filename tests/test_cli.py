@@ -323,6 +323,23 @@ class TestConfigErrors:
         )
         assert "[domain] k_steps: unknown key" in line
 
+    @pytest.mark.parametrize("where", ["option", "file", "sweep"])
+    def test_picard_with_initial_state(self, tmp_path, capsys, where):
+        # the fixed-point sequence is defined for y0 = 0 only
+        text = TINY + "\n[initial]\ny0 = (0, 0, 0.01)\n"
+        if where == "file":
+            text = text.replace("eps = 1e-2", "eps = 1e-2\nmethod = picard")
+        path = tmp_path / "y0.cfg"
+        path.write_text(text)
+        argv = {
+            "option": ["run", "--method", "picard"],
+            "file": ["run"],
+            "sweep": ["sweep", "--param", "loop.method",
+                      "--values", "picard"],
+        }[where] + ["--config", str(path), "--out", str(tmp_path / "o")]
+        line = self._one_line(argv, capsys)
+        assert "[loop] method" in line and "y0" in line
+
 
 class TestLinearMethod:
     """--method linear is one residual-update iteration of algorithm1."""

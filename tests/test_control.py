@@ -33,9 +33,11 @@ from fracctrl.domain import (
 from fracctrl.solver import (
     NonlinearTerm,
     TimeGrid,
-    _kernel_tables,
+    _decay_table,
+    _step_weights,
     solve_semilinear,
 )
+from semilinear_oracle import solve_semilinear_reference, solve_step_equation
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +246,7 @@ class TestAssembleH:
         E_ref = np.einsum("ip,jq->pqij", ex, ey).reshape(
             n, basis.mx * basis.my
         )
-        _, Wd = _kernel_tables(basis, grid, 0.3)
+        Wd = _step_weights(basis, grid, 0.3)
         C = (actuator_coefficients(act, basis)[None, :] * Wd[::-1]).T
         M_ref = E_ref @ C
         H = assemble_H(basis, act, grid, target, 0.3)
@@ -583,25 +585,54 @@ class TestOperatorPerProblem:
 
 
 class TestKernelTables:
-    def test_built_once_per_run(self, setup):
+    """Each kernel table is built once per problem, and only where a run
+    reads it: the step weights by every operator and solve, the free
+    decay E1 only by a solve from a non-zero initial state."""
+
+    @staticmethod
+    def _run(setup, **kw):
         problem = _example_problem(
             setup, NonlinearTerm.square(), eps=1e-14, lambda_reg=1e-8,
-            n_max=3,
+            n_max=3, **kw,
         )
         problem.d_s = GridPatch(
             x=problem.d_s.x, y=problem.d_s.y,
             values=problem.d_s.values * 1e-2,
         )
-        _kernel_tables.cache_clear()
+        _decay_table.cache_clear()
+        _step_weights.cache_clear()
         u, traj, report = algorithm1(problem)
-        info = _kernel_tables.cache_info()
         assert report.iterations == 3
+        return problem, u, traj, report
+
+    def test_zero_initial_state_builds_no_decay_table(self, setup):
+        _, _, _, report = self._run(setup)
+        assert _decay_table.cache_info().misses == 0
+        info = _step_weights.cache_info()
         assert info.misses == 1
         assert info.hits >= report.iterations
 
+    def test_initial_state_builds_decay_table_once(self, setup):
+        y0 = Field.from_function(
+            setup[0], lambda x, y: 1e-2 * np.cos(np.pi * x) + 0.0 * y
+        )
+        problem, u, traj, _ = self._run(setup, y0=y0)
+        assert _decay_table.cache_info().misses == 1
+        assert _step_weights.cache_info().misses == 1
+        # within the solver's bound against the step equation
+        # (test_solver.TestStepEquation)
+        args = (y0, u, problem.F, problem.act, problem.basis, problem.grid,
+                problem.alpha)
+        _, kept_explicit = solve_semilinear_reference(*args)
+        exact = solve_step_equation(*args, kept_explicit).coeffs
+        assert np.max(np.abs(exact[0])) > 0.0
+        assert (np.max(np.abs(traj.coeffs - exact))
+                <= 3e-11 * np.max(np.abs(exact)))
+
     def test_tables_are_read_only(self, setup):
         _, basis, grid, _, _, _ = setup
-        E1, Wd = _kernel_tables(basis, grid, 0.3)
+        E1 = _decay_table(basis, grid, 0.3)
+        Wd = _step_weights(basis, grid, 0.3)
         assert not E1.flags.writeable
         assert not Wd.flags.writeable
 

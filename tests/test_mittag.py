@@ -17,7 +17,7 @@ from fracctrl.mittag import (
     check_order,
     ml,
 )
-from fracctrl.solver import TimeGrid, _kernel_tables
+from fracctrl.solver import TimeGrid, _step_weights
 from ml_oracle import (
     _asymptotic_59,
     _asymptotic_masked,
@@ -143,14 +143,14 @@ class TestStepWeight:
 
     def test_lambda_zero(self):
         alpha, grid = 0.45, TimeGrid(2.0, 4)
-        _, Wd = _kernel_tables(_unit_basis(), grid, alpha)
+        Wd = _step_weights(_unit_basis(), grid, alpha)
         t = grid.nodes
         expect = (t[1:] ** alpha - t[:-1] ** alpha) / gamma(alpha + 1.0)
         assert Wd[:, 0] == pytest.approx(expect, rel=1e-12)
 
     def test_classical_case(self):
         basis, grid = _unit_basis(), TimeGrid(1.3, 2)
-        _, Wd = _kernel_tables(basis, grid, 1.0)
+        Wd = _step_weights(basis, grid, 1.0)
         lam = basis.eigenvalues[1:]
         t = grid.nodes
         expect = (np.exp(-lam * t[0]) - np.exp(-lam * t[1])) / lam
@@ -162,7 +162,7 @@ class TestStepWeight:
         basis = _unit_basis()
         col = basis.modes.index((1, 0))
         assert basis.eigenvalues[col] == pytest.approx(math.pi**2)
-        _, Wd = _kernel_tables(basis, TimeGrid(1.0, 2), 0.3)
+        Wd = _step_weights(basis, TimeGrid(1.0, 2), 0.3)
         assert Wd[1, col] == pytest.approx(EW_PI2_05_10_A03, rel=1e-10)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,8 @@ from fracctrl.solver import (
     NonlinearTerm,
     SemilinearDivergenceError,
     TimeGrid,
-    _kernel_tables,
+    _decay_table,
+    _step_weights,
     solve_semilinear,
 )
 from l1_oracle import GridTrajectory, l1_oracle_solve
@@ -299,7 +301,8 @@ class TestSweepLoopBitIdentical:
             y0, u, NonlinearTerm.none(), problem.act, basis, grid, alpha
         )
         # the drive as a materialised product summed over the step axis
-        E1, Wd = _kernel_tables(basis, grid, alpha)
+        E1 = _decay_table(basis, grid, alpha)
+        Wd = _step_weights(basis, grid, alpha)
         b = actuator_coefficients(problem.act, basis)
         c0 = y0.coefficients(basis).ravel()
         ref = np.array([c0] + [
@@ -319,7 +322,8 @@ class TestSweepLoopBitIdentical:
         _, kept_explicit = solve_semilinear_reference(*args)
         assert kept_explicit == [1, 2]
         got = solve_semilinear(*args).coeffs
-        E1, Wd = _kernel_tables(basis, grid, 0.9)
+        E1 = _decay_table(basis, grid, 0.9)
+        Wd = _step_weights(basis, grid, 0.9)
         c0 = y0.coefficients(basis).ravel()
         f = solver._f_projection(F, basis)
 
@@ -481,7 +485,8 @@ class TestKernelTableStability:
     def _tables(name):
         problem = load_config(bundled_config_path(f"{name}.cfg")).problem()
         args = (problem.basis, problem.grid, problem.alpha)
-        return _kernel_tables(*args), _scalar_kernel_tables(*args)
+        return ((_decay_table(*args), _step_weights(*args)),
+                _scalar_kernel_tables(*args))
 
     def test_example1_within_rel_1e15(self):
         (E1, Wd), (E1s, Wds, W) = self._tables("example1")
@@ -489,13 +494,20 @@ class TestKernelTableStability:
         scale = np.maximum(np.abs(W[:-1]), np.abs(W[1:]))
         assert np.all(np.abs(Wd - Wds) <= 1e-15 * scale)
 
-    @pytest.mark.parametrize("name", ["example1", "example2"])
-    def test_one_sort_matches_two_calls(self, name, monkeypatch):
-        # both tables evaluate one sorted, deduplicated argument array;
-        # the build that passed the 2-D array to `ml` once per table gives
-        # the same bits
+    @pytest.mark.parametrize("name, scale", [
+        ("example1", None), ("example2", None),
+        # the `scaled-synth` benchmark: example 2 at K = 240, 30 x 30 modes
+        ("example2", (240, 30)),
+    ], ids=["example1", "example2", "scaled-synth"])
+    def test_slabs_match_whole_array_build(self, name, scale, monkeypatch):
+        # the build that passed the whole 2-D argument array to `ml` once
+        # per table gives the same bits; no sort inside a build sees more
+        # than one slab of arguments
         problem = load_config(bundled_config_path(f"{name}.cfg")).problem()
         basis, grid, alpha = problem.basis, problem.grid, problem.alpha
+        if scale:
+            grid = TimeGrid(grid.T, scale[0])
+            basis = build_basis(basis.domain, scale[1], scale[1])
         ta = np.array([t**alpha for t in grid.nodes.tolist()])
         lam, mode = np.unique(basis.eigenvalues, return_inverse=True)
         z = -np.outer(ta, lam)
@@ -510,9 +522,11 @@ class TestKernelTableStability:
             return unique(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "unique", counting)
-        E1new, Wdnew = _kernel_tables.__wrapped__(basis, grid, alpha)
+        E1new = _decay_table.__wrapped__(basis, grid, alpha)
+        Wdnew = _step_weights.__wrapped__(basis, grid, alpha)
         assert np.array_equal(E1new, E1) and np.array_equal(Wdnew, Wd)
-        assert sorts.count(z.size) == 1
+        assert E1new.flags.c_contiguous and Wdnew.flags.c_contiguous
+        assert sorts and max(sorts) <= min(solver._SLAB, z.size)
 
     def test_example2_within_rel_1e12(self):
         (E1, Wd), (E1s, Wds, W) = self._tables("example2")
@@ -520,3 +534,20 @@ class TestKernelTableStability:
         np.testing.assert_allclose(E1, E1s, rtol=1e-12, atol=0.0)
         scale = np.maximum(np.abs(W[:-1]), np.abs(W[1:]))
         assert np.all(np.abs(Wd - Wds) <= 1e-12 * scale)
+
+
+def test_step_weights_peak_memory():
+    # example 2 at K = 240 and 30 x 30 modes (the `scaled-synth`
+    # benchmark): the build by row slabs traces 2.9 MB, the 1.7 MB table
+    # included, against 7.3 MB for the parent build of both tables from
+    # one sort of the whole argument array
+    problem = load_config(bundled_config_path("example2.cfg")).problem()
+    basis = build_basis(problem.basis.domain, 30, 30)
+    grid = TimeGrid(problem.grid.T, 240)
+    tracemalloc.start()
+    try:
+        _step_weights.__wrapped__(basis, grid, problem.alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
