@@ -11,7 +11,6 @@ numerical failure), 4 hypothesis violated (verify).
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -167,6 +166,10 @@ def _write_manifest(cfg, outdir, hyp, summary, t_start):
     """Write summary.txt, one `key: value` line per summary entry, then
     manifest.json, which records the same summary and the SHA-256 of
     every other file in outdir."""
+    # imported here: it loads OpenSSL, which would stay resident through
+    # the whole run for these few digests
+    import hashlib
+
     (outdir / "summary.txt").write_text(
         "\n".join(f"{k}: {v}" for k, v in summary.items()) + "\n"
     )
@@ -240,21 +243,20 @@ def cmd_verify(args):
     return EXIT_HYPOTHESIS if report.violated else EXIT_OK
 
 
-def _sweep_row(args, param, value, outroot):
-    """One sweep row: rewrite the config with the override, run isolated."""
-    section, _, key = param.partition(".")
+def _sweep_config(args, value, outroot):
+    """One sweep row's config, rewritten with the override into the row's
+    own directory and loaded; returns (config, row directory)."""
+    section, _, key = args.param.partition(".")
     cp = read_ini(args.config)
     if not cp.has_section(section):
         cp.add_section(section)
     cp.set(section, key, value)
-    rowdir = outroot / f"{param}={value}"
+    rowdir = outroot / f"{args.param}={value}"
     rowdir.mkdir(parents=True, exist_ok=True)
     rowcfg_path = rowdir / "config.cfg"
     with open(rowcfg_path, "w") as fh:
         cp.write(fh)
-    cfg = _load(args, str(rowcfg_path))
-    code, summary = _run_one(cfg, rowdir)
-    return value, code, summary
+    return _load(args, str(rowcfg_path)), rowdir
 
 
 def cmd_sweep(args):
@@ -274,16 +276,15 @@ def cmd_sweep(args):
             print(f"config error: {message}", file=sys.stderr)
             return EXIT_CONFIG
     outroot = _out_root(args) / f"{Path(args.config).stem}-sweep"
+    # every row's config is checked before any row runs
+    rows = [_sweep_config(args, v, outroot) for v in values]
     with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        futs = [
-            pool.submit(_sweep_row, args, args.param, v, outroot)
-            for v in values
-        ]
-        rows = [f.result() for f in futs]  # input order preserved
+        futs = [pool.submit(_run_one, cfg, rowdir) for cfg, rowdir in rows]
+        results = [f.result() for f in futs]  # input order preserved
     header = f"# {args.param} status iterations boundary_error cost"
     lines = [header]
     worst = EXIT_OK
-    for value, code, summary in rows:
+    for value, (code, summary) in zip(values, results):
         worst = max(worst, code)
         lines.append(
             f"{value} {summary.get('status')} "

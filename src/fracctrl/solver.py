@@ -15,8 +15,11 @@ grid each, mixed at depth one (Anderson); they start from F extrapolated
 linearly in time.  A step settles by one test, its residual within
 TOL_PICARD, and hands the F of its last sweep to the next step.  A step
 whose sweeps do not settle keeps its predictor, the explicit step with
-the nonlinearity frozen at the step start.  The independent
-finite-difference cross-check lives in the test suite
+the nonlinearity frozen at the step start.  A solve holds the step
+weights and one (K x modes) array, the per-step sources its history sum
+reads; its `Trajectory` keeps those sources and the final state, and
+rebuilds the state at any other node from them on demand.  The
+independent finite-difference cross-check lives in the test suite
 (`tests/l1_oracle.py`).
 """
 
@@ -116,15 +119,49 @@ def _control_values(u, steps):
 
 @dataclass
 class Trajectory:
-    """Spectral-coefficient snapshots of the state at every grid node."""
+    """A solve's per-step sources and its final state.
+
+    In mild form the state at node n is fixed by y0 and the sources of
+    the steps before it, so the node states are not stored: `snapshot`
+    and `coeffs` rebuild them by the step loop's history sum over the
+    problem's cached kernel tables.  A rebuilt state is bit for bit that
+    of a step that kept its predictor, and within rounding of a settled
+    step's last sweep image.  Node K is the final state as the solve
+    computed it.
+    """
 
     basis: object
     grid: TimeGrid
-    coeffs: np.ndarray  # shape (K+1, mx*my)
+    alpha: float
+    c0: np.ndarray  # spectral coefficients of y0, shape (mx*my,)
+    sources: np.ndarray  # shape (K, mx*my): step k's source u_k b + f_k
+    final: np.ndarray  # the state at node K, shape (mx*my,)
     control: np.ndarray  # per-step values that generated the trajectory
 
+    def _state(self, n):
+        """Spectral coefficients of the state at node n, 0 <= n <= K."""
+        if n == self.grid.K:
+            return self.final
+        if n == 0:
+            return self.c0
+        return self._rebuild(n)
+
+    def _rebuild(self, n):
+        """Node n's state, 1 <= n <= K, from the sources: the history sum
+        plus step n-1's own source at its weight."""
+        Wd = _step_weights(self.basis, self.grid, self.alpha)
+        E1 = (_decay_table(self.basis, self.grid, self.alpha)
+              if self.c0.any() else None)
+        return (_history(n, self.c0, E1, self.sources, Wd)
+                + self.sources[n - 1] * Wd[0])
+
+    @property
+    def coeffs(self):
+        """The (K+1, mx*my) node states, rebuilt on every read."""
+        return np.array([self._state(n) for n in range(self.grid.K + 1)])
+
     def snapshot(self, n):
-        c = self.coeffs[n].reshape(self.basis.mx, self.basis.my)
+        c = self._state(n).reshape(self.basis.mx, self.basis.my)
         return Field(self.basis.domain, self.basis.from_spectral(c))
 
     def final_field(self):
@@ -193,6 +230,17 @@ def _step_weights(basis, grid, alpha):
     return Wd
 
 
+def _history(n, c0, E1, s, Wd):
+    """What y0 and the sources s[j] of the steps j < n-1 give node n:
+    E1[n] c0 (none for a zero y0, E1 = None) plus sum_j s[j] Wd[n-1-j].
+    The step loop and `Trajectory` both sum the history here."""
+    base = np.zeros(c0.size) if E1 is None else E1[n] * c0
+    if n > 1:
+        # step j's source sees kernel weight Wd[n-1-j]
+        base += np.einsum("km,km->m", s[: n - 1], Wd[n - 1 : 0 : -1])
+    return base
+
+
 def _f_projection(F, basis):
     """c -> the coefficients of F's Galerkin projection at the state with
     coefficient vector c, taken on F's alias-free grid: exact for the
@@ -238,8 +286,6 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
     half_w0 = 0.5 * w0
     tol2 = TOL_PICARD * TOL_PICARD
 
-    coeffs = np.empty((grid.K + 1, c0.size))
-    coeffs[0] = c0
     s = np.empty((grid.K, c0.size))  # per-step source u_k b + f_k
     # F overflows where the state runs away; the finiteness checks below
     # act on that, so the floating-point warnings are silenced once here
@@ -251,10 +297,7 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
         f_back = f_prev
         for n in range(1, grid.K + 1):
             k = n - 1
-            base = np.zeros(c0.size) if E1 is None else E1[n] * c0
-            if k > 0:
-                # step j's source sees kernel weight Wd[n-1-j]
-                base += np.einsum("km,km->m", s[:k], Wd[n - 1 : 0 : -1])
+            base = _history(n, c0, E1, s, Wd)
             drive = uvals[k] * b
             # G(x) = anchor + half_w0 F(x): the step end's half of the
             # averaged source is all a sweep adds
@@ -317,6 +360,6 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
             else:
                 fk = 0.5 * (f_prev + f_end)
             s[k] = drive + fk
-            coeffs[n] = state
             f_back, f_prev = f_prev, f_end
-    return Trajectory(basis=basis, grid=grid, coeffs=coeffs, control=uvals)
+    return Trajectory(basis=basis, grid=grid, alpha=alpha, c0=c0,
+                      sources=s, final=state, control=uvals)

@@ -24,19 +24,36 @@ steps the reference loop reports.  The solver's trajectories are bounded
 against it, not against either loop's path.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from fracctrl.domain import actuator_coefficients
+from fracctrl.domain import Field, actuator_coefficients
 from fracctrl.mittag import check_order
 from fracctrl.solver import (
     MAX_SWEEPS,
     TOL_PICARD,
     SemilinearDivergenceError,
-    Trajectory,
     _control_values,
     _decay_table,
     _step_weights,
 )
+
+
+@dataclass
+class NodeStates:
+    """A reference loop's state at every node; it stands in for the
+    solver's `Trajectory` where the outer loop reads `final_field`."""
+
+    basis: object
+    grid: object
+    coeffs: np.ndarray  # shape (K+1, mx*my)
+    control: np.ndarray
+
+    def final_field(self):
+        c = self.coeffs[-1].reshape(self.basis.mx, self.basis.my)
+        return Field(self.basis.domain, self.basis.from_spectral(c))
+
 
 # sweeps allowed to reach 1e-15; the bundled examples' first controls
 # need at most 24
@@ -94,7 +111,7 @@ def _step_loop(y0, u, F, act, basis, grid, alpha, sweeps):
         g[k] = uvals[k] * b + fk
         coeffs[n] = state
         f_prev = project(F_quiet(nodal(state)))
-    traj = Trajectory(basis=basis, grid=grid, coeffs=coeffs, control=uvals)
+    traj = NodeStates(basis=basis, grid=grid, coeffs=coeffs, control=uvals)
     return traj, unsettled
 
 
@@ -123,12 +140,12 @@ def _reference_sweeps(n, predictor, sweep):
 
 
 def solve_semilinear_reference(y0, u, F, act, basis, grid, alpha):
-    """(Trajectory, steps n that kept the explicit step) for F != 0."""
+    """(NodeStates, steps n that kept the explicit step) for F != 0."""
     return _step_loop(y0, u, F, act, basis, grid, alpha, _reference_sweeps)
 
 
 def solve_step_equation(y0, u, F, act, basis, grid, alpha, kept_explicit):
-    """Trajectory with every step outside `kept_explicit` solved to 1e-15
+    """NodeStates with every step outside `kept_explicit` solved to 1e-15
     of max(1, |state|); the steps in it keep the predictor."""
 
     def exact_sweeps(n, predictor, sweep):

@@ -340,6 +340,21 @@ class TestConfigErrors:
         line = self._one_line(argv, capsys)
         assert "[loop] method" in line and "y0" in line
 
+    def test_sweep_checks_every_row_before_running(self, tmp_path, capsys):
+        # the picard row's config is invalid: the algorithm1 row before it
+        # does not run either
+        path = tmp_path / "y0.cfg"
+        path.write_text(TINY + "\n[initial]\ny0 = (0, 0, 0.01)\n")
+        out = tmp_path / "o"
+        line = self._one_line(
+            ["sweep", "--param", "loop.method",
+             "--values", "algorithm1,picard", "--config", str(path),
+             "--out", str(out)], capsys,
+        )
+        assert "[loop] method" in line and "y0" in line
+        assert not list(out.rglob("control.dat"))
+        assert not list(out.rglob("sweep.dat"))
+
 
 class TestLinearMethod:
     """--method linear is one residual-update iteration of algorithm1."""
@@ -600,6 +615,16 @@ def test_cli_import_loads_no_scipy():
                           env=_package_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_openssl():
+    # hashlib's OpenSSL backend (3.6 MB resident) serves only the
+    # manifest's digests, and is imported when the manifest is written
+    probe = "import sys, fracctrl.cli; print('_hashlib' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=_package_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_run_without_scipy(tmp_path):

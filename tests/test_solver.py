@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracctrl import solver
-from fracctrl.config import bundled_config_path, load_config
+from fracctrl.config import bundled_config_path, load_config, read_ini
 from fracctrl.control import algorithm1, pinv_apply
 from fracctrl.domain import (
     Actuator,
@@ -551,3 +551,50 @@ def test_step_weights_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3.5e6
+
+
+class TestTrajectory:
+    """A trajectory keeps the per-step sources and the final state; every
+    other node state is rebuilt from the sources by the step loop's own
+    history sum (`solver._history`)."""
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_rebuilt_final_state_matches_stored(self, name):
+        problem = load_config(bundled_config_path(f"{name}.cfg")).problem()
+        # the first residual-update control: non-zero on every step
+        u = pinv_apply(problem.operator(), problem.d_s.values.ravel()).values
+        traj = solve_semilinear(problem.y0, u, problem.F, problem.act,
+                                problem.basis, problem.grid, problem.alpha)
+        coeffs = traj.coeffs
+        K = problem.grid.K
+        assert coeffs.shape == (K + 1, problem.basis.mx * problem.basis.my)
+        assert np.array_equal(coeffs[K], traj.final)
+        # a settled final step (example 2) keeps its sweep image, which
+        # the sum of its sources gives up to rounding
+        rebuilt = traj._rebuild(K)
+        assert (np.max(np.abs(rebuilt - traj.final))
+                <= 1e-14 * np.max(np.abs(coeffs)))
+
+    def test_solve_peak_memory(self, tmp_path):
+        # the `scaled-synth` benchmark's configuration (example 2 at
+        # K = 240 and 30 x 30 modes), its tables built before tracing: a
+        # solve holds one (K x modes) array, the sources, and traces
+        # 1.9 MB, against 3.6 MB when it also stored every node state
+        cp = read_ini(bundled_config_path("example2.cfg"))
+        for key, value in (("K", "240"), ("mx", "30"), ("my", "30")):
+            cp.set("domain", key, value)
+        path = tmp_path / "scaled.cfg"
+        with open(path, "w") as fh:
+            cp.write(fh)
+        problem = load_config(str(path)).problem()
+        u = pinv_apply(problem.operator(), problem.d_s.values.ravel()).values
+        args = (problem.y0, u, problem.F, problem.act, problem.basis,
+                problem.grid, problem.alpha)
+        solve_semilinear(*args)
+        tracemalloc.start()
+        try:
+            solve_semilinear(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
