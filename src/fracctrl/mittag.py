@@ -7,9 +7,9 @@ where its rounding estimate passes), the algebraic asymptotic expansion
 (large |z|) or a Talbot contour inversion (the rest), and every branch
 runs as whole-array numpy code.  The route is the same for every order
 alpha in (0, 1], alpha = 1 included.  Repeated arguments are evaluated
-once: `ml` sorts its array and takes the distinct values, unless it is a
-1-D array that already increases strictly.  The solver builds its kernel
-tables by `ml` calls over row slabs of at most sixteen chunks.
+once: `ml` sorts its array and takes the distinct values.  The solver
+builds its kernel tables by `ml` calls over row slabs of at most sixteen
+chunks.
 
 Both sums stop where each element's own terms allow.  The series stops
 at the first term below 1e-16 of the sum; the expansion stops at the
@@ -357,12 +357,8 @@ def ml(alpha, beta, z):
         raise ValueError("ml requires alpha > 0 and beta > 0")
     z = np.asarray(z, dtype=float)
     # repeated arguments (e.g. the mirrored modes of a square basis) are
-    # evaluated once, in increasing order; a 1-D z that already increases
-    # strictly is not sorted again
-    if z.ndim == 1 and np.all(z[1:] > z[:-1]):
-        flat, inverse = z, None
-    else:
-        flat, inverse = np.unique(z.ravel(), return_inverse=True)
+    # evaluated once, in increasing order
+    flat, inverse = np.unique(z.ravel(), return_inverse=True)
     out = np.empty(flat.size)
     coef = _coefficients(alpha, beta)
     for lo in range(0, flat.size, _CHUNK):
@@ -370,7 +366,5 @@ def ml(alpha, beta, z):
                                         coef)
     if z.ndim == 0:
         return float(out[0])
-    if inverse is not None:
-        out = out[inverse]
-    return out.reshape(z.shape)
+    return out[inverse].reshape(z.shape)
 

@@ -15,12 +15,12 @@ grid each, mixed at depth one (Anderson); they start from F extrapolated
 linearly in time.  A step settles by one test, its residual within
 TOL_PICARD, and hands the F of its last sweep to the next step.  A step
 whose sweeps do not settle keeps its predictor, the explicit step with
-the nonlinearity frozen at the step start.  A solve holds the step
-weights and one (K x modes) array, the per-step sources its history sum
-reads; its `Trajectory` keeps those sources and the final state, and
-rebuilds the state at any other node from them on demand.  The
-independent finite-difference cross-check lives in the test suite
-(`tests/l1_oracle.py`).
+the nonlinearity frozen at the step start.  A solve returns its final
+state and control: the paper's algorithm reads the state at T alone.
+Its step loop, `_node_states`, yields every node's state as it computes
+it and holds one (K x modes) array, the per-step sources its history
+sum reads.  The independent finite-difference cross-check lives in the
+test suite (`tests/l1_oracle.py`).
 """
 
 import math
@@ -119,53 +119,16 @@ def _control_values(u, steps):
 
 @dataclass
 class Trajectory:
-    """A solve's per-step sources and its final state.
-
-    In mild form the state at node n is fixed by y0 and the sources of
-    the steps before it, so the node states are not stored: `snapshot`
-    and `coeffs` rebuild them by the step loop's history sum over the
-    problem's cached kernel tables.  A rebuilt state is bit for bit that
-    of a step that kept its predictor, and within rounding of a settled
-    step's last sweep image.  Node K is the final state as the solve
-    computed it.
-    """
+    """A solve's state at T, all the paper's algorithm reads of it, and
+    the control that generated it."""
 
     basis: object
-    grid: TimeGrid
-    alpha: float
-    c0: np.ndarray  # spectral coefficients of y0, shape (mx*my,)
-    sources: np.ndarray  # shape (K, mx*my): step k's source u_k b + f_k
     final: np.ndarray  # the state at node K, shape (mx*my,)
     control: np.ndarray  # per-step values that generated the trajectory
 
-    def _state(self, n):
-        """Spectral coefficients of the state at node n, 0 <= n <= K."""
-        if n == self.grid.K:
-            return self.final
-        if n == 0:
-            return self.c0
-        return self._rebuild(n)
-
-    def _rebuild(self, n):
-        """Node n's state, 1 <= n <= K, from the sources: the history sum
-        plus step n-1's own source at its weight."""
-        Wd = _step_weights(self.basis, self.grid, self.alpha)
-        E1 = (_decay_table(self.basis, self.grid, self.alpha)
-              if self.c0.any() else None)
-        return (_history(n, self.c0, E1, self.sources, Wd)
-                + self.sources[n - 1] * Wd[0])
-
-    @property
-    def coeffs(self):
-        """The (K+1, mx*my) node states, rebuilt on every read."""
-        return np.array([self._state(n) for n in range(self.grid.K + 1)])
-
-    def snapshot(self, n):
-        c = self._state(n).reshape(self.basis.mx, self.basis.my)
-        return Field(self.basis.domain, self.basis.from_spectral(c))
-
     def final_field(self):
-        return self.snapshot(self.grid.K)
+        c = self.final.reshape(self.basis.mx, self.basis.my)
+        return Field(self.basis.domain, self.basis.from_spectral(c))
 
 
 # Arguments per `ml` call of a kernel-table build: sixteen of the
@@ -230,17 +193,6 @@ def _step_weights(basis, grid, alpha):
     return Wd
 
 
-def _history(n, c0, E1, s, Wd):
-    """What y0 and the sources s[j] of the steps j < n-1 give node n:
-    E1[n] c0 (none for a zero y0, E1 = None) plus sum_j s[j] Wd[n-1-j].
-    The step loop and `Trajectory` both sum the history here."""
-    base = np.zeros(c0.size) if E1 is None else E1[n] * c0
-    if n > 1:
-        # step j's source sees kernel weight Wd[n-1-j]
-        base += np.einsum("km,km->m", s[: n - 1], Wd[n - 1 : 0 : -1])
-    return base
-
-
 def _f_projection(F, basis):
     """c -> the coefficients of F's Galerkin projection at the state with
     coefficient vector c, taken on F's alias-free grid: exact for the
@@ -259,19 +211,33 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
     """Mild solution with a pointwise nonlinearity by product integration.
 
     The package's one forward solver: F = 0 (`NonlinearTerm.none()`) runs
-    the same steps, each settling at its first sweep.  Each step's source
-    is u_k b + f_k, with F(y) treated as constant on the step, at the
-    average of its values at the step ends, projected on F's alias-free
-    grid (`SpectralBasis.alias_free`).  Each step solves that equation
-    for its end state by sweeps x -> G(x), one nodal/spectral round trip
-    each, with depth-one Anderson mixing (Walker & Ni, SIAM J. Numer.
-    Anal. 49(4), 2011).  The sweeps start from F extrapolated linearly in
-    time from the last two nodes; on the first step that is the predictor
-    (F frozen at the step start).  A step settles when |G(x) - x| <=
-    TOL_PICARD max(1, |G(x)|); it keeps G(x) and hands the F of its last
-    sweep to the next step.  Sweeps that grow twice in a row, turn
-    non-finite or run out of MAX_SWEEPS leave the step unsettled: it keeps
-    the predictor, and F is evaluated there once more.
+    the same steps, each settling at its first sweep.  Returns the
+    `Trajectory` of the state at T and the control; the step loop,
+    `_node_states`, yields the state at every node as it computes it.
+    """
+    control = _control_values(u, grid.K)
+    for final in _node_states(y0, control, F, act, basis, grid, alpha):
+        pass
+    return Trajectory(basis, final, control)
+
+
+def _node_states(y0, u, F, act, basis, grid, alpha):
+    """The step loop: yields c0, then each node's state as it is computed.
+
+    Each step's source is u_k b + f_k, with F(y) treated as constant on
+    the step, at the average of its values at the step ends, projected on
+    F's alias-free grid (`SpectralBasis.alias_free`).  Each step solves
+    that equation for its end state by sweeps x -> G(x), one
+    nodal/spectral round trip each, with depth-one Anderson mixing
+    (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011).  The sweeps start
+    from F extrapolated linearly in time from the last two nodes; on the
+    first step that is the predictor (F frozen at the step start).  A
+    step settles when |G(x) - x| <= TOL_PICARD max(1, |G(x)|); it keeps
+    G(x) and hands the F of its last sweep to the next step.  Sweeps that
+    grow twice in a row, turn non-finite or run out of MAX_SWEEPS leave
+    the step unsettled: it keeps the predictor, and F is evaluated there
+    once more.  The loop holds the step weights and one (K x modes)
+    array, the per-step sources its history sum reads.
     """
     alpha = check_order(alpha)
     b = actuator_coefficients(act, basis)
@@ -288,16 +254,23 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
 
     s = np.empty((grid.K, c0.size))  # per-step source u_k b + f_k
     # F overflows where the state runs away; the finiteness checks below
-    # act on that, so the floating-point warnings are silenced once here
+    # act on that, so the floating-point warnings are silenced, one step
+    # at a time: the caller's settings hold wherever the loop yields
     with np.errstate(over="ignore", invalid="ignore"):
         # projected F at the previous node and at the one before it
         f_prev = project(c0)
-        # with f_back = f_prev the extrapolation 2 f_prev - f_back is
-        # f_prev exactly: the first step starts from the predictor
-        f_back = f_prev
-        for n in range(1, grid.K + 1):
+    yield c0
+    # with f_back = f_prev the extrapolation 2 f_prev - f_back is f_prev
+    # exactly: the first step starts from the predictor
+    f_back = f_prev
+    for n in range(1, grid.K + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
             k = n - 1
-            base = _history(n, c0, E1, s, Wd)
+            # the history: the free decay of y0 plus the sources of the
+            # steps before, step j's at kernel weight Wd[n-1-j]
+            base = np.zeros(c0.size) if E1 is None else E1[n] * c0
+            if n > 1:
+                base += np.einsum("km,km->m", s[:k], Wd[k:0:-1])
             drive = uvals[k] * b
             # G(x) = anchor + half_w0 F(x): the step end's half of the
             # averaged source is all a sweep adds
@@ -361,5 +334,4 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
                 fk = 0.5 * (f_prev + f_end)
             s[k] = drive + fk
             f_back, f_prev = f_prev, f_end
-    return Trajectory(basis=basis, grid=grid, alpha=alpha, c0=c0,
-                      sources=s, final=state, control=uvals)
+        yield state

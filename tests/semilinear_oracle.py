@@ -42,8 +42,9 @@ from fracctrl.solver import (
 
 @dataclass
 class NodeStates:
-    """A reference loop's state at every node; it stands in for the
-    solver's `Trajectory` where the outer loop reads `final_field`."""
+    """A reference loop's state at every node, as the solver's step loop
+    (`_node_states`) yields them; `final_field` reads node K, so it also
+    stands in for the solver's `Trajectory` in the outer loop."""
 
     basis: object
     grid: object

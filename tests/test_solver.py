@@ -21,6 +21,7 @@ from fracctrl.solver import (
     SemilinearDivergenceError,
     TimeGrid,
     _decay_table,
+    _node_states,
     _step_weights,
     solve_semilinear,
 )
@@ -80,7 +81,7 @@ class TestSolveLinear:
         traj = solve_semilinear(
             y0, None, NonlinearTerm.none(), act, basis, grid, alpha
         )
-        c = traj.coeffs[-1].reshape(basis.mx, basis.my)
+        c = traj.final.reshape(basis.mx, basis.my)
         assert c[1, 0] == pytest.approx(
             ml(alpha, 1.0, -math.pi**2 * 3.0**alpha), abs=1e-12
         )
@@ -90,19 +91,20 @@ class TestSolveLinear:
 
     def test_zero_data_zero_trajectory(self, setup):
         dom, basis, act, grid = setup
-        traj = solve_semilinear(
+        states = np.array(list(_node_states(
             Field.zero(dom), None, NonlinearTerm.none(), act, basis, grid,
             0.5,
-        )
-        assert np.max(np.abs(traj.coeffs)) == 0.0
+        )))
+        assert np.max(np.abs(states)) == 0.0
 
-    def test_snapshot_zero_is_initial_state(self, setup):
+    def test_node_zero_is_initial_state(self, setup):
         dom, basis, act, grid = setup
         y0 = Field.from_function(dom, lambda x, y: np.cos(np.pi * x))
-        traj = solve_semilinear(
+        c0 = next(_node_states(
             y0, None, NonlinearTerm.none(), act, basis, grid, 0.5
-        )
-        assert np.allclose(traj.snapshot(0).values, y0.values, atol=1e-12)
+        ))
+        nodal = basis.from_spectral(c0.reshape(basis.mx, basis.my))
+        assert np.allclose(nodal, y0.values, atol=1e-12)
 
     def test_classical_integrator_mode(self, setup):
         # alpha=1 with D=Omega drives only the constant mode, which then
@@ -113,7 +115,7 @@ class TestSolveLinear:
             Field.zero(dom), np.ones(grid.K), NonlinearTerm.none(), act,
             basis, grid, 1.0,
         )
-        assert traj.coeffs[-1][0] == pytest.approx(3.0, rel=1e-12)
+        assert traj.final[0] == pytest.approx(3.0, rel=1e-12)
 
     def test_joint_linearity(self, setup):
         dom, basis, act, grid = setup
@@ -124,33 +126,33 @@ class TestSolveLinear:
         ua = rng.normal(size=grid.K)
         ub = rng.normal(size=grid.K)
         F = NonlinearTerm.none()
-        combo = solve_semilinear(
+        combo = np.array(list(_node_states(
             Field(dom, 2.0 * y0a.values - 0.5 * y0b.values),
             2.0 * ua - 0.5 * ub, F, act, basis, grid, alpha,
-        )
-        a = solve_semilinear(y0a, ua, F, act, basis, grid, alpha)
-        b = solve_semilinear(y0b, ub, F, act, basis, grid, alpha)
-        parts = 2.0 * a.coeffs - 0.5 * b.coeffs
-        assert np.max(np.abs(combo.coeffs - parts)) < 1e-10
+        )))
+        a = np.array(list(_node_states(y0a, ua, F, act, basis, grid, alpha)))
+        b = np.array(list(_node_states(y0b, ub, F, act, basis, grid, alpha)))
+        parts = 2.0 * a - 0.5 * b
+        assert np.max(np.abs(combo - parts)) < 1e-10
 
     def test_modes_decay_monotonically(self, setup):
         dom, basis, act, grid = setup
         y0 = Field.from_function(
             dom, lambda x, y: np.exp(np.cos(np.pi * x) + np.cos(np.pi * y))
         )
-        traj = solve_semilinear(
+        states = np.array(list(_node_states(
             y0, None, NonlinearTerm.none(), act, basis, grid, 0.4
-        )
-        mags = np.abs(traj.coeffs)
+        )))
+        mags = np.abs(states)
         assert np.all(np.diff(mags, axis=0) <= 1e-14)
 
     def test_mass_conservation(self, setup):
         dom, basis, act, grid = setup
         y0 = Field.from_function(dom, lambda x, y: 1.0 + np.cos(np.pi * x))
-        traj = solve_semilinear(
+        states = np.array(list(_node_states(
             y0, None, NonlinearTerm.none(), act, basis, grid, 0.3
-        )
-        assert np.max(np.abs(traj.coeffs[:, 0] - traj.coeffs[0, 0])) < 1e-12
+        )))
+        assert np.max(np.abs(states[:, 0] - states[0, 0])) < 1e-12
 
     def test_control_length_mismatch(self, setup):
         dom, basis, act, grid = setup
@@ -164,11 +166,11 @@ class TestSolveLinear:
 class TestSolveSemilinear:
     def test_zero_data_stays_zero(self, setup):
         dom, basis, act, grid = setup
-        traj = solve_semilinear(
+        states = np.array(list(_node_states(
             Field.zero(dom), None, NonlinearTerm.square(), act, basis,
             grid, 0.3,
-        )
-        assert np.max(np.abs(traj.coeffs)) == 0.0
+        )))
+        assert np.max(np.abs(states)) == 0.0
 
     def test_agrees_with_l1_oracle(self, setup):
         dom, basis, act, grid = setup
@@ -227,7 +229,8 @@ class TestStepEquation:
         exact = solve_step_equation(*args, kept_explicit).coeffs
         bound = 3e-11 * np.max(np.abs(exact))
         assert np.max(np.abs(ref.coeffs - exact)) <= bound
-        assert np.max(np.abs(solve_semilinear(*args).coeffs - exact)) <= bound
+        got = np.array(list(_node_states(*args)))
+        assert np.max(np.abs(got - exact)) <= bound
 
     @pytest.mark.parametrize("name, round_trips, iterations", [
         # plain Picard sweeps took 17,269 and 10,136 round trips
@@ -297,9 +300,9 @@ class TestSweepLoopBitIdentical:
         y0 = Field.from_function(
             basis.domain, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y)
         )
-        traj = solve_semilinear(
+        states = np.array(list(_node_states(
             y0, u, NonlinearTerm.none(), problem.act, basis, grid, alpha
-        )
+        )))
         # the drive as a materialised product summed over the step axis
         E1 = _decay_table(basis, grid, alpha)
         Wd = _step_weights(basis, grid, alpha)
@@ -309,7 +312,7 @@ class TestSweepLoopBitIdentical:
             E1[n] * c0 + b * np.sum(u[:n, None] * Wd[n - 1 :: -1], axis=0)
             for n in range(1, grid.K + 1)
         ])
-        self.assert_rounding_close(traj.coeffs, ref)
+        self.assert_rounding_close(states, ref)
 
     def test_unsettled_step_keeps_predictor(self, setup):
         # large data on a two-step grid: the sweeps expand at both steps,
@@ -321,7 +324,7 @@ class TestSweepLoopBitIdentical:
         args = (y0, None, F, act, basis, grid, 0.9)
         _, kept_explicit = solve_semilinear_reference(*args)
         assert kept_explicit == [1, 2]
-        got = solve_semilinear(*args).coeffs
+        got = np.array(list(_node_states(*args)))
         E1 = _decay_table(basis, grid, 0.9)
         Wd = _step_weights(basis, grid, 0.9)
         c0 = y0.coefficients(basis).ravel()
@@ -553,48 +556,80 @@ def test_step_weights_peak_memory():
     assert peak < 3.5e6
 
 
+@pytest.fixture(scope="module")
+def scaled_problem(tmp_path_factory):
+    """The `scaled-synth` benchmark's configuration: example 2 at K = 240,
+    30 x 30 modes and n_max = 12."""
+    cp = read_ini(bundled_config_path("example2.cfg"))
+    for section, key, value in (("domain", "K", "240"),
+                                ("domain", "mx", "30"),
+                                ("domain", "my", "30"),
+                                ("loop", "n_max", "12")):
+        cp.set(section, key, value)
+    path = tmp_path_factory.mktemp("scaled") / "scaled.cfg"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return load_config(str(path)).problem()
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestTrajectory:
-    """A trajectory keeps the per-step sources and the final state; every
-    other node state is rebuilt from the sources by the step loop's own
-    history sum (`solver._history`)."""
+    """A solve returns the state at T and its control; the step loop,
+    `_node_states`, yields every node's state as it computes it."""
 
     @pytest.mark.parametrize("name", ["example1", "example2"])
-    def test_rebuilt_final_state_matches_stored(self, name):
+    def test_last_node_state_is_final(self, name):
         problem = load_config(bundled_config_path(f"{name}.cfg")).problem()
-        # the first residual-update control: non-zero on every step
+        # the first residual-update control: non-zero on every step; the
+        # final step keeps its predictor on example 1, and settles on
+        # example 2
         u = pinv_apply(problem.operator(), problem.d_s.values.ravel()).values
-        traj = solve_semilinear(problem.y0, u, problem.F, problem.act,
-                                problem.basis, problem.grid, problem.alpha)
-        coeffs = traj.coeffs
-        K = problem.grid.K
-        assert coeffs.shape == (K + 1, problem.basis.mx * problem.basis.my)
-        assert np.array_equal(coeffs[K], traj.final)
-        # a settled final step (example 2) keeps its sweep image, which
-        # the sum of its sources gives up to rounding
-        rebuilt = traj._rebuild(K)
-        assert (np.max(np.abs(rebuilt - traj.final))
-                <= 1e-14 * np.max(np.abs(coeffs)))
+        args = (problem.y0, u, problem.F, problem.act, problem.basis,
+                problem.grid, problem.alpha)
+        states = list(_node_states(*args))
+        assert len(states) == problem.grid.K + 1
+        traj = solve_semilinear(*args)
+        assert np.array_equal(states[-1], traj.final)
+        assert traj.control is u
 
-    def test_solve_peak_memory(self, tmp_path):
-        # the `scaled-synth` benchmark's configuration (example 2 at
-        # K = 240 and 30 x 30 modes), its tables built before tracing: a
-        # solve holds one (K x modes) array, the sources, and traces
-        # 1.9 MB, against 3.6 MB when it also stored every node state
-        cp = read_ini(bundled_config_path("example2.cfg"))
-        for key, value in (("K", "240"), ("mx", "30"), ("my", "30")):
-            cp.set("domain", key, value)
-        path = tmp_path / "scaled.cfg"
-        with open(path, "w") as fh:
-            cp.write(fh)
-        problem = load_config(str(path)).problem()
+    def test_warning_settings_hold_between_steps(self, setup):
+        # the solver silences F's overflow warnings inside each step only:
+        # wherever the loop yields, the caller's settings are in force
+        dom, basis, act, grid = setup
+        y0 = Field.from_function(dom, lambda x, y: np.cos(np.pi * x))
+        states = _node_states(y0, None, NonlinearTerm.square(), act, basis,
+                              grid, 0.5)
+        with np.errstate(over="raise", invalid="raise"):
+            before = np.geterr()
+            next(states)
+            next(states)
+            assert np.geterr() == before
+        states.close()
+
+    def test_solve_peak_memory(self, scaled_problem):
+        # tables built before tracing: a solve holds one (K x modes)
+        # array, the sources, and traces 1.9 MB, against 3.6 MB when it
+        # also stored every node state
+        problem = scaled_problem
         u = pinv_apply(problem.operator(), problem.d_s.values.ravel()).values
         args = (problem.y0, u, problem.F, problem.act, problem.basis,
                 problem.grid, problem.alpha)
         solve_semilinear(*args)
-        tracemalloc.start()
-        try:
-            solve_semilinear(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5e6
+        assert _traced_peak(solve_semilinear, *args) < 2.5e6
+
+    def test_algorithm1_peak_memory(self, scaled_problem):
+        # tables and operator built before tracing: a finished solve
+        # leaves only its final state, so the loop's earlier trajectories
+        # hold no (K x modes) sources while the next solve runs (2.5 MB,
+        # against 4.3 MB when each kept its sources)
+        problem = scaled_problem
+        problem.operator()
+        assert _traced_peak(algorithm1, problem) < 3.0e6
