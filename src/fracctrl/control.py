@@ -23,6 +23,7 @@ from .domain import (
     _trapezoid_weights,
     actuator_coefficients,
     region_nodes,
+    restrict,
     trace,
 )
 from .mittag import check_order
@@ -262,13 +263,6 @@ class ControlProblem:
         return self._operator
 
 
-def _on_target(problem, traj):
-    """Final state of a trajectory at omega_c's nodes, flattened in the
-    order H's rows use."""
-    ix, iy = region_nodes(problem.basis.domain, problem.omega_c)
-    return traj.final_field().values[np.ix_(ix, iy)].ravel()
-
-
 def _reached_values(problem, u):
     """Simulate the semilinear system and evaluate the final state on
     omega_c; returns (flattened target values, trajectory)."""
@@ -276,7 +270,7 @@ def _reached_values(problem, u):
         problem.y0, u.values, problem.F, problem.act, problem.basis,
         problem.grid, problem.alpha,
     )
-    return _on_target(problem, traj), traj
+    return restrict(traj.final_field(), problem.omega_c).values.ravel(), traj
 
 
 def algorithm1(problem):
@@ -296,7 +290,7 @@ def algorithm1(problem):
             problem.y0, None, NonlinearTerm.none(), problem.act,
             problem.basis, problem.grid, problem.alpha,
         )
-        r = r - _on_target(problem, free)
+        r = r - restrict(free.final_field(), problem.omega_c).values.ravel()
 
     report = IterationReport()
     u_prev = None

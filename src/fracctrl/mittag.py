@@ -8,8 +8,8 @@ where its rounding estimate passes), the algebraic asymptotic expansion
 runs as whole-array numpy code.  The route is the same for every order
 alpha in (0, 1], alpha = 1 included.  Repeated arguments are evaluated
 once: `ml` sorts its array and takes the distinct values.  The solver
-builds its kernel tables by `ml` calls over row slabs of at most sixteen
-chunks.
+builds its one kernel table, the step weights, by `ml` calls over row
+slabs of at most sixteen chunks.
 
 Both sums stop where each element's own terms allow.  The series stops
 at the first term below 1e-16 of the sum; the expansion stops at the

@@ -1,26 +1,28 @@
 """Forward simulation of Caputo sub-diffusion in mild (Volterra) form.
 
 The linear part propagates each eigenmode exactly through Mittag-Leffler
-symbols, so piecewise-constant controls incur no time-stepping error.  The
-per-mode kernel tables depend only on (basis, grid, alpha); each is built
-once per problem, on its first read, by Mittag-Leffler calls over row
-slabs of the (time node x distinct eigenvalue) arguments.  The step
-weights serve every solve and operator; the free-decay table only a solve
-from a non-zero initial state.  `solve_semilinear` is the one forward
-solver, for F = 0 as well: it integrates the source u_k b + f_k step by
-step, by product integration with F averaged over the step ends, so the
-control drive rides in the history sum the steps take anyway.  Each step
-solves that equation by sweeps, one round trip to F's alias-free nodal
-grid each, mixed at depth one (Anderson); they start from F extrapolated
-linearly in time.  A step settles by one test, its residual within
-TOL_PICARD, and hands the F of its last sweep to the next step.  A step
-whose sweeps do not settle keeps its predictor, the explicit step with
-the nonlinearity frozen at the step start.  A solve returns its final
-state and control: the paper's algorithm reads the state at T alone.
-Its step loop, `_node_states`, yields every node's state as it computes
-it and holds one (K x modes) array, the per-step sources its history
-sum reads.  The independent finite-difference cross-check lives in the
-test suite (`tests/l1_oracle.py`).
+symbols, so piecewise-constant controls incur no time-stepping error.
+One per-mode kernel table, the step weights, serves every solve and
+operator: it depends only on (basis, grid, alpha) and is built once per
+problem, on its first read, by Mittag-Leffler calls over row slabs of
+the (time node x distinct eigenvalue) arguments.  `solve_semilinear` is
+the one forward solver, for F = 0 as well: from the base c0 it
+integrates the source u_k b - lam c0 + f_k step by step, by product
+integration with F averaged over the step ends.  By
+E_(a,1)(-x) = 1 - x E_(a,a+1)(-x) the constant -lam c0 gives the free
+decay of the initial state, so the control drive and y0 ride in the
+history sum the steps take anyway.  Each step solves its equation by
+sweeps, one round trip to F's alias-free nodal grid each, mixed at
+depth one (Anderson); they start from F extrapolated linearly in time.
+A step settles by one test, its residual within TOL_PICARD, and hands
+the F of its last sweep to the next step.  A step whose sweeps do not
+settle keeps its predictor, the explicit step with the nonlinearity
+frozen at the step start.  A solve returns its final state and control:
+the paper's algorithm reads the state at T alone.  Its step loop,
+`_node_states`, yields every node's state as it computes it and holds
+one (K x modes) array, the per-step sources its history sum reads.  The
+independent finite-difference cross-check lives in the test suite
+(`tests/l1_oracle.py`).
 """
 
 import math
@@ -131,46 +133,19 @@ class Trajectory:
         return Field(self.basis.domain, self.basis.from_spectral(c))
 
 
-# Arguments per `ml` call of a kernel-table build: sixteen of the
-# evaluator's chunks.  A build evaluates its table by row slabs of at
+# Arguments per `ml` call of the step-weight build: sixteen of the
+# evaluator's chunks.  The build evaluates the table by row slabs of at
 # most this size, so it holds neither the whole (time node x eigenvalue)
-# argument array nor its sort, and no table but the one it returns.
+# argument array nor its sort.
 _SLAB = 16 * _CHUNK
 
 
-def _slabs(grid, alpha, lam, overlap):
-    """(first row, t^alpha, z) of each row slab of the arguments z[n, j]
-    = -lam_j t_n^alpha; consecutive slabs share `overlap` rows."""
-    # t^alpha from Python floats keeps the C library's pow (numpy's
-    # vectorised power can differ in the last bit); t = 0 gives z = 0
-    ta = np.array([t**alpha for t in grid.nodes.tolist()])
-    rows = max(overlap + 1, _SLAB // lam.size)
-    for lo in range(0, ta.size - overlap, rows - overlap):
-        t = ta[lo : lo + rows]
-        yield lo, t, -np.outer(t, lam)
-
-
-# The tables are evaluated over the distinct eigenvalues (a square basis
+# The table is evaluated over the distinct eigenvalues (a square basis
 # repeats most of them) and spread to the modes by `take` straight into
 # a C-ordered (time node x mode) table: the history sums reduce over
 # rows, and their rounding depends on the layout.  An `ml` value depends
 # only on (alpha, beta, z), so the slabs give every entry of a
 # whole-array build.
-@lru_cache(maxsize=8)
-def _decay_table(basis, grid, alpha):
-    """Read-only E1[n, m] = E_(a,1)(-lam_m t_n^a), the free decay of y0.
-
-    E1[0] = 1 exactly.  Only a non-zero initial state reads it.
-    """
-    lam, mode = basis.distinct_eigenvalues
-    E1 = np.empty((grid.K + 1, mode.size))
-    for lo, _, z in _slabs(grid, alpha, lam, 0):
-        np.take(ml(alpha, 1.0, z), mode, axis=1,
-                out=E1[lo : lo + z.shape[0]])
-    E1.flags.writeable = False
-    return E1
-
-
 @lru_cache(maxsize=8)
 def _step_weights(basis, grid, alpha):
     """Read-only step weights Wd[k] = W[k+1] - W[k], K rows.
@@ -178,17 +153,25 @@ def _step_weights(basis, grid, alpha):
     W[n, m] = t_n^a E_(a,a+1)(-lam_m t_n^a) is the primitive of the
     weakly singular kernel, so Wd[k, m] is the exact weight of step
     [t_(n-k-1), t_(n-k)] at observation time t_n (W[0] = 0 exactly).
-    The weights depend only on the frozen (basis, grid, alpha), so every
-    simulation and operator of one problem shares one build.  Its slabs
-    share one row, the one each difference across them needs.
+    It is the package's one kernel table: the free decay of y0 is
+    E_(a,1)(-lam t_n^a) = 1 - lam W[n], the sum of Wd over n steps of the
+    constant source -lam.  The weights depend only on the frozen (basis,
+    grid, alpha), so every simulation and operator of one problem shares
+    one build.  Its slabs of arguments z[n, j] = -lam_j t_n^a share one
+    row, the one each difference across them needs.
     """
     lam, mode = basis.distinct_eigenvalues
+    # t^alpha from Python floats keeps the C library's pow (numpy's
+    # vectorised power can differ in the last bit); t = 0 gives W = 0
+    ta = np.array([t**alpha for t in grid.nodes.tolist()])
+    rows = max(2, _SLAB // lam.size)
     Wd = np.empty((grid.K, mode.size))
-    for lo, ta, z in _slabs(grid, alpha, lam, 1):
-        W = ml(alpha, alpha + 1.0, z)
-        W *= ta[:, None]
+    for lo in range(0, grid.K, rows - 1):
+        t = ta[lo : lo + rows]
+        W = ml(alpha, alpha + 1.0, -np.outer(t, lam))
+        W *= t[:, None]
         np.take(np.diff(W, axis=0), mode, axis=1,
-                out=Wd[lo : lo + z.shape[0] - 1])
+                out=Wd[lo : lo + t.size - 1])
     Wd.flags.writeable = False
     return Wd
 
@@ -224,10 +207,16 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
 def _node_states(y0, u, F, act, basis, grid, alpha):
     """The step loop: yields c0, then each node's state as it is computed.
 
-    Each step's source is u_k b + f_k, with F(y) treated as constant on
-    the step, at the average of its values at the step ends, projected on
-    F's alias-free grid (`SpectralBasis.alias_free`).  Each step solves
-    that equation for its end state by sweeps x -> G(x), one
+    Each node's state is c0 plus the history sum of the step sources
+    u_k b - lam c0 + f_k.  The constant -lam c0 carries the free decay of
+    y0: by E_(a,1)(-lam t^a) = 1 - lam W, with W the primitive of the
+    kernel, the step weights sum it to the decay.  The sum cancels in
+    1 - lam W where lam t^a is large, which moves the states by rounding
+    only (1.25e-13 of max|state| at K = 240 with 30 x 30 modes); for
+    y0 = 0 the source is -0.0 and moves no bit.  F(y) is treated as
+    constant on the step, at the average of its values at the step ends,
+    projected on F's alias-free grid (`SpectralBasis.alias_free`).  Each
+    step solves that equation for its end state by sweeps x -> G(x), one
     nodal/spectral round trip each, with depth-one Anderson mixing
     (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011).  The sweeps start
     from F extrapolated linearly in time from the last two nodes; on the
@@ -243,16 +232,14 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
     b = actuator_coefficients(act, basis)
     c0 = y0.coefficients(basis).ravel()
     Wd = _step_weights(basis, grid, alpha)
-    # the free decay of y0: a zero initial state has none, and its table
-    # is not built
-    E1 = _decay_table(basis, grid, alpha) if c0.any() else None
+    y0_source = -basis.eigenvalues * c0
     uvals = _control_values(u, grid.K)
     project = _f_projection(F, basis)
     w0 = Wd[0]
     half_w0 = 0.5 * w0
     tol2 = TOL_PICARD * TOL_PICARD
 
-    s = np.empty((grid.K, c0.size))  # per-step source u_k b + f_k
+    s = np.empty((grid.K, c0.size))  # per-step sources
     # F overflows where the state runs away; the finiteness checks below
     # act on that, so the floating-point warnings are silenced, one step
     # at a time: the caller's settings hold wherever the loop yields
@@ -266,12 +253,10 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
     for n in range(1, grid.K + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             k = n - 1
-            # the history: the free decay of y0 plus the sources of the
-            # steps before, step j's at kernel weight Wd[n-1-j]
-            base = np.zeros(c0.size) if E1 is None else E1[n] * c0
-            if n > 1:
-                base += np.einsum("km,km->m", s[:k], Wd[k:0:-1])
-            drive = uvals[k] * b
+            # the history: y0 plus the sources of the steps before, step
+            # j's at kernel weight Wd[n-1-j]
+            base = c0 + np.einsum("km,km->m", s[:k], Wd[k:0:-1])
+            drive = uvals[k] * b + y0_source
             # G(x) = anchor + half_w0 F(x): the step end's half of the
             # averaged source is all a sweep adds
             anchor = base + (drive + 0.5 * f_prev) * w0

@@ -2,13 +2,16 @@
 
 `solve_semilinear_reference` is `fracctrl.solver.solve_semilinear` as it
 was written before its sweep loop was trimmed, before its sweeps were
-mixed, before its floor test was deleted and before F moved to its
-alias-free grid: every step's source is u_k b + f_k (as in the solver),
-F is projected on the domain grid, the history sum is a materialised
-product summed over the step axis, every norm is `np.linalg.norm`, the
-floating-point warnings of F are silenced around each call of F, and
-each step runs plain Picard sweeps from the predictor, with the floor
-and growth tests, then evaluates F once more at the settled state.  The solver must give its
+mixed, before its floor test was deleted, before F moved to its
+alias-free grid and before y0 moved into its history sum: every node's
+base is the free decay E1[n] c0 of y0, read from `decay_table` (the
+solver sums it as the constant source -lam c0 instead), every step's
+source is u_k b + f_k, F is projected on the domain grid, the history
+sum is a materialised product summed over the step axis, every norm is
+`np.linalg.norm`, the floating-point warnings of F are silenced around
+each call of F, and each step runs plain Picard sweeps from the
+predictor, with the floor and growth tests, then evaluates F once more
+at the settled state.  The solver must give its
 divergence messages exactly and keep the explicit step at the same steps
 (an explicit step differs from a settled one by O(dt)).  The loop reports
 those steps, so a test can show that it exercised that branch.
@@ -29,15 +32,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from fracctrl.domain import Field, actuator_coefficients
-from fracctrl.mittag import check_order
+from fracctrl.mittag import check_order, ml
 from fracctrl.solver import (
     MAX_SWEEPS,
     TOL_PICARD,
     SemilinearDivergenceError,
     _control_values,
-    _decay_table,
     _step_weights,
 )
+
+
+def decay_table(basis, grid, alpha):
+    """E1[n, m] = E_(a,1)(-lam_m t_n^a), the free decay of y0, by one
+    whole-array `ml` call.  The solver builds no such table: it sums the
+    decay as the history of the constant source -lam c0."""
+    ta = np.array([t**alpha for t in grid.nodes.tolist()])
+    return ml(alpha, 1.0, -np.outer(ta, basis.eigenvalues))
 
 
 @dataclass
@@ -68,7 +78,7 @@ def _step_loop(y0, u, F, act, basis, grid, alpha, sweeps):
     alpha = check_order(alpha)
     b = actuator_coefficients(act, basis)
     c0 = y0.coefficients(basis).ravel()
-    E1 = _decay_table(basis, grid, alpha)
+    E1 = decay_table(basis, grid, alpha)
     Wd = _step_weights(basis, grid, alpha)
     uvals = _control_values(u, grid.K)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fracctrl.control as control
+from fracctrl import solver
 from fracctrl.config import bundled_config_path, load_config
 from fracctrl.control import (
     ControlProblem,
@@ -30,10 +31,10 @@ from fracctrl.domain import (
     extend_target,
     restrict,
 )
+from fracctrl.mittag import ml
 from fracctrl.solver import (
     NonlinearTerm,
     TimeGrid,
-    _decay_table,
     _node_states,
     _step_weights,
     solve_semilinear,
@@ -586,9 +587,9 @@ class TestOperatorPerProblem:
 
 
 class TestKernelTables:
-    """Each kernel table is built once per problem, and only where a run
-    reads it: the step weights by every operator and solve, the free
-    decay E1 only by a solve from a non-zero initial state."""
+    """The step weights are the one kernel table: built once per problem
+    and read by every operator and solve, from a zero initial state or
+    not.  The free decay of y0 rides in the solver's history sum."""
 
     @staticmethod
     def _run(setup, **kw):
@@ -600,28 +601,47 @@ class TestKernelTables:
             x=problem.d_s.x, y=problem.d_s.y,
             values=problem.d_s.values * 1e-2,
         )
-        _decay_table.cache_clear()
         _step_weights.cache_clear()
         u, traj, report = algorithm1(problem)
         assert report.iterations == 3
         return problem, u, traj, report
 
-    def test_zero_initial_state_builds_no_decay_table(self, setup):
+    @staticmethod
+    def _y0(dom):
+        return Field.from_function(
+            dom, lambda x, y: 1e-2 * np.cos(np.pi * x) + 0.0 * y
+        )
+
+    def test_step_weights_built_once(self, setup):
         _, _, _, report = self._run(setup)
-        assert _decay_table.cache_info().misses == 0
         info = _step_weights.cache_info()
         assert info.misses == 1
         assert info.hits >= report.iterations
 
-    def test_initial_state_builds_decay_table_once(self, setup):
-        y0 = Field.from_function(
-            setup[0], lambda x, y: 1e-2 * np.cos(np.pi * x) + 0.0 * y
-        )
+    def test_initial_state_reads_step_weights_alone(self, setup,
+                                                     monkeypatch):
+        # a grid no other test builds tables for: every Mittag-Leffler
+        # call of the run is made here, and each is the step weights'
+        # beta = alpha + 1; no free-decay table (beta = 1) is built
+        dom, basis, _, act, omega, gamma = setup
+        calls = []
+
+        def recording(alpha, beta, z):
+            calls.append((alpha, beta))
+            return ml(alpha, beta, z)
+
+        monkeypatch.setattr(solver, "ml", recording)
+        self._run((dom, basis, TimeGrid(3.0, 26), act, omega, gamma),
+                  y0=self._y0(dom))
+        assert calls and set(calls) == {(0.3, 0.3 + 1.0)}
+
+    def test_initial_state_within_step_equation_bound(self, setup):
+        y0 = self._y0(setup[0])
         problem, u, traj, _ = self._run(setup, y0=y0)
-        assert _decay_table.cache_info().misses == 1
         assert _step_weights.cache_info().misses == 1
         # within the solver's bound against the step equation
-        # (test_solver.TestStepEquation)
+        # (test_solver.TestStepEquation), whose reference reads the free
+        # decay from a table
         args = (y0, u, problem.F, problem.act, problem.basis, problem.grid,
                 problem.alpha)
         _, kept_explicit = solve_semilinear_reference(*args)
@@ -634,10 +654,7 @@ class TestKernelTables:
 
     def test_tables_are_read_only(self, setup):
         _, basis, grid, _, _, _ = setup
-        E1 = _decay_table(basis, grid, 0.3)
-        Wd = _step_weights(basis, grid, 0.3)
-        assert not E1.flags.writeable
-        assert not Wd.flags.writeable
+        assert not _step_weights(basis, grid, 0.3).flags.writeable
 
 
 class TestControlSignal:

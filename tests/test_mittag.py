@@ -82,7 +82,9 @@ class TestCheckOrder:
 class TestSymbols:
     @staticmethod
     def h_symbol(lam, t, alpha):
-        # initial-data propagator symbol, as the solver's E1 table holds it
+        # initial-data propagator symbol; the solver builds no table of
+        # it, but reaches it as 1 - lam t^a E_(a,a+1)(-lam t^a) through
+        # its step weights
         return ml(alpha, 1.0, -lam * t**alpha)
 
     def test_h_at_lambda_zero(self):
