@@ -25,12 +25,18 @@ repeats the reference loop with every settled step's sweeps run to
 1e-15, with no floor or growth test, and keeps the predictor at the
 steps the reference loop reports.  The solver's trajectories are bounded
 against it, not against either loop's path.
+
+`direct_node_states` is the solver's own step loop with its history summed
+as it was before the block plan: every earlier source at its kernel weight,
+by one einsum per step.  The block plan moves the states by rounding only.
 """
 
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
+from fracctrl import solver
 from fracctrl.domain import Field, actuator_coefficients
 from fracctrl.mittag import check_order, ml
 from fracctrl.solver import (
@@ -174,3 +180,13 @@ def solve_step_equation(y0, u, F, act, basis, grid, alpha, kept_explicit):
         )
 
     return _step_loop(y0, u, F, act, basis, grid, alpha, exact_sweeps)[0]
+
+
+def direct_node_states(y0, u, F, act, basis, grid, alpha):
+    """`solver._node_states` as an array, its history summed directly: in
+    a leaf longer than the grid, each step's einsum takes every earlier
+    source and no block FFT runs."""
+    with mock.patch.object(solver, "_LEAF", 1 << grid.K.bit_length()):
+        return np.array(list(solver._node_states(
+            y0, u, F, act, basis, grid, alpha
+        )))

@@ -28,6 +28,7 @@ from l1_oracle import GridTrajectory, l1_oracle_solve
 from ml_oracle import _ml_scalar
 from semilinear_oracle import (
     decay_table,
+    direct_node_states,
     solve_semilinear_reference,
     solve_step_equation,
 )
@@ -672,3 +673,53 @@ class TestTrajectory:
         problem = scaled_problem
         problem.operator()
         assert _traced_peak(algorithm1, problem) < 3.0e6
+
+
+class TestBlockHistory:
+    """The history sum by blocks: each step sums its own leaf directly,
+    and each block adds its left half's sources to its right half's rows
+    by FFT convolutions with the same step weights."""
+
+    @pytest.mark.parametrize("K", [240, 301])
+    def test_within_rounding_of_direct_sum(self, scaled_problem, K):
+        # the `scaled-synth` configuration (K = 240) and an odd K whose
+        # last blocks are cut short at K; measured 7.2e-16 and 5.8e-16
+        # of max|state|
+        problem = scaled_problem
+        u = pinv_apply(problem.operator(), problem.d_s.values.ravel()).values
+        grid = TimeGrid(problem.grid.T, K)
+        u = np.interp(np.arange(K) / K, np.arange(240) / 240, u)
+        args = (problem.y0, u, problem.F, problem.act, problem.basis, grid,
+                problem.alpha)
+        got = np.array(list(_node_states(*args)))
+        ref = direct_node_states(*args)
+        assert not np.array_equal(got, ref)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_single_leaf_runs_no_fft(self, setup, monkeypatch):
+        dom, basis, act, _ = setup
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("np.fft called")
+
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
+        monkeypatch.setattr(np.fft, "irfft", no_fft)
+        y0 = Field.from_function(dom, lambda x, y: 0.1 * np.cos(np.pi * x))
+        F = NonlinearTerm.square()
+        solve_semilinear(y0, None, F, act, basis, TimeGrid(3.0, 64), 0.5)
+        with pytest.raises(AssertionError, match="np.fft called"):
+            solve_semilinear(y0, None, F, act, basis, TimeGrid(3.0, 65), 0.5)
+
+    def test_fine_grid_peak_memory(self):
+        # example 2's first control repeated 64 times (K = 2560, 20 x 20
+        # modes), table built before tracing: the sources take 8.2 MB,
+        # and FFT chunks of at most _SLAB values per array add little to
+        # them (fixed 64-mode chunks traced 11.0 MB)
+        problem = load_config(bundled_config_path("example2.cfg")).problem()
+        u = pinv_apply(problem.operator(), problem.d_s.values.ravel()).values
+        grid = TimeGrid(problem.grid.T, 64 * problem.grid.K)
+        args = (problem.y0, np.repeat(u, 64), problem.F, problem.act,
+                problem.basis, grid, problem.alpha)
+        _step_weights(problem.basis, grid, problem.alpha)
+        sources = grid.K * problem.basis.eigenvalues.size * 8
+        assert _traced_peak(solve_semilinear, *args) < sources + 0.5e6
