@@ -13,7 +13,7 @@ E_(a,1)(-x) = 1 - x E_(a,a+1)(-x) the constant -lam c0 gives the free
 decay of the initial state, so the control drive and y0 ride in the
 history sum the steps take anyway.  Each step solves its equation by
 sweeps, one round trip to F's alias-free nodal grid each, mixed at
-depth one (Anderson); they start from F extrapolated linearly in time.
+depth one (Anderson); they start from F extrapolated cubically in time.
 A step settles by one test, its residual within TOL_PICARD, and hands
 the F of its last sweep to the next step.  A step whose sweeps do not
 settle keeps its predictor, the explicit step with the nonlinearity
@@ -49,6 +49,10 @@ __all__ = [
 
 TOL_PICARD = 1e-10
 MAX_SWEEPS = 50
+
+# The sweeps' start: weights of F at the last one to four nodes, newest
+# first, in its polynomial extrapolation to the step end
+_START = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
 
 
 class SemilinearDivergenceError(RuntimeError):
@@ -242,10 +246,12 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
     step solves that equation for its end state by sweeps x -> G(x), one
     nodal/spectral round trip each, with depth-one Anderson mixing
     (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011).  The sweeps start
-    from F extrapolated linearly in time from the last two nodes; on the
-    first step that is the predictor (F frozen at the step start).  A
-    step settles when |G(x) - x| <= TOL_PICARD max(1, |G(x)|); it keeps
-    G(x) and hands the F of its last sweep to the next step.  Sweeps that
+    from F extrapolated cubically in time through the last four nodes
+    (the first three steps: the predictor, F frozen at the step start,
+    then the linear and quadratic forms); against the linear form that
+    cuts `scaled-synth`'s round trips from 7,408 to 3,990.  A step
+    settles when |G(x) - x| <= TOL_PICARD max(1, |G(x)|); it keeps G(x)
+    and hands the F of its last sweep to the next step.  Sweeps that
     grow twice in a row, turn non-finite or run out of MAX_SWEEPS leave
     the step unsettled: it keeps the predictor, and F is evaluated there
     once more.  The loop holds the step weights and one (K x modes)
@@ -254,7 +260,7 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
     _LEAF, is known, the h = m & -m sources before it are added to the h
     rows after it, the dyadic plan of Hairer, Lubich & Schlichte.  The
     first leaf reads no far history, so one leaf gives the direct sum's
-    bits; at K = 240 (30 x 30 modes) the states move by 6e-16 of max|state|.
+    bits; at K = 240 (30 x 30 modes) the states move by 7e-16 of max|state|.
     """
     alpha = check_order(alpha)
     b = actuator_coefficients(act, basis)
@@ -272,12 +278,10 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
     # act on that, so the floating-point warnings are silenced, one step
     # at a time: the caller's settings hold wherever the loop yields
     with np.errstate(over="ignore", invalid="ignore"):
-        # projected F at the previous node and at the one before it
+        # projected F at the previous node
         f_prev = project(c0)
     yield c0
-    # with f_back = f_prev the extrapolation 2 f_prev - f_back is f_prev
-    # exactly: the first step starts from the predictor
-    f_back = f_prev
+    f_last = [f_prev]  # F at the last nodes, newest first
     for n in range(1, grid.K + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             k = n - 1
@@ -293,9 +297,9 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
             # G(x) = anchor + half_w0 F(x): the step end's half of the
             # averaged source is all a sweep adds
             anchor = base + (drive + 0.5 * f_prev) * w0
-            # F at the step end extrapolated linearly from the last two
-            # nodes
-            state = anchor + half_w0 * (2.0 * f_prev - f_back)
+            # F at the step end extrapolated from the last nodes
+            start = sum(c * f for c, f in zip(_START[len(f_last) - 1], f_last))
+            state = anchor + half_w0 * start
             prev_d2 = math.inf
             growth = 0
             f_end = None  # F at a settled state, from its last sweep
@@ -353,5 +357,5 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
             s[k] = drive + fk
             if n % _LEAF == 0 and n < grid.K:
                 _add_far_history(s, Wd, n, n & -n)
-            f_back, f_prev = f_prev, f_end
+            f_prev, f_last = f_end, [f_end] + f_last[:3]
         yield state

@@ -27,8 +27,8 @@ steps the reference loop reports.  The solver's trajectories are bounded
 against it, not against either loop's path.
 
 `direct_node_states` is the solver's own step loop with its history summed
-as it was before the block plan: every earlier source at its kernel weight,
-by one einsum per step.  The block plan moves the states by rounding only.
+directly: every earlier source at its kernel weight, by one einsum per
+step.  The solver's block FFTs move the states by rounding only.
 """
 
 from dataclasses import dataclass

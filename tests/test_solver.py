@@ -196,6 +196,26 @@ class TestSolveSemilinear:
             )
 
 
+def _count_projections(monkeypatch):
+    """A list that gains one entry per call of the solver's F projection:
+    every sweep and every fresh F at a settled state is one nodal/spectral
+    round trip."""
+    calls = []
+    projection = solver._f_projection
+
+    def counted(F, basis):
+        project = projection(F, basis)
+
+        def count(c):
+            calls.append(None)
+            return project(c)
+
+        return count
+
+    monkeypatch.setattr(solver, "_f_projection", counted)
+    return calls
+
+
 class TestStepEquation:
     """The solver against the step equation it solves.
 
@@ -234,10 +254,12 @@ class TestStepEquation:
         assert np.max(np.abs(got - exact)) <= bound
 
     @pytest.mark.parametrize("name, round_trips, iterations", [
-        # plain Picard sweeps took 17,269 and 10,136 round trips
-        ("example1", 9_500, 35),
-        ("example2", 6_500, 36),
-    ])
+        # plain Picard sweeps took 17,269 and 10,136 round trips; sweeps
+        # started from F extrapolated linearly took 8,367 and 5,451, and
+        # from the cubic extrapolation 7,712 and 4,919
+        ("example1", 8_100, 35),
+        ("example2", 5_200, 36),
+    ], ids=["example1", "example2"])
     def test_round_trips(self, monkeypatch, name, round_trips, iterations):
         problem = load_config(bundled_config_path(f"{name}.cfg")).problem()
 
@@ -255,30 +277,25 @@ class TestStepEquation:
 
         exact = run(step_equation)
         picard = run(lambda *args: solve_semilinear_reference(*args)[0])
-        # every sweep and every fresh F at a settled state is one
-        # nodal/spectral round trip, one call of the solver's F projection
-        calls = []
-        projection = solver._f_projection
-
-        def counted(F, basis):
-            project = projection(F, basis)
-
-            def count(c):
-                calls.append(None)
-                return project(c)
-
-            return count
-
-        monkeypatch.setattr(solver, "_f_projection", counted)
+        calls = _count_projections(monkeypatch)
         got = run(solve_semilinear)
         assert len(calls) <= round_trips
         # the outer loop amplifies per-step differences of 1e-11 to about
         # 1e-5 in the last boundary error where they come from the floor
         # test: the plain Picard loop's is 1.6e-5 (example 1) and 8.4e-8
         # (example 2) away from the step equation's.  The solver settles
-        # by TOL_PICARD alone and is 3.3e-8 and 6.3e-8 away.
+        # by TOL_PICARD alone and is 1.2e-8 and 2.7e-8 away (3.3e-8 and
+        # 6.3e-8 with sweeps started from the linear extrapolation).
         assert picard == pytest.approx(exact, rel=2e-5)
         assert got == pytest.approx(exact, rel=1e-7)
+
+    def test_scaled_synth_round_trips(self, scaled_problem, monkeypatch):
+        # the `scaled-synth` benchmark's 12 iterations: 7,408 round trips
+        # from the linear extrapolation, 3,990 from the cubic one
+        calls = _count_projections(monkeypatch)
+        report = algorithm1(scaled_problem)[2]
+        assert (report.status, report.iterations) == ("max-iterations", 12)
+        assert len(calls) <= 4_200
 
 
 class TestSweepLoopBitIdentical:
