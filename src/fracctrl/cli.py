@@ -93,13 +93,6 @@ def _run_one(cfg, outdir):
                   else "failed")
         return _stopped(cfg, outdir, hyp, status, exc, t_start)
     status = report.status
-    if not report.iterations:
-        # the loop returned before its first row: picard_sequence's first
-        # state is not finite or its first update exceeds the norm bound
-        return _stopped(cfg, outdir, hyp, status,
-                        "the loop stopped before completing an iteration",
-                        t_start)
-
     grid = cfg.grid
     final = traj.final_field()
     prof = trace(final, cfg.gamma)

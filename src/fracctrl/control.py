@@ -2,9 +2,10 @@
 
 Discretizes the reachability map from piecewise-constant controls to the
 state on a target region at time T, applies its Tikhonov-regularized
-pseudo-inverse, and runs the two outer iterations that handle the
-nonlinearity: the fixed-point control sequence and the residual-update
-loop.
+pseudo-inverse, and runs the outer loop that handles the nonlinearity.
+The residual-update loop and the fixed-point control sequence are that
+one loop, u_n = pinv(r_n) with one report row per simulated control,
+and differ only in how they update r_n and when they stop.
 
 The pseudo-inverse is the Tikhonov filter form u = V diag(sigma / (sigma^2
 + lambda)) U^T rw in one thin SVD Mw = U diag(sigma) V^T of the weighted
@@ -45,7 +46,6 @@ __all__ = [
 N_MAX = 50
 STOP_METRICS = ("l2", "im")
 DIVERGENCE_STREAK = 5
-CONTROL_NORM_BOUND = 1e8
 
 
 class GramConditionError(RuntimeError):
@@ -194,7 +194,7 @@ def boundary_error(traj, zd, gamma):
 
 @dataclass
 class IterationReport:
-    """Per-iteration record of an outer control loop."""
+    """Outer-loop record: row n describes the control simulated at step n."""
 
     residuals: list = field(default_factory=list)
     boundary_errors: list = field(default_factory=list)
@@ -263,46 +263,46 @@ class ControlProblem:
         return self._operator
 
 
-def _reached_values(problem, u):
-    """Simulate the semilinear system and evaluate the final state on
+def _reached_values(problem, u_values, F):
+    """Simulate the system from y0 and evaluate the final state on
     omega_c; returns (flattened target values, trajectory)."""
     traj = solve_semilinear(
-        problem.y0, u.values, problem.F, problem.act, problem.basis,
+        problem.y0, u_values, F, problem.act, problem.basis,
         problem.grid, problem.alpha,
     )
     return restrict(traj.final_field(), problem.omega_c).values.ravel(), traj
 
 
-def algorithm1(problem):
-    """Residual-update loop: repeatedly re-aim the pseudo-inverse at an
-    accumulated residual until the reached state stalls within eps.
+def _outer_loop(problem, update, stop, u0=None):
+    """The outer iteration of both methods.
 
-    r_1 = d_s (minus the free evolution of y0 when present); then
-    u_n = pinv(r_n), r_(n+1) = r_n + (d_s - reached(u_n)); the stopping
-    metric |r_(n+1) - r_n| is exactly the reached-state error on omega_c.
+    r_1 = d_s, minus the free evolution of y0 when y0 is nonzero.  Step n
+    simulates u_n = pinv(r_n) and records row n for that control (its
+    diff |u_n - u_(n-1)| is nan when u0 is None), then stops once
+    stop(d_s - reached, report) <= eps or sets r_(n+1) = update(r_n, u_n,
+    reached, d_s - reached).  A non-finite residual, or one that grows at
+    DIVERGENCE_STREAK consecutive steps, is divergence.  A loop that does
+    not converge returns its best row's control and trajectory.
     """
     problem._check_metric()
+    if problem.n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {problem.n_max}")
     H = problem.operator()
     ds_vec = problem.d_s.values.ravel()
-    r = ds_vec.copy()
+    r = ds_vec
     if np.any(problem.y0.values != 0.0):
-        free = solve_semilinear(
-            problem.y0, None, NonlinearTerm.none(), problem.act,
-            problem.basis, problem.grid, problem.alpha,
-        )
-        r = r - restrict(free.final_field(), problem.omega_c).values.ravel()
+        r = r - _reached_values(problem, None, NonlinearTerm.none())[0]
 
     report = IterationReport()
-    u_prev = None
+    u_prev = u0
     best_u, best_traj, best_res = None, None, math.inf
     prev_res = math.inf
     growth_streak = 0
     for _ in range(problem.n_max):
         u = pinv_apply(H, r)
-        reached, traj = _reached_values(problem, u)
+        reached, traj = _reached_values(problem, u.values, problem.F)
         # a state or control beyond floating point overflows the norms
-        # of this row; a non-finite residual is recorded as inf and
-        # counts as divergence
+        # of this row; a non-finite residual is recorded as inf
         with np.errstate(over="ignore", invalid="ignore"):
             resid_vec = ds_vec - reached
             res = H.target_norm(resid_vec)
@@ -318,86 +318,59 @@ def algorithm1(problem):
             )
         u_prev = u
 
-        if not math.isfinite(res):
-            report.status = "diverged"
-            if best_u is None:
-                best_u, best_traj = u, traj
-            return best_u, best_traj, report
-        if res < best_res:
+        if best_u is None or res < best_res:
             best_u, best_traj, best_res = u, traj, res
-        # divergence = the residual growing at each of DIVERGENCE_STREAK
-        # consecutive iterations (transient bounces are tolerated)
-        if res > prev_res:
-            growth_streak += 1
-            if growth_streak >= DIVERGENCE_STREAK:
-                report.status = "diverged"
-                return best_u, best_traj, report
-        else:
-            growth_streak = 0
+        growth_streak = growth_streak + 1 if res > prev_res else 0
         prev_res = res
-        if problem.stop_metric == "im":
-            # |r_(n+1) - r_n| measured through the pseudo-inverse, i.e. as
-            # the control adjustment the residual update still demands
-            stop_val = pinv_apply(H, resid_vec).norm()
-        else:
-            stop_val = res
-        if stop_val <= problem.eps:
+        if not math.isfinite(res) or growth_streak >= DIVERGENCE_STREAK:
+            report.status = "diverged"
+            return best_u, best_traj, report
+        if stop(resid_vec, report) <= problem.eps:
             report.status = "converged"
             return u, traj, report
-        r = r + resid_vec
+        r = update(r, u, reached, resid_vec)
     report.status = "max-iterations"
     return best_u, best_traj, report
 
 
+def algorithm1(problem):
+    """Residual-update loop: repeatedly re-aim the pseudo-inverse at an
+    accumulated residual until the reached state stalls within eps.
+
+    r_1 = d_s (minus the free evolution of y0 when present); then
+    u_n = pinv(r_n), r_(n+1) = r_n + (d_s - reached(u_n)); the stopping
+    metric |r_(n+1) - r_n| is exactly the reached-state error on omega_c.
+    """
+    def stop(resid_vec, report):
+        if problem.stop_metric == "im":
+            # |r_(n+1) - r_n| measured through the pseudo-inverse, i.e. as
+            # the control adjustment the residual update still demands
+            return pinv_apply(problem.operator(), resid_vec).norm()
+        return report.residuals[-1]
+
+    return _outer_loop(
+        problem, lambda r, u, reached, resid_vec: r + resid_vec, stop
+    )
+
+
 def picard_sequence(problem):
     """Fixed-point control sequence for the semilinear system with y0 = 0:
-    u_(n+1) = pinv(d_s - nonlinear correction reached under u_n).
+    u_(n+1) = pinv(d_s - nonlinear correction reached under u_n), from
+    u_0 = 0, whose correction is 0, so u_1 = pinv(d_s).
 
     The correction (the convolution of the kernel with F(y) restricted to
     the target) is recovered from the simulation as reached(u_n) - M u_n,
-    which is exact for the discrete mild solution.
+    which is exact for the discrete mild solution.  The sequence stops
+    once |u_n - u_(n-1)| <= eps.
     """
-    problem._check_metric()
     if np.any(problem.y0.values != 0.0):
         raise ValueError("the fixed-point sequence requires y0 = 0")
-    H = problem.operator()
     ds_vec = problem.d_s.values.ravel()
-
-    report = IterationReport()
-    u = ControlSignal(np.zeros(problem.grid.K), problem.grid)
-    for _ in range(problem.n_max):
-        reached, traj = _reached_values(problem, u)
-        if not np.all(np.isfinite(reached)):
-            report.status = "diverged"
-            return u, traj, report
-        nonlinear = reached - H.apply(u.values)
-        u_next = pinv_apply(H, ds_vec - nonlinear)
-        if u_next.norm() > CONTROL_NORM_BOUND:
-            # return the control that produced traj, not the runaway one
-            report.status = "diverged"
-            return u, traj, report
-
-        diff = math.sqrt(
-            float(np.sum((u_next.values - u.values) ** 2)) * problem.grid.dt
-        )
-        resid = H.target_norm(ds_vec - reached)
-        report.residuals.append(resid)
-        report.boundary_errors.append(
-            boundary_error(traj, problem.zd, problem.gamma)
-        )
-        report.costs.append(u_next.cost())
-        report.control_diffs.append(diff)
-        u = u_next
-        if diff <= problem.eps:
-            report.status = "converged"
-            break
-    else:
-        report.status = "max-iterations"
-    # one confirming simulation with the accepted control, so the returned
-    # control, trajectory and last report row all describe the same run
-    reached, traj = _reached_values(problem, u)
-    report.residuals[-1] = H.target_norm(ds_vec - reached)
-    report.boundary_errors[-1] = boundary_error(
-        traj, problem.zd, problem.gamma
+    return _outer_loop(
+        problem,
+        lambda r, u, reached, resid_vec: (
+            ds_vec - (reached - problem.operator().apply(u.values))
+        ),
+        lambda resid_vec, report: report.control_diffs[-1],
+        u0=ControlSignal(np.zeros(problem.grid.K), problem.grid),
     )
-    return u, traj, report

@@ -34,6 +34,7 @@ from fracctrl.domain import (
 from fracctrl.mittag import ml
 from fracctrl.solver import (
     NonlinearTerm,
+    SemilinearDivergenceError,
     TimeGrid,
     _node_states,
     _step_weights,
@@ -521,17 +522,49 @@ class TestPicardSequence:
         assert len(ratios) >= 1
         assert all(r < 1.0 for r in ratios[1:])
 
-
-    def test_norm_bound_divergence_returns_simulated_control(
-            self, setup, monkeypatch):
-        # the returned control is the one that produced the trajectory,
-        # not the rejected oversized update
-        monkeypatch.setattr("fracctrl.control.CONTROL_NORM_BOUND", 1e-6)
+    def test_runaway_control_raises_divergence(self, setup):
+        # u_1 = pinv(d_s) drives the square nonlinearity out of the
+        # solver's contraction regime: the solve raises, as it does under
+        # algorithm1
         problem = _example_problem(setup, NonlinearTerm.square())
-        u, traj, report = picard_sequence(problem)
-        assert report.status == "diverged"
-        assert np.array_equal(u.values, traj.control)
+        for loop in (picard_sequence, algorithm1):
+            with pytest.raises(SemilinearDivergenceError):
+                loop(problem)
 
+    def test_one_solve_per_row(self, setup, monkeypatch):
+        # row n describes the control simulated at step n: u_0 = 0 reaches
+        # the zero state, so it is not simulated and u_1 = pinv(d_s)
+        problem = _example_problem(
+            setup, NonlinearTerm.square(), eps=1e-6, lambda_reg=1e-8,
+        )
+        problem.d_s = GridPatch(
+            x=problem.d_s.x, y=problem.d_s.y,
+            values=problem.d_s.values * 1e-2,
+        )
+        problem.zd = problem.zd * 1e-2
+        controls = []
+
+        def spy(y0, u, *args, **kwargs):
+            controls.append(u)
+            return solve_semilinear(y0, u, *args, **kwargs)
+
+        monkeypatch.setattr(control, "solve_semilinear", spy)
+        u, traj, report = picard_sequence(problem)
+        assert report.converged
+        assert len(controls) == report.iterations >= 2
+        H = problem.operator()
+        ds_vec = problem.d_s.values.ravel()
+        assert np.array_equal(controls[0], pinv_apply(H, ds_vec).values)
+        for n, values in enumerate(controls):
+            fresh = solve_semilinear(
+                problem.y0, values, problem.F, problem.act, problem.basis,
+                problem.grid, problem.alpha,
+            )
+            reached = restrict(fresh.final_field(), problem.omega_c).values
+            assert report.residuals[n] == H.target_norm(
+                ds_vec - reached.ravel())
+            assert report.boundary_errors[n] == boundary_error(
+                fresh, problem.zd, problem.gamma)
 
     def test_max_iterations_returns_simulated_control(self, setup):
         # the loop runs out with an accepted update: it is simulated before
@@ -561,6 +594,15 @@ class TestPicardSequence:
         assert report.residuals[-1] == problem.operator().target_norm(
             problem.d_s.values.ravel() - reached.ravel()
         )
+
+
+@pytest.mark.parametrize("loop", [algorithm1, picard_sequence])
+def test_loops_reject_n_max_below_one(setup, loop):
+    problem = dataclasses.replace(
+        _example_problem(setup, NonlinearTerm.none()), n_max=0
+    )
+    with pytest.raises(ValueError, match="n_max"):
+        loop(problem)
 
 
 class TestOperatorPerProblem:
