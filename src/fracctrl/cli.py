@@ -27,12 +27,7 @@ from .config import (
     load_config,
     read_ini,
 )
-from .control import (
-    GramConditionError,
-    algorithm1,
-    boundary_error,
-    picard_sequence,
-)
+from .control import GramConditionError, algorithm1, picard_sequence
 from .diagnostics import EnvelopeError, hypothesis_report
 from .domain import restrict, trace
 from .mittag import MLEvaluationError
@@ -117,18 +112,16 @@ def _run_one(cfg, outdir):
         np.savetxt(outdir / name, np.column_stack(columns), fmt=fmt,
                    header=header, comments="# ")
 
-    # the returned control and its state, which a non-converged loop
-    # takes from its best row rather than its last
-    with np.errstate(over="ignore", invalid="ignore"):
-        summary = {
-            "status": status,
-            "iterations": report.iterations,
-            "boundary_error": boundary_error(traj, cfg.zd, cfg.gamma),
-            "residual": cfg.operator().target_norm(
-                cfg.d_s.values.ravel() - patch.values.ravel()
-            ),
-            "cost": u.cost(),
-        }
+    # the row of the returned control, which a non-converged loop takes
+    # from its best row rather than its last
+    row = report.returned
+    summary = {
+        "status": status,
+        "iterations": report.iterations,
+        "boundary_error": report.boundary_errors[row],
+        "residual": report.residuals[row],
+        "cost": report.costs[row],
+    }
     _write_manifest(cfg, outdir, hyp, summary, t_start)
     return (EXIT_OK if status == "converged" else EXIT_DIVERGED), summary
 

@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .control import STOP_METRICS, ControlProblem
+from .control import ControlProblem
 from .domain import (
     Actuator,
     Field,
@@ -108,11 +108,11 @@ def _finite(text):
     return value
 
 
-def _floats(n=None):
-    """Parser of a list of finite numbers, n of them unless n is None."""
+def _floats(n):
+    """Parser of a list of n finite numbers."""
     def parse(text):
         vals = [_finite(v) for v in text.replace(",", " ").split()]
-        if n is not None and len(vals) != n:
+        if len(vals) != n:
             raise ValueError(f"needs {n} numbers, got {len(vals)}")
         return vals
     return parse
@@ -156,10 +156,6 @@ _KEYS = {
     ("regions", "omega_c"): (_floats(4), _REQUIRED, None),
     ("target", "z_d"): (parse_poly, _REQUIRED, None),
     ("target", "d_s"): (parse_poly, None, None),
-    ("target", "extension_profile"): (
-        _floats(), "smoothstep",
-        ((lambda c: c and abs(c[0] - 1.0) <= 1e-12),
-         "leading coefficient must be 1 so the trace matches z_d")),
     ("initial", "y0"): (parse_poly, "zero", None),
     ("loop", "eps"): (_finite, _LOOP["eps"], _POSITIVE),
     # the default (negative) selects the trace-scaled lambda
@@ -167,8 +163,6 @@ _KEYS = {
         _finite, _LOOP["lambda_reg"], ((lambda v: v >= 0.0), "must be >= 0")),
     ("loop", "n_max"): (
         int, _LOOP["n_max"], ((lambda n: n >= 1), "must be >= 1")),
-    ("loop", "stop_metric"): (
-        str.strip, _LOOP["stop_metric"], _one_of(STOP_METRICS)),
     ("loop", "method"): (str.strip, "algorithm1", _one_of(METHODS)),
     ("run", "seed"): (int, 0, None),
 }
@@ -289,13 +283,10 @@ def load_config(path):
     # boundary target: full 2-D polynomial evaluated on the segment nodes
     zd = on_gamma(read("target", "z_d"))
 
-    # target extension into omega_c: explicit polynomial, a polynomial
-    # decay profile in the inward coordinate, or the default smooth decay
+    # target extension into omega_c: explicit polynomial, or z_d times
+    # the smoothstep decay
     ds_terms = read("target", "d_s")
     if ds_terms is not None:
-        if cp.has_option("target", "extension_profile"):
-            raise ConfigError(path, "target", "extension_profile",
-                              "cannot be given together with d_s")
         xs, ys = domain.x[ix], domain.y[iy]
         d_s = GridPatch(x=xs, y=ys, values=eval_poly(ds_terms, xs, ys))
         if not np.allclose(on_gamma(ds_terms), zd, atol=1e-9):
@@ -304,18 +295,10 @@ def load_config(path):
                 "trace on the boundary segment does not match z_d",
             )
     else:
-        coefs = read("target", "extension_profile")
-        b = omega_c.bounds
-        width = b[1] - b[0] if gamma.side in ("left", "right") else b[3] - b[2]
-
-        def decay(depth):
-            return np.polynomial.polynomial.polyval(depth * width, coefs)
-
         # the extension needs Gamma on the edge of omega_c that touches
         # the domain boundary
         with _anchored(path, "regions", "-"):
-            d_s = extend_target(zd, omega_c, gamma, domain, profile=(
-                None if coefs == "smoothstep" else decay))
+            d_s = extend_target(zd, omega_c, gamma, domain)
 
     y0_terms = read("initial", "y0")
     y0 = Field.zero(domain) if y0_terms == "zero" else Field(
@@ -323,7 +306,7 @@ def load_config(path):
 
     # the [loop] keys are named as the fields they set
     loop = {k: read("loop", k) for k in ("eps", "lambda_reg", "n_max",
-                                         "stop_metric", "method")}
+                                         "method")}
     seed = read("run", "seed")
     for section in cp.sections():
         for key in cp.options(section):

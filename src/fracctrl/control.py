@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 N_MAX = 50
-STOP_METRICS = ("l2", "im")
 DIVERGENCE_STREAK = 5
 
 
@@ -194,13 +193,15 @@ def boundary_error(traj, zd, gamma):
 
 @dataclass
 class IterationReport:
-    """Outer-loop record: row n describes the control simulated at step n."""
+    """Outer-loop record: row n describes the control simulated at step n;
+    `returned` is the index of the row whose control the loop returned."""
 
     residuals: list = field(default_factory=list)
     boundary_errors: list = field(default_factory=list)
     costs: list = field(default_factory=list)
     control_diffs: list = field(default_factory=list)
     status: str = "running"
+    returned: int = None
 
     @property
     def iterations(self):
@@ -232,18 +233,8 @@ class ControlProblem:
     eps: float = 1e-3
     lambda_reg: float = -1.0
     n_max: int = N_MAX
-    stop_metric: str = "l2"  # "l2": reached-state error on omega_c;
-    # "im": pre-image norm |pinv(r_(n+1) - r_n)|_U, which ignores target
-    # components outside the reachable set
     _operator: object = field(default=None, init=False, repr=False,
                               compare=False)  # see operator()
-
-    def _check_metric(self):
-        if self.stop_metric not in STOP_METRICS:
-            raise ValueError(
-                f"stop_metric must be one of {STOP_METRICS}, "
-                f"got {self.stop_metric!r}"
-            )
 
     def __post_init__(self):
         if self.y0 is None:
@@ -279,12 +270,11 @@ def _outer_loop(problem, update, stop, u0=None):
     r_1 = d_s, minus the free evolution of y0 when y0 is nonzero.  Step n
     simulates u_n = pinv(r_n) and records row n for that control (its
     diff |u_n - u_(n-1)| is nan when u0 is None), then stops once
-    stop(d_s - reached, report) <= eps or sets r_(n+1) = update(r_n, u_n,
-    reached, d_s - reached).  A non-finite residual, or one that grows at
+    stop(report) <= eps or sets r_(n+1) = update(r_n, u_n, reached,
+    d_s - reached).  A non-finite residual, or one that grows at
     DIVERGENCE_STREAK consecutive steps, is divergence.  A loop that does
     not converge returns its best row's control and trajectory.
     """
-    problem._check_metric()
     if problem.n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {problem.n_max}")
     H = problem.operator()
@@ -295,7 +285,7 @@ def _outer_loop(problem, update, stop, u0=None):
 
     report = IterationReport()
     u_prev = u0
-    best_u, best_traj, best_res = None, None, math.inf
+    best_u = best_traj = None
     prev_res = math.inf
     growth_streak = 0
     for _ in range(problem.n_max):
@@ -318,15 +308,17 @@ def _outer_loop(problem, update, stop, u0=None):
             )
         u_prev = u
 
-        if best_u is None or res < best_res:
-            best_u, best_traj, best_res = u, traj, res
+        if best_u is None or res < report.residuals[report.returned]:
+            best_u, best_traj = u, traj
+            report.returned = report.iterations - 1
         growth_streak = growth_streak + 1 if res > prev_res else 0
         prev_res = res
         if not math.isfinite(res) or growth_streak >= DIVERGENCE_STREAK:
             report.status = "diverged"
             return best_u, best_traj, report
-        if stop(resid_vec, report) <= problem.eps:
+        if stop(report) <= problem.eps:
             report.status = "converged"
+            report.returned = report.iterations - 1
             return u, traj, report
         r = update(r, u, reached, resid_vec)
     report.status = "max-iterations"
@@ -341,15 +333,9 @@ def algorithm1(problem):
     u_n = pinv(r_n), r_(n+1) = r_n + (d_s - reached(u_n)); the stopping
     metric |r_(n+1) - r_n| is exactly the reached-state error on omega_c.
     """
-    def stop(resid_vec, report):
-        if problem.stop_metric == "im":
-            # |r_(n+1) - r_n| measured through the pseudo-inverse, i.e. as
-            # the control adjustment the residual update still demands
-            return pinv_apply(problem.operator(), resid_vec).norm()
-        return report.residuals[-1]
-
     return _outer_loop(
-        problem, lambda r, u, reached, resid_vec: r + resid_vec, stop
+        problem, lambda r, u, reached, resid_vec: r + resid_vec,
+        lambda report: report.residuals[-1],
     )
 
 
@@ -371,6 +357,6 @@ def picard_sequence(problem):
         lambda r, u, reached, resid_vec: (
             ds_vec - (reached - problem.operator().apply(u.values))
         ),
-        lambda resid_vec, report: report.control_diffs[-1],
+        lambda report: report.control_diffs[-1],
         u0=ControlSignal(np.zeros(problem.grid.K), problem.grid),
     )

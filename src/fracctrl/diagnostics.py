@@ -3,9 +3,10 @@
 Estimates the constants that enter the small-data contraction argument:
 the L1-in-time kernel norm A1, the pseudo-inverse gain mu, the L2 norm of
 the scalar kernel g_alpha, a closed-form bracket of the Lipschitz modulus
-of the nonlinearity, the admissible target radius kappa with its margins
-m_kappa and rho_kappa, the contraction factor A_s, and a Gram-spectrum
-proxy for approximate controllability of the linearized system.
+of the nonlinearity, the target radius kappa* that maximises the margin
+rho_kappa, with m_kappa, rho_kappa and the contraction factor A_s there,
+and a Gram-spectrum proxy for approximate controllability of the
+linearized system.
 
 A1 is computed in closed form.  In u = t^alpha the integrand is the
 upper envelope of the mode curves f_j(u) = (lam_j + 1)^q
@@ -280,7 +281,7 @@ class HypothesisReport:
             f"  |g_alpha| (L2, grid level) : {self.g_norm:.6e}",
             f"  F_N(r,0) / r^(p-1) bracket : [{self.fn_lower:.6e}, "
             f"{self.fn_upper:.6e}]",
-            f"  kappa (admissible radius)  : {self.kappa:.6e}",
+            f"  kappa* (largest rho_kappa) : {self.kappa:.6e}",
             f"  m_kappa                    : {self.m_kappa:.6e}",
             f"  rho_kappa                  : {self.rho_kappa:.6e}",
             f"  A_s (contraction factor)   : {self.a_s:.6e}",
@@ -293,36 +294,37 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
-def hypothesis_report(problem, q=0.5, radii=None):
+def hypothesis_report(problem):
     """Full hypothesis check for a control problem.
 
     'controllability' is satisfied when the smallest singular value of
-    the weighted reachability matrix is positive.  For the upper end of
-    the Lipschitz bracket, F_N(r, 0) = upper r^(p-1) grows with r, so the
-    admissible radius kappa is the largest radius with
-    F_N(kappa, 0) < 1 / (A1 + A2), A2 = mu |g|; then
-    m_kappa = (kappa/mu) (1 - A1 F_N(kappa, 0)),
-    rho_kappa = (kappa/mu) (1 - (A1 + A2) F_N(kappa, 0)) and
-    A_s = A2 F_N(kappa, 0) / (1 - A1 F_N(kappa, 0)).  With no admissible
-    radius, or mu 0 or inf (a dead actuator), kappa and the margins are 0
-    and A_s is inf.  'small-data-contraction' is satisfied when A_s < 1.
+    the weighted reachability matrix is positive.  A1 is taken into the
+    fractional power space of order 1/2.  With A2 = mu |g| and the upper
+    end of the Lipschitz bracket, F_N(r, 0) = upper r^(p-1), the margin
+    rho_r = (r/mu) (1 - (A1 + A2) F_N(r, 0)) is largest at
+    kappa = (1 / (p c))^(1/(p-1)), c = (A1 + A2) upper, where
+    F_N(kappa, 0) = 1 / (p (A1 + A2)); there
+    m_kappa = (kappa/mu) (1 - A1 F_N(kappa, 0)), rho_kappa = rho_r and
+    A_s = A2 F_N(kappa, 0) / (1 - A1 F_N(kappa, 0))
+        = A2 / ((p - 1) A1 + p A2) < 1/p,
+    so A_s is reported as a number, with no verdict.  For F = none kappa
+    and the margins are inf and A_s is 0; with mu 0 or inf (a dead
+    actuator) kappa and the margins are 0 and A_s is inf.
     """
-    if radii is None:
-        radii = np.geomspace(1e-4, 1.0, 9)
-    radii = np.asarray(radii, dtype=float)
     H = problem.operator()
     mu = pinv_gain(H)
     sig = H.svd()[1]
-    a1 = estimate_A1(problem.basis, problem.grid, problem.alpha, q)
+    a1 = estimate_A1(problem.basis, problem.grid, problem.alpha, 0.5)
     g_norm = g_alpha_norm(problem.grid, problem.alpha)
     lower, upper = lipschitz_bracket(problem.F, problem.basis)
     a2 = mu * g_norm
-    fn = upper * radii ** (problem.F.power - 1)
-    ok = np.flatnonzero(fn < 1.0 / (a1 + a2))
     kappa = m_kappa = rho_kappa = 0.0
     a_s = math.inf
-    if ok.size and 0.0 < mu < math.inf:
-        kappa, f = float(radii[ok[-1]]), float(fn[ok[-1]])
+    if 0.0 < mu < math.inf:
+        # F_N(kappa, 0); F = none has F_N = 0 at every radius
+        p = problem.F.power
+        f = 1.0 / (p * (a1 + a2)) if upper > 0.0 else 0.0
+        kappa = (f / upper) ** (1.0 / (p - 1)) if upper > 0.0 else math.inf
         m_kappa = (kappa / mu) * (1.0 - a1 * f)
         rho_kappa = (kappa / mu) * (1.0 - (a1 + a2) * f)
         a_s = a2 * f / (1.0 - a1 * f)
@@ -331,10 +333,6 @@ def hypothesis_report(problem, q=0.5, radii=None):
         kappa=kappa, m_kappa=m_kappa, rho_kappa=rho_kappa, a_s=a_s,
         gram_sigma_min=float(sig[-1]), gram_sigma_max=float(sig[0]),
         effective_rank=int(np.count_nonzero(sig > 1e-8 * sig[0])),
-        verdicts={
-            "controllability": "satisfied" if sig[-1] > 0.0 else "violated",
-            "small-data-contraction": (
-                "satisfied" if a_s < 1.0 else "violated"
-            ),
-        },
+        verdicts={"controllability": (
+            "satisfied" if sig[-1] > 0.0 else "violated")},
     )

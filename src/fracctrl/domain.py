@@ -384,12 +384,12 @@ def _smooth_decay(t):
     return 1.0 - t * t * (3.0 - 2.0 * t)
 
 
-def extend_target(zd, omega_c, gamma, domain, profile=None):
+def extend_target(zd, omega_c, gamma, domain):
     """Extend a boundary target from Gamma into omega_c (the operator R).
 
-    The default extension is separable: the tangential trace (continued as
-    a constant beyond the ends of Gamma) multiplied by a decay profile in
-    the normal coordinate that equals 1 on Gamma — so the trace of the
+    The extension is separable: the tangential trace (continued as a
+    constant beyond the ends of Gamma) multiplied by the smoothstep decay
+    in the normal coordinate, which equals 1 on Gamma — so the trace of the
     result reproduces zd at the grid nodes exactly — and falls smoothly to
     0 at the far face of omega_c.
     """
@@ -399,8 +399,6 @@ def extend_target(zd, omega_c, gamma, domain, profile=None):
     ix, iy = region_nodes(domain, omega_c)
     gamma._check_inside(domain)
     _validate_adjacency(domain, gamma, omega_c)
-    if profile is None:
-        profile = _smooth_decay
 
     x0, x1, y0, y1 = omega_c.bounds
     xs, ys = domain.x[ix], domain.y[iy]
@@ -429,7 +427,7 @@ def extend_target(zd, omega_c, gamma, domain, profile=None):
     line[: gnodes[0]] = zd[0]
     line[gnodes[-1] + 1:] = zd[-1]
 
-    decay = profile(depth)
+    decay = _smooth_decay(depth)
     if gamma.side in ("left", "right"):
         values = decay[:, None] * line[None, :]
     else:

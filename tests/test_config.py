@@ -110,7 +110,8 @@ class TestLoadConfig:
         # defaults are materialized into the resolved view
         assert cfg.resolved["loop.n_max"] == 50
         assert cfg.resolved["run.seed"] == 0
-        assert cfg.resolved["target.extension_profile"] == "smoothstep"
+        # an absent key without a default is left out
+        assert "target.d_s" not in cfg.resolved
 
     def test_problem_roundtrip(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))
@@ -192,7 +193,6 @@ class TestLoadConfig:
         assert len(str(exc.value).splitlines()) == 1
 
     @pytest.mark.parametrize("key,val", [
-        ("stop_metric", "sup"),
         ("method", "newton"),
     ])
     def test_rejects_bad_loop_options(self, tmp_path, key, val):
@@ -202,11 +202,26 @@ class TestLoadConfig:
 
     def test_target_mode_is_an_unknown_key(self, tmp_path, capsys):
         # a target on Gamma itself is an omega_c narrower than one node
-        # spacing on Gamma's edge; no key selects it
-        path = write_cfg(tmp_path, TINY + "target_mode = gamma\n")
-        assert main(["verify", "--config", path]) == EXIT_CONFIG
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "[loop] target_mode" in err[0]
+        # spacing on Gamma's edge; no key selects it.  The loop stops on
+        # the reached-state error and the extension decays by smoothstep,
+        # so neither has a key either, whatever its value and with d_s
+        # given or not
+        z_d = "z_d = (0, 0, 1e-3)"
+        for text, key in (
+            (TINY + "target_mode = gamma\n", "[loop] target_mode"),
+            (TINY + "stop_metric = l2\n", "[loop] stop_metric"),
+            (TINY + "stop_metric = sup\n", "[loop] stop_metric"),
+            (TINY.replace(z_d, z_d + "\nextension_profile = 0.5 -1.0"),
+             "[target] extension_profile"),
+            (TINY.replace(z_d, z_d + "\nd_s = (0, 0, 1e-3)\n"
+                          "extension_profile = 1.0 -2.0 1.0"),
+             "[target] extension_profile"),
+        ):
+            path = write_cfg(tmp_path, text)
+            assert main(["verify", "--config", path]) == EXIT_CONFIG
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            assert key in err[0] and err[0].endswith("unknown key")
 
     def test_explicit_ds_trace_must_match(self, tmp_path):
         # extension trace is 2e-3 but z_d is 1e-3
@@ -225,20 +240,10 @@ class TestLoadConfig:
         cfg = load_config(write_cfg(tmp_path, text))
         assert np.allclose(cfg.d_s.values[0, :], cfg.zd)
 
-    def test_extension_profile_leading_coeff(self, tmp_path):
-        text = TINY.replace(
-            "z_d = (0, 0, 1e-3)",
-            "z_d = (0, 0, 1e-3)\nextension_profile = 0.5 -1.0",
-        )
-        with pytest.raises(ConfigError):
-            load_config(write_cfg(tmp_path, text))
-
     def test_extension_profile_trace_exact(self, tmp_path):
-        text = TINY.replace(
-            "z_d = (0, 0, 1e-3)",
-            "z_d = (0, 0, 1e-3)\nextension_profile = 1.0 -2.0 1.0",
-        )
-        cfg = load_config(write_cfg(tmp_path, text))
+        # with no d_s the smoothstep profile, which is 1 on Gamma, extends
+        # z_d: the extension's first row is z_d itself
+        cfg = load_config(write_cfg(tmp_path))
         assert np.array_equal(cfg.d_s.values[0, :], cfg.zd)
 
     def test_initial_condition_polynomial(self, tmp_path):
@@ -274,7 +279,6 @@ class TestBundledConfigs:
             "loop.lambda_reg": 0.001875,
             "loop.method": "algorithm1",
             "loop.n_max": 50,
-            "loop.stop_metric": "l2",
             "problem.F": "square",
             "problem.T": 3.0,
             "problem.alpha": 0.3,

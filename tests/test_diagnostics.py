@@ -263,39 +263,36 @@ def _problem(basis, grid, gain, F=NonlinearTerm.square()):
 
 class TestComputeConstants:
     """The small-data constants of `hypothesis_report` for given A1, mu,
-    |g| and upper end of the Lipschitz bracket; F = y^2, so
-    F_N(r, 0) = upper * r."""
+    |g| and upper end of the Lipschitz bracket; F = y^p, so
+    F_N(r, 0) = upper * r^(p-1)."""
 
     @staticmethod
-    def _report(monkeypatch, a1, mu, g_norm, upper, radii):
+    def _report(monkeypatch, a1, mu, g_norm, upper, power=2):
         for name, value in (("estimate_A1", a1), ("pinv_gain", mu),
                             ("g_alpha_norm", g_norm),
                             ("lipschitz_bracket", (0.0, upper))):
             monkeypatch.setattr(diagnostics, name,
                                 lambda *args, _value=value: _value)
         problem = _problem(build_basis(RectDomain(1.0, 1.0, 26, 26), 10, 10),
-                           TimeGrid(3.0, 20), gain=1.0)
-        return hypothesis_report(problem, radii=radii)
+                           TimeGrid(3.0, 20), gain=1.0,
+                           F=NonlinearTerm.scaled_power(1.0, power))
+        return hypothesis_report(problem)
 
     def test_zero_nonlinearity(self, monkeypatch):
+        # F_N is 0 at every radius: every radius is admissible
         c = self._report(monkeypatch, a1=1.5, mu=10.0, g_norm=2.0,
-                         upper=0.0, radii=[0.5, 2.0])
-        assert c.verdicts["small-data-contraction"] == "satisfied"
-        assert c.kappa == 2.0
-        assert c.m_kappa == pytest.approx(2.0 / 10.0)
-        assert c.rho_kappa == pytest.approx(2.0 / 10.0)
+                         upper=0.0)
+        assert (c.kappa, c.m_kappa, c.rho_kappa) == (math.inf,) * 3
         assert c.a_s == 0.0
 
     def test_linear_modulus_model(self, monkeypatch):
-        # F_N(theta, 0) = c theta with c (A1 + A2) kappa = 0.5 at the
-        # admissible radius: substitute into the closed formulas
-        a1, mu, g = 1.0, 2.0, 1.5
+        # F_N(theta, 0) = c theta: kappa* = 1/(2 c (A1 + A2)), and the
+        # margins and A_s there follow from the closed formulas
+        a1, mu, g, c = 1.0, 2.0, 1.5, 0.125
         a2 = mu * g
-        kappa = 1.0
-        c = 0.5 / ((a1 + a2) * kappa)
-        out = self._report(monkeypatch, a1, mu, g, upper=c,
-                           radii=[0.5, 1.0])
-        assert out.kappa == kappa
+        out = self._report(monkeypatch, a1, mu, g, upper=c)
+        kappa = 1.0 / (2.0 * c * (a1 + a2))
+        assert out.kappa == pytest.approx(kappa, rel=1e-15)
         sup_fn = c * kappa
         assert out.m_kappa == pytest.approx((kappa / mu) * (1 - a1 * sup_fn))
         assert out.rho_kappa == pytest.approx(
@@ -304,23 +301,43 @@ class TestComputeConstants:
         assert out.a_s == pytest.approx(
             a2 * sup_fn / (1 - a1 * sup_fn)
         )
-        assert out.m_kappa > 0.0
-        assert out.rho_kappa <= out.m_kappa
+        assert 0.0 < out.rho_kappa <= out.m_kappa
 
     def test_no_admissible_radius(self, monkeypatch):
-        out = self._report(monkeypatch, a1=1.0, mu=1.0, g_norm=1.0,
-                           upper=100.0, radii=[1.0])
-        assert out.verdicts["small-data-contraction"] == "violated"
-        assert out.kappa == 0.0
-        assert out.a_s == math.inf
+        # a dead actuator: no gain, or an unbounded one
+        for mu in (0.0, math.inf):
+            out = self._report(monkeypatch, a1=1.0, mu=mu, g_norm=1.0,
+                               upper=100.0)
+            assert (out.kappa, out.m_kappa, out.rho_kappa) == (0.0,) * 3
+            assert out.a_s == math.inf
 
     def test_admissible_implies_contraction(self, monkeypatch):
-        # A_s < 1 is algebraically equivalent to the admissibility
-        # inequality F_N(kappa, 0) < 1/(A1 + A2)
-        out = self._report(monkeypatch, a1=2.0, mu=3.0, g_norm=1.0,
-                           upper=0.125, radii=[0.1, 0.4])
-        assert out.kappa == 0.4
-        assert out.a_s < 1.0
+        # at kappa* A_s = A2 / ((p - 1) A1 + p A2), below 1/p whatever
+        # the constants, so it is no verdict
+        for power in (2, 3):
+            for a1, mu, g in ((2.0, 3.0, 1.0), (1e-3, 50.0, 2.0),
+                              (40.0, 0.01, 0.5)):
+                out = self._report(monkeypatch, a1, mu, g, upper=0.125,
+                                   power=power)
+                a2 = mu * g
+                assert out.a_s == pytest.approx(
+                    a2 / ((power - 1) * a1 + power * a2), rel=1e-12)
+                assert 0.0 < out.a_s < 1.0 / power
+
+    @pytest.mark.parametrize("power", [2, 3])
+    def test_kappa_maximises_rho(self, monkeypatch, power):
+        a1, mu, g, upper = 1.7, 7.0, 1.3, 39.0
+        out = self._report(monkeypatch, a1, mu, g, upper, power)
+
+        def rho(r):
+            return (r / mu) * (1.0 - (a1 + mu * g) * upper * r ** (power - 1))
+
+        assert out.rho_kappa == pytest.approx(rho(out.kappa), rel=1e-12)
+        # a scan two decades wide, 1e-4 apart in log r
+        r = out.kappa * np.geomspace(0.1, 10.0, 46052)
+        best = np.argmax(rho(r))
+        assert out.rho_kappa >= rho(r[best]) * (1.0 - 1e-12)
+        assert abs(math.log(r[best] / out.kappa)) <= 1e-4
 
 
 class TestGramSpectrum:
@@ -359,7 +376,8 @@ class TestHypothesisReport:
 
     def test_zero_gain_violated(self):
         report = hypothesis_report(self._problem(0.0))
-        assert report.verdicts["controllability"] == "violated"
+        # controllability is the report's only verdict
+        assert report.verdicts == {"controllability": "violated"}
         assert report.violated
         # mu = 0: no control authority, so no admissible radius
         assert (report.mu, report.kappa, report.a_s) == (0.0, 0.0, math.inf)
@@ -371,42 +389,41 @@ class TestHypothesisReport:
         assert report.a1 > 0.0 and report.mu > 0.0
 
     def test_contraction_certificate_small_radius(self):
-        # the admissibility radius search must find some kappa with
-        # A_s < 1 on a grid reaching small radii
-        report = hypothesis_report(
-            self._problem(1.0), radii=np.geomspace(1e-6, 1.0, 11)
-        )
-        assert report.verdicts["small-data-contraction"] == "satisfied"
-        assert report.a_s < 1.0
-        assert report.kappa > 0.0
-        assert report.to_text().startswith("hypothesis report")
+        # kappa* is a positive radius with the positive margins
+        # 0 < rho_kappa < m_kappa, and A_s < 1/2 there (F = y^2)
+        report = hypothesis_report(self._problem(1.0))
+        assert 0.0 < report.kappa < math.inf
+        assert 0.0 < report.rho_kappa < report.m_kappa
+        assert 0.0 < report.a_s < 0.5
+        assert not report.violated
+        text = report.to_text()
+        assert text.startswith("hypothesis report")
+        assert "small-data" not in text
 
     def test_linear_system_admits_every_radius(self):
-        report = hypothesis_report(
-            self._problem(1.0, NonlinearTerm.none()),
-            radii=np.geomspace(1e-4, 2.0, 5),
-        )
+        report = hypothesis_report(self._problem(1.0, NonlinearTerm.none()))
         assert (report.fn_lower, report.fn_upper) == (0.0, 0.0)
-        assert report.kappa == 2.0
+        assert report.kappa == math.inf
+        assert (report.m_kappa, report.rho_kappa) == (math.inf, math.inf)
         assert report.a_s == 0.0
 
-    @pytest.mark.parametrize("name, kappa", [
-        ("example1.cfg", 1e-3), ("example2.cfg", 10 ** -2.5),
-    ])
-    def test_bundled_constants_closed_form(self, name, kappa):
-        # kappa is the largest radius of the default grid with
-        # F_N(kappa, 0) < 1/(A1 + A2); the margins and A_s follow from
-        # the report's own constants
+    @pytest.mark.parametrize("name, kappa, rho, a_s", [
+        ("example1.cfg", 1.18888e-3, 8.5075e-5, 0.45831),
+        ("example2.cfg", 3.16347e-3, 9.4637e-4, 0.35463),
+    ], ids=["example1.cfg", "example2.cfg"])
+    def test_bundled_constants_closed_form(self, name, kappa, rho, a_s):
+        # kappa* = (1 / (p c))^(1/(p-1)), c = (A1 + A2) upper; the margins
+        # and A_s there follow from the report's own constants
         problem = load_config(bundled_config_path(name)).problem()
         r = hypothesis_report(problem)
-        assert r.kappa == kappa
+        assert (r.kappa, r.rho_kappa, r.a_s) == pytest.approx(
+            (kappa, rho, a_s), rel=1e-5)
+        p = problem.F.power
         a2 = r.mu * r.g_norm
-
-        def fn(radius):
-            return r.fn_upper * radius ** (problem.F.power - 1)
-
-        f = fn(r.kappa)
-        assert f < 1.0 / (r.a1 + a2) <= fn(r.kappa * 10**0.5)
+        assert r.kappa == pytest.approx(
+            (1.0 / (p * (r.a1 + a2) * r.fn_upper)) ** (1.0 / (p - 1)),
+            rel=1e-12)
+        f = r.fn_upper * r.kappa ** (p - 1)
         assert r.m_kappa == pytest.approx(
             (r.kappa / r.mu) * (1.0 - r.a1 * f), rel=1e-12
         )
@@ -414,7 +431,7 @@ class TestHypothesisReport:
             (r.kappa / r.mu) * (1.0 - (r.a1 + a2) * f), rel=1e-12
         )
         assert r.a_s == pytest.approx(
-            a2 * f / (1.0 - r.a1 * f), rel=1e-12
+            a2 / ((p - 1) * r.a1 + p * a2), rel=1e-12
         )
 
 
