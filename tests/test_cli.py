@@ -157,6 +157,16 @@ class TestRun:
                                   TINY.replace(old, new))
         assert key in line and "finite" in line
 
+    def test_d_s_with_extension_profile_exits_2(self, tmp_path, capsys):
+        # the extension decays by smoothstep; no key selects a profile,
+        # with d_s given or not
+        line = self._config_error(tmp_path, capsys, "run", TINY.replace(
+            "z_d = (0, 0, 1e-3)",
+            "z_d = (0, 0, 1e-3)\nd_s = (0, 0, 1e-3)\n"
+            "extension_profile = 1.0 -2.0 1.0"))
+        assert "[target] extension_profile" in line
+        assert line.endswith("unknown key")
+
     @pytest.mark.parametrize("verb", ["run", "verify"])
     def test_segment_without_nodes_exits_2(self, tmp_path, capsys, verb):
         self._config_error(tmp_path, capsys, verb, TINY.replace(

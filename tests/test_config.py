@@ -193,6 +193,7 @@ class TestLoadConfig:
         assert len(str(exc.value).splitlines()) == 1
 
     @pytest.mark.parametrize("key,val", [
+        ("stop_metric", "sup"),
         ("method", "newton"),
     ])
     def test_rejects_bad_loop_options(self, tmp_path, key, val):
@@ -203,19 +204,10 @@ class TestLoadConfig:
     def test_target_mode_is_an_unknown_key(self, tmp_path, capsys):
         # a target on Gamma itself is an omega_c narrower than one node
         # spacing on Gamma's edge; no key selects it.  The loop stops on
-        # the reached-state error and the extension decays by smoothstep,
-        # so neither has a key either, whatever its value and with d_s
-        # given or not
-        z_d = "z_d = (0, 0, 1e-3)"
+        # the reached-state error, so no key selects a stop metric either
         for text, key in (
             (TINY + "target_mode = gamma\n", "[loop] target_mode"),
             (TINY + "stop_metric = l2\n", "[loop] stop_metric"),
-            (TINY + "stop_metric = sup\n", "[loop] stop_metric"),
-            (TINY.replace(z_d, z_d + "\nextension_profile = 0.5 -1.0"),
-             "[target] extension_profile"),
-            (TINY.replace(z_d, z_d + "\nd_s = (0, 0, 1e-3)\n"
-                          "extension_profile = 1.0 -2.0 1.0"),
-             "[target] extension_profile"),
         ):
             path = write_cfg(tmp_path, text)
             assert main(["verify", "--config", path]) == EXIT_CONFIG
@@ -239,6 +231,19 @@ class TestLoadConfig:
         )
         cfg = load_config(write_cfg(tmp_path, text))
         assert np.allclose(cfg.d_s.values[0, :], cfg.zd)
+
+    def test_extension_profile_leading_coeff(self, tmp_path):
+        # the extension decays by smoothstep, whose leading coefficient is
+        # 1 by construction; a profile key is refused as unknown
+        text = TINY.replace(
+            "z_d = (0, 0, 1e-3)",
+            "z_d = (0, 0, 1e-3)\nextension_profile = 0.5 -1.0",
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_cfg(tmp_path, text))
+        assert (exc.value.section, exc.value.key) == (
+            "target", "extension_profile")
+        assert str(exc.value).endswith("unknown key")
 
     def test_extension_profile_trace_exact(self, tmp_path):
         # with no d_s the smoothstep profile, which is 1 on Gamma, extends
