@@ -118,15 +118,16 @@ class _Coefficients:
 
     `_rgamma` and `math.lgamma` loop in Python, so a process forms them
     once per order pair (`_coefficients`) and every `ml` call of that
-    pair shares them: the series' 1/Gamma(beta + alpha k) and
-    log Gamma(beta + alpha k) for k = 1, ..., 399, with the series
-    reach and sum lengths read from them, and the expansion's coefficients
-    with the bounds of its truncation rule.
+    pair shares them: the head 1/Gamma(beta), the series'
+    1/Gamma(beta + alpha k) and log Gamma(beta + alpha k) for k = 1, ...,
+    399, with the series reach and sum lengths read from them, and the
+    expansion's coefficients with the bounds of its truncation rule.
     """
 
     def __init__(self, alpha, beta):
         self.alpha = alpha
         self.beta = beta
+        self.head = _rgamma(beta)
         self.ks = np.arange(1, _SERIES_MAX_TERMS)
         args = beta + alpha * self.ks
         self.series = _rgamma(args)
@@ -199,7 +200,7 @@ def _series_vec(alpha, beta, z, coef):
     n = coef.series_length(np.abs(z).max())
     # column 0 holds the head 1/Gamma(beta), column k the term of z^k
     terms = np.empty((z.size, n + 1))
-    terms[:, 0] = _rgamma(beta)
+    terms[:, 0] = coef.head
     np.cumprod(np.broadcast_to(z[:, None], (z.size, n)), axis=1,
                out=terms[:, 1:])
     terms[:, 1:] *= coef.series[:n]
@@ -314,7 +315,7 @@ def _ml_vec(alpha, beta, z, coef):
     each on the elements no earlier branch accepted."""
     out = np.empty(z.size)
     zero = z == 0.0
-    out[zero] = _rgamma(beta)
+    out[zero] = coef.head
     idx = np.flatnonzero(~zero)
     series = np.flatnonzero(np.abs(z[idx]) <= coef.series_reach)
     if series.size:

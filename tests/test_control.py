@@ -648,8 +648,8 @@ class TestKernelTables:
         # within the solver's bound against the step equation
         # (test_solver.TestStepEquation), whose reference reads the free
         # decay from a table
-        args = (y0, u, problem.F, problem.act, problem.basis, problem.grid,
-                problem.alpha)
+        args = (y0, u.values, problem.F, problem.act, problem.basis,
+                problem.grid, problem.alpha)
         _, kept_explicit = solve_semilinear_reference(*args)
         exact = solve_step_equation(*args, kept_explicit).coeffs
         assert np.max(np.abs(exact[0])) > 0.0

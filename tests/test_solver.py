@@ -29,6 +29,7 @@ from ml_oracle import _ml_scalar
 from semilinear_oracle import (
     decay_table,
     direct_node_states,
+    reference_node_states,
     solve_semilinear_reference,
     solve_step_equation,
 )
@@ -93,8 +94,8 @@ class TestSolveLinear:
     def test_zero_data_zero_trajectory(self, setup):
         dom, basis, act, grid = setup
         states = np.array(list(_node_states(
-            Field.zero(dom), None, NonlinearTerm.none(), act, basis, grid,
-            0.5,
+            Field.zero(dom), np.zeros(grid.K), NonlinearTerm.none(), act,
+            basis, grid, 0.5,
         )))
         assert np.max(np.abs(states)) == 0.0
 
@@ -102,7 +103,7 @@ class TestSolveLinear:
         dom, basis, act, grid = setup
         y0 = Field.from_function(dom, lambda x, y: np.cos(np.pi * x))
         c0 = next(_node_states(
-            y0, None, NonlinearTerm.none(), act, basis, grid, 0.5
+            y0, np.zeros(grid.K), NonlinearTerm.none(), act, basis, grid, 0.5
         ))
         nodal = basis.from_spectral(c0.reshape(basis.mx, basis.my))
         assert np.allclose(nodal, y0.values, atol=1e-12)
@@ -142,7 +143,7 @@ class TestSolveLinear:
             dom, lambda x, y: np.exp(np.cos(np.pi * x) + np.cos(np.pi * y))
         )
         states = np.array(list(_node_states(
-            y0, None, NonlinearTerm.none(), act, basis, grid, 0.4
+            y0, np.zeros(grid.K), NonlinearTerm.none(), act, basis, grid, 0.4
         )))
         mags = np.abs(states)
         assert np.all(np.diff(mags, axis=0) <= 1e-14)
@@ -151,7 +152,7 @@ class TestSolveLinear:
         dom, basis, act, grid = setup
         y0 = Field.from_function(dom, lambda x, y: 1.0 + np.cos(np.pi * x))
         states = np.array(list(_node_states(
-            y0, None, NonlinearTerm.none(), act, basis, grid, 0.3
+            y0, np.zeros(grid.K), NonlinearTerm.none(), act, basis, grid, 0.3
         )))
         assert np.max(np.abs(states[:, 0] - states[0, 0])) < 1e-12
 
@@ -168,8 +169,8 @@ class TestSolveSemilinear:
     def test_zero_data_stays_zero(self, setup):
         dom, basis, act, grid = setup
         states = np.array(list(_node_states(
-            Field.zero(dom), None, NonlinearTerm.square(), act, basis,
-            grid, 0.3,
+            Field.zero(dom), np.zeros(grid.K), NonlinearTerm.square(), act,
+            basis, grid, 0.3,
         )))
         assert np.max(np.abs(states)) == 0.0
 
@@ -340,7 +341,7 @@ class TestSweepLoopBitIdentical:
         grid = TimeGrid(0.1, 2)
         y0 = Field.from_function(dom, lambda x, y: 10.0 + 0.0 * x)
         F = NonlinearTerm.square()
-        args = (y0, None, F, act, basis, grid, 0.9)
+        args = (y0, np.zeros(grid.K), F, act, basis, grid, 0.9)
         _, kept_explicit = solve_semilinear_reference(*args)
         assert kept_explicit == [1, 2]
         got = np.array(list(_node_states(*args)))
@@ -662,8 +663,8 @@ class TestTrajectory:
         # wherever the loop yields, the caller's settings are in force
         dom, basis, act, grid = setup
         y0 = Field.from_function(dom, lambda x, y: np.cos(np.pi * x))
-        states = _node_states(y0, None, NonlinearTerm.square(), act, basis,
-                              grid, 0.5)
+        states = _node_states(y0, np.zeros(grid.K), NonlinearTerm.square(),
+                              act, basis, grid, 0.5)
         with np.errstate(over="raise", invalid="raise"):
             before = np.geterr()
             next(states)
@@ -740,3 +741,66 @@ class TestBlockHistory:
         _step_weights(problem.basis, grid, problem.alpha)
         sources = grid.K * problem.basis.eigenvalues.size * 8
         assert _traced_peak(solve_semilinear, *args) < sources + 0.5e6
+
+
+class TestReferenceBitIdentical:
+    """The step loop against `semilinear_oracle.reference_node_states`,
+    the loop as it was written before its vector work was done in place:
+    every yielded node state is equal, bit for bit, signs of zeros
+    included.  The cases cover both bundled examples' first
+    residual-update controls (example 1's last step keeps its
+    predictor), the `scaled-synth` configuration from a non-zero y0 on
+    one full block plan (K = 240) and on one whose last blocks are cut
+    short (K = 301), F = 0, F = 0.5 y^3 and two unsettled steps."""
+
+    @staticmethod
+    def _bundled(name, F=None, y0=None):
+        problem = load_config(bundled_config_path(f"{name}.cfg")).problem()
+        u = pinv_apply(problem.operator(), problem.d_s.values.ravel()).values
+        return (problem.y0 if y0 is None else y0(problem.basis.domain), u,
+                problem.F if F is None else F, problem.act, problem.basis,
+                problem.grid, problem.alpha)
+
+    @staticmethod
+    def _scaled(problem, K):
+        u = pinv_apply(problem.operator(), problem.d_s.values.ravel()).values
+        y0 = Field.from_function(
+            problem.basis.domain, lambda x, y: 0.01 + 0.05 * x**2 * y**2
+        )
+        return (y0, np.interp(np.arange(K) / K, np.arange(240) / 240, u),
+                problem.F, problem.act, problem.basis,
+                TimeGrid(problem.grid.T, K), problem.alpha)
+
+    @staticmethod
+    def _unsettled(setup):
+        dom, basis, act, _ = setup
+        y0 = Field.from_function(dom, lambda x, y: 10.0 + 0.0 * x)
+        return (y0, np.zeros(2), NonlinearTerm.square(), act, basis,
+                TimeGrid(0.1, 2), 0.9)
+
+    @pytest.mark.parametrize("case", [
+        "example1", "example2", "scaled-synth-240", "scaled-synth-301",
+        "linear", "cubic", "unsettled",
+    ])
+    def test_every_node_state(self, case, request):
+        if case.startswith("scaled-synth"):
+            args = self._scaled(request.getfixturevalue("scaled_problem"),
+                                int(case[-3:]))
+        elif case == "linear":
+            args = self._bundled("example1", NonlinearTerm.none(),
+                                 lambda dom: Field.from_function(
+                                     dom, lambda x, y: np.cos(np.pi * x)
+                                     * np.cos(np.pi * y)))
+        elif case == "cubic":
+            args = self._bundled("example2",
+                                 NonlinearTerm.scaled_power(0.5, 3))
+        elif case == "unsettled":
+            args = self._unsettled(request.getfixturevalue("setup"))
+        else:
+            args = self._bundled(case)
+        got = list(_node_states(*args))
+        ref = list(reference_node_states(*args))
+        assert len(got) == len(ref) == args[5].K + 1
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+            assert np.array_equal(np.signbit(g), np.signbit(r))
