@@ -212,8 +212,9 @@ def _f_projection(F, basis):
     ex_t = ex.T
     shape = (basis.mx, basis.my)
 
+    # ndarray.dot makes the BLAS calls of @ at half its dispatch cost
     def project(c):
-        return (ax @ F(ex_t @ c.reshape(shape) @ ey) @ ay_t).ravel()
+        return ax.dot(F(ex_t.dot(c.reshape(shape)).dot(ey))).dot(ay_t).ravel()
 
     return project
 
@@ -322,11 +323,11 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
                 # Picard sweep makes; squared norms throughout (a
                 # non-finite state gives a non-finite d2)
                 r = g - state
-                d2 = r @ r
+                d2 = r.dot(r)
                 state = g
                 if not math.isfinite(d2):
                     break
-                if d2 <= tol2 * max(1.0, state @ state):
+                if d2 <= tol2 * max(1.0, state.dot(state)):
                     # the F this sweep evaluated, at a state within the
                     # tolerance of g, goes to the next step without
                     # another round trip
@@ -345,9 +346,9 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
                 # not differ
                 if g_old is not None:
                     dr = r - r_old
-                    drdr = dr @ dr
+                    drdr = dr.dot(dr)
                     if drdr > 0.0:
-                        state = g - (r @ dr / drdr) * (g - g_old)
+                        state = g - (r.dot(dr) / drdr) * (g - g_old)
                 g_old, r_old = g, r
             if f_end is None:
                 # the averaged step equation has no reachable fixed point
@@ -356,7 +357,7 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
                 # start), guarding against runaway growth
                 fk = f_prev
                 state = base + (drive + fk) * w0
-                norm = math.sqrt(state @ state)
+                norm = math.sqrt(state.dot(state))
                 if not math.isfinite(norm) or norm > 1e8:
                     raise SemilinearDivergenceError(
                         f"state blew up at step {n} "
