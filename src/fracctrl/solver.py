@@ -271,6 +271,7 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
     c0 = y0.coefficients(basis).ravel()
     Wd = _step_weights(basis, grid, alpha)
     y0_source = -basis.eigenvalues * c0
+    # all -0.0 (y0 = 0), and x + (-0.0) is x: the steps skip the source
     if np.signbit(y0_source).all() and not y0_source.any():
         y0_source = None
     project = _f_projection(F, basis)

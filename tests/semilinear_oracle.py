@@ -32,15 +32,14 @@ step.  The solver's block FFTs move the states by rounding only.
 
 `reference_node_states` is the solver's step loop as it was written
 before its vector work was done in place, with its block history sum,
-its F projection and the F of `NonlinearTerm` as they were then: every
-sum a generator sum from 0, every vector operation a new array, the
-source of a zero y0 added at every step.  The solver must yield its
-node states bit for bit: it keeps every floating-point operation, its
-operands and its order.
+its F projection and the F of `NonlinearTerm` as they were then: the
+extrapolated start a generator sum from 0, every vector operation a new
+array, every product an `@`, the source of a zero y0 added at every
+step.  The solver must yield its node states bit for bit: it keeps
+every floating-point operation, its operands and its order.
 """
 
 import math
-
 from dataclasses import dataclass
 from unittest import mock
 
