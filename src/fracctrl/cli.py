@@ -67,22 +67,20 @@ def _out_root(args):
     return Path.cwd() / "runs"
 
 
-def _execute(cfg, problem):
-    """Run the configured synthesis method; returns (u, traj, report)."""
-    if cfg.method == "picard":
-        return picard_sequence(problem)
-    return algorithm1(problem)
-
-
 def _run_one(cfg, outdir):
     """Execute a config and write all artifacts; returns (exit, summary)."""
     outdir.mkdir(parents=True, exist_ok=True)
+    # an earlier run's files would stay listed in this run's manifest
+    for name in ("control.dat", "gamma_profile.dat", "reached_omega.dat",
+                 "reached_full.dat", "iterations.dat", "summary.txt",
+                 "manifest.json"):
+        (outdir / name).unlink(missing_ok=True)
     t_start = time.time()
-    problem = cfg.problem()
     hyp = None
     try:
-        hyp = hypothesis_report(problem)
-        u, traj, report = _execute(cfg, problem)
+        hyp = hypothesis_report(cfg)
+        execute = picard_sequence if cfg.method == "picard" else algorithm1
+        u, traj, report = execute(cfg)
     except NUMERICAL_ERRORS as exc:
         status = ("diverged" if isinstance(exc, SemilinearDivergenceError)
                   else "failed")
@@ -135,19 +133,6 @@ def _stopped(cfg, outdir, hyp, status, reason, t_start):
     return EXIT_DIVERGED, summary
 
 
-def _resolved_config(cfg):
-    """The config's resolved view with the values the run used: the
-    --method/--seed overrides, the linear method's n_max and, for an
-    omitted lambda_reg, the operator's trace-scaled lambda (None before
-    it was assembled)."""
-    resolved = {**cfg.resolved, "loop.method": cfg.method,
-                "loop.n_max": cfg.n_max, "run.seed": cfg.seed}
-    if cfg.lambda_reg < 0.0:
-        H = cfg._operator  # read, not assembled: operator() would build it
-        resolved["loop.lambda_reg"] = None if H is None else H.lambda_reg
-    return dict(sorted(resolved.items()))
-
-
 def _write_manifest(cfg, outdir, hyp, summary, t_start):
     """Write summary.txt, one `key: value` line per summary entry, then
     manifest.json, which records the same summary and the SHA-256 of
@@ -166,7 +151,7 @@ def _write_manifest(cfg, outdir, hyp, summary, t_start):
     manifest = {
         "tool_version": __version__,
         "config_path": cfg.path,
-        "resolved_config": _resolved_config(cfg),
+        "resolved_config": cfg.resolved,
         "method": cfg.method,
         "seed": cfg.seed,
         "started_utc": time.strftime(
@@ -187,30 +172,8 @@ def _write_manifest(cfg, outdir, hyp, summary, t_start):
         fh.write("\n")
 
 
-def _load(args, path=None):
-    """Load a config (args.config unless path is given) and apply the
-    --method/--seed overrides to it.
-
-    The linear method is one residual-update iteration of `algorithm1`:
-    a single pseudo-inverse solve plus one confirming simulation.  The
-    fixed-point sequence (picard) is defined for y0 = 0 only, so a
-    picard config with another initial state is a config error.
-    """
-    cfg = load_config(path or args.config)
-    if args.method:
-        cfg.method = args.method
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if cfg.method == "picard" and np.any(cfg.y0.values != 0.0):
-        raise ConfigError(cfg.path, "loop", "method",
-                          "picard requires [initial] y0 = zero")
-    if cfg.method == "linear":
-        cfg.n_max = 1
-    return cfg
-
-
 def cmd_run(args):
-    cfg = _load(args)
+    cfg = load_config(args.config, method=args.method, seed=args.seed)
     outdir = _out_root(args) / Path(args.config).stem
     code, summary = _run_one(cfg, outdir)
     _emit("\n".join(f"{k}: {v}" for k, v in summary.items())
@@ -219,7 +182,7 @@ def cmd_run(args):
 
 
 def cmd_verify(args):
-    cfg = _load(args)
+    cfg = load_config(args.config)
     try:
         report = hypothesis_report(cfg.problem())
     except NUMERICAL_ERRORS as exc:
@@ -242,7 +205,8 @@ def _sweep_config(args, value, outroot):
     rowcfg_path = rowdir / "config.cfg"
     with open(rowcfg_path, "w") as fh:
         cp.write(fh)
-    return _load(args, str(rowcfg_path)), rowdir
+    return load_config(str(rowcfg_path), method=args.method,
+                       seed=args.seed), rowdir
 
 
 def cmd_sweep(args):
@@ -295,10 +259,8 @@ def build_parser():
                      ("sweep", cmd_sweep)):
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True)
-        if verb == "verify":
-            # verify writes no file, runs no loop and draws nothing
-            p.set_defaults(method=None, seed=None)
-        else:
+        # verify writes no file, runs no loop and draws nothing
+        if verb != "verify":
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--out", default=None,
                            help=f"output root (default ${OUTPUT_ROOT_ENV} "

@@ -184,6 +184,13 @@ class ExperimentConfig(ControlProblem):
     def domain(self):
         return self.basis.domain
 
+    def operator(self):
+        """The problem's reachability operator; its lambda, the one the
+        run uses, enters the resolved view."""
+        H = super().operator()
+        self.resolved["loop.lambda_reg"] = H.lambda_reg
+        return H
+
     def problem(self):
         """The control problem this config describes: the config itself."""
         return self
@@ -218,14 +225,23 @@ def _anchored(path, section, key):
         raise ConfigError(path, section, key, str(exc)) from exc
 
 
-def load_config(path):
-    """Read and resolve an experiment config file."""
+def load_config(path, *, method=None, seed=None):
+    """Read and resolve an experiment config file into the configuration
+    a run uses, with `method` and `seed`, unless None, in place of the
+    file's.  The linear method is one residual-update iteration of
+    `algorithm1` (n_max = 1); the fixed-point sequence (picard) is
+    defined for y0 = 0 only.  An omitted lambda_reg is resolved as None
+    until the operator sets the trace-scaled lambda."""
+    if method not in (None, *METHODS):
+        raise ConfigError(path, "loop", "method",
+                          f"must be one of {', '.join(METHODS)}")
     cp = read_ini(path)
     asked = set()  # every (section, key) read, present in the file or not
     resolved = {}
 
-    def read(section, key):
-        """The key's checked value or default, recorded unless None."""
+    def read(section, key, override=None):
+        """The key's checked value or default, replaced by an override
+        that is not None; recorded unless None."""
         parse, default, check = _KEYS[section, key]
         asked.add((section, cp.optionxform(key)))
         if cp.has_option(section, key):
@@ -237,6 +253,8 @@ def load_config(path):
             raise ConfigError(path, section, key, "missing required key")
         else:
             value = default
+        if override is not None:
+            value = override
         if value is not None:
             resolved[f"{section}.{key}"] = value
         return value
@@ -305,13 +323,20 @@ def load_config(path):
         domain, eval_poly(y0_terms, domain.x, domain.y))
 
     # the [loop] keys are named as the fields they set
-    loop = {k: read("loop", k) for k in ("eps", "lambda_reg", "n_max",
-                                         "method")}
-    seed = read("run", "seed")
+    loop = {k: read("loop", k) for k in ("eps", "lambda_reg", "n_max")}
+    loop["method"] = read("loop", "method", method)
+    seed = read("run", "seed", seed)
     for section in cp.sections():
         for key in cp.options(section):
             if (section, key) not in asked:
                 raise ConfigError(path, section, key, "unknown key")
+    if loop["method"] == "picard" and np.any(y0.values != 0.0):
+        raise ConfigError(path, "loop", "method",
+                          "picard requires [initial] y0 = zero")
+    if loop["method"] == "linear":
+        loop["n_max"] = resolved["loop.n_max"] = 1
+    if loop["lambda_reg"] < 0.0:
+        resolved["loop.lambda_reg"] = None
 
     return ExperimentConfig(
         basis=basis, act=act, grid=grid, alpha=alpha, F=F, omega_c=omega_c,

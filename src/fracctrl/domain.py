@@ -48,13 +48,13 @@ class RectDomain:
         if self.nx < 8 or self.ny < 8:
             raise ValueError("grid needs at least 8 nodes per axis")
 
-    @property
+    @cached_property
     def x(self):
-        return np.linspace(0.0, self.lx, self.nx)
+        return _node_row(self.lx, self.nx)
 
-    @property
+    @cached_property
     def y(self):
-        return np.linspace(0.0, self.ly, self.ny)
+        return _node_row(self.ly, self.ny)
 
     @property
     def dx(self):
@@ -67,6 +67,13 @@ class RectDomain:
     def quad_weights(self):
         """Trapezoid weights (wx, wy) for the discrete L2 inner product."""
         return _trapezoid_weights(self.x), _trapezoid_weights(self.y)
+
+
+def _node_row(length, n):
+    """The n uniform nodes of [0, length], one read-only array."""
+    row = np.linspace(0.0, length, n)
+    row.flags.writeable = False
+    return row
 
 
 def _trapezoid_weights(coords):

@@ -85,30 +85,30 @@ class TimeGrid:
 class NonlinearTerm:
     """Pointwise source nonlinearity F(y) with F(0) = 0."""
 
-    kind: str
     coeff: float = 1.0
     power: int = 2
 
     @classmethod
     def none(cls):
-        return cls(kind="none")
+        """F = 0, the zero coefficient."""
+        return cls(coeff=0.0)
 
     @classmethod
     def square(cls):
-        return cls(kind="power", coeff=1.0, power=2)
+        return cls(coeff=1.0, power=2)
 
     @classmethod
     def scaled_power(cls, coeff, power):
         if power not in (2, 3):
             raise ValueError("supported powers are 2 and 3")
-        return cls(kind="power", coeff=float(coeff), power=power)
+        return cls(coeff=float(coeff), power=power)
 
     @property
     def is_zero(self):
-        return self.kind == "none"
+        return self.coeff == 0.0
 
     def __call__(self, y):
-        if self.is_zero:
+        if self.is_zero:  # 0 * y**p is nan where y**p overflows
             return np.zeros_like(y)
         y = y**self.power
         return y if self.coeff == 1.0 else self.coeff * y

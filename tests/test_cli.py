@@ -104,6 +104,28 @@ class TestRun:
         for name, digest in inventory.items():
             assert sha256(rundir / name) == digest, name
 
+    def test_failed_rerun_lists_no_earlier_artifacts(self, tiny_cfg,
+                                                     tmp_path):
+        # a run that stops without a result, in the directory of an
+        # earlier converged run, leaves none of that run's artifacts on
+        # disk or in its manifest; a file no run writes stays listed
+        out = tmp_path / "out"
+        rundir = out / "tiny"
+        assert main(["run", "--config", tiny_cfg,
+                     "--out", str(out)]) == EXIT_OK
+        (rundir / "notes.txt").write_text("kept\n")
+        Path(tiny_cfg).write_text(
+            TINY.replace("f = none", "f = square")
+            .replace("z_d = (0, 0, 1e-3)", "z_d = (0, 0, 1e9)")
+        )
+        assert main(["run", "--config", tiny_cfg, "--out", str(out),
+                     "--method", "picard"]) == EXIT_DIVERGED
+        manifest = json.loads((rundir / "manifest.json").read_text())
+        assert manifest["summary"]["status"] == "diverged"
+        assert set(manifest["artifacts"]) == {"notes.txt", "summary.txt"}
+        assert sorted(p.name for p in rundir.iterdir()) == [
+            "manifest.json", "notes.txt", "summary.txt"]
+
     def test_control_file_layout(self, tiny_cfg, tmp_path):
         out = tmp_path / "out"
         main(["run", "--config", tiny_cfg, "--out", str(out)])

@@ -201,6 +201,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, text))
 
+    def test_overrides_give_the_run_configuration(self, tmp_path):
+        # method and seed replace the file's values, the linear method
+        # runs one iteration, and the resolved view records all three;
+        # an omitted lambda_reg is None until the operator sets it
+        path = write_cfg(tmp_path, TINY.replace("lambda_reg = 1e-8\n", ""))
+        cfg = load_config(path, method="linear", seed=5)
+        assert (cfg.method, cfg.n_max, cfg.seed) == ("linear", 1, 5)
+        view = cfg.resolved
+        assert (view["loop.method"], view["loop.n_max"], view["run.seed"],
+                view["loop.lambda_reg"]) == ("linear", 1, 5, None)
+        H = cfg.operator()
+        assert H.lambda_reg > 0.0 and view["loop.lambda_reg"] == H.lambda_reg
+        with pytest.raises(ConfigError) as exc:
+            load_config(path, method="newton")
+        assert (exc.value.section, exc.value.key) == ("loop", "method")
+
     def test_target_mode_is_an_unknown_key(self, tmp_path, capsys):
         # a target on Gamma itself is an omega_c narrower than one node
         # spacing on Gamma's edge; no key selects it.  The loop stops on
@@ -305,7 +321,7 @@ class TestBundledConfigs:
         assert cfg.grid.T == 3.0
         assert cfg.grid.K == 60
         assert cfg.act.gain == 25.0
-        assert cfg.F.kind == "power" and cfg.F.power == 2
+        assert cfg.F.coeff == 1.0 and cfg.F.power == 2
 
     def test_example2_parameters(self):
         cfg = load_config(bundled_config_path("example2.cfg"))

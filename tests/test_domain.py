@@ -34,6 +34,13 @@ class TestRectDomain:
         assert unit.x[0] == 0.0 and unit.x[-1] == 1.0
         assert unit.dx == pytest.approx(0.02)
 
+    def test_axes_are_one_read_only_array_each(self):
+        dom = RectDomain(2.0, 0.5, 21, 9)
+        for axis, length, n in ((dom.x, 2.0, 21), (dom.y, 0.5, 9)):
+            assert np.array_equal(axis, np.linspace(0.0, length, n))
+            assert not axis.flags.writeable
+        assert dom.x is dom.x and dom.y is dom.y
+
     def test_quad_weights_sum_to_area(self, unit):
         wx, wy = unit.quad_weights()
         assert wx.sum() * wy.sum() == pytest.approx(1.0, rel=1e-13)
