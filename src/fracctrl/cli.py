@@ -79,7 +79,7 @@ def _run_one(cfg, outdir):
     hyp = None
     try:
         hyp = hypothesis_report(cfg)
-        execute = picard_sequence if cfg.method == "picard" else algorithm1
+        execute = algorithm1 if cfg.method != "picard" else picard_sequence
         u, traj, report = execute(cfg)
     except NUMERICAL_ERRORS as exc:
         status = ("diverged" if isinstance(exc, SemilinearDivergenceError)
