@@ -172,8 +172,13 @@ def _write_manifest(cfg, outdir, hyp, summary, t_start):
         fh.write("\n")
 
 
+def _overrides(args):
+    """The config keys that --method and --seed set; None sets none."""
+    return {"loop.method": args.method, "run.seed": args.seed}
+
+
 def cmd_run(args):
-    cfg = load_config(args.config, method=args.method, seed=args.seed)
+    cfg = load_config(args.config, _overrides(args))
     outdir = _out_root(args) / Path(args.config).stem
     code, summary = _run_one(cfg, outdir)
     _emit("\n".join(f"{k}: {v}" for k, v in summary.items())
@@ -193,20 +198,14 @@ def cmd_verify(args):
 
 
 def _sweep_config(args, value, outroot):
-    """One sweep row's config, rewritten with the override into the row's
-    own directory and loaded; returns (config, row directory)."""
-    section, _, key = args.param.partition(".")
-    cp = read_ini(args.config)
-    if not cp.has_section(section):
-        cp.add_section(section)
-    cp.set(section, key, value)
+    """A sweep row's INI, its value set after --method and --seed, written
+    and loaded as the row's config.cfg; returns (config, row directory)."""
+    cp = read_ini(args.config, {**_overrides(args), args.param: value})
     rowdir = outroot / f"{args.param}={value}"
     rowdir.mkdir(parents=True, exist_ok=True)
-    rowcfg_path = rowdir / "config.cfg"
-    with open(rowcfg_path, "w") as fh:
+    with open(rowdir / "config.cfg", "w") as fh:
         cp.write(fh)
-    return load_config(str(rowcfg_path), method=args.method,
-                       seed=args.seed), rowdir
+    return load_config(str(rowdir / "config.cfg")), rowdir
 
 
 def cmd_sweep(args):

@@ -136,7 +136,7 @@ _LOOP = {f.name: f.default for f in fields(ControlProblem)}
 
 # (section, key) -> (parse, default, check).  A default of _REQUIRED makes
 # the key required; an absent key with default None is left out of the
-# resolved view.  A check (predicate, message) applies to file values only.
+# resolved view.  A check (predicate, message) skips the defaults.
 _KEYS = {
     ("problem", "alpha"): (
         _finite, _REQUIRED, ((lambda a: 0.0 < a <= 1.0), "must be in (0, 1]")),
@@ -202,9 +202,11 @@ def bundled_config_path(name):
     return str(ref)
 
 
-def read_ini(path):
-    """Parse a config file; a file that is missing or that configparser
-    rejects raises a one-line ConfigError."""
+def read_ini(path, overrides=None):
+    """Parse a config file, then set each "section.key": value of
+    `overrides` that is not None into it, in order, adding a missing
+    section; a file that is missing or that configparser rejects raises
+    a one-line ConfigError."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         read = cp.read(path)
@@ -212,6 +214,10 @@ def read_ini(path):
         raise ConfigError(path, "-", "-", " ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(path, "-", "-", "file not found or unreadable")
+    for name, value in (overrides or {}).items():
+        if value is not None:
+            section, _, key = name.partition(".")
+            cp.read_dict({section: {key: value}})
     return cp
 
 
@@ -225,23 +231,19 @@ def _anchored(path, section, key):
         raise ConfigError(path, section, key, str(exc)) from exc
 
 
-def load_config(path, *, method=None, seed=None):
+def load_config(path, overrides=None):
     """Read and resolve an experiment config file into the configuration
-    a run uses, with `method` and `seed`, unless None, in place of the
-    file's.  The linear method is one residual-update iteration of
-    `algorithm1` (n_max = 1); the fixed-point sequence (picard) is
-    defined for y0 = 0 only.  An omitted lambda_reg is resolved as None
-    until the operator sets the trace-scaled lambda."""
-    if method not in (None, *METHODS):
-        raise ConfigError(path, "loop", "method",
-                          f"must be one of {', '.join(METHODS)}")
-    cp = read_ini(path)
+    a run uses; `read_ini` sets the overrides into the INI, so each is
+    parsed, checked and recorded as a file value is.  The linear method
+    is one residual-update iteration of `algorithm1` (n_max = 1); the
+    fixed-point sequence (picard) is defined for y0 = 0 only.  An omitted
+    lambda_reg is None until the operator sets the trace-scaled lambda."""
+    cp = read_ini(path, overrides)
     asked = set()  # every (section, key) read, present in the file or not
     resolved = {}
 
-    def read(section, key, override=None):
-        """The key's checked value or default, replaced by an override
-        that is not None; recorded unless None."""
+    def read(section, key):
+        """The key's checked value or default; recorded unless None."""
         parse, default, check = _KEYS[section, key]
         asked.add((section, cp.optionxform(key)))
         if cp.has_option(section, key):
@@ -253,8 +255,6 @@ def load_config(path, *, method=None, seed=None):
             raise ConfigError(path, section, key, "missing required key")
         else:
             value = default
-        if override is not None:
-            value = override
         if value is not None:
             resolved[f"{section}.{key}"] = value
         return value
@@ -323,9 +323,9 @@ def load_config(path, *, method=None, seed=None):
         domain, eval_poly(y0_terms, domain.x, domain.y))
 
     # the [loop] keys are named as the fields they set
-    loop = {k: read("loop", k) for k in ("eps", "lambda_reg", "n_max")}
-    loop["method"] = read("loop", "method", method)
-    seed = read("run", "seed", seed)
+    loop = {k: read("loop", k)
+            for k in ("eps", "lambda_reg", "n_max", "method")}
+    seed = read("run", "seed")
     for section in cp.sections():
         for key in cp.options(section):
             if (section, key) not in asked:

@@ -787,6 +787,46 @@ class TestSweep:
         assert manifest["resolved_config"]["loop.method"] == "picard"
         assert manifest["resolved_config"]["run.seed"] == 7
 
+    @pytest.mark.parametrize("param,values,option", [
+        ("run.seed", ["0", "1"], ["--seed", "7"]),
+        ("loop.method", ["algorithm1", "picard"], ["--method", "linear"]),
+    ], ids=["seed", "method"])
+    def test_row_value_wins_over_option(self, tmp_path, param, values,
+                                        option):
+        # a row's value is set after --method and --seed: its manifest
+        # records the row's value, and no row takes linear's n_max = 1
+        path = tmp_path / "tiny.cfg"
+        path.write_text(TINY + "n_max = 7\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out),
+                     "--param", param, "--values", ",".join(values),
+                     *option]) == EXIT_OK
+        name = param.partition(".")[2]  # the manifest's seed or method
+        for value in values:
+            manifest = json.loads((out / "tiny-sweep" / f"{param}={value}"
+                                   / "manifest.json").read_text())
+            view = manifest["resolved_config"]
+            assert str(manifest[name]) == str(view[param]) == value
+            assert view["loop.n_max"] == 7
+
+    def test_row_config_is_the_run(self, tiny_cfg, tmp_path):
+        # a row's config.cfg records --method and --seed: a run of it
+        # writes the row's artifacts byte for byte
+        out, rerun = tmp_path / "out", tmp_path / "rerun"
+        assert main(["sweep", "--config", tiny_cfg, "--out", str(out),
+                     "--param", "domain.K", "--values", "10",
+                     "--method", "picard", "--seed", "7"]) == EXIT_OK
+        rowdir = out / "tiny-sweep" / "domain.K=10"
+        assert main(["run", "--config", str(rowdir / "config.cfg"),
+                     "--out", str(rerun)]) == EXIT_OK
+        row = json.loads((rowdir / "manifest.json").read_text())
+        run = json.loads((rerun / "config" / "manifest.json").read_text())
+        assert len(run["artifacts"]) == 6
+        assert row["artifacts"] == {
+            **run["artifacts"], "config.cfg": sha256(rowdir / "config.cfg")}
+        assert run["resolved_config"] == row["resolved_config"]
+        assert (run["method"], run["seed"]) == ("picard", 7)
+
     def test_threads_do_not_change_results(self, tiny_cfg, tmp_path):
         # two rows at once, each byte for byte a plain run
         plain, out = tmp_path / "plain", tmp_path / "out"

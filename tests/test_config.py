@@ -202,20 +202,37 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path, text))
 
     def test_overrides_give_the_run_configuration(self, tmp_path):
-        # method and seed replace the file's values, the linear method
-        # runs one iteration, and the resolved view records all three;
-        # an omitted lambda_reg is None until the operator sets it
+        # overrides replace the file's values (None sets nothing), the
+        # linear method runs one iteration, and the resolved view records
+        # all three; an omitted lambda_reg is None until the operator
+        # sets it
         path = write_cfg(tmp_path, TINY.replace("lambda_reg = 1e-8\n", ""))
-        cfg = load_config(path, method="linear", seed=5)
+        cfg = load_config(path, {"loop.method": "linear", "run.seed": 5,
+                                 "loop.eps": None})
         assert (cfg.method, cfg.n_max, cfg.seed) == ("linear", 1, 5)
         view = cfg.resolved
         assert (view["loop.method"], view["loop.n_max"], view["run.seed"],
                 view["loop.lambda_reg"]) == ("linear", 1, 5, None)
+        assert view["loop.eps"] == 1e-2
         H = cfg.operator()
         assert H.lambda_reg > 0.0 and view["loop.lambda_reg"] == H.lambda_reg
         with pytest.raises(ConfigError) as exc:
-            load_config(path, method="newton")
+            load_config(path, {"loop.method": "newton"})
         assert (exc.value.section, exc.value.key) == ("loop", "method")
+
+    def test_override_is_checked_as_a_file_value(self, tmp_path):
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_cfg(tmp_path), {"loop.eps": "-1"})
+        assert (exc.value.section, exc.value.key) == ("loop", "eps")
+        assert str(exc.value).endswith("must be > 0")
+
+    def test_override_adds_a_missing_section(self, tmp_path):
+        assert "[initial]" not in TINY
+        path = write_cfg(tmp_path)
+        assert np.all(load_config(path).y0.values == 0.0)
+        cfg = load_config(path, {"initial.y0": "(0, 0, 0.01)"})
+        assert np.all(cfg.y0.values == 0.01)
+        assert cfg.resolved["initial.y0"] == [(0, 0, 0.01)]
 
     def test_target_mode_is_an_unknown_key(self, tmp_path, capsys):
         # a target on Gamma itself is an omega_c narrower than one node
