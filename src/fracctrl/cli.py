@@ -17,6 +17,8 @@ import sys
 import time
 from pathlib import Path
 
+# before numpy loads: one OpenBLAS thread, unless the caller set a count
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
@@ -213,7 +215,7 @@ def cmd_sweep(args):
     from concurrent.futures import ThreadPoolExecutor
 
     section, _, key = args.param.partition(".")
-    values = [v for v in args.values.split(",") if v]
+    values = [v for v in map(str.strip, args.values.split(",")) if v]
     for bad, message in (
         (not (section and key), f"--param is not section.key: {args.param}"),
         (not values, f"--values holds no value: {args.values!r}"),
@@ -272,7 +274,7 @@ def build_parser():
             p.add_argument("--param", required=True,
                            help="override key, e.g. domain.K")
             p.add_argument("--values", required=True,
-                           help="comma-separated values")
+                           help="comma-separated values, each stripped")
         p.set_defaults(fn=fn)
     return parser
 

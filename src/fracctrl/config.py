@@ -203,11 +203,11 @@ def bundled_config_path(name):
 
 
 def read_ini(path, overrides=None):
-    """Parse a config file, then set each "section.key": value of
-    `overrides` that is not None into it, in order, adding a missing
-    section; a file that is missing or that configparser rejects raises
-    a one-line ConfigError."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Parse a config file, values as written (no `%` interpolation), and
+    set into it each not-None "section.key": value of `overrides`, in order
+    (a missing section is added); a bad file raises a one-line ConfigError."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
     try:
         read = cp.read(path)
     except configparser.Error as exc:

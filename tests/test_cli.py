@@ -364,6 +364,14 @@ class TestConfigErrors:
         line = self._one_line(argv, capsys)
         assert "[loop] method" in line and "y0" in line
 
+    def test_sweep_value_with_percent(self, tiny_cfg, tmp_path, capsys):
+        # a sweep value is written and read back as it was given
+        line = self._one_line(
+            ["sweep", "--config", tiny_cfg, "--out", str(tmp_path),
+             "--param", "run.seed", "--values", "5%"], capsys,
+        )
+        assert "[run] seed" in line
+
     def test_sweep_checks_every_row_before_running(self, tmp_path, capsys):
         # the picard row's config is invalid: the algorithm1 row before it
         # does not run either
@@ -651,6 +659,25 @@ def test_cli_import_loads_no_openssl():
     assert done.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("given,want", [(None, "None 1"), ("2", "2 2")],
+                         ids=["unset", "explicit"])
+def test_cli_sets_one_openblas_thread(given, want):
+    # the CLI's own process runs one OpenBLAS thread unless the caller
+    # set a count; importing the package without the CLI sets none
+    env = _package_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    probe = ("import os, fracctrl.config; "
+             "before = os.environ.get('OPENBLAS_NUM_THREADS'); "
+             "import fracctrl.cli; "
+             "print(before, os.environ.get('OPENBLAS_NUM_THREADS'))")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == want
+
+
 def test_run_without_scipy(tmp_path):
     # an installation without scipy still runs a bundled example, to the
     # same result
@@ -860,6 +887,22 @@ class TestSweep:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "repeats" in err[0]
         assert not out.exists()
+
+    def test_values_are_stripped(self, tiny_cfg, tmp_path, capsys):
+        # as configparser strips a file value: "40, 40" repeats a value,
+        # and "0, 1" names its rows by the stripped values
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", tiny_cfg, "--out", str(out),
+                     "--param", "loop.n_max", "--values", "40, 40"]
+                    ) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "repeats" in err[0]
+        assert not out.exists()
+        assert main(["sweep", "--config", tiny_cfg, "--out", str(out),
+                     "--param", "run.seed", "--values", "0, 1"]) == EXIT_OK
+        rows = sorted(p.name for p in (out / "tiny-sweep").iterdir()
+                      if p.is_dir())
+        assert rows == ["run.seed=0", "run.seed=1"]
 
     @pytest.mark.parametrize("param,values", [
         ("run.seed", ","), ("run.seed", ""), ("runseed", "0,1"),

@@ -185,6 +185,10 @@ class TestLoadConfig:
          ("problem", "f_power")),
         ("lambda_reg = 1e-8", "lambda_reg = 1e-8\n[run]\nseed = 1.5",
          ("run", "seed")),
+        # values are read as written: `%` interpolates nothing
+        ("T = 1.0", "T = 2.0%", ("problem", "T")),
+        ("lambda_reg = 1e-8", "lambda_reg = 1e-8\n[run]\nseed = %(x)s",
+         ("run", "seed")),
     ])
     def test_error_names_its_key(self, tmp_path, old, new, where):
         with pytest.raises(ConfigError) as exc:
@@ -225,6 +229,13 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path), {"loop.eps": "-1"})
         assert (exc.value.section, exc.value.key) == ("loop", "eps")
         assert str(exc.value).endswith("must be > 0")
+
+    def test_override_with_percent_is_read_as_written(self, tmp_path):
+        # no interpolation: the key's parser rejects the text at its key
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_cfg(tmp_path), {"run.seed": "5%"})
+        assert (exc.value.section, exc.value.key) == ("run", "seed")
+        assert len(str(exc.value).splitlines()) == 1
 
     def test_override_adds_a_missing_section(self, tmp_path):
         assert "[initial]" not in TINY
