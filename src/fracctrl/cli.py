@@ -2,7 +2,7 @@
 
 Verbs: `run` (full control synthesis with artifacts), `verify`
 (hypothesis diagnostics only), `sweep` (repeat a run over a parameter
-range, one isolated subdirectory per value).
+range, one row after another, one subdirectory per value).
 
 Exit codes: 0 success/converged, 2 invalid config or options or an
 unwritable output, 3 non-converged run (diverged, max-iterations or a
@@ -199,21 +199,7 @@ def cmd_verify(args):
     return EXIT_HYPOTHESIS if report.violated else EXIT_OK
 
 
-def _sweep_config(args, value, outroot):
-    """A sweep row's INI, its value set after --method and --seed, written
-    and loaded as the row's config.cfg; returns (config, row directory)."""
-    cp = read_ini(args.config, {**_overrides(args), args.param: value})
-    rowdir = outroot / f"{args.param}={value}"
-    rowdir.mkdir(parents=True, exist_ok=True)
-    with open(rowdir / "config.cfg", "w") as fh:
-        cp.write(fh)
-    return load_config(str(rowdir / "config.cfg")), rowdir
-
-
 def cmd_sweep(args):
-    # imported here: it loads `logging`, which `run` and `verify` never use
-    from concurrent.futures import ThreadPoolExecutor
-
     section, _, key = args.param.partition(".")
     values = [v for v in map(str.strip, args.values.split(",")) if v]
     for bad, message in (
@@ -226,16 +212,19 @@ def cmd_sweep(args):
         if bad:
             print(f"config error: {message}", file=sys.stderr)
             return EXIT_CONFIG
+    # a row's value is set after --method and --seed; every row's config
+    # is checked before any row directory is made
+    overrides = [{**_overrides(args), args.param: v} for v in values]
+    configs = [load_config(args.config, o) for o in overrides]
     outroot = _out_root(args) / f"{Path(args.config).stem}-sweep"
-    # every row's config is checked before any row runs
-    rows = [_sweep_config(args, v, outroot) for v in values]
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        futs = [pool.submit(_run_one, cfg, rowdir) for cfg, rowdir in rows]
-        results = [f.result() for f in futs]  # input order preserved
-    header = f"# {args.param} status iterations boundary_error cost"
-    lines = [header]
+    lines = [f"# {args.param} status iterations boundary_error cost"]
     worst = EXIT_OK
-    for value, (code, summary) in zip(values, results):
+    for value, row, cfg in zip(values, overrides, configs):
+        rowdir = outroot / f"{args.param}={value}"
+        rowdir.mkdir(parents=True, exist_ok=True)
+        with open(rowdir / "config.cfg", "w") as fh:
+            read_ini(args.config, row).write(fh)
+        code, summary = _run_one(cfg, rowdir)
         worst = max(worst, code)
         lines.append(
             f"{value} {summary.get('status')} "
@@ -268,9 +257,6 @@ def build_parser():
                            "or ./runs)")
             p.add_argument("--method", default=None, choices=METHODS)
         if verb == "sweep":
-            p.add_argument("--threads", type=int, default=1,
-                           help="concurrent sweep rows; never affects "
-                           "numeric results")
             p.add_argument("--param", required=True,
                            help="override key, e.g. domain.K")
             p.add_argument("--values", required=True,

@@ -224,33 +224,28 @@ class TestCriterion7ExtensionRoundTrip:
 
 
 class TestCriterion8Determinism:
-    def test_threads_do_not_change_artifacts(
-        self, ex1_run, tmp_path_factory
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_sweep_rows_write_the_plain_run_bytes(
+        self, request, tmp_path_factory, name
     ):
-        # two sweep rows run at once, each byte for byte a plain run: the
-        # seed reaches no computation, neither the artifacts nor the
-        # hypothesis report
-        _, rundir, manifest, _ = ex1_run
-        out = tmp_path_factory.mktemp("example1-sweep")
+        # each sweep row is byte for byte a plain run: the seed reaches no
+        # computation, neither the artifacts nor the hypothesis report
+        _, rundir, manifest, _ = request.getfixturevalue(f"ex{name[-1]}_run")
+        out = tmp_path_factory.mktemp(f"{name}-sweep")
         code = main([
-            "sweep", "--config", bundled_config_path("example1.cfg"),
+            "sweep", "--config", bundled_config_path(f"{name}.cfg"),
             "--out", str(out), "--param", "run.seed", "--values", "0,1",
-            "--threads", "2",
         ])
         assert code == EXIT_OK
         inventory = manifest["artifacts"]
         assert len(inventory) == 6
         for seed in (0, 1):
-            rowdir = out / "example1-sweep" / f"run.seed={seed}"
-            for name in inventory:
-                assert (rowdir / name).read_bytes() == (
-                    rundir / name
-                ).read_bytes(), (seed, name)
-        for seed in (0, 1):
-            row = json.loads(
-                (out / "example1-sweep" / f"run.seed={seed}"
-                 / "manifest.json").read_text()
-            )
+            rowdir = out / f"{name}-sweep" / f"run.seed={seed}"
+            for artifact in inventory:
+                assert (rowdir / artifact).read_bytes() == (
+                    rundir / artifact
+                ).read_bytes(), (seed, artifact)
+            row = json.loads((rowdir / "manifest.json").read_text())
             # the row directory holds its config besides the run's
             # artifacts
             assert row["artifacts"].pop("config.cfg")

@@ -244,12 +244,15 @@ class TestRun:
         )
         assert manifest["method"] == method
 
-    @pytest.mark.parametrize("verb", ["run", "verify"])
-    def test_threads_is_a_sweep_flag(self, tiny_cfg, tmp_path, verb):
+    @pytest.mark.parametrize("verb", ["run", "verify", "sweep"])
+    def test_threads_is_no_option(self, tiny_cfg, tmp_path, capsys, verb):
+        # sweep rows run one after another: no verb takes a thread count
+        sweep = ["--param", "run.seed", "--values", "0,1"]
         with pytest.raises(SystemExit) as exc:
             main([verb, "--config", tiny_cfg, *_out_flag(verb, tmp_path),
-                  "--threads", "2"])
+                  *(sweep if verb == "sweep" else []), "--threads", "2"])
         assert exc.value.code == EXIT_CONFIG
+        assert "--threads" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--out", "o"],
                                       ["--method", "linear"],
@@ -384,8 +387,19 @@ class TestConfigErrors:
              "--out", str(out)], capsys,
         )
         assert "[loop] method" in line and "y0" in line
-        assert not list(out.rglob("control.dat"))
-        assert not list(out.rglob("sweep.dat"))
+        assert not out.exists()
+
+    def test_sweep_row_value_error_names_the_given_config(self, tiny_cfg,
+                                                          tmp_path, capsys):
+        # the second row's T does not parse: the line names the file the
+        # user gave, and not even the first row's directory is made
+        out = tmp_path / "o"
+        line = self._one_line(
+            ["sweep", "--config", tiny_cfg, "--out", str(out),
+             "--param", "problem.T", "--values", "3.0,1/2"], capsys,
+        )
+        assert line.startswith(f"config error: {tiny_cfg}: [problem] T:")
+        assert not out.exists()
 
 
 class TestLinearMethod:
@@ -704,8 +718,8 @@ def test_run_without_scipy(tmp_path):
 
 
 def test_run_loads_no_masked_arrays_or_thread_pool(tmp_path):
-    # `np.unique` without `return_inverse` imports numpy.ma, and the
-    # thread pool of `sweep` imports logging: a run needs neither
+    # `np.unique` without `return_inverse` imports numpy.ma, and
+    # concurrent.futures imports logging: a run needs neither
     probe = ("import sys; from fracctrl.cli import main; "
              "code = main(sys.argv[1:]); "
              "print(sorted(m for m in ('numpy.ma', 'concurrent.futures') "
@@ -789,7 +803,7 @@ class TestSweep:
         out = tmp_path / "out"
         code = main([
             "sweep", "--config", tiny_cfg, "--out", str(out),
-            "--param", "domain.K", "--values", "8,10", "--threads", "2",
+            "--param", "domain.K", "--values", "8,10",
         ])
         assert code == EXIT_OK
         table = (out / "tiny-sweep" / "sweep.dat").read_text().splitlines()
@@ -811,6 +825,9 @@ class TestSweep:
         )
         assert manifest["method"] == "picard"
         assert manifest["seed"] == 7
+        # the row records the file given; its value is in the resolved view
+        assert manifest["config_path"] == tiny_cfg
+        assert manifest["resolved_config"]["domain.K"] == 8
         assert manifest["resolved_config"]["loop.method"] == "picard"
         assert manifest["resolved_config"]["run.seed"] == 7
 
@@ -854,14 +871,14 @@ class TestSweep:
         assert run["resolved_config"] == row["resolved_config"]
         assert (run["method"], run["seed"]) == ("picard", 7)
 
-    def test_threads_do_not_change_results(self, tiny_cfg, tmp_path):
-        # two rows at once, each byte for byte a plain run
+    def test_rows_write_the_plain_run_bytes(self, tiny_cfg, tmp_path):
+        # the seed reaches no computation: each row is byte for byte a
+        # plain run
         plain, out = tmp_path / "plain", tmp_path / "out"
         assert main(["run", "--config", tiny_cfg,
                      "--out", str(plain)]) == EXIT_OK
         assert main(["sweep", "--config", tiny_cfg, "--out", str(out),
-                     "--param", "run.seed", "--values", "0,1",
-                     "--threads", "2"]) == EXIT_OK
+                     "--param", "run.seed", "--values", "0,1"]) == EXIT_OK
         inv = json.loads((plain / "tiny" / "manifest.json").read_text())
         assert len(inv["artifacts"]) == 6
         for seed in (0, 1):
@@ -878,11 +895,10 @@ class TestSweep:
         assert exc.value.code == EXIT_CONFIG
 
     def test_repeated_value_exits_2(self, tiny_cfg, tmp_path, capsys):
-        # two rows with one value would write one row directory at once
+        # two rows with one value would share one row directory
         out = tmp_path / "out"
         code = main(["sweep", "--config", tiny_cfg, "--out", str(out),
-                     "--param", "run.seed", "--values", "0,0",
-                     "--threads", "2"])
+                     "--param", "run.seed", "--values", "0,0"])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "repeats" in err[0]
