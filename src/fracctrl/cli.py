@@ -22,13 +22,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .config import (
-    METHODS,
-    OUTPUT_ROOT_ENV,
-    ConfigError,
-    load_config,
-    read_ini,
-)
+from .config import METHODS, ConfigError, load_config, read_ini
 from .control import GramConditionError, algorithm1, picard_sequence
 from .diagnostics import EnvelopeError, hypothesis_report
 from .domain import restrict, trace
@@ -39,6 +33,19 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_HYPOTHESIS = 4
+
+OUTPUT_ROOT_ENV = "FRACCTRL_OUT"
+
+# each table a run writes: name, header and row format; plain-text column
+# files, '# header', then one row per line
+TABLES = (
+    ("control.dat", "t u", "%.17e"),
+    ("gamma_profile.dat", "s z_d reached", "%.17e"),
+    ("reached_omega.dat", "x y value", "%.17e"),
+    ("reached_full.dat", "x y value", "%.17e"),
+    ("iterations.dat", "n residual boundary_error cost control_diff",
+     "%d" + 4 * " %.17e"),
+)
 
 # failures of the numerics themselves: reported as a non-converged run
 NUMERICAL_ERRORS = (
@@ -73,9 +80,7 @@ def _run_one(cfg, outdir):
     """Execute a config and write all artifacts; returns (exit, summary)."""
     outdir.mkdir(parents=True, exist_ok=True)
     # an earlier run's files would stay listed in this run's manifest
-    for name in ("control.dat", "gamma_profile.dat", "reached_omega.dat",
-                 "reached_full.dat", "iterations.dat", "summary.txt",
-                 "manifest.json"):
+    for name in [t[0] for t in TABLES] + ["summary.txt", "manifest.json"]:
         (outdir / name).unlink(missing_ok=True)
     t_start = time.time()
     hyp = None
@@ -94,21 +99,14 @@ def _run_one(cfg, outdir):
     patch = restrict(final, cfg.omega_c)
     px, py = np.meshgrid(patch.x, patch.y, indexing="ij")
     fx, fy = np.meshgrid(cfg.domain.x, cfg.domain.y, indexing="ij")
-    # plain-text column files: '# header', then one row per line
-    for name, header, fmt, columns in (
-        ("control.dat", "t u", "%.17e",
-         [np.arange(grid.K) * grid.dt, u.values]),
-        ("gamma_profile.dat", "s z_d reached", "%.17e",
-         [prof.s, cfg.zd, prof.values]),
-        ("reached_omega.dat", "x y value", "%.17e",
-         [px.ravel(), py.ravel(), patch.values.ravel()]),
-        ("reached_full.dat", "x y value", "%.17e",
-         [fx.ravel(), fy.ravel(), final.values.ravel()]),
-        ("iterations.dat", "n residual boundary_error cost control_diff",
-         "%d" + 4 * " %.17e",
-         [np.arange(1, report.iterations + 1), report.residuals,
-          report.boundary_errors, report.costs, report.control_diffs]),
-    ):
+    for (name, header, fmt), columns in zip(TABLES, (
+        [np.arange(grid.K) * grid.dt, u.values],
+        [prof.s, cfg.zd, prof.values],
+        [px.ravel(), py.ravel(), patch.values.ravel()],
+        [fx.ravel(), fy.ravel(), final.values.ravel()],
+        [np.arange(1, report.iterations + 1), report.residuals,
+         report.boundary_errors, report.costs, report.control_diffs],
+    ), strict=True):
         np.savetxt(outdir / name, np.column_stack(columns), fmt=fmt,
                    header=header, comments="# ")
 

@@ -5,9 +5,9 @@ extensions are polynomials given as monomial coefficient lists — a
 space-separated sequence of (i, j, c) triples meaning c * x^i * y^j — so
 both bundled examples are expressed exactly without an expression parser.
 Every key has one row in `_KEYS`: its parser, default and check; every
-number a key holds must be finite.  A file key that `load_config` does
-not read is an error, so a misspelt key cannot fall back to a default
-silently.
+number a key holds must be finite.  Every key is read on every run, and
+a file key without a row is an error, so a misspelt key cannot fall back
+to a default silently.
 """
 
 import ast
@@ -44,11 +44,7 @@ __all__ = [
     "bundled_config_path",
 ]
 
-OUTPUT_ROOT_ENV = "FRACCTRL_OUT"
-
-METHODS = ("algorithm1", "picard", "linear")
-F_KINDS = ("none", "square", "power")
-ACTUATOR_KINDS = ("zonal", "pointwise")  # Actuator's constructors
+METHODS = ("algorithm1", "picard")
 
 
 class ConfigError(ValueError):
@@ -126,6 +122,11 @@ def _segment(text):
     return [spec[0], _finite(spec[1]), _finite(spec[2])]
 
 
+def _initial(text):
+    """'zero', the zero field, or a monomial list."""
+    return "zero" if text.strip() == "zero" else parse_poly(text)
+
+
 def _one_of(options):
     return (lambda v: v in options), f"must be one of {', '.join(options)}"
 
@@ -141,22 +142,22 @@ _KEYS = {
     ("problem", "alpha"): (
         _finite, _REQUIRED, ((lambda a: 0.0 < a <= 1.0), "must be in (0, 1]")),
     ("problem", "T"): (_finite, _REQUIRED, _POSITIVE),
-    ("problem", "F"): (str.strip, "square", _one_of(F_KINDS)),
-    ("problem", "f_coeff"): (_finite, _REQUIRED, None),
-    ("problem", "f_power"): (int, _REQUIRED, None),
+    # F(y) = f_coeff * y^f_power; f_coeff = 0 is the linear system
+    ("problem", "f_coeff"): (_finite, 1.0, None),
+    ("problem", "f_power"): (int, 2, None),
     ("domain", "lx"): (_finite, 1.0, None),
     ("domain", "ly"): (_finite, 1.0, None),
     **{("domain", k): (int, _REQUIRED, None)
        for k in ("nx", "ny", "mx", "my", "K")},
-    ("actuator", "type"): (str.strip, _REQUIRED, _one_of(ACTUATOR_KINDS)),
     ("actuator", "gain"): (_finite, 1.0, None),
-    ("actuator", "box"): (_floats(4), _REQUIRED, None),
-    ("actuator", "point"): (_floats(2), _REQUIRED, None),
+    # exactly one of box (a zonal actuator) and point (a pointwise one)
+    ("actuator", "box"): (_floats(4), None, None),
+    ("actuator", "point"): (_floats(2), None, None),
     ("regions", "gamma"): (_segment, _REQUIRED, None),
     ("regions", "omega_c"): (_floats(4), _REQUIRED, None),
     ("target", "z_d"): (parse_poly, _REQUIRED, None),
     ("target", "d_s"): (parse_poly, None, None),
-    ("initial", "y0"): (parse_poly, "zero", None),
+    ("initial", "y0"): (_initial, "zero", None),
     ("loop", "eps"): (_finite, _LOOP["eps"], _POSITIVE),
     # the default (negative) selects the trace-scaled lambda
     ("loop", "lambda_reg"): (
@@ -234,18 +235,20 @@ def _anchored(path, section, key):
 def load_config(path, overrides=None):
     """Read and resolve an experiment config file into the configuration
     a run uses; `read_ini` sets the overrides into the INI, so each is
-    parsed, checked and recorded as a file value is.  The linear method
-    is one residual-update iteration of `algorithm1` (n_max = 1); the
-    fixed-point sequence (picard) is defined for y0 = 0 only.  An omitted
-    lambda_reg is None until the operator sets the trace-scaled lambda."""
+    parsed, checked and recorded as a file value is.  The fixed-point
+    sequence (picard) is defined for y0 = 0 only.  An omitted lambda_reg
+    is None until the operator sets the trace-scaled lambda."""
     cp = read_ini(path, overrides)
-    asked = set()  # every (section, key) read, present in the file or not
+    known = {(section, cp.optionxform(key)) for section, key in _KEYS}
+    for section in cp.sections():
+        for key in cp.options(section):
+            if (section, key) not in known:
+                raise ConfigError(path, section, key, "unknown key")
     resolved = {}
 
     def read(section, key):
         """The key's checked value or default; recorded unless None."""
         parse, default, check = _KEYS[section, key]
-        asked.add((section, cp.optionxform(key)))
         if cp.has_option(section, key):
             with _anchored(path, section, key):
                 value = parse(cp.get(section, key))
@@ -261,6 +264,9 @@ def load_config(path, overrides=None):
 
     alpha = read("problem", "alpha")
     T = read("problem", "T")
+    coeff, power = read("problem", "f_coeff"), read("problem", "f_power")
+    with _anchored(path, "problem", "f_power"):
+        F = NonlinearTerm(coeff, power)
     lx, ly, nx, ny, mx, my, K = [
         read("domain", k) for k in ("lx", "ly", "nx", "ny", "mx", "my", "K")
     ]
@@ -269,12 +275,14 @@ def load_config(path, overrides=None):
         basis = build_basis(domain, mx, my)
         grid = TimeGrid(T, K)
 
-    kind = read("actuator", "type")
     gain = read("actuator", "gain")
-    support_key = "box" if kind == "zonal" else "point"
-    support = read("actuator", support_key)
-    with _anchored(path, "actuator", support_key):
-        act = getattr(Actuator, kind)(*support, gain=gain)
+    box, point = read("actuator", "box"), read("actuator", "point")
+    if (box is None) == (point is None):
+        raise ConfigError(path, "actuator", "-",
+                          "needs exactly one of box and point")
+    with _anchored(path, "actuator", "box" if point is None else "point"):
+        act = (Actuator.zonal(*box, gain=gain) if point is None
+               else Actuator.pointwise(*point, gain=gain))
         actuator_coefficients(act, basis)  # the support lies in the domain
 
     segment = read("regions", "gamma")
@@ -285,14 +293,6 @@ def load_config(path, overrides=None):
     with _anchored(path, "regions", "omega_c"):
         omega_c = Region.interior(*rect)
         ix, iy = region_nodes(domain, omega_c)
-
-    fkind = read("problem", "F")
-    if fkind == "power":
-        coeff, power = read("problem", "f_coeff"), read("problem", "f_power")
-        with _anchored(path, "problem", "f_power"):
-            F = NonlinearTerm.scaled_power(coeff, power)
-    else:
-        F = getattr(NonlinearTerm, fkind)()
 
     def on_gamma(terms):
         """A polynomial's samples at the grid nodes of Gamma."""
@@ -326,15 +326,9 @@ def load_config(path, overrides=None):
     loop = {k: read("loop", k)
             for k in ("eps", "lambda_reg", "n_max", "method")}
     seed = read("run", "seed")
-    for section in cp.sections():
-        for key in cp.options(section):
-            if (section, key) not in asked:
-                raise ConfigError(path, section, key, "unknown key")
     if loop["method"] == "picard" and np.any(y0.values != 0.0):
         raise ConfigError(path, "loop", "method",
                           "picard requires [initial] y0 = zero")
-    if loop["method"] == "linear":
-        loop["n_max"] = resolved["loop.n_max"] = 1
     if loop["lambda_reg"] < 0.0:
         resolved["loop.lambda_reg"] = None
 

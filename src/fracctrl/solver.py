@@ -83,25 +83,20 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class NonlinearTerm:
-    """Pointwise source nonlinearity F(y) with F(0) = 0."""
+    """Pointwise source nonlinearity F(y) = coeff * y^power, F(0) = 0."""
 
     coeff: float = 1.0
     power: int = 2
+
+    def __post_init__(self):
+        if self.power not in (2, 3):
+            raise ValueError("supported powers are 2 and 3")
+        object.__setattr__(self, "coeff", float(self.coeff))
 
     @classmethod
     def none(cls):
         """F = 0, the zero coefficient."""
         return cls(coeff=0.0)
-
-    @classmethod
-    def square(cls):
-        return cls(coeff=1.0, power=2)
-
-    @classmethod
-    def scaled_power(cls, coeff, power):
-        if power not in (2, 3):
-            raise ValueError("supported powers are 2 and 3")
-        return cls(coeff=float(coeff), power=power)
 
     @property
     def is_zero(self):

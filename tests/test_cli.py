@@ -30,7 +30,7 @@ TINY = """
 [problem]
 alpha = 0.5
 T = 1.0
-f = none
+f_coeff = 0
 
 [domain]
 nx = 21
@@ -40,7 +40,6 @@ my = 6
 K = 8
 
 [actuator]
-type = zonal
 box = 0.0 0.2 0.2 0.4
 gain = 1.0
 
@@ -115,7 +114,7 @@ class TestRun:
                      "--out", str(out)]) == EXIT_OK
         (rundir / "notes.txt").write_text("kept\n")
         Path(tiny_cfg).write_text(
-            TINY.replace("f = none", "f = square")
+            TINY.replace("f_coeff = 0", "f_coeff = 1")
             .replace("z_d = (0, 0, 1e-3)", "z_d = (0, 0, 1e9)")
         )
         assert main(["run", "--config", tiny_cfg, "--out", str(out),
@@ -163,8 +162,7 @@ class TestRun:
 
     @pytest.mark.parametrize("old, new, key", [
         ("gain = 1.0", "gain = nan", "[actuator] gain"),
-        ("f = none", "f = power\nf_coeff = inf\nf_power = 2",
-         "[problem] f_coeff"),
+        ("f_coeff = 0", "f_coeff = inf", "[problem] f_coeff"),
         ("T = 1.0", "T = inf", "[problem] T"),
         ("lambda_reg = 1e-8", "lambda_reg = -inf", "[loop] lambda_reg"),
         ("box = 0.0 0.2 0.2 0.4", "box = 0.0 0.2 0.2 inf",
@@ -233,7 +231,7 @@ class TestRun:
         u = np.loadtxt(out / "zero" / "control.dat")[:, 1]
         assert np.all(u == 0.0)
 
-    @pytest.mark.parametrize("method", ["picard", "linear"])
+    @pytest.mark.parametrize("method", ["picard"])
     def test_method_override(self, tiny_cfg, tmp_path, method):
         out = tmp_path / f"out-{method}"
         code = main(["run", "--config", tiny_cfg, "--out", str(out),
@@ -243,6 +241,31 @@ class TestRun:
             (out / "tiny" / "manifest.json").read_text()
         )
         assert manifest["method"] == method
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_linear_is_no_method_option(self, tiny_cfg, tmp_path, capsys,
+                                        verb):
+        # one residual-update iteration of algorithm1 is n_max = 1
+        sweep = ["--param", "loop.n_max", "--values", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--config", tiny_cfg, "--out", str(tmp_path / "o"),
+                  *(sweep if verb == "sweep" else []), "--method", "linear"])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "argument --method: invalid choice: 'linear'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_initial_state_runs_picard(self, tmp_path):
+        # y0 = zero, the key's default written out, is the state the
+        # fixed-point sequence requires
+        path = tmp_path / "zero.cfg"
+        path.write_text(TINY + "\n[initial]\ny0 = zero\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out),
+                     "--method", "picard"]) == EXIT_OK
+        manifest = json.loads((out / "zero" / "manifest.json").read_text())
+        assert manifest["method"] == "picard"
+        assert manifest["resolved_config"]["initial.y0"] == "zero"
 
     @pytest.mark.parametrize("verb", ["run", "verify", "sweep"])
     def test_threads_is_no_option(self, tiny_cfg, tmp_path, capsys, verb):
@@ -255,7 +278,7 @@ class TestRun:
         assert "--threads" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--out", "o"],
-                                      ["--method", "linear"],
+                                      ["--method", "picard"],
                                       ["--seed", "0"]],
                              ids=["out", "method", "seed"])
     def test_verify_takes_no_run_flags(self, tiny_cfg, tmp_path,
@@ -403,14 +426,13 @@ class TestConfigErrors:
 
 
 class TestLinearMethod:
-    """--method linear is one residual-update iteration of algorithm1."""
+    """n_max = 1 is one residual-update iteration of algorithm1."""
 
     def _run(self, tmp_path, name, text):
         path = tmp_path / f"{name}.cfg"
-        path.write_text(text)
+        path.write_text(text.replace("[loop]\n", "[loop]\nn_max = 1\n"))
         out = tmp_path / "out"
-        code = main(["run", "--config", str(path), "--out", str(out),
-                     "--method", "linear"])
+        code = main(["run", "--config", str(path), "--out", str(out)])
         return code, out / name
 
     def test_one_operator_per_run(self, tiny_cfg, tmp_path, monkeypatch):
@@ -446,25 +468,6 @@ class TestLinearMethod:
         assert code == EXIT_DIVERGED
         summary = (rundir / "summary.txt").read_text()
         assert "status: max-iterations" in summary
-
-    @pytest.mark.parametrize("where", ["flag", "file"])
-    def test_manifest_records_one_iteration(self, tmp_path, where):
-        # the manifest records the n_max the run used, not the configured
-        # one, whether --method or the file selects the linear method
-        text = TINY + "n_max = 7\n"
-        if where == "file":
-            path = tmp_path / "tiny.cfg"
-            path.write_text(text + "method = linear\n")
-            out = tmp_path / "out"
-            code = main(["run", "--config", str(path), "--out", str(out)])
-            rundir = out / "tiny"
-        else:
-            code, rundir = self._run(tmp_path, "tiny", text)
-        assert code == EXIT_OK
-        manifest = json.loads((rundir / "manifest.json").read_text())
-        assert manifest["resolved_config"]["loop.n_max"] == 1
-        assert manifest["resolved_config"]["loop.method"] == "linear"
-        assert manifest["summary"]["iterations"] == 1
 
     def test_initial_state_is_used(self, tmp_path):
         # y0 already equals the constant boundary target and Neumann
@@ -536,7 +539,7 @@ class TestNumericalFailure:
         # the solver's contraction regime, so no report row is completed
         path = tmp_path / "far.cfg"
         path.write_text(
-            TINY.replace("f = none", "f = square")
+            TINY.replace("f_coeff = 0", "f_coeff = 1")
             .replace("z_d = (0, 0, 1e-3)", "z_d = (0, 0, 1e9)")
         )
         out = tmp_path / "out"
@@ -581,7 +584,7 @@ class TestNumericalFailure:
         text = Path(bundled_config_path("example2.cfg")).read_text()
         path = tmp_path / "huge.cfg"
         path.write_text(
-            text.replace("f = square", "f = none")
+            text.replace("[problem]\n", "[problem]\nf_coeff = 0\n")
             .replace("n_max = 50", "n_max = 3")
             + "\n[initial]\ny0 = (0, 0, 1e200)\n"
         )
@@ -604,7 +607,7 @@ def test_summary_describes_the_written_control(tmp_path, capsys):
     # control, not the last row
     path = tmp_path / "grow.cfg"
     path.write_text(
-        TINY.replace("f = none", "f = square")
+        TINY.replace("f_coeff = 0", "f_coeff = 1")
         .replace("z_d = (0, 0, 1e-3)", "z_d = (0, 0, 1.0)") + "n_max = 3\n"
     )
     out = tmp_path / "out"
@@ -784,10 +787,10 @@ class TestVerify:
     def test_constants_match_run_manifest(self, tmp_path, capsys):
         # F != 0, so the constants depend on the Lipschitz bracket
         path = tmp_path / "square.cfg"
-        path.write_text(TINY.replace("f = none", "f = square"))
+        path.write_text(TINY.replace("f_coeff = 0", "f_coeff = 1")
+                        + "n_max = 1\n")
         out = tmp_path / "out"
-        main(["run", "--config", str(path), "--out", str(out),
-              "--method", "linear"])
+        main(["run", "--config", str(path), "--out", str(out)])
         manifest = json.loads(
             (out / "square" / "manifest.json").read_text()
         )
@@ -833,12 +836,12 @@ class TestSweep:
 
     @pytest.mark.parametrize("param,values,option", [
         ("run.seed", ["0", "1"], ["--seed", "7"]),
-        ("loop.method", ["algorithm1", "picard"], ["--method", "linear"]),
+        ("loop.method", ["algorithm1", "picard"], ["--method", "picard"]),
     ], ids=["seed", "method"])
     def test_row_value_wins_over_option(self, tmp_path, param, values,
                                         option):
         # a row's value is set after --method and --seed: its manifest
-        # records the row's value, and no row takes linear's n_max = 1
+        # records the row's value, and every row keeps the file's n_max
         path = tmp_path / "tiny.cfg"
         path.write_text(TINY + "n_max = 7\n")
         out = tmp_path / "out"

@@ -20,7 +20,7 @@ TINY = """
 [problem]
 alpha = 0.5
 T = 1.0
-f = none
+f_coeff = 0
 
 [domain]
 nx = 21
@@ -30,7 +30,6 @@ my = 6
 K = 8
 
 [actuator]
-type = zonal
 box = 0.0 0.2 0.2 0.4
 gain = 1.0
 
@@ -155,7 +154,6 @@ class TestLoadConfig:
     @pytest.mark.parametrize("old,new", [
         ("alpha = 0.5", "alpha = 1.5"),
         ("T = 1.0", "T = -2.0"),
-        ("type = zonal", "type = ring"),
         ("gamma = left 0.0 0.1", "gamma = left 0.0"),
         ("eps = 1e-2", "eps = -1.0"),
         ("lambda_reg = 1e-8", "lambda_reg = -0.5"),
@@ -165,23 +163,23 @@ class TestLoadConfig:
         ("lambda_reg = 1e-8", "lambda_reg = 1e-8\nn_max = 0"),
         ("lambda_reg = 1e-8", "lambda_reg = 1e-8\n[run]\nseed = 1.5"),
         ("gain = 1.0", "gain = abc"),
-        ("f = none", "f = cube"),
-        ("type = zonal\nbox = 0.0 0.2 0.2 0.4",
-         "type = pointwise\npoint = 1.5 0.5"),
+        ("box = 0.0 0.2 0.2 0.4", "point = 1.5 0.5"),
     ])
     def test_rejects_bad_values(self, tmp_path, old, new):
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, TINY.replace(old, new)))
 
     @pytest.mark.parametrize("old,new,where", [
-        ("type = zonal", "type = ring", ("actuator", "type")),
+        # the support given is the actuator: no key selects its kind
+        ("box = 0.0 0.2 0.2 0.4", "type = zonal\nbox = 0.0 0.2 0.2 0.4",
+         ("actuator", "type")),
         ("box = 0.0 0.2 0.2 0.4", "box = 0.0 1.2 0.2 0.4",
          ("actuator", "box")),
         ("gamma = left 0.0 0.1", "gamma = left 0.0", ("regions", "gamma")),
         ("omega_c = 0.0 0.3 0.0 0.1\n", "", ("regions", "omega_c")),
         ("eps = 1e-2", "eps = -1.0", ("loop", "eps")),
         ("eps = 1e-2", "eps = 1e-2\nn_max = 0", ("loop", "n_max")),
-        ("f = none", "f = power\nf_coeff = 1.0\nf_power = 4",
+        ("f_coeff = 0", "f_coeff = 1.0\nf_power = 4",
          ("problem", "f_power")),
         ("lambda_reg = 1e-8", "lambda_reg = 1e-8\n[run]\nseed = 1.5",
          ("run", "seed")),
@@ -206,17 +204,16 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path, text))
 
     def test_overrides_give_the_run_configuration(self, tmp_path):
-        # overrides replace the file's values (None sets nothing), the
-        # linear method runs one iteration, and the resolved view records
-        # all three; an omitted lambda_reg is None until the operator
-        # sets it
+        # overrides replace the file's values (None sets nothing), and
+        # the resolved view records them; an omitted lambda_reg is None
+        # until the operator sets it
         path = write_cfg(tmp_path, TINY.replace("lambda_reg = 1e-8\n", ""))
-        cfg = load_config(path, {"loop.method": "linear", "run.seed": 5,
-                                 "loop.eps": None})
-        assert (cfg.method, cfg.n_max, cfg.seed) == ("linear", 1, 5)
+        cfg = load_config(path, {"loop.method": "picard", "loop.n_max": 1,
+                                 "run.seed": 5, "loop.eps": None})
+        assert (cfg.method, cfg.n_max, cfg.seed) == ("picard", 1, 5)
         view = cfg.resolved
         assert (view["loop.method"], view["loop.n_max"], view["run.seed"],
-                view["loop.lambda_reg"]) == ("linear", 1, 5, None)
+                view["loop.lambda_reg"]) == ("picard", 1, 5, None)
         assert view["loop.eps"] == 1e-2
         H = cfg.operator()
         assert H.lambda_reg > 0.0 and view["loop.lambda_reg"] == H.lambda_reg
@@ -300,6 +297,72 @@ class TestLoadConfig:
         cfg = load_config(write_cfg(tmp_path, text))
         assert np.all(cfg.y0.values == 0.25)
 
+    def test_initial_condition_zero(self, tmp_path):
+        # the key's default, written out, is the zero state
+        text = TINY + "\n[initial]\ny0 = zero\n"
+        cfg = load_config(write_cfg(tmp_path, text))
+        assert np.all(cfg.y0.values == 0.0)
+        assert cfg.resolved["initial.y0"] == "zero"
+
+    def test_nonlinearity_keys(self, tmp_path):
+        # F(y) = f_coeff y^f_power is read on every run: y^2 by default,
+        # and f_coeff = 0 is the linear system
+        assert load_config(write_cfg(tmp_path)).F.is_zero
+        cfg = load_config(write_cfg(tmp_path, TINY.replace(
+            "f_coeff = 0\n", "")))
+        assert (cfg.F.coeff, cfg.F.power) == (1.0, 2)
+        assert (cfg.resolved["problem.f_coeff"],
+                cfg.resolved["problem.f_power"]) == (1.0, 2)
+        cfg = load_config(write_cfg(tmp_path, TINY.replace(
+            "f_coeff = 0", "f_coeff = -2\nf_power = 3")))
+        assert (cfg.F.coeff, cfg.F.power) == (-2.0, 3)
+
+    def test_actuator_is_the_support_given(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path))
+        assert cfg.act.kind == "zonal"
+        assert "actuator.point" not in cfg.resolved
+        cfg = load_config(write_cfg(tmp_path, TINY.replace(
+            "box = 0.0 0.2 0.2 0.4", "point = 0.1 0.3")))
+        assert cfg.act.kind == "pointwise"
+        assert cfg.resolved["actuator.point"] == [0.1, 0.3]
+        assert "actuator.box" not in cfg.resolved
+
+    @pytest.mark.parametrize("old,new", [
+        ("box = 0.0 0.2 0.2 0.4", "box = 0.0 0.2 0.2 0.4\npoint = 0.1 0.3"),
+        ("box = 0.0 0.2 0.2 0.4\n", ""),
+    ], ids=["both", "neither"])
+    def test_actuator_needs_one_support(self, tmp_path, capsys, old, new):
+        path = write_cfg(tmp_path, TINY.replace(old, new))
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert (exc.value.section, exc.value.key) == ("actuator", "-")
+        assert main(["verify", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "[actuator] -" in err[0]
+
+    @pytest.mark.parametrize("line,key", [
+        ("f = square", "[problem] f"),
+        ("f = none", "[problem] f"),
+        ("type = zonal", "[actuator] type"),
+    ])
+    def test_selector_keys_are_unknown(self, tmp_path, capsys, line, key):
+        # F is f_coeff y^f_power and the actuator is the support given:
+        # no key selects either
+        section = key[1:key.index("]")]
+        path = write_cfg(tmp_path, TINY.replace(
+            f"[{section}]\n", f"[{section}]\n{line}\n"))
+        assert main(["verify", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert key in err[0] and err[0].endswith("unknown key")
+
+    def test_linear_is_no_method(self, tmp_path):
+        # one residual-update iteration is n_max = 1
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_cfg(tmp_path, TINY + "method = linear\n"))
+        assert (exc.value.section, exc.value.key) == ("loop", "method")
+        assert len(str(exc.value).splitlines()) == 1
+
 
 class TestBundledConfigs:
     @pytest.mark.parametrize("name", ["example1.cfg", "example2.cfg"])
@@ -315,7 +378,6 @@ class TestBundledConfigs:
         assert cfg.resolved == {
             "actuator.box": [0.0, 0.2, 0.2, 0.4],
             "actuator.gain": 25.0,
-            "actuator.type": "zonal",
             "domain.K": 60,
             "domain.lx": 1.0,
             "domain.ly": 1.0,
@@ -328,9 +390,10 @@ class TestBundledConfigs:
             "loop.lambda_reg": 0.001875,
             "loop.method": "algorithm1",
             "loop.n_max": 50,
-            "problem.F": "square",
             "problem.T": 3.0,
             "problem.alpha": 0.3,
+            "problem.f_coeff": 1.0,
+            "problem.f_power": 2,
             "regions.gamma": ["left", 0.0, 0.1],
             "regions.omega_c": [0.0, 0.3, 0.0, 0.1],
             "run.seed": 0,

@@ -451,7 +451,7 @@ class TestPicardSequence:
         assert np.allclose(u.values, expect.values, atol=1e-12)
 
     def test_zero_target_stays_zero(self, setup):
-        problem = _example_problem(setup, NonlinearTerm.square())
+        problem = _example_problem(setup, NonlinearTerm())
         problem.d_s = GridPatch(
             x=problem.d_s.x, y=problem.d_s.y,
             values=np.zeros_like(problem.d_s.values),
@@ -471,7 +471,7 @@ class TestPicardSequence:
     def test_small_target_contracts(self, setup):
         # scaled-down target: successive control increments shrink
         problem = _example_problem(
-            setup, NonlinearTerm.square(), eps=1e-9, lambda_reg=1e-8,
+            setup, NonlinearTerm(), eps=1e-9, lambda_reg=1e-8,
             n_max=25,
         )
         problem.d_s = GridPatch(
@@ -489,7 +489,7 @@ class TestPicardSequence:
         # u_1 = pinv(d_s) drives the square nonlinearity out of the
         # solver's contraction regime: the solve raises, as it does under
         # algorithm1
-        problem = _example_problem(setup, NonlinearTerm.square())
+        problem = _example_problem(setup, NonlinearTerm())
         for loop in (picard_sequence, algorithm1):
             with pytest.raises(SemilinearDivergenceError):
                 loop(problem)
@@ -498,7 +498,7 @@ class TestPicardSequence:
         # row n describes the control simulated at step n: u_0 = 0 reaches
         # the zero state, so it is not simulated and u_1 = pinv(d_s)
         problem = _example_problem(
-            setup, NonlinearTerm.square(), eps=1e-6, lambda_reg=1e-8,
+            setup, NonlinearTerm(), eps=1e-6, lambda_reg=1e-8,
         )
         problem.d_s = GridPatch(
             x=problem.d_s.x, y=problem.d_s.y,
@@ -533,7 +533,7 @@ class TestPicardSequence:
         # the loop runs out with an accepted update: it is simulated before
         # returning, and the last report row describes it
         problem = _example_problem(
-            setup, NonlinearTerm.square(), eps=1e-12, lambda_reg=1e-8,
+            setup, NonlinearTerm(), eps=1e-12, lambda_reg=1e-8,
             n_max=2,
         )
         problem.d_s = GridPatch(
@@ -600,7 +600,7 @@ class TestKernelTables:
     @staticmethod
     def _run(setup, **kw):
         problem = _example_problem(
-            setup, NonlinearTerm.square(), eps=1e-14, lambda_reg=1e-8,
+            setup, NonlinearTerm(), eps=1e-14, lambda_reg=1e-8,
             n_max=3, **kw,
         )
         problem.d_s = GridPatch(

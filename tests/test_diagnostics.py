@@ -207,7 +207,7 @@ class TestLipschitzBracket:
     def test_c_inf_on_example1_basis(self):
         # 20 cosines per unit axis: sum_k e_k^2 = 1 + 19 * 2 at a corner
         basis = load_config(bundled_config_path("example1.cfg")).basis
-        lower, upper = lipschitz_bracket(NonlinearTerm.square(), basis)
+        lower, upper = lipschitz_bracket(NonlinearTerm(), basis)
         assert upper == pytest.approx(39.0, rel=1e-14)
         assert lower == pytest.approx(26.0085, abs=1e-4)
 
@@ -220,7 +220,7 @@ class TestLipschitzBracket:
                            for i in range(basis.mx)])
         v = basis.from_spectral(coeffs) / np.linalg.norm(coeffs)
         w = np.outer(*dom.quad_weights())
-        F = NonlinearTerm.square()
+        F = NonlinearTerm()
         lower, _ = lipschitz_bracket(F, basis)
         ratio = math.sqrt(float(np.sum(w * F(r * v) ** 2))) / r**2
         assert ratio == pytest.approx(lower, rel=1e-12)
@@ -229,7 +229,7 @@ class TestLipschitzBracket:
     def test_upper_end_bounds_span_fields(self, power):
         basis = build_basis(RectDomain(1.0, 1.0, 13, 11), 5, 4)
         w = np.outer(*basis.domain.quad_weights())
-        F = NonlinearTerm.scaled_power(1.5, power)
+        F = NonlinearTerm(1.5, power)
         lower, upper = lipschitz_bracket(F, basis)
         assert 0.0 < lower <= upper
         rng = np.random.default_rng(7)
@@ -246,7 +246,7 @@ class TestLipschitzBracket:
         ) == (0.0, 0.0)
 
 
-def _problem(basis, grid, gain, F=NonlinearTerm.square()):
+def _problem(basis, grid, gain, F=NonlinearTerm()):
     """The bundled examples' geometry (alpha = 0.3, lambda_reg = 1e-6) on
     a given basis and time grid."""
     dom = basis.domain
@@ -275,7 +275,7 @@ class TestComputeConstants:
                                 lambda *args, _value=value: _value)
         problem = _problem(build_basis(RectDomain(1.0, 1.0, 26, 26), 10, 10),
                            TimeGrid(3.0, 20), gain=1.0,
-                           F=NonlinearTerm.scaled_power(1.0, power))
+                           F=NonlinearTerm(1.0, power))
         return hypothesis_report(problem)
 
     def test_zero_nonlinearity(self, monkeypatch):
@@ -370,7 +370,7 @@ class TestGramSpectrum:
 
 
 class TestHypothesisReport:
-    def _problem(self, gain, F=NonlinearTerm.square()):
+    def _problem(self, gain, F=NonlinearTerm()):
         dom = RectDomain(1.0, 1.0, 26, 26)
         return _problem(build_basis(dom, 10, 10), TimeGrid(3.0, 20), gain, F)
 

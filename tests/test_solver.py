@@ -58,17 +58,21 @@ class TestTimeGrid:
 
 class TestNonlinearTerm:
     def test_zero_at_zero(self):
-        for F in (NonlinearTerm.none(), NonlinearTerm.square(),
-                  NonlinearTerm.scaled_power(-2.0, 3)):
+        for F in (NonlinearTerm.none(), NonlinearTerm(),
+                  NonlinearTerm(-2.0, 3)):
             assert np.all(F(np.zeros(5)) == 0.0)
 
     def test_square(self):
-        F = NonlinearTerm.square()
+        F = NonlinearTerm()
         assert np.allclose(F(np.array([1.0, -3.0])), [1.0, 9.0])
 
     def test_bad_power(self):
         with pytest.raises(ValueError):
-            NonlinearTerm.scaled_power(1.0, 4)
+            NonlinearTerm(1.0, 4)
+
+    def test_coeff_is_a_float(self):
+        F = NonlinearTerm(-2, 3)
+        assert type(F.coeff) is float and F.coeff == -2.0
 
 
 class TestSolveLinear:
@@ -169,7 +173,7 @@ class TestSolveSemilinear:
     def test_zero_data_stays_zero(self, setup):
         dom, basis, act, grid = setup
         states = np.array(list(_node_states(
-            Field.zero(dom), np.zeros(grid.K), NonlinearTerm.square(), act,
+            Field.zero(dom), np.zeros(grid.K), NonlinearTerm(), act,
             basis, grid, 0.3,
         )))
         assert np.max(np.abs(states)) == 0.0
@@ -177,7 +181,7 @@ class TestSolveSemilinear:
     def test_agrees_with_l1_oracle(self, setup):
         dom, basis, act, grid = setup
         u = 0.5 * np.ones(grid.K)
-        F = NonlinearTerm.square()
+        F = NonlinearTerm()
         spec = solve_semilinear(
             Field.zero(dom), u, F, act, basis, grid, 0.3
         ).final_field().values
@@ -193,7 +197,7 @@ class TestSolveSemilinear:
         y0 = Field.from_function(dom, lambda x, y: 50.0 + 0.0 * x)
         with pytest.raises(SemilinearDivergenceError):
             solve_semilinear(
-                y0, None, NonlinearTerm.square(), act, basis, grid, 0.9
+                y0, None, NonlinearTerm(), act, basis, grid, 0.9
             )
 
 
@@ -340,7 +344,7 @@ class TestSweepLoopBitIdentical:
         dom, basis, act, _ = setup
         grid = TimeGrid(0.1, 2)
         y0 = Field.from_function(dom, lambda x, y: 10.0 + 0.0 * x)
-        F = NonlinearTerm.square()
+        F = NonlinearTerm()
         args = (y0, np.zeros(grid.K), F, act, basis, grid, 0.9)
         _, kept_explicit = solve_semilinear_reference(*args)
         assert kept_explicit == [1, 2]
@@ -359,7 +363,7 @@ class TestSweepLoopBitIdentical:
     def test_divergence(self, setup):
         dom, basis, act, grid = setup
         y0 = Field.from_function(dom, lambda x, y: 50.0 + 0.0 * x)
-        args = (y0, None, NonlinearTerm.square(), act, basis, grid, 0.9)
+        args = (y0, None, NonlinearTerm(), act, basis, grid, 0.9)
         with pytest.raises(SemilinearDivergenceError) as ref:
             solve_semilinear_reference(*args)
         with pytest.raises(SemilinearDivergenceError) as got:
@@ -377,7 +381,7 @@ class TestSweepLoopBitIdentical:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SemilinearDivergenceError):
                 solve_semilinear(
-                    y0, None, NonlinearTerm.square(), act, basis, grid, 0.9
+                    y0, None, NonlinearTerm(), act, basis, grid, 0.9
                 )
 
 
@@ -408,7 +412,7 @@ class TestFProjection:
         basis = build_basis(dom, mx, my)
         ex, ey, _, _ = basis.alias_free(power)
         assert (ex.shape[1], ey.shape[1]) == nodes[power - 2]
-        F = NonlinearTerm.scaled_power(0.7, power)
+        F = NonlinearTerm(0.7, power)
         c = self._state(basis)
         got = solver._f_projection(F, basis)(c)
         ref = self._domain_projection(F, basis, c)
@@ -418,7 +422,7 @@ class TestFProjection:
     def test_domain_grid_bit_identical(self):
         # 30 modes at power 3 need 60 nodes; the domain grid has 51
         basis = build_basis(RectDomain(1.0, 1.0, 51, 51), 30, 30)
-        F = NonlinearTerm.scaled_power(-2.0, 3)
+        F = NonlinearTerm(-2.0, 3)
         c = self._state(basis)
         got = solver._f_projection(F, basis)(c)
         assert np.array_equal(got, self._domain_projection(F, basis, c))
@@ -622,7 +626,7 @@ class TestInitialStateSource:
     def test_square_step_equation(self, scaled_problem, monkeypatch):
         # both formulations solve each step's equation to 1e-15: the
         # solver's settling tolerance alone moves it by 3.8e-11 here
-        args = self._args(scaled_problem, NonlinearTerm.square())
+        args = self._args(scaled_problem, NonlinearTerm())
         _, kept_explicit = solve_semilinear_reference(*args)
         assert kept_explicit == []
         exact = solve_step_equation(*args, kept_explicit).coeffs
@@ -663,7 +667,7 @@ class TestTrajectory:
         # wherever the loop yields, the caller's settings are in force
         dom, basis, act, grid = setup
         y0 = Field.from_function(dom, lambda x, y: np.cos(np.pi * x))
-        states = _node_states(y0, np.zeros(grid.K), NonlinearTerm.square(),
+        states = _node_states(y0, np.zeros(grid.K), NonlinearTerm(),
                               act, basis, grid, 0.5)
         with np.errstate(over="raise", invalid="raise"):
             before = np.geterr()
@@ -723,7 +727,7 @@ class TestBlockHistory:
         monkeypatch.setattr(np.fft, "rfft", no_fft)
         monkeypatch.setattr(np.fft, "irfft", no_fft)
         y0 = Field.from_function(dom, lambda x, y: 0.1 * np.cos(np.pi * x))
-        F = NonlinearTerm.square()
+        F = NonlinearTerm()
         solve_semilinear(y0, None, F, act, basis, TimeGrid(3.0, 64), 0.5)
         with pytest.raises(AssertionError, match="np.fft called"):
             solve_semilinear(y0, None, F, act, basis, TimeGrid(3.0, 65), 0.5)
@@ -775,7 +779,7 @@ class TestReferenceBitIdentical:
     def _unsettled(setup):
         dom, basis, act, _ = setup
         y0 = Field.from_function(dom, lambda x, y: 10.0 + 0.0 * x)
-        return (y0, np.zeros(2), NonlinearTerm.square(), act, basis,
+        return (y0, np.zeros(2), NonlinearTerm(), act, basis,
                 TimeGrid(0.1, 2), 0.9)
 
     @pytest.mark.parametrize("case", [
@@ -793,7 +797,7 @@ class TestReferenceBitIdentical:
                                      * np.cos(np.pi * y)))
         elif case == "cubic":
             args = self._bundled("example2",
-                                 NonlinearTerm.scaled_power(0.5, 3))
+                                 NonlinearTerm(0.5, 3))
         elif case == "unsettled":
             args = self._unsettled(request.getfixturevalue("setup"))
         else:
