@@ -17,8 +17,6 @@ import sys
 import time
 from pathlib import Path
 
-# before numpy loads: one OpenBLAS thread, unless the caller set a count
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
@@ -92,7 +90,6 @@ def _run_one(cfg, outdir):
         status = ("diverged" if isinstance(exc, SemilinearDivergenceError)
                   else "failed")
         return _stopped(cfg, outdir, hyp, status, exc, t_start)
-    status = report.status
     grid = cfg.grid
     final = traj.final_field()
     prof = trace(final, cfg.gamma)
@@ -109,19 +106,9 @@ def _run_one(cfg, outdir):
     ), strict=True):
         np.savetxt(outdir / name, np.column_stack(columns), fmt=fmt,
                    header=header, comments="# ")
-
-    # the row of the returned control, which a non-converged loop takes
-    # from its best row rather than its last
-    row = report.returned
-    summary = {
-        "status": status,
-        "iterations": report.iterations,
-        "boundary_error": report.boundary_errors[row],
-        "residual": report.residuals[row],
-        "cost": report.costs[row],
-    }
+    summary = report.summary()
     _write_manifest(cfg, outdir, hyp, summary, t_start)
-    return (EXIT_OK if status == "converged" else EXIT_DIVERGED), summary
+    return (EXIT_OK if report.converged else EXIT_DIVERGED), summary
 
 
 def _stopped(cfg, outdir, hyp, status, reason, t_start):
@@ -133,17 +120,20 @@ def _stopped(cfg, outdir, hyp, status, reason, t_start):
     return EXIT_DIVERGED, summary
 
 
+def _summary_text(summary):
+    """One `key: value` line per summary entry: summary.txt, and the
+    lines `run` prints before its artifacts line."""
+    return "".join(f"{k}: {v}\n" for k, v in summary.items())
+
+
 def _write_manifest(cfg, outdir, hyp, summary, t_start):
-    """Write summary.txt, one `key: value` line per summary entry, then
-    manifest.json, which records the same summary and the SHA-256 of
-    every other file in outdir."""
+    """Write summary.txt, then manifest.json, which records the same
+    summary and the SHA-256 of every other file in outdir."""
     # imported here: it loads OpenSSL, which would stay resident through
     # the whole run for these few digests
     import hashlib
 
-    (outdir / "summary.txt").write_text(
-        "\n".join(f"{k}: {v}" for k, v in summary.items()) + "\n"
-    )
+    (outdir / "summary.txt").write_text(_summary_text(summary))
     artifacts = sorted(
         p.name for p in outdir.iterdir()
         if p.is_file() and p.name != "manifest.json"
@@ -181,8 +171,7 @@ def cmd_run(args):
     cfg = load_config(args.config, _overrides(args))
     outdir = _out_root(args) / Path(args.config).stem
     code, summary = _run_one(cfg, outdir)
-    _emit("\n".join(f"{k}: {v}" for k, v in summary.items())
-          + f"\nartifacts: {outdir}")
+    _emit(_summary_text(summary) + f"artifacts: {outdir}")
     return code
 
 

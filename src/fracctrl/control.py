@@ -215,6 +215,20 @@ class IterationReport:
         d = self.control_diffs
         return [d[i] / d[i - 1] for i in range(1, len(d)) if d[i - 1] > 0.0]
 
+    def summary(self):
+        """The run's summary, in order: status, iteration count, and the
+        boundary error, residual and cost of the returned row, which a
+        loop that does not converge takes from its best row, not its
+        last."""
+        row = self.returned
+        return {
+            "status": self.status,
+            "iterations": self.iterations,
+            "boundary_error": self.boundary_errors[row],
+            "residual": self.residuals[row],
+            "cost": self.costs[row],
+        }
+
 
 @dataclass
 class ControlProblem:

@@ -56,14 +56,6 @@ class RectDomain:
     def y(self):
         return _node_row(self.ly, self.ny)
 
-    @property
-    def dx(self):
-        return self.lx / (self.nx - 1)
-
-    @property
-    def dy(self):
-        return self.ly / (self.ny - 1)
-
     def quad_weights(self):
         """Trapezoid weights (wx, wy) for the discrete L2 inner product."""
         return _trapezoid_weights(self.x), _trapezoid_weights(self.y)
@@ -200,18 +192,6 @@ class SpectralBasis:
         ex, ey = self._factors
         return ex.T @ coeffs @ ey
 
-    def evaluate_mode(self, i, j, x, y):
-        """Point values e_ij(x, y) (arrays broadcast)."""
-        d = self.domain
-        cx = 1.0 / math.sqrt(d.lx) if i == 0 else math.sqrt(2.0 / d.lx)
-        cy = 1.0 / math.sqrt(d.ly) if j == 0 else math.sqrt(2.0 / d.ly)
-        return (
-            cx
-            * np.cos(i * np.pi * np.asarray(x) / d.lx)
-            * cy
-            * np.cos(j * np.pi * np.asarray(y) / d.ly)
-        )
-
 
 def build_basis(domain, mx, my):
     """Construct the truncated Neumann cosine eigenbasis on the domain."""
@@ -241,20 +221,11 @@ class Field:
             )
 
     @classmethod
-    def from_function(cls, domain, fn):
-        xx, yy = np.meshgrid(domain.x, domain.y, indexing="ij")
-        return cls(domain, fn(xx, yy))
-
-    @classmethod
     def zero(cls, domain):
         return cls(domain, np.zeros((domain.nx, domain.ny)))
 
     def coefficients(self, basis):
         return basis.to_spectral(self.values)
-
-    def norm_l2(self):
-        wx, wy = self.domain.quad_weights()
-        return math.sqrt(float(wx @ self.values**2 @ wy))
 
 
 @dataclass(frozen=True)

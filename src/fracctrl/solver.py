@@ -17,8 +17,8 @@ depth one (Anderson); they start from F extrapolated cubically in time.
 A step settles by one test, its residual within TOL_PICARD, and hands
 the F of its last sweep to the next step.  A step whose sweeps do not
 settle keeps its predictor, the explicit step with the nonlinearity
-frozen at the step start.  A solve returns its final state and control:
-the paper's algorithm reads the state at T alone.  Its step loop,
+frozen at the step start.  A solve returns its final state, the state
+at T that the paper's algorithm reads alone.  Its step loop,
 `_node_states`, yields every node's state as it computes it and holds
 one (K x modes) array, the per-step sources its history sum reads.  That
 sum is exact and costs O(K log^2 K), not O(K^2), per mode: block FFTs
@@ -124,12 +124,10 @@ def _control_values(u, steps):
 
 @dataclass
 class Trajectory:
-    """A solve's state at T, all the paper's algorithm reads of it, and
-    the control that generated it."""
+    """A solve's state at T, all the paper's algorithm reads of it."""
 
     basis: object
     final: np.ndarray  # the state at node K, shape (mx*my,)
-    control: np.ndarray  # per-step values that generated the trajectory
 
     def final_field(self):
         c = self.final.reshape(self.basis.mx, self.basis.my)
@@ -219,13 +217,13 @@ def solve_semilinear(y0, u, F, act, basis, grid, alpha):
 
     The package's one forward solver: F = 0 (`NonlinearTerm.none()`) runs
     the same steps, each settling at its first sweep.  Returns the
-    `Trajectory` of the state at T and the control; the step loop,
-    `_node_states`, yields the state at every node as it computes it.
+    `Trajectory` of the state at T; the step loop, `_node_states`, yields
+    the state at every node as it computes it.
     """
     control = _control_values(u, grid.K)
     for final in _node_states(y0, control, F, act, basis, grid, alpha):
         pass
-    return Trajectory(basis, final, control)
+    return Trajectory(basis, final)
 
 
 def _node_states(y0, u, F, act, basis, grid, alpha):

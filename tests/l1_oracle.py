@@ -18,6 +18,7 @@ from scipy.sparse.linalg import splu
 from fracctrl.domain import Field
 from fracctrl.mittag import check_order
 from fracctrl.solver import TimeGrid, _control_values
+from fields import spacing
 
 
 @dataclass
@@ -62,15 +63,16 @@ def _actuator_grid_shape(act, domain):
     """Nodal representation of the actuator: control-volume fractions of
     the support rectangle, or a discrete Dirac mass at the nearest node."""
     shape = np.zeros((domain.nx, domain.ny))
+    dx, dy = spacing(domain)
     if act.kind == "zonal":
         x0, x1, y0, y1 = act.support
-        fx = _cell_fractions(domain.x, domain.dx, domain.lx, x0, x1)
-        fy = _cell_fractions(domain.y, domain.dy, domain.ly, y0, y1)
+        fx = _cell_fractions(domain.x, dx, domain.lx, x0, x1)
+        fy = _cell_fractions(domain.y, dy, domain.ly, y0, y1)
         shape = np.outer(fx, fy)
     else:
         bx, by = act.support
-        ix = int(round(bx / domain.dx))
-        iy = int(round(by / domain.dy))
+        ix = int(round(bx / dx))
+        iy = int(round(by / dy))
         wx, wy = domain.quad_weights()
         shape[ix, iy] = 1.0 / (wx[ix] * wy[iy])
     return act.gain * shape
@@ -81,10 +83,11 @@ def l1_oracle_solve(y0, u, F, act, domain, grid, alpha):
     nonlinearity is lagged one step."""
     alpha = check_order(alpha)
     nx, ny = domain.nx, domain.ny
+    dx, dy = spacing(domain)
     lap = kron(
-        _neumann_laplacian_1d(nx, domain.dx), identity(ny, format="csr")
+        _neumann_laplacian_1d(nx, dx), identity(ny, format="csr")
     ) + kron(
-        identity(nx, format="csr"), _neumann_laplacian_1d(ny, domain.dy)
+        identity(nx, format="csr"), _neumann_laplacian_1d(ny, dy)
     )
     dt = grid.dt
     c0 = dt ** (-alpha) / math.gamma(2.0 - alpha)

@@ -26,7 +26,6 @@ from fracctrl.control import ControlProblem, algorithm1, picard_sequence
 from fracctrl.diagnostics import estimate_A1, hypothesis_report
 from fracctrl.domain import (
     Actuator,
-    Field,
     GridPatch,
     RectDomain,
     Region,
@@ -35,6 +34,7 @@ from fracctrl.domain import (
 )
 from fracctrl.mittag import ml
 from fracctrl.solver import NonlinearTerm, TimeGrid, solve_semilinear
+from fields import evaluate_mode, from_function
 from l1_oracle import l1_oracle_solve
 from test_cli import _package_env
 
@@ -85,10 +85,10 @@ class TestCriterion2SolverCrossValidation:
         basis = build_basis(dom, 20, 20)
         grid = TimeGrid(3.0, 60)
         act = Actuator.zonal(0.0, 0.2, 0.2, 0.4)
-        y0 = Field.from_function(
+        y0 = from_function(
             dom,
-            lambda x, y: basis.evaluate_mode(1, 0, x, y)
-            + basis.evaluate_mode(0, 1, x, y),
+            lambda x, y: evaluate_mode(basis, 1, 0, x, y)
+            + evaluate_mode(basis, 0, 1, x, y),
         )
         spec = solve_semilinear(
             y0, None, NonlinearTerm.none(), act, basis, grid, 0.3
@@ -108,10 +108,10 @@ class TestCriterion2SolverCrossValidation:
         basis = build_basis(dom, 10, 10)
         act = Actuator.zonal(0.0, 0.2, 0.2, 0.4)
         alpha = 0.3
-        y0 = Field.from_function(
+        y0 = from_function(
             dom,
-            lambda x, y: basis.evaluate_mode(1, 0, x, y)
-            + basis.evaluate_mode(0, 1, x, y),
+            lambda x, y: evaluate_mode(basis, 1, 0, x, y)
+            + evaluate_mode(basis, 0, 1, x, y),
         )
 
         def final(K):

@@ -637,6 +637,43 @@ def test_summary_describes_the_written_control(tmp_path, capsys):
         assert manifest["summary"][key] == written
 
 
+@pytest.mark.parametrize("status,text,flags", [
+    ("converged", TINY, []),
+    ("max-iterations",
+     TINY.replace("eps = 1e-2", "eps = 1e-12") + "n_max = 1\n", []),
+    # every residual's norm overflows, so the first row counts as
+    # divergence
+    ("diverged", TINY + "n_max = 3\n\n[initial]\ny0 = (0, 0, 1e200)\n", []),
+    # the first fixed-point control blows the state up: no row completes
+    ("diverged", TINY.replace("f_coeff = 0", "f_coeff = 1")
+     .replace("z_d = (0, 0, 1e-3)", "z_d = (0, 0, 1e9)"),
+     ["--method", "picard"]),
+    # a dead actuator leaves the Gram matrix identically zero
+    ("failed", TINY.replace("gain = 1.0", "gain = 0.0")
+     .replace("lambda_reg = 1e-8\n", ""), []),
+], ids=["converged", "max-iterations", "diverged", "diverged-no-row",
+        "failed"])
+def test_summary_is_the_same_in_every_place(tmp_path, capsys, status, text,
+                                            flags):
+    # stdout's lines before its artifacts line are summary.txt, and the
+    # manifest's summary holds the same keys (sorted, as the manifest
+    # sorts every key) with the same values
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(path), "--out", str(out), *flags])
+    assert code == (EXIT_OK if status == "converged" else EXIT_DIVERGED)
+    lines = (out / "run" / "summary.txt").read_text().splitlines()
+    assert lines[0] == f"status: {status}"
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == lines + [f"artifacts: {out / 'run'}"]
+    summary = json.loads((out / "run" / "manifest.json").read_text())[
+        "summary"]
+    keys = [line.split(": ", 1)[0] for line in lines]
+    assert list(summary) == sorted(keys)
+    assert [f"{k}: {summary[k]}" for k in keys] == lines
+
+
 def _package_env():
     """Environment for a child interpreter that imports this fracctrl."""
     src = str(Path(fracctrl.__file__).resolve().parents[1])
@@ -676,15 +713,9 @@ def test_cli_import_loads_no_openssl():
     assert done.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("given,want", [(None, "None 1"), ("2", "2 2")],
-                         ids=["unset", "explicit"])
-def test_cli_sets_one_openblas_thread(given, want):
-    # the CLI's own process runs one OpenBLAS thread unless the caller
-    # set a count; importing the package without the CLI sets none
-    env = _package_env()
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if given is not None:
-        env["OPENBLAS_NUM_THREADS"] = given
+def test_cli_keeps_the_callers_openblas_threads():
+    # the caller's OpenBLAS thread count reaches the CLI's process as set
+    env = dict(_package_env(), OPENBLAS_NUM_THREADS="2")
     probe = ("import os, fracctrl.config; "
              "before = os.environ.get('OPENBLAS_NUM_THREADS'); "
              "import fracctrl.cli; "
@@ -692,7 +723,7 @@ def test_cli_sets_one_openblas_thread(given, want):
     done = subprocess.run([sys.executable, "-c", probe],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == want
+    assert done.stdout.strip() == "2 2"
 
 
 def test_run_without_scipy(tmp_path):

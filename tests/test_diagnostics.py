@@ -26,6 +26,7 @@ from fracctrl.domain import (
 from fracctrl.mittag import ml
 from fracctrl.solver import NonlinearTerm, TimeGrid
 from a1_oracle import estimate_A1 as dense_a1
+from fields import evaluate_mode
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +216,7 @@ class TestLipschitzBracket:
     def test_lower_end_attained_by_the_kernel(self, setup, r):
         # the normalised reproducing kernel at the corner node
         dom, basis, _ = setup
-        coeffs = np.array([[basis.evaluate_mode(i, j, 0.0, 0.0)
+        coeffs = np.array([[evaluate_mode(basis, i, j, 0.0, 0.0)
                             for j in range(basis.my)]
                            for i in range(basis.mx)])
         v = basis.from_spectral(coeffs) / np.linalg.norm(coeffs)

@@ -17,6 +17,7 @@ from fracctrl.domain import (
     restrict,
     trace,
 )
+from fields import evaluate_mode, from_function, spacing
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ def basis(unit):
 class TestRectDomain:
     def test_grid_endpoints(self, unit):
         assert unit.x[0] == 0.0 and unit.x[-1] == 1.0
-        assert unit.dx == pytest.approx(0.02)
+        assert spacing(unit)[0] == pytest.approx(0.02)
 
     def test_axes_are_one_read_only_array_each(self):
         dom = RectDomain(2.0, 0.5, 21, 9)
@@ -79,7 +80,7 @@ class TestBasis:
     def test_round_trip_smooth_field(self, unit, basis):
         # smooth and Neumann-compatible (zero normal derivative), so the
         # cosine coefficients decay super-algebraically
-        f = Field.from_function(
+        f = from_function(
             unit, lambda x, y: np.exp(np.cos(np.pi * x) + np.cos(2 * np.pi * y))
         )
         back = basis.from_spectral(basis.to_spectral(f.values))
@@ -97,36 +98,36 @@ class TestBasis:
         # sample near x=0 and check the one-sided slope is O(h^2)
         h = 1e-5
         for (i, j) in [(1, 0), (3, 2), (0, 5)]:
-            v0 = basis.evaluate_mode(i, j, 0.0, 0.3)
-            vh = basis.evaluate_mode(i, j, h, 0.3)
+            v0 = evaluate_mode(basis, i, j, 0.0, 0.3)
+            vh = evaluate_mode(basis, i, j, h, 0.3)
             assert abs(vh - v0) / h < 1e-3
 
 
 class TestRestrictTrace:
     def test_restrict_constant(self, unit):
-        one = Field.from_function(unit, lambda x, y: np.ones_like(x))
+        one = from_function(unit, lambda x, y: np.ones_like(x))
         patch = restrict(one, Region.interior(0.0, 0.3, 0.0, 0.1))
         assert np.all(patch.values == 1.0)
         assert patch.x[-1] == pytest.approx(0.3)
 
     def test_restrict_whole_domain_is_identity(self, unit):
-        f = Field.from_function(unit, lambda x, y: x * y)
+        f = from_function(unit, lambda x, y: x * y)
         patch = restrict(f, Region.interior(0.0, 1.0, 0.0, 1.0))
         assert np.array_equal(patch.values, f.values)
 
     def test_restrict_coordinate_field(self, unit):
-        f = Field.from_function(unit, lambda x, y: x)
+        f = from_function(unit, lambda x, y: x)
         patch = restrict(f, Region.interior(0.0, 0.3, 0.0, 0.1))
         assert np.allclose(patch.values, patch.x[:, None])
 
     def test_trace_coordinate_field(self, unit):
-        f = Field.from_function(unit, lambda x, y: y)
+        f = from_function(unit, lambda x, y: y)
         prof = trace(f, Region.boundary("left", 0.0, 0.1))
         assert np.allclose(prof.values, prof.s)
 
     def test_trace_eigenmode_closed_form(self, unit, basis):
-        f = Field.from_function(
-            unit, lambda x, y: basis.evaluate_mode(0, 1, x, y)
+        f = from_function(
+            unit, lambda x, y: evaluate_mode(basis, 0, 1, x, y)
         )
         prof = trace(f, Region.boundary("left", 0.0, 0.3))
         assert np.allclose(
@@ -135,7 +136,7 @@ class TestRestrictTrace:
         )
 
     def test_trace_all_sides(self, unit):
-        f = Field.from_function(unit, lambda x, y: x + 10 * y)
+        f = from_function(unit, lambda x, y: x + 10 * y)
         assert trace(f, Region.boundary("right", 0.0, 1.0)).values[0] == 1.0
         assert trace(f, Region.boundary("top", 0.0, 1.0)).values[0] == 10.0
         assert trace(f, Region.boundary("bottom", 0.5, 1.0)).values[0] == 0.5
@@ -151,8 +152,8 @@ class TestRestrictTrace:
     @given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
     def test_linearity(self, a, b):
         dom = RectDomain(1.0, 1.0, 21, 21)
-        f = Field.from_function(dom, lambda x, y: np.sin(3 * x) + y)
-        g = Field.from_function(dom, lambda x, y: x**2 - np.cos(y))
+        f = from_function(dom, lambda x, y: np.sin(3 * x) + y)
+        g = from_function(dom, lambda x, y: x**2 - np.cos(y))
         combo = Field(dom, a * f.values + b * g.values)
         reg = Region.interior(0.0, 0.5, 0.0, 0.25)
         gam = Region.boundary("left", 0.0, 0.25)
@@ -185,7 +186,7 @@ class TestRegionNodes:
         assert np.array_equal(ix, [25]) and np.array_equal(iy, [0])
         # the profile is parametrized by x along the bottom edge, even
         # though both index arrays hold a single node
-        prof = trace(Field.from_function(unit, lambda x, y: x + 10 * y), seg)
+        prof = trace(from_function(unit, lambda x, y: x + 10 * y), seg)
         assert np.array_equal(prof.s, [0.5])
         assert np.array_equal(prof.values, [0.5])
 
@@ -261,7 +262,7 @@ class TestActuator:
     def test_zonal_matches_quadrature(self, unit, basis):
         act = Actuator.zonal(0.0, 0.2, 0.2, 0.4)
         b = actuator_coefficients(act, basis)
-        ind = Field.from_function(
+        ind = from_function(
             unit,
             lambda x, y: ((x <= 0.2 + 1e-12) & (y >= 0.2 - 1e-12)
                           & (y <= 0.4 + 1e-12)).astype(float),
