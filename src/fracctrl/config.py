@@ -16,7 +16,6 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from importlib import resources
 
 import numpy as np
 
@@ -199,6 +198,9 @@ class ExperimentConfig(ControlProblem):
 
 def bundled_config_path(name):
     """Filesystem path of a packaged example config (e.g. 'example1.cfg')."""
+    # imported on use: no run calls this, and the import costs about 5 ms
+    from importlib import resources
+
     ref = resources.files("fracctrl") / "configs" / name
     return str(ref)
 

@@ -82,9 +82,6 @@ class ControlSignal:
         """Squared L2(0,T) norm."""
         return float(np.sum(self.values**2) * self.grid.dt)
 
-    def norm(self):
-        return math.sqrt(self.cost())
-
 
 @dataclass
 class ControllabilityOperator:

@@ -229,15 +229,13 @@ def g_alpha_norm(grid, alpha):
 
 def lipschitz_bracket(F, basis):
     """Bracket (lower, upper) of F_N(r, 0) / r^(p-1) for F = c y^p on the
-    span of the basis, in the discrete L2 norm; (0, 0) for F = none.
+    span of the basis, in the discrete L2 norm; (0, 0) for c = 0.
 
     F_N(r, 0) = |c| r^(p-1) sup |v^p|_2 over unit fields v of the span.
     The upper end is |c| C_inf^(p-1), C_inf^2 = max over the nodes of
     sum_k e_k^2; the lower end is |c| |v*^p|_2 for the normalised
     reproducing kernel v* at the node of that maximum (module docstring).
     """
-    if F.is_zero:
-        return 0.0, 0.0
     # the basis is separable, so sum_k e_k^2 is a product of axis sums
     ex, ey = basis._factors
     sx, sy = np.sum(ex**2, axis=0), np.sum(ey**2, axis=0)

@@ -111,10 +111,6 @@ class SpectralBasis:
     my: int
 
     @property
-    def modes(self):
-        return [(i, j) for i in range(self.mx) for j in range(self.my)]
-
-    @property
     def eigenvalues(self):
         i = np.arange(self.mx)
         j = np.arange(self.my)

@@ -1,15 +1,15 @@
 """Fractional-calculus primitives.
 
-Two-parameter Mittag-Leffler evaluation on the real axis.  `ml` takes
-scalars or arrays: each element is routed by a mask to the Taylor
-series (|z| up to a reach read from the series' own Gamma table, kept
-where its rounding estimate passes), the algebraic asymptotic expansion
-(large |z|) or a Talbot contour inversion (the rest), and every branch
-runs as whole-array numpy code.  The route is the same for every order
-alpha in (0, 1], alpha = 1 included.  Repeated arguments are evaluated
-once: `ml` sorts its array and takes the distinct values.  The solver
-builds its one kernel table, the step weights, by `ml` calls over row
-slabs of at most sixteen chunks.
+Two-parameter Mittag-Leffler evaluation for z <= 0; a positive z
+raises.  `ml` takes scalars or arrays: each element is routed by a mask
+to the Taylor series (|z| up to a reach read from the series' own Gamma
+table, kept where its rounding estimate passes), the algebraic
+asymptotic expansion (large |z|) or a Talbot contour inversion (the
+rest), and every branch runs as whole-array numpy code.  The route is
+the same for every order alpha in (0, 1], alpha = 1 included.  Repeated
+arguments are evaluated once: `ml` sorts its array and takes the
+distinct values.  The solver builds its one kernel table, the step
+weights, by `ml` calls over row slabs of at most sixteen chunks.
 
 Both sums stop where each element's own terms allow.  The series stops
 at the first term below 1e-16 of the sum; the expansion stops at the
@@ -323,10 +323,6 @@ def _ml_vec(alpha, beta, z, coef):
         ok = _accepted(value, err)
         out[idx[series[ok]]] = value[ok]
         idx = np.delete(idx, series[ok])
-    positive = z[idx] > 0.0
-    if positive.any():
-        raise MLEvaluationError(alpha, beta, float(z[idx[positive][0]]),
-                                "positive arguments supported only near 0")
     if idx.size == 0:
         return out
     value, err = _asymptotic_vec(alpha, beta, z[idx], coef)
@@ -342,15 +338,15 @@ def ml(alpha, beta, z):
     """Two-parameter Mittag-Leffler function E_(alpha,beta)(z).
 
     z may be a scalar, which returns a float, or an array of any shape,
-    which returns an array of that shape.  Supported contract is the
-    closed negative real axis (z <= 0) for alpha in (0, 1] and beta > 0;
-    small positive z is best effort.
+    which returns an array of that shape.  Defined on the closed
+    negative real axis (z <= 0) for alpha in (0, 1] and beta > 0.
 
     Raises
     ------
     MLEvaluationError
-        If no evaluation branch reaches the requested tolerance for some
-        element; the error names the first such z.
+        If some element is positive, or no evaluation branch reaches the
+        requested tolerance for some element; the error names the first
+        such z.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -360,6 +356,10 @@ def ml(alpha, beta, z):
     # repeated arguments (e.g. the mirrored modes of a square basis) are
     # evaluated once, in increasing order
     flat, inverse = np.unique(z.ravel(), return_inverse=True)
+    positive = flat > 0.0
+    if positive.any():
+        raise MLEvaluationError(alpha, beta, float(flat[positive][0]),
+                                "positive argument (supported: z <= 0)")
     out = np.empty(flat.size)
     coef = _coefficients(alpha, beta)
     for lo in range(0, flat.size, _CHUNK):

@@ -713,6 +713,21 @@ def test_cli_import_loads_no_openssl():
     assert done.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_importlib_resources():
+    # importlib.resources serves only `bundled_config_path`, which no run
+    # calls.  `site` can preload it through a .pth file, so the child runs
+    # without `site` (-S), with numpy's install directory on its path
+    env = _package_env()
+    env["PYTHONPATH"] = os.pathsep.join(
+        (env["PYTHONPATH"], str(Path(np.__file__).resolve().parents[1])))
+    probe = ("import sys, fracctrl.cli; "
+             "print('importlib.resources' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_cli_keeps_the_callers_openblas_threads():
     # the caller's OpenBLAS thread count reaches the CLI's process as set
     env = dict(_package_env(), OPENBLAS_NUM_THREADS="2")

@@ -668,7 +668,6 @@ class TestControlSignal:
         _, _, grid, _, _, _ = setup
         u = ControlSignal(np.full(grid.K, 2.0), grid)
         assert u.cost() == pytest.approx(4.0 * grid.T)
-        assert u.norm() == pytest.approx(2.0 * math.sqrt(grid.T))
 
     def test_rejects_nonfinite(self, setup):
         _, _, grid, _, _, _ = setup

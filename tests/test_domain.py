@@ -56,11 +56,11 @@ class TestRectDomain:
 
 class TestBasis:
     def test_constant_mode_eigenvalue(self, basis):
-        assert basis.modes[0] == (0, 0)
+        # modes in (i, j) lexicographic order: mode 0 is (0, 0)
         assert basis.eigenvalues[0] == 0.0
 
     def test_textbook_eigenvalues(self, basis):
-        lam = dict(zip(basis.modes, basis.eigenvalues))
+        lam = dict(zip(np.ndindex(basis.mx, basis.my), basis.eigenvalues))
         assert lam[(1, 0)] == pytest.approx(math.pi**2, rel=1e-13)
         assert lam[(2, 3)] == pytest.approx(13 * math.pi**2, rel=1e-13)
 

@@ -68,6 +68,14 @@ class TestML:
             ml(0.5, 1.0, 80.0)
         assert err.value.z == 80.0
 
+    @pytest.mark.parametrize("z", [1e-3, 0.5])
+    def test_small_positive_argument_rejected(self, z):
+        # inside the Taylor series' reach, but off the supported z <= 0
+        with pytest.raises(MLEvaluationError) as err:
+            ml(0.5, 1.0, z)
+        assert err.value.z == z
+        assert f"({z})" in str(err.value)
+
 
 class TestCheckOrder:
     @pytest.mark.parametrize("bad", [0.0, -0.5, 1.2, 2.0])
@@ -162,7 +170,7 @@ class TestStepWeight:
 
     def test_frozen_quadrature_oracle(self):
         basis = _unit_basis()
-        col = basis.modes.index((1, 0))
+        col = np.ravel_multi_index((1, 0), (basis.mx, basis.my))
         assert basis.eigenvalues[col] == pytest.approx(math.pi**2)
         Wd = _step_weights(basis, TimeGrid(1.0, 2), 0.3)
         assert Wd[1, col] == pytest.approx(EW_PI2_05_10_A03, rel=1e-10)
