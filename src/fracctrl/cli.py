@@ -32,8 +32,6 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_HYPOTHESIS = 4
 
-OUTPUT_ROOT_ENV = "FRACCTRL_OUT"
-
 # each table a run writes: name, header and row format; plain-text column
 # files, '# header', then one row per line
 TABLES = (
@@ -66,12 +64,7 @@ def _emit(text):
 
 
 def _out_root(args):
-    if args.out:
-        return Path(args.out)
-    env = os.environ.get(OUTPUT_ROOT_ENV)
-    if env:
-        return Path(env)
-    return Path.cwd() / "runs"
+    return Path(args.out) if args.out else Path.cwd() / "runs"
 
 
 def _run_one(cfg, outdir):
@@ -162,13 +155,10 @@ def _write_manifest(cfg, outdir, hyp, summary, t_start):
         fh.write("\n")
 
 
-def _overrides(args):
-    """The config keys that --method and --seed set; None sets none."""
-    return {"loop.method": args.method, "run.seed": args.seed}
-
-
 def cmd_run(args):
-    cfg = load_config(args.config, _overrides(args))
+    # an option left unset is None and sets no key
+    cfg = load_config(args.config,
+                      {"loop.method": args.method, "run.seed": args.seed})
     outdir = _out_root(args) / Path(args.config).stem
     code, summary = _run_one(cfg, outdir)
     _emit(_summary_text(summary) + f"artifacts: {outdir}")
@@ -199,9 +189,9 @@ def cmd_sweep(args):
         if bad:
             print(f"config error: {message}", file=sys.stderr)
             return EXIT_CONFIG
-    # a row's value is set after --method and --seed; every row's config
-    # is checked before any row directory is made
-    overrides = [{**_overrides(args), args.param: v} for v in values]
+    # a row is the file with its one value set; every row's config is
+    # checked before any row directory is made
+    overrides = [{args.param: v} for v in values]
     configs = [load_config(args.config, o) for o in overrides]
     outroot = _out_root(args) / f"{Path(args.config).stem}-sweep"
     lines = [f"# {args.param} status iterations boundary_error cost"]
@@ -236,12 +226,13 @@ def build_parser():
                      ("sweep", cmd_sweep)):
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True)
-        # verify writes no file, runs no loop and draws nothing
+        # verify writes no file, runs no loop and draws nothing; a sweep
+        # row sets only its --param
         if verb != "verify":
-            p.add_argument("--seed", type=int, default=None)
             p.add_argument("--out", default=None,
-                           help=f"output root (default ${OUTPUT_ROOT_ENV} "
-                           "or ./runs)")
+                           help="output root (default ./runs)")
+        if verb == "run":
+            p.add_argument("--seed", type=int, default=None)
             p.add_argument("--method", default=None, choices=METHODS)
         if verb == "sweep":
             p.add_argument("--param", required=True,

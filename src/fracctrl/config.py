@@ -26,6 +26,7 @@ from .domain import (
     GridPatch,
     RectDomain,
     Region,
+    _validate_adjacency,
     actuator_coefficients,
     build_basis,
     extend_target,
@@ -295,6 +296,10 @@ def load_config(path, overrides=None):
     with _anchored(path, "regions", "omega_c"):
         omega_c = Region.interior(*rect)
         ix, iy = region_nodes(domain, omega_c)
+    # the boundary-control problem on Gamma is posed on a subregion whose
+    # boundary holds Gamma
+    with _anchored(path, "regions", "-"):
+        _validate_adjacency(domain, gamma, omega_c)
 
     def on_gamma(terms):
         """A polynomial's samples at the grid nodes of Gamma."""
@@ -315,10 +320,7 @@ def load_config(path, overrides=None):
                 "trace on the boundary segment does not match z_d",
             )
     else:
-        # the extension needs Gamma on the edge of omega_c that touches
-        # the domain boundary
-        with _anchored(path, "regions", "-"):
-            d_s = extend_target(zd, omega_c, gamma, domain)
+        d_s = extend_target(zd, omega_c, gamma, domain)
 
     y0_terms = read("initial", "y0")
     y0 = Field.zero(domain) if y0_terms == "zero" else Field(

@@ -196,19 +196,46 @@ class TestRun:
     def test_extension_off_the_edge_exits_2(self, tmp_path, capsys, verb):
         # omega_c does not touch Gamma's edge, so the default smoothstep
         # extension cannot start from Gamma
-        self._config_error(tmp_path, capsys, verb, TINY.replace(
+        line = self._config_error(tmp_path, capsys, verb, TINY.replace(
             "omega_c = 0.0 0.3 0.0 0.1", "omega_c = 0.3 0.6 0.0 0.1"))
+        assert "[regions] -" in line
+
+    @pytest.mark.parametrize("verb", ["run", "verify"])
+    @pytest.mark.parametrize("name", ["tiny-right", "tiny-longer",
+                                      "example1-right"])
+    def test_gamma_off_the_edge_exits_2(self, tmp_path, capsys, verb, name):
+        # Gamma lies on omega_c's boundary edge also when d_s is given: a
+        # d_s whose trace matches z_d does not make a region that misses
+        # Gamma a boundary-control problem on Gamma
+        if name.startswith("tiny"):
+            side = {"tiny-right": "right 0.0 0.1",
+                    "tiny-longer": "left 0.0 0.5"}[name]
+            text = TINY.replace("gamma = left 0.0 0.1", f"gamma = {side}")
+            text = text.replace("z_d = (0, 0, 1e-3)",
+                                "z_d = (0, 0, 1e-3)\nd_s = (0, 0, 1e-3)")
+        else:
+            text = Path(bundled_config_path("example1.cfg")).read_text()
+            head, _, tail = text.partition("d_s = ")
+            text = (head.replace("gamma = left", "gamma = right")
+                    + "d_s = (0, 3, 7.0) (0, 2, -13.0) (0, 0, 3.0)\n\n"
+                    + tail[tail.index("[loop]"):])
+        line = self._config_error(tmp_path, capsys, verb, text)
+        assert "[regions] -" in line
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
 
-    def test_env_var_output_root(self, tiny_cfg, tmp_path, monkeypatch):
-        root = tmp_path / "envout"
-        monkeypatch.setenv("FRACCTRL_OUT", str(root))
+    def test_output_root_without_out_is_runs(self, tiny_cfg, tmp_path,
+                                             monkeypatch):
+        # --out alone names the output root; no environment variable does
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("FRACCTRL_OUT", str(tmp_path / "envout"))
         assert main(["run", "--config", tiny_cfg]) == EXIT_OK
-        assert (root / "tiny" / "summary.txt").is_file()
+        assert (tmp_path / "runs" / "tiny" / "summary.txt").is_file()
+        assert not (tmp_path / "envout").exists()
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
     def test_output_root_is_a_file(self, tiny_cfg, tmp_path, capsys, verb):
@@ -242,14 +269,11 @@ class TestRun:
         )
         assert manifest["method"] == method
 
-    @pytest.mark.parametrize("verb", ["run", "sweep"])
-    def test_linear_is_no_method_option(self, tiny_cfg, tmp_path, capsys,
-                                        verb):
+    def test_linear_is_no_method_option(self, tiny_cfg, tmp_path, capsys):
         # one residual-update iteration of algorithm1 is n_max = 1
-        sweep = ["--param", "loop.n_max", "--values", "1"]
         with pytest.raises(SystemExit) as exc:
-            main([verb, "--config", tiny_cfg, "--out", str(tmp_path / "o"),
-                  *(sweep if verb == "sweep" else []), "--method", "linear"])
+            main(["run", "--config", tiny_cfg, "--out", str(tmp_path / "o"),
+                  "--method", "linear"])
         assert exc.value.code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "argument --method: invalid choice: 'linear'" in err
@@ -864,51 +888,48 @@ class TestSweep:
             assert (out / "tiny-sweep" / f"domain.K={v}"
                     / "summary.txt").is_file()
 
-    def test_overrides_reach_manifest(self, tiny_cfg, tmp_path):
+    def test_overrides_reach_manifest(self, tmp_path):
+        # a row is the file with its --param value set: the manifest
+        # records the file's method and the row's seed
+        path = tmp_path / "tiny.cfg"
+        path.write_text(TINY + "method = picard\n")
         out = tmp_path / "out"
-        main(["sweep", "--config", tiny_cfg, "--out", str(out),
-              "--param", "domain.K", "--values", "8",
-              "--method", "picard", "--seed", "7"])
+        assert main(["sweep", "--config", str(path), "--out", str(out),
+                     "--param", "run.seed", "--values", "7"]) == EXIT_OK
         manifest = json.loads(
-            (out / "tiny-sweep" / "domain.K=8" / "manifest.json").read_text()
+            (out / "tiny-sweep" / "run.seed=7" / "manifest.json").read_text()
         )
         assert manifest["method"] == "picard"
         assert manifest["seed"] == 7
         # the row records the file given; its value is in the resolved view
-        assert manifest["config_path"] == tiny_cfg
+        assert manifest["config_path"] == str(path)
         assert manifest["resolved_config"]["domain.K"] == 8
         assert manifest["resolved_config"]["loop.method"] == "picard"
         assert manifest["resolved_config"]["run.seed"] == 7
 
-    @pytest.mark.parametrize("param,values,option", [
-        ("run.seed", ["0", "1"], ["--seed", "7"]),
-        ("loop.method", ["algorithm1", "picard"], ["--method", "picard"]),
-    ], ids=["seed", "method"])
-    def test_row_value_wins_over_option(self, tmp_path, param, values,
-                                        option):
-        # a row's value is set after --method and --seed: its manifest
-        # records the row's value, and every row keeps the file's n_max
-        path = tmp_path / "tiny.cfg"
-        path.write_text(TINY + "n_max = 7\n")
-        out = tmp_path / "out"
-        assert main(["sweep", "--config", str(path), "--out", str(out),
-                     "--param", param, "--values", ",".join(values),
-                     *option]) == EXIT_OK
-        name = param.partition(".")[2]  # the manifest's seed or method
-        for value in values:
-            manifest = json.loads((out / "tiny-sweep" / f"{param}={value}"
-                                   / "manifest.json").read_text())
-            view = manifest["resolved_config"]
-            assert str(manifest[name]) == str(view[param]) == value
-            assert view["loop.n_max"] == 7
+    @pytest.mark.parametrize("flag", [["--seed", "1"],
+                                      ["--method", "picard"]],
+                             ids=["seed", "method"])
+    def test_sweep_takes_no_seed_or_method(self, tiny_cfg, tmp_path,
+                                           capsys, flag):
+        # a row sets only its --param; any other setting is in the file
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", tiny_cfg, "--out", str(out),
+                  "--param", "domain.K", "--values", "8", *flag])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(flag)}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
-    def test_row_config_is_the_run(self, tiny_cfg, tmp_path):
-        # a row's config.cfg records --method and --seed: a run of it
-        # writes the row's artifacts byte for byte
+    def test_row_config_is_the_run(self, tmp_path):
+        # a row's config.cfg records the file and the row's value: a run
+        # of it writes the row's artifacts byte for byte
+        path = tmp_path / "tiny.cfg"
+        path.write_text(TINY + "method = picard\n")
         out, rerun = tmp_path / "out", tmp_path / "rerun"
-        assert main(["sweep", "--config", tiny_cfg, "--out", str(out),
-                     "--param", "domain.K", "--values", "10",
-                     "--method", "picard", "--seed", "7"]) == EXIT_OK
+        assert main(["sweep", "--config", str(path), "--out", str(out),
+                     "--param", "domain.K", "--values", "10"]) == EXIT_OK
         rowdir = out / "tiny-sweep" / "domain.K=10"
         assert main(["run", "--config", str(rowdir / "config.cfg"),
                      "--out", str(rerun)]) == EXIT_OK
@@ -918,7 +939,8 @@ class TestSweep:
         assert row["artifacts"] == {
             **run["artifacts"], "config.cfg": sha256(rowdir / "config.cfg")}
         assert run["resolved_config"] == row["resolved_config"]
-        assert (run["method"], run["seed"]) == ("picard", 7)
+        assert run["method"] == "picard"
+        assert run["resolved_config"]["domain.K"] == 10
 
     def test_rows_write_the_plain_run_bytes(self, tiny_cfg, tmp_path):
         # the seed reaches no computation: each row is byte for byte a
