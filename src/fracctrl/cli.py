@@ -135,8 +135,6 @@ def _write_manifest(cfg, outdir, hyp, summary, t_start):
         "tool_version": __version__,
         "config_path": cfg.path,
         "resolved_config": cfg.resolved,
-        "method": cfg.method,
-        "seed": cfg.seed,
         "started_utc": time.strftime(
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime(t_start)
         ),

@@ -178,7 +178,6 @@ class ExperimentConfig(ControlProblem):
 
     path: str
     method: str
-    seed: int
     resolved: dict = field(default_factory=dict)
 
     @property
@@ -329,7 +328,8 @@ def load_config(path, overrides=None):
     # the [loop] keys are named as the fields they set
     loop = {k: read("loop", k)
             for k in ("eps", "lambda_reg", "n_max", "method")}
-    seed = read("run", "seed")
+    # checked and recorded only: no computation reads this key
+    read("run", "seed")
     if loop["method"] == "picard" and np.any(y0.values != 0.0):
         raise ConfigError(path, "loop", "method",
                           "picard requires [initial] y0 = zero")
@@ -338,6 +338,6 @@ def load_config(path, overrides=None):
 
     return ExperimentConfig(
         basis=basis, act=act, grid=grid, alpha=alpha, F=F, omega_c=omega_c,
-        gamma=gamma, d_s=d_s, zd=zd, y0=y0, path=str(path), seed=seed,
+        gamma=gamma, d_s=d_s, zd=zd, y0=y0, path=str(path),
         resolved=resolved, **loop,
     )

@@ -228,23 +228,25 @@ class TestCriterion8Determinism:
     def test_sweep_rows_write_the_plain_run_bytes(
         self, request, tmp_path_factory, name
     ):
-        # each sweep row is byte for byte a plain run: the seed reaches no
-        # computation, neither the artifacts nor the hypothesis report
+        # each sweep row is byte for byte a plain run: an iteration
+        # budget above the converged count changes neither the artifacts
+        # nor the hypothesis report
         _, rundir, manifest, _ = request.getfixturevalue(f"ex{name[-1]}_run")
+        assert manifest["summary"]["iterations"] < 40
         out = tmp_path_factory.mktemp(f"{name}-sweep")
         code = main([
             "sweep", "--config", bundled_config_path(f"{name}.cfg"),
-            "--out", str(out), "--param", "run.seed", "--values", "0,1",
+            "--out", str(out), "--param", "loop.n_max", "--values", "40,50",
         ])
         assert code == EXIT_OK
         inventory = manifest["artifacts"]
         assert len(inventory) == 6
-        for seed in (0, 1):
-            rowdir = out / f"{name}-sweep" / f"run.seed={seed}"
+        for n_max in (40, 50):
+            rowdir = out / f"{name}-sweep" / f"loop.n_max={n_max}"
             for artifact in inventory:
                 assert (rowdir / artifact).read_bytes() == (
                     rundir / artifact
-                ).read_bytes(), (seed, artifact)
+                ).read_bytes(), (n_max, artifact)
             row = json.loads((rowdir / "manifest.json").read_text())
             # the row directory holds its config besides the run's
             # artifacts

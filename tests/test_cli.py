@@ -267,7 +267,29 @@ class TestRun:
         manifest = json.loads(
             (out / "tiny" / "manifest.json").read_text()
         )
-        assert manifest["method"] == method
+        assert manifest["resolved_config"]["loop.method"] == method
+
+    @pytest.mark.parametrize("method", ["algorithm1", "picard"])
+    def test_manifest_records_each_setting_once(self, tiny_cfg, tmp_path,
+                                                method):
+        # the resolved view alone records the method and the seed, and no
+        # computation reads the seed: --seed 7 writes the plain run's
+        # bytes
+        plain, seeded = tmp_path / "plain", tmp_path / "seeded"
+        for out, seed in ((plain, 0), (seeded, 7)):
+            assert main(["run", "--config", tiny_cfg, "--out", str(out),
+                         "--method", method,
+                         *(["--seed", str(seed)] if seed else [])]
+                        ) == EXIT_OK
+            manifest = json.loads(
+                (out / "tiny" / "manifest.json").read_text())
+            assert not {"method", "seed"} & set(manifest)
+            view = manifest["resolved_config"]
+            assert (view["loop.method"], view["run.seed"]) == (method, seed)
+        assert len(manifest["artifacts"]) == 6
+        for name in manifest["artifacts"]:
+            assert (seeded / "tiny" / name).read_bytes() == (
+                plain / "tiny" / name).read_bytes(), name
 
     def test_linear_is_no_method_option(self, tiny_cfg, tmp_path, capsys):
         # one residual-update iteration of algorithm1 is n_max = 1
@@ -288,7 +310,7 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(out),
                      "--method", "picard"]) == EXIT_OK
         manifest = json.loads((out / "zero" / "manifest.json").read_text())
-        assert manifest["method"] == "picard"
+        assert manifest["resolved_config"]["loop.method"] == "picard"
         assert manifest["resolved_config"]["initial.y0"] == "zero"
 
     @pytest.mark.parametrize("verb", ["run", "verify", "sweep"])
@@ -889,8 +911,8 @@ class TestSweep:
                     / "summary.txt").is_file()
 
     def test_overrides_reach_manifest(self, tmp_path):
-        # a row is the file with its --param value set: the manifest
-        # records the file's method and the row's seed
+        # a row is the file with its --param value set: the resolved
+        # view records the file's method and the row's seed
         path = tmp_path / "tiny.cfg"
         path.write_text(TINY + "method = picard\n")
         out = tmp_path / "out"
@@ -899,8 +921,6 @@ class TestSweep:
         manifest = json.loads(
             (out / "tiny-sweep" / "run.seed=7" / "manifest.json").read_text()
         )
-        assert manifest["method"] == "picard"
-        assert manifest["seed"] == 7
         # the row records the file given; its value is in the resolved view
         assert manifest["config_path"] == str(path)
         assert manifest["resolved_config"]["domain.K"] == 8
@@ -939,25 +959,28 @@ class TestSweep:
         assert row["artifacts"] == {
             **run["artifacts"], "config.cfg": sha256(rowdir / "config.cfg")}
         assert run["resolved_config"] == row["resolved_config"]
-        assert run["method"] == "picard"
+        assert run["resolved_config"]["loop.method"] == "picard"
         assert run["resolved_config"]["domain.K"] == 10
 
     def test_rows_write_the_plain_run_bytes(self, tiny_cfg, tmp_path):
-        # the seed reaches no computation: each row is byte for byte a
-        # plain run
+        # TINY converges in one iteration, so an iteration budget above
+        # that changes nothing: each row is byte for byte a plain run
         plain, out = tmp_path / "plain", tmp_path / "out"
         assert main(["run", "--config", tiny_cfg,
                      "--out", str(plain)]) == EXIT_OK
         assert main(["sweep", "--config", tiny_cfg, "--out", str(out),
-                     "--param", "run.seed", "--values", "0,1"]) == EXIT_OK
+                     "--param", "loop.n_max", "--values", "40,50"]
+                    ) == EXIT_OK
         inv = json.loads((plain / "tiny" / "manifest.json").read_text())
         assert len(inv["artifacts"]) == 6
-        for seed in (0, 1):
-            rowdir = out / "tiny-sweep" / f"run.seed={seed}"
+        summary = (plain / "tiny" / "summary.txt").read_text()
+        assert "iterations: 1\n" in summary
+        for n_max in (40, 50):
+            rowdir = out / "tiny-sweep" / f"loop.n_max={n_max}"
             for name in inv["artifacts"]:
                 assert (rowdir / name).read_bytes() == (
                     plain / "tiny" / name
-                ).read_bytes(), (seed, name)
+                ).read_bytes(), (n_max, name)
 
     def test_sweep_requires_param(self, tiny_cfg, tmp_path):
         with pytest.raises(SystemExit) as exc:

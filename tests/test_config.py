@@ -126,7 +126,7 @@ class TestLoadConfig:
         assert cfg.problem() is cfg
         assert cfg.domain is cfg.basis.domain
         own = set(vars(ExperimentConfig)["__annotations__"])
-        assert own == {"path", "method", "seed", "resolved"}
+        assert own == {"path", "method", "resolved"}
         assert not own & {f.name for f in dataclasses.fields(ControlProblem)}
 
     def test_unparsable_file(self, tmp_path):
@@ -210,7 +210,7 @@ class TestLoadConfig:
         path = write_cfg(tmp_path, TINY.replace("lambda_reg = 1e-8\n", ""))
         cfg = load_config(path, {"loop.method": "picard", "loop.n_max": 1,
                                  "run.seed": 5, "loop.eps": None})
-        assert (cfg.method, cfg.n_max, cfg.seed) == ("picard", 1, 5)
+        assert (cfg.method, cfg.n_max) == ("picard", 1)
         view = cfg.resolved
         assert (view["loop.method"], view["loop.n_max"], view["run.seed"],
                 view["loop.lambda_reg"]) == ("picard", 1, 5, None)
