@@ -16,16 +16,16 @@ sweeps, one round trip to F's alias-free nodal grid each, mixed at
 depth one (Anderson); they start from F extrapolated cubically in time.
 A step settles by one test, its residual within TOL_PICARD, and hands
 the F of its last sweep to the next step.  A step whose sweeps do not
-settle keeps its predictor, the explicit step with the nonlinearity
-frozen at the step start.  A solve returns its final state, the state
-at T that the paper's algorithm reads alone.  Its step loop,
-`_node_states`, yields every node's state as it computes it and holds
-one (K x modes) array, the per-step sources its history sum reads.  That
-sum is exact and costs O(K log^2 K), not O(K^2), per mode: block FFTs
-(Hairer, Lubich & Schlichte, 1985) bring all but a step's own leaf of
-_LEAF steps, so a grid of one leaf runs no FFT.  The independent
-finite-difference cross-check lives in the test suite
-(`tests/l1_oracle.py`).
+settle, or that the mean-mode test proves has no solution (it takes no
+sweep), keeps its predictor, the explicit step with F frozen at the
+step start.  A solve returns its final state, the state at T that the
+paper's algorithm reads alone.  Its step loop, `_node_states`, yields
+every node's state as it computes it and holds one (K x modes) array,
+the per-step sources its history sum reads.  That sum is exact and
+costs O(K log^2 K), not O(K^2), per mode: block FFTs (Hairer, Lubich &
+Schlichte, 1985) bring all but a step's own leaf of _LEAF steps, so a
+grid of one leaf runs no FFT.  The independent finite-difference
+cross-check lives in the test suite (`tests/l1_oracle.py`).
 """
 
 import math
@@ -247,9 +247,14 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
     cuts `scaled-synth`'s round trips from 7,408 to 3,990.  A step
     settles when |G(x) - x| <= TOL_PICARD max(1, |G(x)|); it keeps G(x)
     and hands the F of its last sweep to the next step.  Sweeps that
-    grow twice in a row, turn non-finite or run out of MAX_SWEEPS leave
-    the step unsettled: it keeps the predictor, and F is evaluated there
-    once more.  The loop holds the step weights and one (K x modes)
+    turn non-finite or run out of MAX_SWEEPS leave the step unsettled:
+    it keeps the predictor, and F is evaluated there once more; a step
+    proven to have no solution keeps it without a sweep.  For F = c y^2
+    of either sign the alias-free trapezoid weights are positive, so by
+    Cauchy-Schwarz (P F(x))_i0 lies on c's side of c e0 x_i0^2 (i0 the
+    constant mode, e0 = 1/sqrt(lx ly)), and mode i0 of x = a + h P F(x)
+    (a = anchor, h = half_w0 > 0) has no real root once
+    4 a_i0 h_i0 c e0 > 1.  The loop holds the step weights and one (K x modes)
     array, the per-step sources its history sum reads.  A row not yet
     reached holds its step's far history: when step m, a multiple of
     _LEAF, is known, the h = m & -m sources before it are added to the h
@@ -268,6 +273,9 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
     w0 = Wd[0]
     half_w0 = 0.5 * w0
     tol2 = TOL_PICARD * TOL_PICARD
+    i0 = basis.eigenvalues.argmin()  # the constant mode, for the ratio
+    e0 = 1.0 / math.sqrt(basis.domain.lx * basis.domain.ly)
+    ratio = 4.0 * half_w0[i0] * F.coeff * e0 if F.power == 2 else 0.0
 
     s = np.zeros((grid.K, c0.size))  # per-step sources, far history ahead
     # F overflows where the state runs away; the finiteness checks below
@@ -301,11 +309,9 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
             for c, f in zip(weights[1:], f_last[1:]):
                 start += c * f
             state = anchor + half_w0 * start
-            prev_d2 = math.inf
-            growth = 0
             f_end = None  # F at a settled state, from its last sweep
             g_old = r_old = None
-            for _ in range(MAX_SWEEPS):
+            for _ in range(0 if anchor[i0] * ratio > 1.0 else MAX_SWEEPS):
                 f_state = project(state)
                 g = half_w0 * f_state
                 g += anchor
@@ -323,13 +329,6 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
                     # another round trip
                     f_end = f_state
                     break
-                # two consecutive growing updates: the sweep map is
-                # expanding at this amplitude; stop without burning the
-                # sweep budget
-                growth = growth + 1 if d2 > prev_d2 else 0
-                if growth >= 2:
-                    break
-                prev_d2 = d2
                 # depth-one Anderson mixing (Walker & Ni, 2011): of the
                 # last two sweep images, the combination whose linearised
                 # residual is least; plain Picard when the residuals do
@@ -344,7 +343,7 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
                 # the averaged step equation has no reachable fixed point
                 # at this amplitude; keep the explicit product-integration
                 # step (the predictor, nonlinearity frozen at the step
-                # start), guarding against runaway growth
+                # start), guarding against a runaway state
                 fk = f_prev
                 state = base + (drive + fk) * w0
                 norm = math.sqrt(state.dot(state))

@@ -21,7 +21,12 @@ import numpy as np
 import pytest
 
 from fracctrl.cli import EXIT_HYPOTHESIS, EXIT_OK, main
-from fracctrl.config import bundled_config_path, load_config
+from fracctrl.config import (
+    bundled_config_path,
+    load_config,
+    parse_poly,
+    read_ini,
+)
 from fracctrl.control import ControlProblem, algorithm1, picard_sequence
 from fracctrl.diagnostics import estimate_A1, hypothesis_report
 from fracctrl.domain import (
@@ -37,6 +42,7 @@ from fracctrl.solver import NonlinearTerm, TimeGrid, solve_semilinear
 from fields import evaluate_mode, from_function
 from l1_oracle import l1_oracle_solve
 from test_cli import _package_env
+from test_solver import _count_projections
 
 TEN_MINUTES = 600.0
 
@@ -175,6 +181,39 @@ class TestCriterion4Example1:
         assert summary["boundary_error"] ** 2 <= 1e-2
         assert 0.071 <= summary["cost"] <= 7.1
         assert elapsed < TEN_MINUTES
+
+
+class TestMirroredExample1:
+    def test_mirror_negates_the_control(self, ex1_run, tmp_path,
+                                        monkeypatch):
+        # y -> -y maps example 1 (F = y^2) to F = -y^2 with every target
+        # coefficient negated, and u to -u: the mirrored run writes the
+        # same iterations and summary and the negated control, and the
+        # mean-mode test skips the same final step, so it makes the same
+        # 7,516 F projections
+        _, rundir, _, _ = ex1_run
+        cp = read_ini(bundled_config_path("example1.cfg"),
+                      {"problem.f_coeff": "-1"})
+        for key in ("z_d", "d_s"):
+            cp.set("target", key, " ".join(
+                f"({i}, {j}, {-c!r})"
+                for i, j, c in parse_poly(cp.get("target", key))
+            ))
+        path = tmp_path / "example1-mirror.cfg"
+        with open(path, "w") as fh:
+            cp.write(fh)
+        calls = _count_projections(monkeypatch)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert len(calls) == 7_516
+        mirror = tmp_path / "example1-mirror"
+        for name in ("iterations.dat", "summary.txt"):
+            assert (mirror / name).read_bytes() == (
+                rundir / name).read_bytes(), name
+        plain = np.loadtxt(rundir / "control.dat")
+        mirrored = np.loadtxt(mirror / "control.dat")
+        assert np.array_equal(mirrored[:, 0], plain[:, 0])
+        assert np.array_equal(mirrored[:, 1], -plain[:, 1])
 
 
 class TestCriterion5Example2:
