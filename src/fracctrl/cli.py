@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .config import METHODS, ConfigError, load_config, read_ini
 from .control import GramConditionError, algorithm1, picard_sequence
-from .diagnostics import EnvelopeError, hypothesis_report
+from .diagnostics import hypothesis_report
 from .domain import restrict, trace
 from .mittag import MLEvaluationError
 from .solver import SemilinearDivergenceError
@@ -46,7 +46,6 @@ TABLES = (
 # failures of the numerics themselves: reported as a non-converged run
 NUMERICAL_ERRORS = (
     MLEvaluationError, GramConditionError, SemilinearDivergenceError,
-    EnvelopeError,
 )
 
 

@@ -1,24 +1,41 @@
 """Dense reference evaluation of the kernel constant A1 for the test suite.
 
-`estimate_A1` here is the envelope integral that evaluates every
-distinct eigenvalue at every node of the start grid and at every
-crossing.  It is the oracle that `fracctrl.diagnostics.estimate_A1`,
-which evaluates only the modes that can win the envelope, is compared
-against bit for bit.  The envelope constants are imported from
-`fracctrl.diagnostics`, so both read the same values.
+`estimate_A1` here integrates the upper envelope of the mode curves
+exactly: it evaluates every distinct eigenvalue at every node of a
+log-spaced start grid, bisects each switch of the winning mode to the
+crossing of its two modes, splits a crossing at which a third mode is
+higher, and integrates each piece through the closed-form primitive
+
+    int_0^t s^(alpha-1) E_(alpha,alpha)(-lam s^alpha) ds
+        = t^alpha E_(alpha,alpha+1)(-lam t^alpha)
+
+(Gorenflo, Kilbas, Mainardi & Rogosin, Mittag-Leffler Functions, 2014).
+It is the reference that the upper Riemann sum of
+`fracctrl.diagnostics.estimate_A1` is checked against: the bound must
+lie at or above it, within a stated factor.
 """
 
 import math
 
 import numpy as np
 
-from fracctrl.diagnostics import (
-    _ENVELOPE_PER_DECADE,
-    _ENVELOPE_ROUNDS,
-    _ENVELOPE_TIE,
-    EnvelopeError,
-)
 from fracctrl.mittag import check_order, ml
+
+# log-spaced nodes per decade of u = t^alpha on which the winning mode is
+# first sampled
+_ENVELOPE_PER_DECADE = 60
+# refinement rounds (bisect every crossing, then check it against all
+# modes) after which an unresolved envelope raises
+_ENVELOPE_ROUNDS = 8
+# relative margin by which a third mode must beat a crossing pair to
+# count: the accuracy of `ml`, below which modes cannot be ordered.  As
+# q -> 0 every mode ties near u = 0 and, without it, each round would
+# split ever smaller crossings there that carry no area
+_ENVELOPE_TIE = 1e-11
+
+
+class EnvelopeError(ArithmeticError):
+    """The upper envelope of the kernel modes did not settle."""
 
 
 def estimate_A1(basis, grid, alpha, q, rtol=1e-8):

@@ -608,20 +608,23 @@ class TestNumericalFailure:
 
 
     @pytest.mark.parametrize("verb", ["run", "verify"])
-    def test_unsettled_a1_envelope_exits_3(self, tmp_path, monkeypatch,
-                                           capsys, verb):
-        # with 8x8 modes at alpha = 0.3 the A1 envelope needs two rounds
-        path = tmp_path / "wide.cfg"
-        path.write_text(
-            TINY.replace("alpha = 0.5", "alpha = 0.3")
-            .replace("mx = 6", "mx = 8").replace("my = 6", "my = 8")
-        )
-        monkeypatch.setattr("fracctrl.diagnostics._ENVELOPE_ROUNDS", 1)
-        code = main([verb, "--config", str(path),
-                     *_out_flag(verb, tmp_path / "o")])
+    def test_a1_ml_failure_exits_3(self, tiny_cfg, tmp_path, monkeypatch,
+                                   capsys, verb):
+        # a failure inside the hypothesis report, the first step of run
+        def fail(*args, **kwargs):
+            raise MLEvaluationError(0.5, 0.5, -1.0, "no convergent branch")
+
+        monkeypatch.setattr("fracctrl.diagnostics.ml", fail)
+        out = tmp_path / "o"
+        code = main([verb, "--config", tiny_cfg, *_out_flag(verb, out)])
         assert code == EXIT_DIVERGED
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "envelope" in err[0]
+        assert len(err) == 1 and "did not converge" in err[0]
+        if verb == "run":
+            summary = (out / "tiny" / "summary.txt").read_text()
+            assert "status: failed" in summary.splitlines()
+            manifest = json.loads((out / "tiny" / "manifest.json").read_text())
+            assert manifest["summary"]["status"] == "failed"
 
     def test_overflowing_residual_exits_3(self, tmp_path, capsys):
         # with y0 = 1e200 every residual's norm overflows to inf, so no

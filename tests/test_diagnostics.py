@@ -8,7 +8,6 @@ from fracctrl import diagnostics
 from fracctrl.config import bundled_config_path, load_config
 from fracctrl.control import ControlProblem, assemble_H, pinv_apply
 from fracctrl.diagnostics import (
-    EnvelopeError,
     estimate_A1,
     g_alpha_norm,
     hypothesis_report,
@@ -74,12 +73,28 @@ class TestEstimateA1:
         with pytest.raises(ValueError):
             estimate_A1(basis, grid, 0.5, q=1.5)
 
-    def test_quadrature_converged(self, setup):
-        # tightening the tolerance should not move the value materially
+    def test_quadrature_converged(self, setup, monkeypatch):
+        # doubling the lattice density splits every cell, and the bound on
+        # a part is at most the bound on the whole, so the sum cannot rise
+        # and stays an upper bound on the dense envelope integral
         _, basis, grid = setup
-        a = estimate_A1(basis, grid, 0.3, q=0.5, rtol=1e-6)
-        b = estimate_A1(basis, grid, 0.3, q=0.5, rtol=1e-10)
-        assert a == pytest.approx(b, rel=1e-5)
+        a = estimate_A1(basis, grid, 0.3, q=0.5)
+        monkeypatch.setattr(diagnostics, "_CELLS_PER_DECADE",
+                            2 * diagnostics._CELLS_PER_DECADE)
+        b = estimate_A1(basis, grid, 0.3, q=0.5)
+        assert dense_a1(basis, grid, 0.3, 0.5) <= b <= a
+
+    def test_example1_peak_memory(self):
+        # the one `ml` call over 12,543 elements, where A1 peaks: traced
+        # 1.66 MB
+        cfg = load_config(bundled_config_path("example1.cfg"))
+        tracemalloc.start()
+        try:
+            estimate_A1(cfg.basis, cfg.grid, cfg.alpha, q=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0e6
 
 
 def _brute_force_a1(basis, T, alpha, q, panels):
@@ -103,74 +118,47 @@ def basis8():
     return build_basis(RectDomain(1.0, 1.0, 21, 21), 8, 8)
 
 
+def _assert_bounds(val, ref, q):
+    """val is an upper bound on ref (to rounding), and at the lattice
+    density of 16 nodes per decade no wider than the measured width: at
+    most 8.7% above the dense envelope integral for q <= 1/2 and 25% at
+    q = 1, over the cases below."""
+    assert ref * (1.0 - 1e-12) <= val <= (1.10 if q <= 0.5 else 1.30) * ref
+
+
 class TestA1Envelope:
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
     @pytest.mark.parametrize("q", [0.5, 1.0])
     def test_matches_brute_force(self, basis8, alpha, q):
-        # The check's kinks (one per mode switch) limit it to O(h^2):
-        # doubling its 12800 panels moves it by at most 3.6e-9 relative
-        # over these six cases, so 1e-8 covers its own error.  The
-        # adaptive quad that computed A1 before missed the check by
-        # 1.2e-7 at (alpha, q) = (0.3, 1), 6.1e-8 at (0.6, 1), 5.2e-8 at
-        # (1, 0.5), 1.9e-8 at (1, 1) and 1.2e-8 at (0.3, 0.5).
+        # doubling the check's 12800 panels moves it by at most 3.6e-9
+        # relative over these six cases, far inside the bound's width
         ref = _brute_force_a1(basis8, 1.0, alpha, q, 12800)
-        val = estimate_A1(basis8, TimeGrid(1.0, 8), alpha, q)
-        assert val == pytest.approx(ref, rel=1e-8, abs=0.0)
-
-    def test_envelope_complete(self, monkeypatch):
-        # a denser start grid would expose a mode the envelope missed, a
-        # tighter rtol a crossing it placed loosely
-        cfg = load_config(bundled_config_path("example1.cfg"))
-        a = estimate_A1(cfg.basis, cfg.grid, cfg.alpha, q=0.5)
-        monkeypatch.setattr(diagnostics, "_ENVELOPE_PER_DECADE",
-                            2 * diagnostics._ENVELOPE_PER_DECADE)
-        b = estimate_A1(cfg.basis, cfg.grid, cfg.alpha, q=0.5, rtol=1e-10)
-        assert b == pytest.approx(a, rel=1e-12, abs=0.0)
-
-    def test_example1_peak_memory(self):
-        # the Taylor sums, where A1 peaks, hold three (elements x terms)
-        # work arrays of at most 512 x 400 floats: traced 3.0 MB, against
-        # 5.3 MB when each step of the sums formed a new array
-        cfg = load_config(bundled_config_path("example1.cfg"))
-        tracemalloc.start()
-        try:
-            estimate_A1(cfg.basis, cfg.grid, cfg.alpha, q=0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5e6
-
-    def test_unsettled_envelope_raises(self, basis8, monkeypatch):
-        # at alpha = 0.3 a crossing on the 8x8 basis splits once, so one
-        # round leaves it unresolved
-        monkeypatch.setattr(diagnostics, "_ENVELOPE_ROUNDS", 1)
-        with pytest.raises(EnvelopeError, match="not resolved"):
-            estimate_A1(basis8, TimeGrid(1.0, 8), 0.3, q=0.5)
-        monkeypatch.setattr(diagnostics, "_ENVELOPE_ROUNDS", 2)
-        assert estimate_A1(basis8, TimeGrid(1.0, 8), 0.3, q=0.5) > 0.0
+        _assert_bounds(estimate_A1(basis8, TimeGrid(1.0, 8), alpha, q),
+                       ref, q)
 
 
 class TestA1Candidates:
-    """The pruned envelope against the dense one (`tests/a1_oracle.py`),
-    which evaluates every mode at every start node and crossing."""
+    """The cell sum against the dense envelope integral
+    (`tests/a1_oracle.py`).  The tests keep the names of the equality
+    checks against an exact envelope integral that they replaced, so
+    their ids stay comparable across versions."""
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.6, 0.9, 1.0])
     @pytest.mark.parametrize("q", [0.0, 0.25, 0.5, 1.0])
     def test_bit_identical_to_dense(self, setup, basis8, alpha, q):
         _, basis20, grid = setup
         for basis, grid in ((basis8, TimeGrid(1.0, 8)), (basis20, grid)):
-            assert (estimate_A1(basis, grid, alpha, q)
-                    == dense_a1(basis, grid, alpha, q))
+            _assert_bounds(estimate_A1(basis, grid, alpha, q),
+                           dense_a1(basis, grid, alpha, q), q)
 
     @pytest.mark.parametrize("name", ["example1.cfg", "example2.cfg"])
     def test_bundled_configs_bit_identical(self, name):
         cfg = load_config(bundled_config_path(name))
         args = (cfg.basis, cfg.grid, cfg.alpha, 0.5)
-        assert estimate_A1(*args) == dense_a1(*args)
+        _assert_bounds(estimate_A1(*args), dense_a1(*args), 0.5)
 
     def test_evaluates_few_elements(self, monkeypatch):
-        # example 1 at the report's q: 148,312 ML elements when every mode
-        # is evaluated everywhere, 39,150 with the candidate bound
+        # one `ml` call per bundled example, over 12,543 elements
         elements = []
 
         def counting(alpha, beta, z):
@@ -178,9 +166,11 @@ class TestA1Candidates:
             return ml(alpha, beta, z)
 
         monkeypatch.setattr(diagnostics, "ml", counting)
-        cfg = load_config(bundled_config_path("example1.cfg"))
-        estimate_A1(cfg.basis, cfg.grid, cfg.alpha, q=0.5)
-        assert sum(elements) <= 45_000
+        for name in ("example1.cfg", "example2.cfg"):
+            cfg = load_config(bundled_config_path(name))
+            elements.clear()
+            estimate_A1(cfg.basis, cfg.grid, cfg.alpha, q=0.5)
+            assert len(elements) == 1 and elements[0] <= 15_000
 
 
 class TestGAlphaNorm:
@@ -409,8 +399,8 @@ class TestHypothesisReport:
         assert report.a_s == 0.0
 
     @pytest.mark.parametrize("name, kappa, rho, a_s", [
-        ("example1.cfg", 1.18888e-3, 8.5075e-5, 0.45831),
-        ("example2.cfg", 3.16347e-3, 9.4637e-4, 0.35463),
+        ("example1.cfg", 1.18273e-3, 8.4635e-5, 0.457025),
+        ("example2.cfg", 3.10952e-3, 9.3023e-4, 0.350704),
     ], ids=["example1.cfg", "example2.cfg"])
     def test_bundled_constants_closed_form(self, name, kappa, rho, a_s):
         # kappa* = (1 / (p c))^(1/(p-1)), c = (A1 + A2) upper; the margins
