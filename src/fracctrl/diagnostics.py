@@ -89,7 +89,7 @@ def estimate_A1(basis, grid, alpha, q):
     alpha = check_order(alpha)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"fractional power q must be in [0, 1], got {q}")
-    lam_max = float(basis.distinct_eigenvalues[0][-1])
+    lam_max = float(basis.eigenvalues.max())
     u = _lattice(1e-3 / (lam_max + 1.0), grid.T**alpha)
     lam = _lattice(1e-3, lam_max)
     cell = (lam[1:] + 1.0) ** q * ml(alpha, alpha, -np.outer(u[:-1], lam[:-1]))

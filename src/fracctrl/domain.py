@@ -120,16 +120,6 @@ class SpectralBasis:
         return lam.ravel()
 
     @cached_property
-    def distinct_eigenvalues(self):
-        """Read-only (values, inverse): the sorted distinct eigenvalues
-        (a square basis repeats most of them) and the index of each mode's
-        eigenvalue among them."""
-        lam, mode = np.unique(self.eigenvalues, return_inverse=True)
-        lam.flags.writeable = False
-        mode.flags.writeable = False
-        return lam, mode
-
-    @cached_property
     def _factors(self):
         """Read-only cosine rows (ex, ey) at the grid nodes."""
         return self._on_grid(self.domain.nx, self.domain.ny)[:2]

@@ -1,15 +1,18 @@
 """Fractional-calculus primitives.
 
-Two-parameter Mittag-Leffler evaluation for z <= 0; a positive z
-raises.  `ml` takes scalars or arrays: each element is routed by a mask
+Two-parameter Mittag-Leffler evaluation for z <= 0; a positive or NaN
+z raises.  `ml` takes scalars or arrays: each element is routed by a mask
 to the Taylor series (|z| up to a reach read from the series' own Gamma
 table, kept where its rounding estimate passes), the algebraic
 asymptotic expansion (large |z|) or a Talbot contour inversion (the
 rest), and every branch runs as whole-array numpy code.  The route is
 the same for every order alpha in (0, 1], alpha = 1 included.  Repeated
 arguments are evaluated once: `ml` sorts its array and takes the
-distinct values.  The solver builds its one kernel table, the step
-weights, by `ml` calls over row slabs of at most sixteen chunks.
+distinct values, and no caller looks for them itself.  The solver
+builds its one kernel table, the step weights, by `ml` calls over row
+slabs of at most sixteen chunks of (time node x mode) arguments, in
+which the mirrored modes of a square basis repeat: 4 calls on example
+1, 3 on example 2, 30 at K = 240 with 30 x 30 modes.
 
 Both sums stop where each element's own terms allow.  The series stops
 at the first term below 1e-16 of the sum; the expansion stops at the
@@ -344,9 +347,9 @@ def ml(alpha, beta, z):
     Raises
     ------
     MLEvaluationError
-        If some element is positive, or no evaluation branch reaches the
-        requested tolerance for some element; the error names the first
-        such z.
+        If some element is positive or NaN, or no evaluation branch
+        reaches the requested tolerance for some element; the error names
+        the first such z.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -356,10 +359,11 @@ def ml(alpha, beta, z):
     # repeated arguments (e.g. the mirrored modes of a square basis) are
     # evaluated once, in increasing order
     flat, inverse = np.unique(z.ravel(), return_inverse=True)
-    positive = flat > 0.0
-    if positive.any():
-        raise MLEvaluationError(alpha, beta, float(flat[positive][0]),
-                                "positive argument (supported: z <= 0)")
+    # a NaN fails z <= 0 too, and sorts after every positive value
+    off = ~(flat <= 0.0)
+    if off.any():
+        raise MLEvaluationError(alpha, beta, float(flat[off][0]),
+                                "positive or NaN argument (supported: z <= 0)")
     out = np.empty(flat.size)
     coef = _coefficients(alpha, beta)
     for lo in range(0, flat.size, _CHUNK):

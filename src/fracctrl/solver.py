@@ -5,7 +5,7 @@ symbols, so piecewise-constant controls incur no time-stepping error.
 One per-mode kernel table, the step weights, serves every solve and
 operator: it depends only on (basis, grid, alpha) and is built once per
 problem, on its first read, by Mittag-Leffler calls over row slabs of
-the (time node x distinct eigenvalue) arguments.  `solve_semilinear` is
+the (time node x mode) arguments.  `solve_semilinear` is
 the one forward solver, for F = 0 as well: from the base c0 it
 integrates the source u_k b - lam c0 + f_k step by step, by product
 integration with F averaged over the step ends.  By
@@ -136,17 +136,11 @@ class Trajectory:
 
 # Arguments per `ml` call of the step-weight build: sixteen of the
 # evaluator's chunks.  The build evaluates the table by row slabs of at
-# most this size, so it holds neither the whole (time node x eigenvalue)
+# most this size, so it holds neither the whole (time node x mode)
 # argument array nor its sort.
 _SLAB = 16 * _CHUNK
 
 
-# The table is evaluated over the distinct eigenvalues (a square basis
-# repeats most of them) and spread to the modes by `take` straight into
-# a C-ordered (time node x mode) table: the history sums reduce over
-# rows, and their rounding depends on the layout.  An `ml` value depends
-# only on (alpha, beta, z), so the slabs give every entry of a
-# whole-array build.
 @lru_cache(maxsize=8)
 def _step_weights(basis, grid, alpha):
     """Read-only step weights Wd[k] = W[k+1] - W[k], K rows.
@@ -158,21 +152,25 @@ def _step_weights(basis, grid, alpha):
     E_(a,1)(-lam t_n^a) = 1 - lam W[n], the sum of Wd over n steps of the
     constant source -lam.  The weights depend only on the frozen (basis,
     grid, alpha), so every simulation and operator of one problem shares
-    one build.  Its slabs of arguments z[n, j] = -lam_j t_n^a share one
-    row, the one each difference across them needs.
+    one build.  Its slabs of arguments z[n, m] = -lam_m t_n^a share one
+    row, the one each difference across them needs.  `ml` evaluates each
+    distinct argument of a slab once (the mirrored modes of a square
+    basis share theirs), and its values depend only on (alpha, beta, z),
+    so the slabs give every entry of a whole-array build; the table is
+    C-ordered (time node x mode), as the history sums reduce over rows
+    and their rounding depends on the layout.
     """
-    lam, mode = basis.distinct_eigenvalues
+    lam = basis.eigenvalues
     # t^alpha from Python floats keeps the C library's pow (numpy's
     # vectorised power can differ in the last bit); t = 0 gives W = 0
     ta = np.array([t**alpha for t in grid.nodes.tolist()])
     rows = max(2, _SLAB // lam.size)
-    Wd = np.empty((grid.K, mode.size))
+    Wd = np.empty((grid.K, lam.size))
     for lo in range(0, grid.K, rows - 1):
         t = ta[lo : lo + rows]
         W = ml(alpha, alpha + 1.0, -np.outer(t, lam))
         W *= t[:, None]
-        np.take(np.diff(W, axis=0), mode, axis=1,
-                out=Wd[lo : lo + t.size - 1])
+        np.subtract(W[1:], W[:-1], out=Wd[lo : lo + t.size - 1])
     Wd.flags.writeable = False
     return Wd
 

@@ -139,9 +139,9 @@ class TestA1Envelope:
 
 class TestA1Candidates:
     """The cell sum against the dense envelope integral
-    (`tests/a1_oracle.py`).  The tests keep the names of the equality
-    checks against an exact envelope integral that they replaced, so
-    their ids stay comparable across versions."""
+    (`tests/a1_oracle.py`).  `test_bit_identical_to_dense` keeps the name
+    of the equality check against an exact envelope integral that it
+    replaced, so its ids stay comparable across versions."""
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.6, 0.9, 1.0])
     @pytest.mark.parametrize("q", [0.0, 0.25, 0.5, 1.0])
@@ -150,12 +150,6 @@ class TestA1Candidates:
         for basis, grid in ((basis8, TimeGrid(1.0, 8)), (basis20, grid)):
             _assert_bounds(estimate_A1(basis, grid, alpha, q),
                            dense_a1(basis, grid, alpha, q), q)
-
-    @pytest.mark.parametrize("name", ["example1.cfg", "example2.cfg"])
-    def test_bundled_configs_bit_identical(self, name):
-        cfg = load_config(bundled_config_path(name))
-        args = (cfg.basis, cfg.grid, cfg.alpha, 0.5)
-        _assert_bounds(estimate_A1(*args), dense_a1(*args), 0.5)
 
     def test_evaluates_few_elements(self, monkeypatch):
         # one `ml` call per bundled example, over 12,543 elements
@@ -171,6 +165,17 @@ class TestA1Candidates:
             elements.clear()
             estimate_A1(cfg.basis, cfg.grid, cfg.alpha, q=0.5)
             assert len(elements) == 1 and elements[0] <= 15_000
+
+
+class TestA1Bound:
+    """The cell sum is an upper bound within a factor of the dense
+    envelope integral (`tests/a1_oracle.py`)."""
+
+    @pytest.mark.parametrize("name", ["example1.cfg", "example2.cfg"])
+    def test_bounds_bundled_configs(self, name):
+        cfg = load_config(bundled_config_path(name))
+        args = (cfg.basis, cfg.grid, cfg.alpha, 0.5)
+        _assert_bounds(estimate_A1(*args), dense_a1(*args), 0.5)
 
 
 class TestGAlphaNorm:

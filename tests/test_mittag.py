@@ -76,6 +76,15 @@ class TestML:
         assert err.value.z == z
         assert f"({z})" in str(err.value)
 
+    @pytest.mark.parametrize("z", [math.nan, np.array([-1.0, math.nan, -2.0])],
+                             ids=["scalar", "array"])
+    def test_nan_argument_rejected(self, z):
+        # a NaN fails z <= 0 as well: an error, not a NaN beside the values
+        with pytest.raises(MLEvaluationError) as err:
+            ml(0.5, 1.0, z)
+        assert math.isnan(err.value.z)
+        assert "NaN argument" in str(err.value)
+
 
 class TestCheckOrder:
     @pytest.mark.parametrize("bad", [0.0, -0.5, 1.2, 2.0])

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -583,8 +584,10 @@ class TestKernelTableStability:
     @pytest.mark.parametrize("name, scale", [
         ("example1", None), ("example2", None),
         # the `scaled-synth` benchmark: example 2 at K = 240, 30 x 30 modes
-        ("example2", (240, 30)),
-    ], ids=["example1", "example2", "scaled-synth"])
+        ("example2", (240, 1.0, 30, 30)),
+        # a non-square basis, whose eigenvalues seldom repeat
+        ("example1", (240, 0.6, 12, 7)),
+    ], ids=["example1", "example2", "scaled-synth", "non-square"])
     def test_slabs_match_whole_array_build(self, name, scale, monkeypatch):
         # the build that passed the whole 2-D argument array to `ml` once
         # gives the same bits; no sort inside the build sees more than one
@@ -592,8 +595,9 @@ class TestKernelTableStability:
         problem = load_config(bundled_config_path(f"{name}.cfg")).problem()
         basis, grid, alpha = problem.basis, problem.grid, problem.alpha
         if scale:
-            grid = TimeGrid(grid.T, scale[0])
-            basis = build_basis(basis.domain, scale[1], scale[1])
+            K, ly, mx, my = scale
+            grid = TimeGrid(grid.T, K)
+            basis = build_basis(replace(basis.domain, ly=ly), mx, my)
         ta = np.array([t**alpha for t in grid.nodes.tolist()])
         lam, mode = np.unique(basis.eigenvalues, return_inverse=True)
         z = -np.outer(ta, lam)
