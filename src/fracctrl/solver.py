@@ -15,17 +15,16 @@ history sum the steps take anyway.  Each step solves its equation by
 sweeps, one round trip to F's alias-free nodal grid each, mixed at
 depth one (Anderson); they start from F extrapolated cubically in time.
 A step settles by one test, its residual within TOL_PICARD, and hands
-the F of its last sweep to the next step.  A step whose sweeps do not
-settle, or that the mean-mode test proves has no solution (it takes no
-sweep), keeps its predictor, the explicit step with F frozen at the
-step start.  A solve returns its final state, the state at T that the
-paper's algorithm reads alone.  Its step loop, `_node_states`, yields
-every node's state as it computes it and holds one (K x modes) array,
-the per-step sources its history sum reads.  That sum is exact and
-costs O(K log^2 K), not O(K^2), per mode: block FFTs (Hairer, Lubich &
-Schlichte, 1985) bring all but a step's own leaf of _LEAF steps, so a
-grid of one leaf runs no FFT.  The independent finite-difference
-cross-check lives in the test suite (`tests/l1_oracle.py`).
+the F of its last sweep to the next step, or it raises.  A step that
+the mean-mode test proves has no solution is certified: it takes no
+sweep and keeps its predictor.  A solve returns its final state, the
+state at T that the paper's algorithm reads alone.  Its step loop,
+`_node_states`, yields every node's state as it computes it and holds
+one (K x modes) array, the per-step sources its history sum reads.
+That sum is exact and costs O(K log^2 K), not O(K^2), per mode: block
+FFTs (Hairer, Lubich & Schlichte, 1985) bring all but a step's own leaf
+of _LEAF steps, so a grid of one leaf runs no FFT.  The test suite
+holds an independent finite-difference cross-check (`tests/l1_oracle.py`).
 """
 
 import math
@@ -56,7 +55,7 @@ _START = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
 
 
 class SemilinearDivergenceError(RuntimeError):
-    """Inner Picard sweeps failed to contract within the sweep budget."""
+    """A step's sweeps did not settle, or its certified state ran away."""
 
 
 @dataclass(frozen=True)
@@ -210,6 +209,48 @@ def _f_projection(F, basis):
     return project
 
 
+def _settle(anchor, half_w0, f_last, project, n):
+    """Step n's end state x = anchor + half_w0 F(x), by sweeps from F
+    extrapolated from the last nodes, and F there: the last sweep's F,
+    at a state within the tolerance of x, needs no other round trip."""
+    weights = _START[len(f_last) - 1]
+    start = weights[0] * f_last[0]
+    for c, f in zip(weights[1:], f_last[1:]):
+        start += c * f
+    state = anchor + half_w0 * start
+    tol2 = TOL_PICARD * TOL_PICARD
+    g_old = r_old = None
+    for _ in range(MAX_SWEEPS):
+        f_state = project(state)
+        g = half_w0 * f_state
+        g += anchor
+        # the residual of the step equation, the update a plain Picard
+        # sweep makes; squared norms throughout.  The finiteness test
+        # comes first: where |g|^2 overflows, inf <= tol2 * inf holds
+        r = g - state
+        d2 = r.dot(r)
+        state = g
+        if not math.isfinite(d2):
+            raise SemilinearDivergenceError(
+                f"sweeps went non-finite at step {n}"
+            )
+        if d2 <= tol2 * max(1.0, state.dot(state)):
+            return state, f_state
+        # depth-one Anderson mixing (Walker & Ni, 2011): of the last two
+        # sweep images, the combination whose linearised residual is
+        # least; plain Picard when the residuals do not differ
+        if g_old is not None:
+            dr = r - r_old
+            drdr = dr.dot(dr)
+            if drdr > 0.0:
+                state = g - (r.dot(dr) / drdr) * (g - g_old)
+        g_old, r_old = g, r
+    raise SemilinearDivergenceError(
+        f"sweeps did not settle at step {n} within MAX_SWEEPS = "
+        f"{MAX_SWEEPS} (residual {math.sqrt(d2):.3g})"
+    )
+
+
 def solve_semilinear(y0, u, F, act, basis, grid, alpha):
     """Mild solution with a pointwise nonlinearity by product integration.
 
@@ -241,24 +282,21 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
     (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011).  The sweeps start
     from F extrapolated cubically in time through the last four nodes
     (the first three steps: the predictor, F frozen at the step start,
-    then the linear and quadratic forms); against the linear form that
-    cuts `scaled-synth`'s round trips from 7,408 to 3,990.  A step
-    settles when |G(x) - x| <= TOL_PICARD max(1, |G(x)|); it keeps G(x)
-    and hands the F of its last sweep to the next step.  Sweeps that
-    turn non-finite or run out of MAX_SWEEPS leave the step unsettled:
-    it keeps the predictor, and F is evaluated there once more; a step
-    proven to have no solution keeps it without a sweep.  For F = c y^2
-    of either sign the alias-free trapezoid weights are positive, so by
-    Cauchy-Schwarz (P F(x))_i0 lies on c's side of c e0 x_i0^2 (i0 the
-    constant mode, e0 = 1/sqrt(lx ly)), and mode i0 of x = a + h P F(x)
-    (a = anchor, h = half_w0 > 0) has no real root once
-    4 a_i0 h_i0 c e0 > 1.  The loop holds the step weights and one (K x modes)
-    array, the per-step sources its history sum reads.  A row not yet
-    reached holds its step's far history: when step m, a multiple of
-    _LEAF, is known, the h = m & -m sources before it are added to the h
-    rows after it, the dyadic plan of Hairer, Lubich & Schlichte.  The
-    first leaf adds its rows' zeros, so one leaf gives the direct sum's
-    bits; at K = 240 (30 x 30 modes) the states move by 7e-16 of max|state|.
+    then the linear and quadratic forms).  A step settles when
+    |G(x) - x| <= TOL_PICARD max(1, |G(x)|); it keeps G(x) and hands the
+    F of its last sweep to the next step (`_settle`); sweeps that turn
+    non-finite or run out of MAX_SWEEPS raise.  A step certified to have
+    no solution takes no sweep: it keeps the predictor and evaluates F
+    there.  For F = c y^2 of either sign the alias-free trapezoid
+    weights are positive, so by Cauchy-Schwarz (P F(x))_i0 lies on c's
+    side of c e0 x_i0^2 (i0 the constant mode, e0 = 1/sqrt(lx ly)), and
+    mode i0 of x = a + h P F(x) (a = anchor, h = half_w0 > 0) has no real
+    root once 4 a_i0 h_i0 c e0 > 1.  A row of the sources not yet reached
+    holds its step's far history: when step m, a multiple of _LEAF, is
+    known, the h = m & -m sources before it are added to the h rows after
+    it, the dyadic plan of Hairer, Lubich & Schlichte.  The first leaf
+    adds its rows' zeros, so one leaf gives the direct sum's bits; at
+    K = 240 (30 x 30 modes) the states move by 7e-16 of max|state|.
     Each step's arithmetic order is fixed and pinned bit for bit by
     `tests/semilinear_oracle.py`, as the outer loop amplifies rounding.
     """
@@ -270,7 +308,6 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
     project = _f_projection(F, basis)
     w0 = Wd[0]
     half_w0 = 0.5 * w0
-    tol2 = TOL_PICARD * TOL_PICARD
     i0 = basis.eigenvalues.argmin()  # the constant mode, for the ratio
     e0 = 1.0 / math.sqrt(basis.domain.lx * basis.domain.ly)
     ratio = 4.0 * half_w0[i0] * F.coeff * e0 if F.power == 2 else 0.0
@@ -301,47 +338,9 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
             anchor += drive
             anchor *= w0
             anchor += base
-            # F at the step end extrapolated from the last nodes
-            weights = _START[len(f_last) - 1]
-            start = weights[0] * f_last[0]
-            for c, f in zip(weights[1:], f_last[1:]):
-                start += c * f
-            state = anchor + half_w0 * start
-            f_end = None  # F at a settled state, from its last sweep
-            g_old = r_old = None
-            for _ in range(0 if anchor[i0] * ratio > 1.0 else MAX_SWEEPS):
-                f_state = project(state)
-                g = half_w0 * f_state
-                g += anchor
-                # the residual of the step equation, the update a plain
-                # Picard sweep makes; squared norms throughout (a
-                # non-finite state gives a non-finite d2)
-                r = g - state
-                d2 = r.dot(r)
-                state = g
-                if not math.isfinite(d2):
-                    break
-                if d2 <= tol2 * max(1.0, state.dot(state)):
-                    # the F this sweep evaluated, at a state within the
-                    # tolerance of g, goes to the next step without
-                    # another round trip
-                    f_end = f_state
-                    break
-                # depth-one Anderson mixing (Walker & Ni, 2011): of the
-                # last two sweep images, the combination whose linearised
-                # residual is least; plain Picard when the residuals do
-                # not differ
-                if g_old is not None:
-                    dr = r - r_old
-                    drdr = dr.dot(dr)
-                    if drdr > 0.0:
-                        state = g - (r.dot(dr) / drdr) * (g - g_old)
-                g_old, r_old = g, r
-            if f_end is None:
-                # the averaged step equation has no reachable fixed point
-                # at this amplitude; keep the explicit product-integration
-                # step (the predictor, nonlinearity frozen at the step
-                # start), guarding against a runaway state
+            if anchor[i0] * ratio > 1.0:
+                # certified to have no solution: keep the explicit step
+                # (the predictor), guarding against a runaway state
                 fk = f_prev
                 state = base + (drive + fk) * w0
                 norm = math.sqrt(state.dot(state))
@@ -352,6 +351,7 @@ def _node_states(y0, u, F, act, basis, grid, alpha):
                     )
                 f_end = project(state)
             else:
+                state, f_end = _settle(anchor, half_w0, f_last, project, n)
                 fk = f_prev + f_end
                 fk *= 0.5
             np.add(drive, fk, out=s[k])

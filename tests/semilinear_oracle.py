@@ -41,8 +41,9 @@ every floating-point operation, its operands and its order.
 Both reference loops keep the growth test, which stops a step's sweeps
 after two growing updates in a row.  The solver no longer has it: it
 takes no sweep at a step that the mean-mode test proves has no
-solution.  On every case the tests run, the steps that keep the
-predictor are the same in both.
+solution, and it raises at any other step whose sweeps do not settle,
+where both reference loops keep the predictor.  On every case the tests
+run, the steps that keep the predictor are the same in all three.
 """
 
 import math

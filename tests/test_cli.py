@@ -582,7 +582,8 @@ class TestNumericalFailure:
 
     def test_picard_without_an_iteration_exits_3(self, tmp_path, capsys):
         # the first fixed-point control, pinv(d_s), drives the state out of
-        # the solver's contraction regime, so no report row is completed
+        # the solver's contraction regime: step 1's sweeps do not settle,
+        # and the solve raises, so no report row is completed
         path = tmp_path / "far.cfg"
         path.write_text(
             TINY.replace("f_coeff = 0", "f_coeff = 1")
@@ -593,7 +594,9 @@ class TestNumericalFailure:
                      "--method", "picard"])
         assert code == EXIT_DIVERGED
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("diverged: state blew up")
+        assert len(err) == 1 and err[0].startswith(
+            "diverged: sweeps did not settle at step 1 within MAX_SWEEPS = 50"
+        )
         manifest = json.loads((out / "far" / "manifest.json").read_text())
         assert manifest["summary"]["status"] == "diverged"
 

@@ -126,17 +126,6 @@ def _assert_bounds(val, ref, q):
     assert ref * (1.0 - 1e-12) <= val <= (1.10 if q <= 0.5 else 1.30) * ref
 
 
-class TestA1Envelope:
-    @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
-    @pytest.mark.parametrize("q", [0.5, 1.0])
-    def test_matches_brute_force(self, basis8, alpha, q):
-        # doubling the check's 12800 panels moves it by at most 3.6e-9
-        # relative over these six cases, far inside the bound's width
-        ref = _brute_force_a1(basis8, 1.0, alpha, q, 12800)
-        _assert_bounds(estimate_A1(basis8, TimeGrid(1.0, 8), alpha, q),
-                       ref, q)
-
-
 class TestA1Candidates:
     """The cell sum against the dense envelope integral
     (`tests/a1_oracle.py`).  `test_bit_identical_to_dense` keeps the name
@@ -169,13 +158,23 @@ class TestA1Candidates:
 
 class TestA1Bound:
     """The cell sum is an upper bound within a factor of the dense
-    envelope integral (`tests/a1_oracle.py`)."""
+    envelope integral (`tests/a1_oracle.py`) and of a brute-force
+    quadrature of the envelope (`_brute_force_a1`)."""
 
     @pytest.mark.parametrize("name", ["example1.cfg", "example2.cfg"])
     def test_bounds_bundled_configs(self, name):
         cfg = load_config(bundled_config_path(name))
         args = (cfg.basis, cfg.grid, cfg.alpha, 0.5)
         _assert_bounds(estimate_A1(*args), dense_a1(*args), 0.5)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_bounds_brute_force(self, basis8, alpha, q):
+        # doubling the check's 12800 panels moves it by at most 3.6e-9
+        # relative over these six cases, far inside the bound's width
+        ref = _brute_force_a1(basis8, 1.0, alpha, q, 12800)
+        _assert_bounds(estimate_A1(basis8, TimeGrid(1.0, 8), alpha, q),
+                       ref, q)
 
 
 class TestGAlphaNorm:

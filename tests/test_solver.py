@@ -28,6 +28,7 @@ from fracctrl.solver import (
 from fields import evaluate_mode, from_function, norm_l2
 from l1_oracle import GridTrajectory, l1_oracle_solve
 from ml_oracle import _ml_scalar
+from test_cli import TINY
 from semilinear_oracle import (
     decay_table,
     direct_node_states,
@@ -309,8 +310,8 @@ class TestStepEquation:
 
 class TestSweepLoopBitIdentical:
     """The solver against references where both do the same arithmetic:
-    the F = 0 closed form, a step that keeps its predictor, and the
-    divergence message.
+    the F = 0 closed form, a certified step, which keeps its predictor,
+    and the divergence message.
 
     Trajectories that differ from a reference by the order of a sum move
     by rounding only; they are bounded at 1e-14 of max|coeffs|.
@@ -342,10 +343,10 @@ class TestSweepLoopBitIdentical:
         ])
         self.assert_rounding_close(states, ref)
 
-    def test_unsettled_step_keeps_predictor(self, setup):
+    def test_certified_step_keeps_predictor(self, setup):
         # large data on a two-step grid: the mean-mode test proves that
-        # neither step has a solution, so each keeps its predictor, F
-        # frozen at the step start
+        # neither step has a solution, so each is certified and keeps its
+        # predictor, F frozen at the step start
         dom, basis, act, _ = setup
         grid = TimeGrid(0.1, 2)
         y0 = from_function(dom, lambda x, y: 10.0 + 0.0 * x)
@@ -388,6 +389,43 @@ class TestSweepLoopBitIdentical:
                 solve_semilinear(
                     y0, None, NonlinearTerm(), act, basis, grid, 0.9
                 )
+
+
+class TestSweepsSettleOrRaise:
+    """A step that the mean-mode test does not certify settles or raises
+    `SemilinearDivergenceError` naming the step and the cause; it never
+    keeps its predictor."""
+
+    def test_out_of_sweeps_raises(self, monkeypatch):
+        # example 2's first control: no step settles at its first sweep,
+        # and none is certified, so step 1 runs out of one sweep
+        problem = load_config(bundled_config_path("example2.cfg")).problem()
+        u = pinv_apply(problem.operator(), problem.d_s.values.ravel()).values
+        monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
+        with pytest.raises(SemilinearDivergenceError, match=(
+            r"^sweeps did not settle at step 1 within MAX_SWEEPS = 1 "
+            r"\(residual "
+        )):
+            solve_semilinear(problem.y0, u, problem.F, problem.act,
+                             problem.basis, problem.grid, problem.alpha)
+
+    def test_non_finite_sweeps_raise(self, tmp_path):
+        # the data of the CLI's picard run that diverges at step 1
+        # (`test_picard_without_an_iteration_exits_3`), its first control
+        # scaled by 1e50: step 1 is not certified (the constant mode's
+        # anchor is negative), F overflows at the first sweeps and the
+        # residual goes non-finite
+        path = tmp_path / "far.cfg"
+        path.write_text(
+            TINY.replace("f_coeff = 0", "f_coeff = 1")
+            .replace("z_d = (0, 0, 1e-3)", "z_d = (0, 0, 1e9)")
+        )
+        problem = load_config(str(path)).problem()
+        u = pinv_apply(problem.operator(), problem.d_s.values.ravel()).values
+        with pytest.raises(SemilinearDivergenceError,
+                           match="^sweeps went non-finite at step 1$"):
+            solve_semilinear(problem.y0, 1e50 * u, problem.F, problem.act,
+                             problem.basis, problem.grid, problem.alpha)
 
 
 class TestMeanModeTest:
@@ -587,7 +625,10 @@ class TestKernelTableStability:
         ("example2", (240, 1.0, 30, 30)),
         # a non-square basis, whose eigenvalues seldom repeat
         ("example1", (240, 0.6, 12, 7)),
-    ], ids=["example1", "example2", "scaled-synth", "non-square"])
+        # the same in one slab, whose sort sees every repeated eigenvalue
+        ("example1", (60, 0.6, 12, 7)),
+    ], ids=["example1", "example2", "scaled-synth", "non-square",
+            "non-square-one-slab"])
     def test_slabs_match_whole_array_build(self, name, scale, monkeypatch):
         # the build that passed the whole 2-D argument array to `ml` once
         # gives the same bits; no sort inside the build sees more than one
@@ -614,7 +655,9 @@ class TestKernelTableStability:
         Wdnew = _step_weights.__wrapped__(basis, grid, alpha)
         assert np.array_equal(Wdnew, Wd)
         assert Wdnew.flags.c_contiguous
-        assert sorts and max(sorts) <= min(solver._SLAB, z.size)
+        assert sorts and max(sorts) <= min(
+            solver._SLAB, ta.size * basis.eigenvalues.size
+        )
 
     def test_example2_within_rel_1e12(self):
         Wd, (Wds, W) = self._tables("example2")
@@ -821,7 +864,8 @@ class TestReferenceBitIdentical:
     residual-update controls (example 1's last step keeps its
     predictor), the `scaled-synth` configuration from a non-zero y0 on
     one full block plan (K = 240) and on one whose last blocks are cut
-    short (K = 301), F = 0, F = 0.5 y^3 and two unsettled steps."""
+    short (K = 301), F = 0, F = 0.5 y^3 and two certified steps (the
+    case `unsettled`, named before sweeps that do not settle raised)."""
 
     @staticmethod
     def _bundled(name, F=None, y0=None):
@@ -842,7 +886,7 @@ class TestReferenceBitIdentical:
                 TimeGrid(problem.grid.T, K), problem.alpha)
 
     @staticmethod
-    def _unsettled(setup):
+    def _certified(setup):
         dom, basis, act, _ = setup
         y0 = from_function(dom, lambda x, y: 10.0 + 0.0 * x)
         return (y0, np.zeros(2), NonlinearTerm(), act, basis,
@@ -865,7 +909,7 @@ class TestReferenceBitIdentical:
             args = self._bundled("example2",
                                  NonlinearTerm(0.5, 3))
         elif case == "unsettled":
-            args = self._unsettled(request.getfixturevalue("setup"))
+            args = self._certified(request.getfixturevalue("setup"))
         else:
             args = self._bundled(case)
         got = list(_node_states(*args))
