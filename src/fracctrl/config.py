@@ -73,14 +73,17 @@ def parse_poly(text):
         raise ValueError(f"bad monomial list {text!r}") from exc
     if not terms:
         raise ValueError("empty polynomial")
+    # literal_eval builds exact builtin types, so `type` rules out bools
     for t in terms:
         if not (isinstance(t, tuple) and len(t) == 3
-                and all(isinstance(k, int) and k >= 0 for k in t[:2])):
+                and all(type(k) is int and k >= 0 for k in t[:2])):
             raise ValueError(f"not an (i, j, c) term, i, j ints >= 0: {t!r}")
+        if type(t[2]) not in (int, float):
+            raise ValueError(f"non-numeric coefficient in {text!r}")
     try:
         terms = [(i, j, float(c)) for i, j, c in terms]
-    except TypeError as exc:
-        raise ValueError(f"non-numeric coefficient in {text!r}") from exc
+    except OverflowError as exc:  # an int literal beyond float range
+        raise ValueError(f"non-finite coefficient in {text!r}") from exc
     if not all(math.isfinite(c) for _, _, c in terms):
         raise ValueError(f"non-finite coefficient in {text!r}")
     return terms

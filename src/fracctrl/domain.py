@@ -5,6 +5,10 @@ eigenbasis, grid/spectral transforms, the grid nodes a region covers (and
 on them interior restriction and boundary trace), target extension from a
 boundary segment into an adjacent interior rectangle, and actuator spatial
 profiles.
+
+Every region is a box (x0, x1, y0, y1); a boundary segment is the
+zero-width box on its edge.  One test places a box in another to within
+_SNAP: a region or zonal support in the domain, and Gamma in omega_c.
 """
 
 import math
@@ -258,17 +262,25 @@ class Region:
             raise ValueError("boundary segment must have positive length")
         return cls(kind="boundary", bounds=(s0, s1), side=side)
 
-    def _check_inside(self, domain):
+    def box(self, domain):
+        """(x0, x1, y0, y1): an interior rectangle's bounds, or the
+        zero-width box of a boundary segment on its edge of the domain."""
         if self.kind == "interior":
-            x0, x1, y0, y1 = self.bounds
-            if x0 < -_SNAP or x1 > domain.lx + _SNAP or y0 < -_SNAP or \
-                    y1 > domain.ly + _SNAP:
-                raise ValueError("interior region exceeds the domain")
-        else:
-            s0, s1 = self.bounds
-            length = domain.ly if self.side in ("left", "right") else domain.lx
-            if s0 < -_SNAP or s1 > length + _SNAP:
-                raise ValueError("boundary segment exceeds the domain edge")
+            return self.bounds
+        s0, s1 = self.bounds
+        return {
+            "left": (0.0, 0.0, s0, s1),
+            "right": (domain.lx, domain.lx, s0, s1),
+            "bottom": (s0, s1, 0.0, 0.0),
+            "top": (s0, s1, domain.ly, domain.ly),
+        }[self.side]
+
+
+def _contains(outer, box):
+    """Whether box (x0, x1, y0, y1) lies in outer, to within _SNAP."""
+    (a0, a1, b0, b1), (x0, x1, y0, y1) = outer, box
+    return (x0 >= a0 - _SNAP and x1 <= a1 + _SNAP
+            and y0 >= b0 - _SNAP and y1 <= b1 + _SNAP)
 
 
 def _index_range(coords, lo, hi):
@@ -281,23 +293,17 @@ def _index_range(coords, lo, hi):
 
 
 def region_nodes(domain, region):
-    """Grid index arrays (ix, iy) of the nodes a region covers.
+    """Grid index arrays (ix, iy) of the nodes inside a region's box.
 
-    An interior rectangle covers the nodes inside its bounds; a boundary
-    segment is the one-node-wide strip on its edge (ix = [0] or [nx-1] on
-    the left/right sides, iy = [0] or [ny-1] on the bottom/top).  Raises
-    ValueError when the region leaves the domain or holds no node.
+    A boundary segment's zero-width box holds the one-node-wide strip on
+    its edge (ix = [0] or [nx-1] on the left/right sides, iy = [0] or
+    [ny-1] on the bottom/top).  Raises ValueError when the box leaves the
+    domain or holds no node.
     """
-    region._check_inside(domain)
-    if region.kind == "interior":
-        x0, x1, y0, y1 = region.bounds
-        return _index_range(domain.x, x0, x1), _index_range(domain.y, y0, y1)
-    s0, s1 = region.bounds
-    if region.side in ("left", "right"):
-        col = 0 if region.side == "left" else domain.nx - 1
-        return np.array([col]), _index_range(domain.y, s0, s1)
-    row = 0 if region.side == "bottom" else domain.ny - 1
-    return _index_range(domain.x, s0, s1), np.array([row])
+    x0, x1, y0, y1 = box = region.box(domain)
+    if not _contains((0.0, domain.lx, 0.0, domain.ly), box):
+        raise ValueError(f"{region.kind} region exceeds the domain")
+    return _index_range(domain.x, x0, x1), _index_range(domain.y, y0, y1)
 
 
 def restrict(fld, region):
@@ -321,25 +327,12 @@ def trace(fld, gamma):
 
 
 def _validate_adjacency(domain, gamma, omega_c):
-    """Check Gamma lies on the edge of omega_c that touches the boundary."""
-    x0, x1, y0, y1 = omega_c.bounds
-    s0, s1 = gamma.bounds
-    edge = {
-        "left": (x0, 0.0),
-        "right": (x1, domain.lx),
-        "bottom": (y0, 0.0),
-        "top": (y1, domain.ly),
-    }[gamma.side]
-    tang = (y0, y1) if gamma.side in ("left", "right") else (x0, x1)
-    if abs(edge[0] - edge[1]) > _SNAP:
-        raise ValueError(
-            f"the {gamma.side} edge of the interior region does not touch "
-            "the domain boundary, so the boundary segment cannot lie on it"
-        )
-    if s0 < tang[0] - _SNAP or s1 > tang[1] + _SNAP:
-        raise ValueError(
-            "boundary segment is not contained in the interior region's edge"
-        )
+    """Check Gamma lies on the edge of omega_c that touches the boundary:
+    Gamma's zero-width box lies in omega_c's box.  The caller has checked
+    that omega_c lies in the domain."""
+    if not _contains(omega_c.bounds, gamma.box(domain)):
+        raise ValueError("the boundary segment does not lie on the "
+                         f"{gamma.side} edge of the interior region")
 
 
 def _smooth_decay(t):
@@ -361,42 +354,30 @@ def extend_target(zd, omega_c, gamma, domain):
         raise ValueError("extend_target needs an interior region and a "
                          "boundary segment")
     ix, iy = region_nodes(domain, omega_c)
-    gamma._check_inside(domain)
+    region_nodes(domain, gamma)  # Gamma lies in the domain
     _validate_adjacency(domain, gamma, omega_c)
-
-    x0, x1, y0, y1 = omega_c.bounds
-    xs, ys = domain.x[ix], domain.y[iy]
     zd = np.asarray(zd, dtype=float)
+    xs, ys = domain.x[ix], domain.y[iy]
+    box = gamma.box(domain)
 
-    if gamma.side in ("left", "right"):
-        tang, normal = ys, xs
-        depth = (normal - x0) / (x1 - x0)
-        if gamma.side == "right":
-            depth = (x1 - normal) / (x1 - x0)
-    else:
-        tang, normal = xs, ys
-        depth = (normal - y0) / (y1 - y0)
-        if gamma.side == "top":
-            depth = (y1 - normal) / (y1 - y0)
-
-    gnodes = _index_range(tang, *gamma.bounds)
-    if zd.shape != (gnodes.size,):
-        raise ValueError(
-            f"boundary target has {zd.size} samples but the segment holds "
-            f"{gnodes.size} grid nodes"
-        )
-    # constant continuation beyond the ends of Gamma
-    line = np.empty(tang.size)
-    line[gnodes] = zd
-    line[: gnodes[0]] = zd[0]
-    line[gnodes[-1] + 1:] = zd[-1]
-
-    decay = _smooth_decay(depth)
-    if gamma.side in ("left", "right"):
-        values = decay[:, None] * line[None, :]
-    else:
-        values = line[:, None] * decay[None, :]
-    return GridPatch(x=xs, y=ys, values=values)
+    profiles = []
+    for coords, (lo, hi), (g0, g1) in ((xs, omega_c.bounds[:2], box[:2]),
+                                       (ys, omega_c.bounds[2:], box[2:])):
+        if g0 == g1:
+            # the normal axis, across which Gamma's box has zero width (at
+            # 0 on the left and bottom edges): the decay runs from
+            # omega_c's face on Gamma to the far face
+            near, far = (lo, hi) if g0 == 0.0 else (hi, lo)
+            profiles.append(_smooth_decay((coords - near) / (far - near)))
+            continue
+        gnodes = _index_range(coords, g0, g1)
+        if zd.shape != (gnodes.size,):
+            raise ValueError(f"boundary target has {zd.size} samples but "
+                             f"the segment holds {gnodes.size} grid nodes")
+        # zd, continued as a constant beyond the ends of Gamma
+        profiles.append(zd.take(np.arange(coords.size) - gnodes[0],
+                                mode="clip"))
+    return GridPatch(x=xs, y=ys, values=np.outer(*profiles))
 
 
 @dataclass(frozen=True)
@@ -437,10 +418,9 @@ def actuator_coefficients(act, basis):
     """
     d = basis.domain
     if act.kind == "zonal":
-        x0, x1, y0, y1 = act.support
-        if x0 < -_SNAP or x1 > d.lx + _SNAP or y0 < -_SNAP or \
-                y1 > d.ly + _SNAP:
+        if not _contains((0.0, d.lx, 0.0, d.ly), act.support):
             raise ValueError("zonal support exceeds the domain")
+        x0, x1, y0, y1 = act.support
         bx = np.array(
             [_cos_segment_integral(i, d.lx, x0, x1) for i in range(basis.mx)]
         )

@@ -1,6 +1,7 @@
 """Config parsing: polynomial lists, section resolution, error anchoring."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,22 @@ class TestParsePoly:
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
+            parse_poly(bad)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("(0, 0, 'a')", "non-numeric coefficient in"),
+        ("(0, 0, '1.5')", "non-numeric coefficient in"),
+        ("(0, 0, True)", "non-numeric coefficient in"),
+        ("(0, 0, None)", "non-numeric coefficient in"),
+        ("(True, 0, 1.0)", "not an (i, j, c) term"),
+        ("(0, False, 1.0)", "not an (i, j, c) term"),
+        ("(0, 0, 1" + "0" * 400 + ")", "non-finite coefficient in"),
+    ], ids=["str", "numeric-str", "bool-c", "none", "bool-i", "bool-j",
+            "int-overflow"])
+    def test_names_a_bad_term_or_coefficient(self, bad, message):
+        # i and j are ints and c an int or float; a bool, a string or an
+        # int beyond float range is refused in the function's own words
+        with pytest.raises(ValueError, match=re.escape(message)):
             parse_poly(bad)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracctrl.domain import (
+    _SNAP,
     Actuator,
     Field,
     RectDomain,
@@ -16,6 +17,7 @@ from fracctrl.domain import (
     region_nodes,
     restrict,
     trace,
+    _validate_adjacency,
 )
 from fields import evaluate_mode, from_function, spacing
 
@@ -245,6 +247,99 @@ class TestExtendTarget:
         ds = extend_target(zd, omega, gamma, unit)
         assert np.array_equal(ds.values[:, -1], zd)
 
+    @pytest.mark.parametrize("side,rect", [
+        ("left", (0.0, 0.3, 0.2, 0.7)), ("right", (0.6, 1.0, 0.2, 0.7)),
+        ("bottom", (0.2, 0.7, 0.0, 0.4)), ("top", (0.2, 0.7, 0.6, 1.0)),
+    ])
+    def test_matches_per_side_formula(self, unit, side, rect):
+        # Gamma is shorter than omega_c's edge, so the constant
+        # continuation beyond both of its ends shows
+        omega = Region.interior(*rect)
+        gamma = Region.boundary(side, 0.3, 0.5)
+        across = side in ("left", "right")
+        tang = unit.y[10:36] if across else unit.x[10:36]  # omega_c's
+        on_gamma = (tang >= 0.3 - 1e-9) & (tang <= 0.5 + 1e-9)
+        zd = np.sin(5 * tang[on_gamma]) + 2.0
+        ds = extend_target(zd, omega, gamma, unit)
+        assert np.array_equal(ds.values, _per_side_extension(
+            zd, omega, gamma, unit))
+        # the patch's row or column on Gamma's edge, at Gamma's nodes
+        on_edge = {"left": ds.values[0, :], "right": ds.values[-1, :],
+                   "bottom": ds.values[:, 0], "top": ds.values[:, -1]}[side]
+        assert np.array_equal(ds.y if across else ds.x, tang)
+        assert np.array_equal(on_edge[on_gamma], zd)
+
+
+def _per_side_extension(zd, omega, gamma, dom):
+    """The smoothstep extension with its depth, constant continuation and
+    outer product written out for each side of Gamma."""
+    x0, x1, y0, y1 = omega.bounds
+    ix, iy = region_nodes(dom, omega)
+    xs, ys = dom.x[ix], dom.y[iy]
+    if gamma.side in ("left", "right"):
+        tang, normal = ys, xs
+        depth = (normal - x0) / (x1 - x0)
+        if gamma.side == "right":
+            depth = (x1 - normal) / (x1 - x0)
+    else:
+        tang, normal = xs, ys
+        depth = (normal - y0) / (y1 - y0)
+        if gamma.side == "top":
+            depth = (y1 - normal) / (y1 - y0)
+    s0, s1 = gamma.bounds
+    gnodes = np.nonzero((tang >= s0 - 1e-9) & (tang <= s1 + 1e-9))[0]
+    line = np.empty(tang.size)
+    line[gnodes] = zd
+    line[: gnodes[0]] = zd[0]
+    line[gnodes[-1] + 1:] = zd[-1]
+    t = np.clip(depth, 0.0, 1.0)
+    decay = 1.0 - t * t * (3.0 - 2.0 * t)
+    if gamma.side in ("left", "right"):
+        return decay[:, None] * line[None, :]
+    return line[:, None] * decay[None, :]
+
+
+class TestAdjacency:
+    """Gamma lies on omega_c's edge that touches the boundary, to within
+    _SNAP; omega_c lies in the domain, as both callers check first."""
+
+    DOM = RectDomain(2.0, 0.5, 41, 21)
+
+    @staticmethod
+    def _omega(side, off):
+        """omega_c with its face on `side` moved `off` into the domain."""
+        return Region.interior(*{
+            "left": (off, 0.6, 0.1, 0.3),
+            "right": (1.4, 2.0 - off, 0.1, 0.3),
+            "bottom": (0.5, 1.0, off, 0.2),
+            "top": (0.5, 1.0, 0.3, 0.5 - off),
+        }[side])
+
+    @staticmethod
+    def _gamma(side, longer=0.0):
+        s0, s1 = (0.1, 0.3) if side in ("left", "right") else (0.5, 1.0)
+        return Region.boundary(side, s0, s1 + longer)
+
+    @pytest.mark.parametrize("side", ["left", "right", "bottom", "top"])
+    @pytest.mark.parametrize("off", [0.0, _SNAP / 2, -_SNAP / 2])
+    def test_face_on_the_edge_passes(self, side, off):
+        omega = self._omega(side, off)
+        region_nodes(self.DOM, omega)
+        _validate_adjacency(self.DOM, self._gamma(side), omega)
+
+    @pytest.mark.parametrize("side", ["left", "right", "bottom", "top"])
+    def test_face_off_the_edge_raises(self, side):
+        with pytest.raises(ValueError):
+            _validate_adjacency(
+                self.DOM, self._gamma(side), self._omega(side, 2 * _SNAP))
+
+    @pytest.mark.parametrize("side", ["left", "right", "bottom", "top"])
+    def test_gamma_longer_than_the_edge_raises(self, side):
+        with pytest.raises(ValueError):
+            _validate_adjacency(
+                self.DOM, self._gamma(side, longer=0.05),
+                self._omega(side, 0.0))
+
 
 class TestActuator:
     def test_zonal_whole_domain(self, basis):
@@ -292,6 +387,24 @@ class TestActuator:
             Actuator.pointwise(0.3, 0.3, gain=2.5), basis
         )
         assert np.allclose(b2, 2.5 * b1, atol=1e-14)
+
+    @pytest.mark.parametrize("side", ["left", "right", "bottom", "top"])
+    @pytest.mark.parametrize("out,ok", [
+        (_SNAP / 2, True), (-_SNAP / 2, True), (2 * _SNAP, False),
+    ])
+    def test_zonal_support_at_an_edge(self, basis, side, out, ok):
+        # the support's face on `side` lies `out` beyond that edge
+        act = Actuator.zonal(*{
+            "left": (-out, 0.2, 0.2, 0.4),
+            "right": (0.8, 1.0 + out, 0.2, 0.4),
+            "bottom": (0.2, 0.4, -out, 0.2),
+            "top": (0.2, 0.4, 0.8, 1.0 + out),
+        }[side])
+        if ok:
+            assert np.all(np.isfinite(actuator_coefficients(act, basis)))
+        else:
+            with pytest.raises(ValueError, match="exceeds the domain"):
+                actuator_coefficients(act, basis)
 
     def test_invalid_geometry(self, basis):
         with pytest.raises(ValueError):
