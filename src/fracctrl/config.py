@@ -162,7 +162,7 @@ _KEYS = {
     ("target", "d_s"): (parse_poly, None, None),
     ("initial", "y0"): (_initial, "zero", None),
     ("loop", "eps"): (_finite, _LOOP["eps"], _POSITIVE),
-    # the default (negative) selects the trace-scaled lambda
+    # the default (None) selects the trace-scaled lambda
     ("loop", "lambda_reg"): (
         _finite, _LOOP["lambda_reg"], ((lambda v: v >= 0.0), "must be >= 0")),
     ("loop", "n_max"): (
@@ -336,8 +336,7 @@ def load_config(path, overrides=None):
     if loop["method"] == "picard" and np.any(y0.values != 0.0):
         raise ConfigError(path, "loop", "method",
                           "picard requires [initial] y0 = zero")
-    if loop["lambda_reg"] < 0.0:
-        resolved["loop.lambda_reg"] = None
+    resolved.setdefault("loop.lambda_reg", None)
 
     return ExperimentConfig(
         basis=basis, act=act, grid=grid, alpha=alpha, F=F, omega_c=omega_c,

@@ -61,6 +61,12 @@ class GramConditionError(RuntimeError):
         )
 
 
+def _check_lambda(lambda_reg):
+    """None selects the trace-scaled default; a given weight is >= 0."""
+    if lambda_reg is not None and not lambda_reg >= 0.0:
+        raise ValueError(f"lambda_reg must be >= 0 or None, got {lambda_reg}")
+
+
 @dataclass(frozen=True)
 class ControlSignal:
     """Piecewise-constant control: values[k] acts on [t_k, t_(k+1))."""
@@ -95,15 +101,16 @@ class ControllabilityOperator:
     M: np.ndarray  # (dofs, K)
     weights: np.ndarray  # (dofs,) quadrature weights of the target nodes
     grid: object
-    lambda_reg: float = -1.0  # negative: use the trace-scaled default
+    lambda_reg: float = None  # None: the trace-scaled default
     _svd: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.M)):
             raise ValueError("reachability matrix has non-finite entries")
+        _check_lambda(self.lambda_reg)
         sw = np.sqrt(self.weights)
         self.Mw = sw[:, None] * self.M
-        if self.lambda_reg < 0.0:
+        if self.lambda_reg is None:
             self.lambda_reg = 1e-8 * np.sum(self.Mw**2) / self.Mw.shape[0]
 
     def svd(self):
@@ -128,7 +135,7 @@ class ControllabilityOperator:
         return math.sqrt(float(np.sum(self.weights * np.asarray(r) ** 2)))
 
 
-def assemble_H(basis, act, grid, target, alpha, lambda_reg=-1.0):
+def assemble_H(basis, act, grid, target, alpha, lambda_reg=None):
     """Reachability operator of the linear system at time T.
 
     Column k holds the target-node values of the response to a unit
@@ -242,12 +249,13 @@ class ControlProblem:
     zd: np.ndarray  # boundary target samples on gamma
     y0: object = None  # Field; default zero
     eps: float = 1e-3
-    lambda_reg: float = -1.0
+    lambda_reg: float = None  # None: the trace-scaled default
     n_max: int = N_MAX
     _operator: object = field(default=None, init=False, repr=False,
                               compare=False)  # see operator()
 
     def __post_init__(self):
+        _check_lambda(self.lambda_reg)
         if self.y0 is None:
             self.y0 = Field.zero(self.basis.domain)
 

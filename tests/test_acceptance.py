@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from fracctrl.cli import EXIT_HYPOTHESIS, EXIT_OK, main
+from fracctrl.cli import EXIT_DIVERGED, EXIT_HYPOTHESIS, EXIT_OK, main
 from fracctrl.config import (
     bundled_config_path,
     load_config,
@@ -172,6 +172,24 @@ class TestCriterion3LinearExactness:
         assert time.perf_counter() - t0 < 60.0
 
 
+def _run_edited(tmp_path, name, overrides, code, edit=None):
+    """Run a bundled example with the keys in `overrides` set and the
+    parsed INI passed through `edit`; returns the run directory."""
+    cp = read_ini(bundled_config_path(f"{name}.cfg"), overrides)
+    if edit is not None:
+        edit(cp)
+    path = tmp_path / f"{name}-edited.cfg"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path)]) == code
+    return tmp_path / path.stem
+
+
+def _summary(rundir):
+    return (rundir / "summary.txt").read_text().splitlines()
+
+
 class TestCriterion4Example1:
     def test_example1_reproduced(self, ex1_run):
         code, rundir, manifest, elapsed = ex1_run
@@ -181,6 +199,10 @@ class TestCriterion4Example1:
         assert summary["boundary_error"] ** 2 <= 1e-2
         assert 0.071 <= summary["cost"] <= 7.1
         assert elapsed < TEN_MINUTES
+        # verify prints these verdicts: controllability alone, with no
+        # small-data-contraction verdict (A_s is a number)
+        assert manifest["hypothesis_report"]["verdicts"] == {
+            "controllability": "satisfied"}
 
 
 class TestMirroredExample1:
@@ -192,21 +214,18 @@ class TestMirroredExample1:
         # mean-mode test skips the same final step, so it makes the same
         # 7,516 F projections
         _, rundir, _, _ = ex1_run
-        cp = read_ini(bundled_config_path("example1.cfg"),
-                      {"problem.f_coeff": "-1"})
-        for key in ("z_d", "d_s"):
-            cp.set("target", key, " ".join(
-                f"({i}, {j}, {-c!r})"
-                for i, j, c in parse_poly(cp.get("target", key))
-            ))
-        path = tmp_path / "example1-mirror.cfg"
-        with open(path, "w") as fh:
-            cp.write(fh)
+
+        def negate(cp):
+            for key in ("z_d", "d_s"):
+                cp.set("target", key, " ".join(
+                    f"({i}, {j}, {-c!r})"
+                    for i, j, c in parse_poly(cp.get("target", key))
+                ))
+
         calls = _count_projections(monkeypatch)
-        code = main(["run", "--config", str(path), "--out", str(tmp_path)])
-        assert code == EXIT_OK
+        mirror = _run_edited(tmp_path, "example1", {"problem.f_coeff": "-1"},
+                             EXIT_OK, negate)
         assert len(calls) == 7_516
-        mirror = tmp_path / "example1-mirror"
         for name in ("iterations.dat", "summary.txt"):
             assert (mirror / name).read_bytes() == (
                 rundir / name).read_bytes(), name
@@ -225,6 +244,38 @@ class TestCriterion5Example2:
         assert summary["boundary_error"] ** 2 <= 1e-2
         assert summary["cost"] <= 0.1
         assert elapsed < TEN_MINUTES
+        # alpha = 0.6 takes the A1 bound through other Mittag-Leffler
+        # branches; verify would exit 0
+        assert manifest["hypothesis_report"]["verdicts"] == {
+            "controllability": "satisfied"}
+
+    def test_initial_state_converges(self, tmp_path):
+        # a non-zero initial state rides in the solver's history sum as
+        # the constant source -lambda c0
+        rundir = _run_edited(tmp_path, "example2",
+                             {"initial.y0": "(0, 0, 0.01)"}, EXIT_OK)
+        assert _summary(rundir)[:2] == ["status: converged",
+                                        "iterations: 36"]
+
+    def test_top_edge_mirror_runs_to_n_max(self, tmp_path):
+        # a Gamma on another edge goes through the box rule and the
+        # default smoothstep extension: example 2 mirrored to the top
+        # edge, z_d written in x and no d_s, runs its 50 iterations
+        def mirror(cp):
+            cp.set("target", "z_d", " ".join(
+                f"({j}, {i}, {c!r})"
+                for i, j, c in parse_poly(cp.get("target", "z_d"))
+            ))
+            assert cp.remove_option("target", "d_s")
+
+        rundir = _run_edited(
+            tmp_path, "example2",
+            {"regions.gamma": "top 0.0 0.3",
+             "regions.omega_c": "0.0 0.3 0.8 1.0"},
+            EXIT_DIVERGED, mirror,
+        )
+        assert _summary(rundir)[:2] == ["status: max-iterations",
+                                        "iterations: 50"]
 
 
 class TestCriterion6SmallDataContraction:
@@ -247,6 +298,17 @@ class TestCriterion6SmallDataContraction:
         hyp = hypothesis_report(problem)
         assert hyp.a_s < 1.0
         assert not hyp.violated
+
+    @pytest.mark.parametrize("name, iterations",
+                             [("example1", 3), ("example2", 2)])
+    def test_bundled_examples_converge(self, tmp_path, name, iterations):
+        # the fixed-point loop drives every outer iteration through the
+        # same semilinear step loop; example 2 takes it through a second
+        # order (alpha = 0.6) and actuator
+        rundir = _run_edited(tmp_path, name, {"loop.method": "picard"},
+                             EXIT_OK)
+        assert _summary(rundir)[:2] == ["status: converged",
+                                        f"iterations: {iterations}"]
 
 
 class TestCriterion7ExtensionRoundTrip:
@@ -292,6 +354,8 @@ class TestCriterion8Determinism:
             assert row["artifacts"].pop("config.cfg")
             assert row["artifacts"] == inventory
             assert row["hypothesis_report"] == manifest["hypothesis_report"]
+            # the row's manifest records the row's own budget
+            assert row["resolved_config"]["loop.n_max"] == n_max
 
     def test_blas_threads_do_not_change_artifacts(self, tmp_path):
         # the BLAS thread count splits large matrix products differently,

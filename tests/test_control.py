@@ -55,7 +55,7 @@ def setup():
     return dom, basis, grid, act, omega, gamma
 
 
-def _example_problem(setup, F, eps=1e-3, lambda_reg=-1.0, **kw):
+def _example_problem(setup, F, eps=1e-3, lambda_reg=None, **kw):
     dom, basis, grid, act, omega, gamma = setup
     ys = dom.y[dom.y <= 0.1 + 1e-9]
     zd = 7 * ys**3 - 13 * ys**2 + 3.0
@@ -567,6 +567,19 @@ def test_loops_reject_n_max_below_one(setup, loop):
     )
     with pytest.raises(ValueError, match="n_max"):
         loop(problem)
+
+
+@pytest.mark.parametrize("lam", [-0.5, -np.inf, np.nan])
+@pytest.mark.parametrize("make", ["assemble_H", "ControlProblem"])
+def test_rejects_negative_or_nan_lambda(setup, make, lam):
+    # None alone selects the trace-scaled default; no given weight is
+    # replaced by it
+    _, basis, grid, act, omega, _ = setup
+    with pytest.raises(ValueError, match="lambda_reg"):
+        if make == "assemble_H":
+            assemble_H(basis, act, grid, omega, 0.3, lambda_reg=lam)
+        else:
+            _example_problem(setup, NonlinearTerm.none(), lambda_reg=lam)
 
 
 class TestOperatorPerProblem:

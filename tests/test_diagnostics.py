@@ -96,6 +96,21 @@ class TestEstimateA1:
             tracemalloc.stop()
         assert peak < 2.0e6
 
+    def test_evaluates_few_elements(self, monkeypatch):
+        # one `ml` call per bundled example, over 12,543 elements
+        elements = []
+
+        def counting(alpha, beta, z):
+            elements.append(np.size(z))
+            return ml(alpha, beta, z)
+
+        monkeypatch.setattr(diagnostics, "ml", counting)
+        for name in ("example1.cfg", "example2.cfg"):
+            cfg = load_config(bundled_config_path(name))
+            elements.clear()
+            estimate_A1(cfg.basis, cfg.grid, cfg.alpha, q=0.5)
+            assert len(elements) == 1 and elements[0] <= 15_000
+
 
 def _brute_force_a1(basis, T, alpha, q, panels):
     """A1 by two-point Gauss-Legendre panels graded geometrically in
@@ -139,21 +154,6 @@ class TestA1Candidates:
         for basis, grid in ((basis8, TimeGrid(1.0, 8)), (basis20, grid)):
             _assert_bounds(estimate_A1(basis, grid, alpha, q),
                            dense_a1(basis, grid, alpha, q), q)
-
-    def test_evaluates_few_elements(self, monkeypatch):
-        # one `ml` call per bundled example, over 12,543 elements
-        elements = []
-
-        def counting(alpha, beta, z):
-            elements.append(np.size(z))
-            return ml(alpha, beta, z)
-
-        monkeypatch.setattr(diagnostics, "ml", counting)
-        for name in ("example1.cfg", "example2.cfg"):
-            cfg = load_config(bundled_config_path(name))
-            elements.clear()
-            estimate_A1(cfg.basis, cfg.grid, cfg.alpha, q=0.5)
-            assert len(elements) == 1 and elements[0] <= 15_000
 
 
 class TestA1Bound:
