@@ -21,7 +21,12 @@ import numpy as np
 
 from . import __version__
 from .config import METHODS, ConfigError, load_config, read_ini
-from .control import GramConditionError, algorithm1, picard_sequence
+from .control import (
+    GramConditionError,
+    GramOverflowError,
+    algorithm1,
+    picard_sequence,
+)
 from .diagnostics import hypothesis_report
 from .domain import restrict, trace
 from .mittag import MLEvaluationError
@@ -45,7 +50,8 @@ TABLES = (
 
 # failures of the numerics themselves: reported as a non-converged run
 NUMERICAL_ERRORS = (
-    MLEvaluationError, GramConditionError, SemilinearDivergenceError,
+    MLEvaluationError, GramConditionError, GramOverflowError,
+    SemilinearDivergenceError,
 )
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "IterationReport",
     "ControlProblem",
     "GramConditionError",
+    "GramOverflowError",
     "assemble_H",
     "pinv_apply",
     "picard_sequence",
@@ -59,6 +60,12 @@ class GramConditionError(RuntimeError):
             f"regularized Gram matrix is numerically singular (smallest "
             f"eigenvalue {sigma_min:.3e}, rounding floor {floor:.3e})"
         )
+
+
+class GramOverflowError(ArithmeticError):
+    """The Gram matrix Mw Mw^T lies beyond float range: its trace, the sum
+    of Mw's squared entries, is not finite, so neither its filter factors
+    nor the trace-scaled lambda can be formed."""
 
 
 def _check_lambda(lambda_reg):
@@ -105,13 +112,18 @@ class ControllabilityOperator:
     _svd: object = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.M)):
-            raise ValueError("reachability matrix has non-finite entries")
         _check_lambda(self.lambda_reg)
         sw = np.sqrt(self.weights)
-        self.Mw = sw[:, None] * self.M
+        with np.errstate(over="ignore"):
+            self.Mw = sw[:, None] * self.M
+            gram_trace = np.sum(self.Mw**2)
+        if not np.isfinite(gram_trace):
+            raise GramOverflowError(
+                f"Gram matrix of the reachability matrix is beyond float "
+                f"range (trace {gram_trace:.3e})"
+            )
         if self.lambda_reg is None:
-            self.lambda_reg = 1e-8 * np.sum(self.Mw**2) / self.Mw.shape[0]
+            self.lambda_reg = 1e-8 * gram_trace / self.Mw.shape[0]
 
     def svd(self):
         """Thin SVD (U, sigma, Vt) of Mw, sigma descending, computed once."""
@@ -149,9 +161,11 @@ def assemble_H(basis, act, grid, target, alpha, lambda_reg=None):
     d = basis.domain
     ix, iy = region_nodes(d, target)
     ex, ey = basis._factors
-    # mode responses at time T to a unit control on step k use Wd[K-1-k]
-    C = (b * Wd[::-1]).reshape(grid.K, basis.mx, basis.my)
-    M = (ex[:, ix].T @ C @ ey[:, iy]).reshape(grid.K, -1).T
+    # mode responses at time T to a unit control on step k use Wd[K-1-k];
+    # entries beyond float range raise in ControllabilityOperator
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = (b * Wd[::-1]).reshape(grid.K, basis.mx, basis.my)
+        M = (ex[:, ix].T @ C @ ey[:, iy]).reshape(grid.K, -1).T
     # a one-node axis weighs 1, so a boundary segment gets its tangential
     # trapezoid weights
     w = np.outer(_trapezoid_weights(d.x[ix]), _trapezoid_weights(d.y[iy]))

@@ -47,8 +47,8 @@ class RectDomain:
     ny: int = 51
 
     def __post_init__(self):
-        if not (self.lx > 0.0 and self.ly > 0.0):
-            raise ValueError("domain side lengths must be positive")
+        if not (0.0 < self.lx < math.inf and 0.0 < self.ly < math.inf):
+            raise ValueError("domain side lengths must be positive and finite")
         if self.nx < 8 or self.ny < 8:
             raise ValueError("grid needs at least 8 nodes per axis")
 
@@ -435,4 +435,7 @@ def actuator_coefficients(act, basis):
         by = _cos_rows(basis.my, d.ly, np.array([py]))[:, 0]
     else:
         raise ValueError(f"unknown actuator kind {act.kind!r}")
-    return act.gain * np.outer(bx, by).ravel()
+    # a gain that overflows a coefficient overflows the reachability
+    # matrix, which raises GramOverflowError where it is assembled
+    with np.errstate(over="ignore"):
+        return act.gain * np.outer(bx, by).ravel()

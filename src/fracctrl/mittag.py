@@ -62,6 +62,8 @@ _ASYMPTOTIC_MAX_TERMS = 60
 # 59 terms: at most 6.7e-16 relative).
 _EXPANSION_TAIL = np.finfo(float).eps / 8
 _REL_TOL = 1e-11
+# Nodes of the Talbot contour rule (`_talbot_vec`)
+_TALBOT_NODES = 32
 # Rounding error of a Taylor sum per unit of its summed term magnitudes
 # (against mpmath on a grid of alpha, beta and z the true error stayed
 # below this).  The series reach bounds the loss relative to 1, not to
@@ -274,7 +276,7 @@ def _asymptotic_vec(alpha, beta, z, coef):
     return total, err
 
 
-def _talbot_vec(alpha, beta, z, nodes=32):
+def _talbot_vec(alpha, beta, z):
     """Talbot inversion of L[t^(b-1) E_(a,b)(-x t^a)] = s^(a-b)/(s^a+x).
 
     Evaluated at t = 1 on the roundoff-optimized contour of Weideman,
@@ -298,8 +300,8 @@ def _talbot_vec(alpha, beta, z, nodes=32):
         total = (weight / (s**alpha + x)).real.sum(axis=1)
         return total * h / (2.0 * math.pi)
 
-    v1 = invert(nodes)
-    v2 = invert(nodes - 8)
+    v1 = invert(_TALBOT_NODES)
+    v2 = invert(_TALBOT_NODES - 8)
     # Double-precision Talbot bottoms out near 1e-13 absolute error, so
     # very small function values are accepted on an absolute basis.
     bad = np.abs(v1 - v2) > np.maximum(1e-9 * np.abs(v1), 1e-13)

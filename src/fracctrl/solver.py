@@ -66,8 +66,8 @@ class TimeGrid:
     K: int
 
     def __post_init__(self):
-        if not self.T > 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if self.K < 2:
             raise ValueError("need at least 2 time steps")
 

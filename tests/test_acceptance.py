@@ -27,13 +27,11 @@ from fracctrl.config import (
     parse_poly,
     read_ini,
 )
-from fracctrl.control import ControlProblem, algorithm1, picard_sequence
+from fracctrl.control import picard_sequence
 from fracctrl.diagnostics import estimate_A1, hypothesis_report
 from fracctrl.domain import (
     Actuator,
-    GridPatch,
     RectDomain,
-    Region,
     build_basis,
     extend_target,
 )
@@ -41,8 +39,14 @@ from fracctrl.mittag import ml
 from fracctrl.solver import NonlinearTerm, TimeGrid, solve_semilinear
 from fields import evaluate_mode, from_function
 from l1_oracle import l1_oracle_solve
-from test_cli import _package_env
-from test_solver import _count_projections
+from support import (
+    count_projections,
+    example_problem,
+    l1_temporal_rate,
+    manufactured_target_run,
+    package_env,
+    set_target,
+)
 
 TEN_MINUTES = 600.0
 
@@ -110,25 +114,7 @@ class TestCriterion2SolverCrossValidation:
         # fine-step reference on the same spatial grid isolates the
         # time-stepping order, expected 2 - alpha
         t0 = time.perf_counter()
-        dom = RectDomain(1.0, 1.0, 26, 26)
-        basis = build_basis(dom, 10, 10)
-        act = Actuator.zonal(0.0, 0.2, 0.2, 0.4)
-        alpha = 0.3
-        y0 = from_function(
-            dom,
-            lambda x, y: evaluate_mode(basis, 1, 0, x, y)
-            + evaluate_mode(basis, 0, 1, x, y),
-        )
-
-        def final(K):
-            return l1_oracle_solve(
-                y0, None, NonlinearTerm.none(), act, dom,
-                TimeGrid(3.0, K), alpha,
-            ).values[-1]
-
-        ref = final(640)
-        errs = [np.linalg.norm(final(K) - ref) for K in (40, 80)]
-        rate = math.log2(errs[0] / errs[1])
+        rate = l1_temporal_rate()
         assert rate >= 1.4
         assert time.perf_counter() - t0 < 30.0
 
@@ -136,36 +122,10 @@ class TestCriterion2SolverCrossValidation:
 class TestCriterion3LinearExactness:
     def test_manufactured_target_one_iteration(self):
         t0 = time.perf_counter()
-        dom = RectDomain(1.0, 1.0, 51, 51)
-        basis = build_basis(dom, 12, 12)
-        grid = TimeGrid(3.0, 30)
-        act = Actuator.zonal(0.0, 0.2, 0.2, 0.4)
-        omega = Region.interior(0.0, 0.3, 0.0, 0.1)
-        gamma = Region.boundary("left", 0.0, 0.1)
-        ys = dom.y[dom.y <= 0.1 + 1e-9]
-        zd = 7 * ys**3 - 13 * ys**2 + 3.0
-        d_s = extend_target(zd, omega, gamma, dom)
-        problem = ControlProblem(
-            basis=basis, act=act, grid=grid, alpha=0.3,
-            F=NonlinearTerm.none(), omega_c=omega, gamma=gamma,
-            d_s=d_s, zd=zd, lambda_reg=1e-10,
-        )
-        H = problem.operator()
-        manufactured = H.apply(
-            np.cos(np.linspace(0.0, 1.0, grid.K))
-        )
-        problem.d_s = GridPatch(
-            x=d_s.x, y=d_s.y,
-            values=manufactured.reshape(d_s.values.shape),
-        )
-        # best achievable residual: the Tikhonov bias
-        # lambda (G + lambda I)^{-1} d_w in the weighted target norm
-        dw = np.sqrt(H.weights) * manufactured.ravel()
-        G = H.Mw @ H.Mw.T
-        A = G + 1e-10 * np.eye(G.shape[0])
-        bias = 1e-10 * np.linalg.norm(np.linalg.solve(A, dw))
-        problem.eps = 1e-6 + bias
-        u, traj, report = algorithm1(problem)
+        basis = build_basis(RectDomain(1.0, 1.0, 51, 51), 12, 12)
+        problem = example_problem(basis, TimeGrid(3.0, 30),
+                                  NonlinearTerm.none(), lambda_reg=1e-10)
+        report, bias = manufactured_target_run(problem)
         assert report.converged
         assert report.iterations == 1
         assert report.residuals[0] <= 1e-6 + bias * (1.0 + 1e-9)
@@ -222,7 +182,7 @@ class TestMirroredExample1:
                     for i, j, c in parse_poly(cp.get("target", key))
                 ))
 
-        calls = _count_projections(monkeypatch)
+        calls = count_projections(monkeypatch)
         mirror = _run_edited(tmp_path, "example1", {"problem.f_coeff": "-1"},
                              EXIT_OK, negate)
         assert len(calls) == 7_516
@@ -282,10 +242,7 @@ class TestCriterion6SmallDataContraction:
     def test_picard_contracts_on_scaled_target(self):
         cfg = load_config(bundled_config_path("example1.cfg"))
         problem = cfg.problem()
-        problem.d_s = GridPatch(
-            x=problem.d_s.x, y=problem.d_s.y,
-            values=problem.d_s.values * 1e-2,
-        )
+        set_target(problem, problem.d_s.values * 1e-2)
         problem.zd = problem.zd * 1e-2
         problem.eps = 1e-10
         problem.n_max = 20
@@ -365,7 +322,7 @@ class TestCriterion8Determinism:
         hashes = []
         for threads in ("1", "2"):
             out = tmp_path / threads
-            env = dict(_package_env(), OPENBLAS_NUM_THREADS=threads,
+            env = dict(package_env(), OPENBLAS_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads)
             done = subprocess.run(
                 [sys.executable, "-m", "fracctrl.cli", "run", "--config",

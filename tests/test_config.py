@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from fracctrl.cli import EXIT_CONFIG, main
+from fracctrl.cli import EXIT_CONFIG
 from fracctrl.config import (
     ConfigError,
     ExperimentConfig,
@@ -16,41 +16,7 @@ from fracctrl.config import (
     parse_poly,
 )
 from fracctrl.control import ControlProblem
-
-TINY = """
-[problem]
-alpha = 0.5
-T = 1.0
-f_coeff = 0
-
-[domain]
-nx = 21
-ny = 21
-mx = 6
-my = 6
-K = 8
-
-[actuator]
-box = 0.0 0.2 0.2 0.4
-gain = 1.0
-
-[regions]
-gamma = left 0.0 0.1
-omega_c = 0.0 0.3 0.0 0.1
-
-[target]
-z_d = (0, 0, 1e-3)
-
-[loop]
-eps = 1e-2
-lambda_reg = 1e-8
-"""
-
-
-def write_cfg(tmp_path, text=TINY, name="tiny.cfg"):
-    path = tmp_path / name
-    path.write_text(text)
-    return str(path)
+from support import TINY, one_error_line, write_cfg
 
 
 class TestParsePoly:
@@ -267,11 +233,10 @@ class TestLoadConfig:
             (TINY + "target_mode = gamma\n", "[loop] target_mode"),
             (TINY + "stop_metric = l2\n", "[loop] stop_metric"),
         ):
-            path = write_cfg(tmp_path, text)
-            assert main(["verify", "--config", path]) == EXIT_CONFIG
-            err = capsys.readouterr().err.strip().splitlines()
-            assert len(err) == 1
-            assert key in err[0] and err[0].endswith("unknown key")
+            line = one_error_line(
+                capsys, ["verify", "--config", write_cfg(tmp_path, text)],
+                EXIT_CONFIG)
+            assert key in line and line.endswith("unknown key")
 
     def test_explicit_ds_trace_must_match(self, tmp_path):
         # extension trace is 2e-3 but z_d is 1e-3
@@ -353,9 +318,8 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(path)
         assert (exc.value.section, exc.value.key) == ("actuator", "-")
-        assert main(["verify", "--config", path]) == EXIT_CONFIG
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "[actuator] -" in err[0]
+        assert "[actuator] -" in one_error_line(
+            capsys, ["verify", "--config", path], EXIT_CONFIG)
 
     @pytest.mark.parametrize("line,key", [
         ("f = square", "[problem] f"),
@@ -368,10 +332,9 @@ class TestLoadConfig:
         section = key[1:key.index("]")]
         path = write_cfg(tmp_path, TINY.replace(
             f"[{section}]\n", f"[{section}]\n{line}\n"))
-        assert main(["verify", "--config", path]) == EXIT_CONFIG
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert key in err[0] and err[0].endswith("unknown key")
+        line = one_error_line(capsys, ["verify", "--config", path],
+                              EXIT_CONFIG)
+        assert key in line and line.endswith("unknown key")
 
     def test_linear_is_no_method(self, tmp_path):
         # one residual-update iteration is n_max = 1

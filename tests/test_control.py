@@ -8,7 +8,6 @@ import fracctrl.control as control
 from fracctrl import solver
 from fracctrl.config import bundled_config_path, load_config
 from fracctrl.control import (
-    ControlProblem,
     ControlSignal,
     GramConditionError,
     algorithm1,
@@ -21,7 +20,6 @@ from fracctrl.diagnostics import hypothesis_report
 from fracctrl.domain import (
     Actuator,
     Field,
-    GridPatch,
     RectDomain,
     Region,
     _cos_rows,
@@ -31,7 +29,6 @@ from fracctrl.domain import (
     extend_target,
     restrict,
 )
-from fracctrl.mittag import ml
 from fracctrl.solver import (
     NonlinearTerm,
     SemilinearDivergenceError,
@@ -42,6 +39,12 @@ from fracctrl.solver import (
 )
 from fields import from_function
 from semilinear_oracle import solve_semilinear_reference, solve_step_equation
+from support import (
+    example_problem,
+    manufactured_target_run,
+    record_calls,
+    set_target,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,15 +58,8 @@ def setup():
     return dom, basis, grid, act, omega, gamma
 
 
-def _example_problem(setup, F, eps=1e-3, lambda_reg=None, **kw):
-    dom, basis, grid, act, omega, gamma = setup
-    ys = dom.y[dom.y <= 0.1 + 1e-9]
-    zd = 7 * ys**3 - 13 * ys**2 + 3.0
-    d_s = extend_target(zd, omega, gamma, dom)
-    return ControlProblem(
-        basis=basis, act=act, grid=grid, alpha=0.3, F=F, omega_c=omega,
-        gamma=gamma, d_s=d_s, zd=zd, eps=eps, lambda_reg=lambda_reg, **kw
-    )
+def _example_problem(setup, F, **fields):
+    return example_problem(setup[1], setup[2], F, **fields)
 
 
 class TestPinvApply:
@@ -357,32 +353,14 @@ class TestAlgorithm1:
         problem = _example_problem(
             setup, NonlinearTerm.none(), eps=1e-6, lambda_reg=1e-10
         )
-        H = problem.operator()
-        manufactured = H.apply(np.cos(np.linspace(0.0, 1.0, H.M.shape[1])))
-        problem.d_s = GridPatch(
-            x=problem.d_s.x, y=problem.d_s.y,
-            values=manufactured.reshape(problem.d_s.values.shape),
-        )
-        # the best achievable residual is the regularization bias
-        # lambda (G + lambda I)^{-1} d_w, computable in closed form
-        dw = np.sqrt(H.weights) * manufactured.ravel()
-        G = H.Mw @ H.Mw.T
-        A = G + problem.lambda_reg * np.eye(G.shape[0])
-        bias = problem.lambda_reg * np.linalg.norm(
-            np.linalg.solve(A, dw)
-        )
-        problem.eps = 1e-6 + bias
-        u, traj, report = algorithm1(problem)
+        report, bias = manufactured_target_run(problem)
         assert report.converged
         assert report.iterations == 1
         assert report.residuals[0] <= 1e-6 + bias * (1.0 + 1e-9)
 
     def test_zero_target_trivial(self, setup):
         problem = _example_problem(setup, NonlinearTerm.none())
-        problem.d_s = GridPatch(
-            x=problem.d_s.x, y=problem.d_s.y,
-            values=np.zeros_like(problem.d_s.values),
-        )
+        set_target(problem, np.zeros_like(problem.d_s.values))
         problem.zd = np.zeros_like(problem.zd)
         u, traj, report = algorithm1(problem)
         assert report.converged
@@ -408,8 +386,8 @@ class TestAlgorithm1:
         # nodes, where the default extension is z_d
         narrow = Region.interior(0.0, 0.01, 0.0, 0.1)
         problem = _example_problem(
-            (*setup[:4], narrow, setup[5]), NonlinearTerm.none(), eps=1e-3,
-            lambda_reg=1e-8, n_max=3,
+            setup, NonlinearTerm.none(), eps=1e-3, lambda_reg=1e-8, n_max=3,
+            omega_c=narrow,
         )
         u, traj, report = algorithm1(problem)
         assert report.residuals == pytest.approx(report.boundary_errors)
@@ -430,10 +408,7 @@ class TestAlgorithm1:
             problem.y0, None, NonlinearTerm.none(), act, basis, grid, 0.3
         )
         offset = restrict(free.final_field(), omega).values
-        problem.d_s = GridPatch(
-            x=problem.d_s.x, y=problem.d_s.y,
-            values=manufactured.reshape(problem.d_s.values.shape) + offset,
-        )
+        set_target(problem, manufactured + offset.ravel())
         u, traj, report = algorithm1(problem)
         assert report.converged
         assert report.residuals[-1] <= 1e-6
@@ -453,10 +428,7 @@ class TestPicardSequence:
 
     def test_zero_target_stays_zero(self, setup):
         problem = _example_problem(setup, NonlinearTerm())
-        problem.d_s = GridPatch(
-            x=problem.d_s.x, y=problem.d_s.y,
-            values=np.zeros_like(problem.d_s.values),
-        )
+        set_target(problem, np.zeros_like(problem.d_s.values))
         problem.zd = np.zeros_like(problem.zd)
         u, traj, report = picard_sequence(problem)
         assert report.converged
@@ -475,10 +447,7 @@ class TestPicardSequence:
             setup, NonlinearTerm(), eps=1e-9, lambda_reg=1e-8,
             n_max=25,
         )
-        problem.d_s = GridPatch(
-            x=problem.d_s.x, y=problem.d_s.y,
-            values=problem.d_s.values * 1e-2,
-        )
+        set_target(problem, problem.d_s.values * 1e-2)
         problem.zd = problem.zd * 1e-2
         u, traj, report = picard_sequence(problem)
         assert report.converged
@@ -501,19 +470,11 @@ class TestPicardSequence:
         problem = _example_problem(
             setup, NonlinearTerm(), eps=1e-6, lambda_reg=1e-8,
         )
-        problem.d_s = GridPatch(
-            x=problem.d_s.x, y=problem.d_s.y,
-            values=problem.d_s.values * 1e-2,
-        )
+        set_target(problem, problem.d_s.values * 1e-2)
         problem.zd = problem.zd * 1e-2
-        controls = []
-
-        def spy(y0, u, *args, **kwargs):
-            controls.append(u)
-            return solve_semilinear(y0, u, *args, **kwargs)
-
-        monkeypatch.setattr(control, "solve_semilinear", spy)
+        calls = record_calls(monkeypatch, control, "solve_semilinear")
         u, traj, report = picard_sequence(problem)
+        controls = [args[1] for args in calls]
         assert report.converged
         assert len(controls) == report.iterations >= 2
         H = problem.operator()
@@ -537,10 +498,7 @@ class TestPicardSequence:
             setup, NonlinearTerm(), eps=1e-12, lambda_reg=1e-8,
             n_max=2,
         )
-        problem.d_s = GridPatch(
-            x=problem.d_s.x, y=problem.d_s.y,
-            values=problem.d_s.values * 1e-2,
-        )
+        set_target(problem, problem.d_s.values * 1e-2)
         problem.zd = problem.zd * 1e-2
         u, traj, report = picard_sequence(problem)
         assert report.status == "max-iterations"
@@ -586,13 +544,7 @@ class TestOperatorPerProblem:
     def test_diagnostics_and_loop_share_one_operator(
         self, setup, monkeypatch
     ):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return assemble_H(*args, **kwargs)
-
-        monkeypatch.setattr(control, "assemble_H", counted)
+        calls = record_calls(monkeypatch, control, "assemble_H")
         problem = _example_problem(setup, NonlinearTerm.none(), n_max=1)
         hypothesis_report(problem)
         algorithm1(problem)
@@ -616,10 +568,7 @@ class TestKernelTables:
             setup, NonlinearTerm(), eps=1e-14, lambda_reg=1e-8,
             n_max=3, **kw,
         )
-        problem.d_s = GridPatch(
-            x=problem.d_s.x, y=problem.d_s.y,
-            values=problem.d_s.values * 1e-2,
-        )
+        set_target(problem, problem.d_s.values * 1e-2)
         _step_weights.cache_clear()
         u, traj, report = algorithm1(problem)
         assert report.iterations == 3
@@ -643,16 +592,10 @@ class TestKernelTables:
         # call of the run is made here, and each is the step weights'
         # beta = alpha + 1; no free-decay table (beta = 1) is built
         dom, basis, _, act, omega, gamma = setup
-        calls = []
-
-        def recording(alpha, beta, z):
-            calls.append((alpha, beta))
-            return ml(alpha, beta, z)
-
-        monkeypatch.setattr(solver, "ml", recording)
+        calls = record_calls(monkeypatch, solver, "ml")
         self._run((dom, basis, TimeGrid(3.0, 26), act, omega, gamma),
                   y0=self._y0(dom))
-        assert calls and set(calls) == {(0.3, 0.3 + 1.0)}
+        assert calls and {args[:2] for args in calls} == {(0.3, 0.3 + 1.0)}
 
     def test_initial_state_within_step_equation_bound(self, setup):
         y0 = self._y0(setup[0])

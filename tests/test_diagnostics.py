@@ -1,12 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracctrl import diagnostics
 from fracctrl.config import bundled_config_path, load_config
-from fracctrl.control import ControlProblem, assemble_H, pinv_apply
+from fracctrl.control import assemble_H, pinv_apply
 from fracctrl.diagnostics import (
     estimate_A1,
     g_alpha_norm,
@@ -14,18 +13,12 @@ from fracctrl.diagnostics import (
     lipschitz_bracket,
     pinv_gain,
 )
-from fracctrl.domain import (
-    Actuator,
-    GridPatch,
-    RectDomain,
-    Region,
-    build_basis,
-    extend_target,
-)
+from fracctrl.domain import Actuator, RectDomain, Region, build_basis
 from fracctrl.mittag import ml
 from fracctrl.solver import NonlinearTerm, TimeGrid
 from a1_oracle import estimate_A1 as dense_a1
 from fields import evaluate_mode
+from support import example_problem, record_calls, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -88,28 +81,17 @@ class TestEstimateA1:
         # the one `ml` call over 12,543 elements, where A1 peaks: traced
         # 1.66 MB
         cfg = load_config(bundled_config_path("example1.cfg"))
-        tracemalloc.start()
-        try:
-            estimate_A1(cfg.basis, cfg.grid, cfg.alpha, q=0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.0e6
+        assert traced_peak(estimate_A1, cfg.basis, cfg.grid, cfg.alpha,
+                           0.5) < 2.0e6
 
     def test_evaluates_few_elements(self, monkeypatch):
         # one `ml` call per bundled example, over 12,543 elements
-        elements = []
-
-        def counting(alpha, beta, z):
-            elements.append(np.size(z))
-            return ml(alpha, beta, z)
-
-        monkeypatch.setattr(diagnostics, "ml", counting)
+        calls = record_calls(monkeypatch, diagnostics, "ml")
         for name in ("example1.cfg", "example2.cfg"):
             cfg = load_config(bundled_config_path(name))
-            elements.clear()
+            calls.clear()
             estimate_A1(cfg.basis, cfg.grid, cfg.alpha, q=0.5)
-            assert len(elements) == 1 and elements[0] <= 15_000
+            assert len(calls) == 1 and np.size(calls[0][2]) <= 15_000
 
 
 def _brute_force_a1(basis, T, alpha, q, panels):
@@ -242,18 +224,8 @@ class TestLipschitzBracket:
 
 
 def _problem(basis, grid, gain, F=NonlinearTerm()):
-    """The bundled examples' geometry (alpha = 0.3, lambda_reg = 1e-6) on
-    a given basis and time grid."""
-    dom = basis.domain
-    omega = Region.interior(0.0, 0.3, 0.0, 0.1)
-    gamma = Region.boundary("left", 0.0, 0.1)
-    ys = dom.y[dom.y <= 0.1 + 1e-9]
-    zd = 7 * ys**3 - 13 * ys**2 + 3.0
-    return ControlProblem(
-        basis=basis, act=Actuator.zonal(0.0, 0.2, 0.2, 0.4, gain=gain),
-        grid=grid, alpha=0.3, F=F, omega_c=omega, gamma=gamma,
-        d_s=extend_target(zd, omega, gamma, dom), zd=zd, lambda_reg=1e-6,
-    )
+    """The bundled examples' geometry with lambda_reg = 1e-6."""
+    return example_problem(basis, grid, F, gain=gain, lambda_reg=1e-6)
 
 
 class TestComputeConstants:
@@ -449,13 +421,7 @@ class TestPinvGain:
         problem = _problem(basis, grid, gain=1.0)
         H = problem.operator()
         sig = np.linalg.svd(H.Mw, full_matrices=False)[1]
-        svd, calls = np.linalg.svd, []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        calls = record_calls(monkeypatch, np.linalg, "svd")
         report = hypothesis_report(problem)
         pinv_apply(H, np.ones(H.M.shape[0]))
         assert hypothesis_report(problem) == report

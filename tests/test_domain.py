@@ -19,6 +19,7 @@ from fracctrl.domain import (
     trace,
     _validate_adjacency,
 )
+from fracctrl.solver import TimeGrid
 from fields import evaluate_mode, from_function, spacing
 
 
@@ -54,6 +55,18 @@ class TestRectDomain:
     def test_rejects_bad_parameters(self, bad):
         with pytest.raises(ValueError):
             RectDomain(**bad)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("make", [
+    lambda v: RectDomain(v, 1.0, 9, 9),
+    lambda v: RectDomain(1.0, v, 9, 9),
+    lambda v: TimeGrid(v, 4),
+], ids=["lx", "ly", "T"])
+def test_rejects_non_finite_length(make, value):
+    # an infinite length would build NaN grid nodes
+    with pytest.raises(ValueError, match="finite"):
+        make(value)
 
 
 class TestBasis:

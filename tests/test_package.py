@@ -1,11 +1,14 @@
-"""Package-wide checks of the public interface."""
+"""Package-wide checks of the public interface and of the test suite's
+layout."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import fracctrl
+from support import imported_modules
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fracctrl.__path__))
 
@@ -22,3 +25,12 @@ def test_all_names_exist(name):
     missing = [n for n in getattr(module, "__all__", ()) if
                not hasattr(module, n)]
     assert missing == []
+
+
+def test_no_test_module_imports_another():
+    # a test module that imports another fails to collect with it: shared
+    # test code lives in tests/support.py
+    found = [(path.name, name)
+             for path in sorted(Path(__file__).parent.glob("*.py"))
+             for name in imported_modules(path) if name.startswith("test_")]
+    assert found == []

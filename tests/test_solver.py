@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -28,13 +27,20 @@ from fracctrl.solver import (
 from fields import evaluate_mode, from_function, norm_l2
 from l1_oracle import GridTrajectory, l1_oracle_solve
 from ml_oracle import _ml_scalar
-from test_cli import TINY
 from semilinear_oracle import (
     decay_table,
     direct_node_states,
     reference_node_states,
     solve_semilinear_reference,
     solve_step_equation,
+)
+from support import (
+    FAR,
+    count_projections,
+    l1_temporal_rate,
+    record_calls,
+    traced_peak,
+    write_cfg,
 )
 
 
@@ -204,26 +210,6 @@ class TestSolveSemilinear:
             )
 
 
-def _count_projections(monkeypatch):
-    """A list that gains one entry per call of the solver's F projection:
-    every sweep and every fresh F at a settled state is one nodal/spectral
-    round trip."""
-    calls = []
-    projection = solver._f_projection
-
-    def counted(F, basis):
-        project = projection(F, basis)
-
-        def count(c):
-            calls.append(None)
-            return project(c)
-
-        return count
-
-    monkeypatch.setattr(solver, "_f_projection", counted)
-    return calls
-
-
 class TestStepEquation:
     """The solver against the step equation it solves.
 
@@ -287,7 +273,7 @@ class TestStepEquation:
 
         exact = run(step_equation)
         picard = run(lambda *args: solve_semilinear_reference(*args)[0])
-        calls = _count_projections(monkeypatch)
+        calls = count_projections(monkeypatch)
         got = run(solve_semilinear)
         assert len(calls) <= round_trips
         # the outer loop amplifies per-step differences of 1e-11 to about
@@ -302,7 +288,7 @@ class TestStepEquation:
     def test_scaled_synth_round_trips(self, scaled_problem, monkeypatch):
         # the `scaled-synth` benchmark's 12 iterations: 7,408 round trips
         # from the linear extrapolation, 3,990 from the cubic one
-        calls = _count_projections(monkeypatch)
+        calls = count_projections(monkeypatch)
         report = algorithm1(scaled_problem)[2]
         assert (report.status, report.iterations) == ("max-iterations", 12)
         assert len(calls) <= 4_200
@@ -415,12 +401,7 @@ class TestSweepsSettleOrRaise:
         # scaled by 1e50: step 1 is not certified (the constant mode's
         # anchor is negative), F overflows at the first sweeps and the
         # residual goes non-finite
-        path = tmp_path / "far.cfg"
-        path.write_text(
-            TINY.replace("f_coeff = 0", "f_coeff = 1")
-            .replace("z_d = (0, 0, 1e-3)", "z_d = (0, 0, 1e9)")
-        )
-        problem = load_config(str(path)).problem()
+        problem = load_config(write_cfg(tmp_path, FAR, "far.cfg")).problem()
         u = pinv_apply(problem.operator(), problem.d_s.values.ravel()).values
         with pytest.raises(SemilinearDivergenceError,
                            match="^sweeps went non-finite at step 1$"):
@@ -452,7 +433,7 @@ class TestMeanModeTest:
         # step 1's base is c0, its history being empty
         drive = u[0] * b - basis.eigenvalues * c0
         predictor = c0 + (drive + solver._f_projection(F, basis)(c0)) * w0
-        calls = _count_projections(monkeypatch)
+        calls = count_projections(monkeypatch)
         states = _node_states(y0, u, F, problem.act, basis, grid, alpha)
         next(states)
         before = len(calls)
@@ -478,7 +459,7 @@ class TestMeanModeTest:
         # F at its predictor
         problem = load_config(bundled_config_path("example1.cfg")).problem()
         u = pinv_apply(problem.operator(), problem.d_s.values.ravel()).values
-        calls = _count_projections(monkeypatch)
+        calls = count_projections(monkeypatch)
         counts = [len(calls) for _ in _node_states(
             problem.y0, u, problem.F, problem.act, problem.basis,
             problem.grid, problem.alpha,
@@ -556,26 +537,8 @@ class TestL1Oracle:
     def test_temporal_convergence_rate(self):
         # against a fine-step run on the same grid, so the spatial error
         # cancels and the time-stepping order is isolated
-        dom = RectDomain(1.0, 1.0, 26, 26)
-        basis = build_basis(dom, 10, 10)
-        act = Actuator.zonal(0.0, 0.2, 0.2, 0.4)
         alpha = 0.3
-        y0 = from_function(
-            dom,
-            lambda x, y: evaluate_mode(basis, 1, 0, x, y)
-            + evaluate_mode(basis, 0, 1, x, y),
-        )
-        F = NonlinearTerm.none()
-
-        def final(K):
-            return l1_oracle_solve(
-                y0, None, F, act, dom, TimeGrid(3.0, K), alpha
-            ).values[-1]
-
-        ref = final(640)
-        errs = [np.linalg.norm(final(K) - ref) for K in (40, 80)]
-        rate = math.log2(errs[0] / errs[1])
-        assert rate >= min(2.0 - alpha, 2.0) - 0.3
+        assert l1_temporal_rate() >= min(2.0 - alpha, 2.0) - 0.3
 
     def test_pointwise_actuator_injects_mass(self, setup):
         dom, _, _, grid = setup
@@ -644,18 +607,11 @@ class TestKernelTableStability:
         z = -np.outer(ta, lam)
         W = ml(alpha, alpha + 1.0, z) * ta[:, None]
         Wd = np.take(np.diff(W, axis=0), mode, axis=1)
-        sorts = []
-        unique = np.unique
-
-        def counting(a, *args, **kwargs):
-            sorts.append(np.size(a))
-            return unique(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "unique", counting)
+        sorts = record_calls(monkeypatch, np, "unique")
         Wdnew = _step_weights.__wrapped__(basis, grid, alpha)
         assert np.array_equal(Wdnew, Wd)
         assert Wdnew.flags.c_contiguous
-        assert sorts and max(sorts) <= min(
+        assert sorts and max(np.size(a) for a, *_ in sorts) <= min(
             solver._SLAB, ta.size * basis.eigenvalues.size
         )
 
@@ -674,13 +630,8 @@ def test_step_weights_peak_memory():
     problem = load_config(bundled_config_path("example2.cfg")).problem()
     basis = build_basis(problem.basis.domain, 30, 30)
     grid = TimeGrid(problem.grid.T, 240)
-    tracemalloc.start()
-    try:
-        _step_weights.__wrapped__(basis, grid, problem.alpha)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.5e6
+    assert traced_peak(_step_weights.__wrapped__, basis, grid,
+                       problem.alpha) < 3.5e6
 
 
 @pytest.fixture(scope="module")
@@ -744,15 +695,6 @@ class TestInitialStateSource:
         self.assert_close(np.array(list(_node_states(*args))), exact)
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestTrajectory:
     """A solve returns the state at T; the step loop, `_node_states`,
     yields every node's state as it computes it."""
@@ -794,7 +736,7 @@ class TestTrajectory:
         args = (problem.y0, u, problem.F, problem.act, problem.basis,
                 problem.grid, problem.alpha)
         solve_semilinear(*args)
-        assert _traced_peak(solve_semilinear, *args) < 2.5e6
+        assert traced_peak(solve_semilinear, *args) < 2.5e6
 
     def test_algorithm1_peak_memory(self, scaled_problem):
         # tables and operator built before tracing: a finished solve
@@ -803,7 +745,7 @@ class TestTrajectory:
         # against 4.3 MB when each kept its sources)
         problem = scaled_problem
         problem.operator()
-        assert _traced_peak(algorithm1, problem) < 3.0e6
+        assert traced_peak(algorithm1, problem) < 3.0e6
 
 
 class TestBlockHistory:
@@ -853,7 +795,7 @@ class TestBlockHistory:
                 problem.basis, grid, problem.alpha)
         _step_weights(problem.basis, grid, problem.alpha)
         sources = grid.K * problem.basis.eigenvalues.size * 8
-        assert _traced_peak(solve_semilinear, *args) < sources + 0.5e6
+        assert traced_peak(solve_semilinear, *args) < sources + 0.5e6
 
 
 class TestReferenceBitIdentical:
